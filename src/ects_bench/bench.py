@@ -4,10 +4,13 @@ simulate / score pipeline, and report emission.
 The pipeline per dataset: stratified split of the train set (40% classifier
 part, 60% trigger part; 30% of the classifier part held out for calibration),
 one classifier collection fitted once, trigger-train probability traces
-computed once, then one fitted trigger per (method, alpha) simulated online
-on the test set. Datasets that cannot satisfy the split are skipped with a
-recorded reason. Seeds are derived by hashing (master seed, dataset, method,
-alpha) so results do not depend on scheduling order.
+computed once. Each tuned trigger builds its alpha-independent state once
+per dataset, on its first fit; each alpha then only selects parameters by
+cost, and a *_myopic variant reuses the same alpha's full fit. Every
+(method, alpha) trigger is simulated online on the test set, against one
+oracle per (test series, alpha). Datasets that cannot satisfy the split are
+skipped with a recorded reason. Seeds are derived by hashing (master seed,
+dataset, method, alpha) so results do not depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -170,10 +173,6 @@ def _fit_trigger(
         return trigger.fit_ecec(train_set, cost)
     if method == "calimera":
         return trigger.fit_calimera(train_set, cost)
-    if method == "economy_myopic":
-        return trigger.make_myopic(trigger.fit_economy(train_set, cost))
-    if method == "calimera_myopic":
-        return trigger.make_myopic(trigger.fit_calimera(train_set, cost))
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -203,11 +202,18 @@ def run_dataset(
     records: List[EvalRecord] = []
     for alpha in config.alpha_grid:
         cost = cost_model_for(config.cost_setting, dataset.num_classes, alpha)
+        oracle = [
+            metrics.optimal_time(trace, series.label, cost, timeline)
+            for series, trace in zip(dataset.test, test_traces)
+        ]
+        fitted: Dict[str, trigger.TriggerModel] = {}  # this alpha's fits, shared with *_myopic
         for method in config.methods:
-            model = _fit_trigger(method, train_set, cost)
-            for series, trace in zip(dataset.test, test_traces):
+            base = method.removesuffix("_myopic")
+            if base not in fitted:
+                fitted[base] = _fit_trigger(base, train_set, cost)
+            model = fitted[base] if base == method else trigger.make_myopic(fitted[base])
+            for series, trace, (t_star, oracle_cost) in zip(dataset.test, test_traces, oracle):
                 decision = trigger.simulate_online(model, trace)
-                t_star, oracle_cost = metrics.optimal_time(trace, series.label, cost, timeline)
                 c_m = misclassification_cost(cost, decision.predicted_label, series.label)
                 c_d = delay_cost(cost, decision.trigger_time, dataset.length)
                 w = alpha * c_m + (1.0 - alpha) * c_d
@@ -232,22 +238,22 @@ def run_dataset(
 
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:
-    bundle = ReportBundle()
+    """Run every dataset in turn. A DataError skips the dataset with its
+    reason recorded; a NumericError aborts the run."""
+    records: List[EvalRecord] = []
+    timelines: Dict[str, SampledTimeline] = {}
+    skipped: List[Tuple[str, str]] = []
     for entry in config.datasets:
         dataset = _load_config_dataset(entry)
         try:
-            records, timeline = run_dataset(dataset, config)
+            dataset_records, timeline = run_dataset(dataset, config)
         except DataError as exc:
-            bundle.skipped.append((dataset.name, str(exc)))
+            skipped.append((dataset.name, str(exc)))
             continue
-        bundle.records.extend(records)
-        bundle.timelines[dataset.name] = timeline
-    bundle.records.sort(key=lambda r: (r.dataset, r.method, r.alpha, r.series_id))
-    grouped: Dict[Tuple[str, str, float], List[EvalRecord]] = {}
-    for r in bundle.records:
-        grouped.setdefault((r.dataset, r.method, r.alpha), []).append(r)
-    for key in sorted(grouped):
-        bundle.summaries.append(metrics.summarize(grouped[key], bundle.timelines[key[0]]))
+        records.extend(dataset_records)
+        timelines[dataset.name] = timeline
+    bundle = bundle_from_records(records, timelines)
+    bundle.skipped = skipped
     return bundle
 
 

@@ -62,7 +62,11 @@ class SplitSpec:
 
 def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]]]:
     rows: List[Tuple[int, List[float]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read series file {path}: {exc.strerror or exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -142,8 +146,20 @@ def save_dataset(dataset: Dataset, out_dir: str) -> Dict[str, object]:
 
 
 def load_manifest(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Load the dataset a manifest names; an unreadable or malformed manifest
+    is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest {path}: root must be a JSON object")
+    missing = [key for key in ("train_file", "test_file") if key not in manifest]
+    if missing:
+        raise DataError(f"manifest {path}: missing {' and '.join(missing)}")
     base = os.path.dirname(os.path.abspath(path))
     def resolve(p):
         return p if os.path.isabs(p) else os.path.join(base, p)

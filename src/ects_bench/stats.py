@@ -5,20 +5,11 @@ comparisons."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 EXACT_WILCOXON_MAX_N = 12
-
-
-@dataclass(frozen=True)
-class RankRow:
-    method: str
-    mean_rank: float
-    ci_low: float
-    ci_high: float
 
 
 def _rank_ascending(values: Sequence[float]) -> List[float]:

@@ -9,15 +9,23 @@ a linear stopping rule over (p1, p2, t/T), an expected-cost Markov-chain
 model over equal-frequency confidence bins, a precision-sequence confidence
 rule, and a cost-difference kernel-ridge regressor. The two expected-cost
 policies have myopic (horizon-1) variants.
+
+Each tuned fit runs in two steps. The state that does not depend on alpha
+(candidate first halts, the Markov model and its expected misclassification
+paths, kernel factorizations) is built on first use and kept on the
+TriggerTrainSet, so a sweep over alpha builds it once per dataset. The
+selection step, run per call, is only the cost arithmetic and the
+tie-breaking scan.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +33,8 @@ from .core import CostModel, Decision, SampledTimeline, delay_cost
 from .errors import DataError, NumericError
 
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
-STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))  # 10^3 combinations
+STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
+STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,8 @@ class TriggerTrainSet:
     traces: Tuple[np.ndarray, ...]
     labels: Tuple[int, ...]
     timeline: SampledTimeline
+    # Alpha-independent fit state, keyed by fit and its alpha-free settings.
+    _state: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.traces) != len(self.labels):
@@ -161,58 +172,94 @@ class StoppingRuleTrigger(TriggerModel):
 # ---------------------------------------------------------------------------
 
 
+def _fit_state(train: TriggerTrainSet, key: tuple, build: Callable[[], object]):
+    """The train set's state under key, built on first use. A build that
+    raises stores nothing, so every later call raises the same error."""
+    if key not in train._state:
+        train._state[key] = build()
+    return train._state[key]
+
+
+def _cost_key(cost: CostModel) -> tuple:
+    """The alpha-free part of a cost model."""
+    return (cost.mis_matrix, cost.delay)
+
+
 def _trace_stats(train: TriggerTrainSet):
     """Stacked per-trace quantities used by policy simulation."""
-    P = train.prob_array  # (n, L, K)
-    pred = P.argmax(axis=2)  # (n, L)
-    top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
-    maxp = top2[:, :, 0]
-    p2 = top2[:, :, 0] - top2[:, :, 1]
-    return P, pred, maxp, p2
+
+    def build():
+        P = train.prob_array  # (n, L, K)
+        pred = P.argmax(axis=2)  # (n, L)
+        top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
+        maxp = top2[:, :, 0]
+        p2 = top2[:, :, 0] - top2[:, :, 1]
+        return P, pred, maxp, p2
+
+    return _fit_state(train, ("trace_stats",), build)
 
 
-def _policy_mean_cost(
-    halts: np.ndarray, pred: np.ndarray, labels: np.ndarray, timeline: SampledTimeline, cost: CostModel
-) -> float:
-    """Mean weighted cost of halting at the first True per row (last forced)."""
-    n, L = halts.shape
-    h = halts.copy()
-    h[:, -1] = True
-    first = h.argmax(axis=1)
+def _delays(cost: CostModel, timeline: SampledTimeline) -> np.ndarray:
+    """Unweighted delay cost at each timeline index."""
+    return np.array([delay_cost(cost, t, timeline.series_length) for t in timeline.timestamps])
+
+
+def _halt_outcomes(
+    train: TriggerTrainSet, cost: CostModel, candidate_halts: Iterable[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unweighted C_m and C_d of every series at its first halt (last index
+    forced), one row per candidate (n, L) halts matrix."""
+    _, pred, _, _ = _trace_stats(train)
+    labels = np.array(train.labels)
     mis = np.asarray(cost.mis_matrix)
-    d = np.array([delay_cost(cost, t, timeline.series_length) for t in timeline.timestamps])
-    rows = np.arange(n)
-    c_m = mis[pred[rows, first], labels]
-    return float(np.mean(cost.alpha * c_m + (1.0 - cost.alpha) * d[first]))
+    d = _delays(cost, train.timeline)
+    rows = np.arange(len(labels))
+    c_m, c_d = [], []
+    for halts in candidate_halts:
+        h = halts.copy()
+        h[:, -1] = True
+        first = h.argmax(axis=1)
+        c_m.append(mis[pred[rows, first], labels])
+        c_d.append(d[first])
+    return np.array(c_m), np.array(c_d)
+
+
+def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
+    """Index of the candidate with the least mean weighted cost; a later
+    candidate must win by more than 1e-15, so ties keep the earliest."""
+    c_m, c_d = outcomes
+    weighted = alpha * c_m + (1.0 - alpha) * c_d
+    best, best_cost = None, math.inf
+    for idx, row in enumerate(weighted):
+        c = float(np.mean(row))
+        if c < best_cost - 1e-15:
+            best, best_cost = idx, c
+    return best
 
 
 def fit_proba_threshold(train: TriggerTrainSet, cost: CostModel) -> ProbaThresholdTrigger:
     """Pick theta from the 40-point grid minimizing empirical mean weighted
     cost of the simulated policy; ties go to the smaller theta."""
-    _, pred, maxp, _ = _trace_stats(train)
-    labels = np.array(train.labels)
-    best_theta, best_cost = None, math.inf
-    for theta in PROBA_GRID:
-        c = _policy_mean_cost(maxp >= theta, pred, labels, train.timeline, cost)
-        if c < best_cost - 1e-15:
-            best_theta, best_cost = theta, c
-    return ProbaThresholdTrigger(train.timeline, best_theta, cost)
+    _, _, maxp, _ = _trace_stats(train)
+    outcomes = _fit_state(
+        train, ("proba_threshold",) + _cost_key(cost),
+        lambda: _halt_outcomes(train, cost, (maxp >= theta for theta in PROBA_GRID)),
+    )
+    return ProbaThresholdTrigger(train.timeline, PROBA_GRID[_select(outcomes, cost.alpha)], cost)
 
 
 def fit_stopping_rule(train: TriggerTrainSet, cost: CostModel) -> StoppingRuleTrigger:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
     smallest vector."""
-    _, pred, maxp, p2 = _trace_stats(train)
-    labels = np.array(train.labels)
+    _, _, maxp, p2 = _trace_stats(train)
     tt = np.array(train.timeline.timestamps) / train.timeline.series_length
-    best_gamma, best_cost = None, math.inf
-    for gamma in itertools.product(STOPPING_RULE_AXIS, repeat=3):
-        g1, g2, g3 = gamma
-        halts = g1 * maxp + g2 * p2 + g3 * tt > 0.0
-        c = _policy_mean_cost(halts, pred, labels, train.timeline, cost)
-        if c < best_cost - 1e-15:
-            best_gamma, best_cost = gamma, c
-    return StoppingRuleTrigger(train.timeline, best_gamma, cost)
+    outcomes = _fit_state(
+        train, ("stopping_rule",) + _cost_key(cost),
+        lambda: _halt_outcomes(
+            train, cost, (g1 * maxp + g2 * p2 + g3 * tt > 0.0 for g1, g2, g3 in STOPPING_RULE_GRID)
+        ),
+    )
+    return StoppingRuleTrigger(train.timeline, STOPPING_RULE_GRID[_select(outcomes, cost.alpha)], cost)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +316,25 @@ class EconomyTrigger(TriggerModel):
     def group_of(self, p_t: np.ndarray, i: int) -> int:
         return int(np.searchsorted(self.bin_edges[i], float(np.max(p_t)), side="right"))
 
+    def expected_mis_path(self, group: int, t_idx: int) -> np.ndarray:
+        """Expected unweighted misclassification cost of halting at each
+        tau = t_idx..last, starting from the given group at t_idx."""
+        L = len(self.timeline)
+        reach = np.zeros(self.k)
+        reach[group] = 1.0
+        out = np.empty(L - t_idx)
+        for tau in range(t_idx, L):
+            out[tau - t_idx] = reach @ self._mis[tau]
+            if tau < L - 1:
+                reach = reach @ self.transitions[tau]
+        return out
+
     def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
         """Expected weighted cost for each tau = t_idx..last, starting from
         the given group at t_idx."""
-        L = len(self.timeline)
-        d = np.array(
-            [delay_cost(self.cost, t, self.timeline.series_length) for t in self.timeline.timestamps]
-        )
         a = self.cost.alpha
-        reach = np.zeros(self.k)
-        reach[group] = 1.0
-        costs = []
-        for tau in range(t_idx, L):
-            costs.append(a * float(reach @ self._mis[tau]) + (1.0 - a) * d[tau])
-            if tau < L - 1:
-                reach = reach @ self.transitions[tau]
-        return np.array(costs)
+        d = _delays(self.cost, self.timeline)
+        return a * self.expected_mis_path(group, t_idx) + (1.0 - a) * d[t_idx:]
 
     def _halt(self, trace_prefix, i):
         group = self.group_of(trace_prefix[i], i)
@@ -341,6 +391,47 @@ def _build_economy(
     )
 
 
+def _economy_state(
+    train: TriggerTrainSet, cost: CostModel, k_grid: Sequence[int], smoothing: float
+) -> List[Tuple[EconomyTrigger, np.ndarray, np.ndarray]]:
+    """Per feasible k: the model, each series' group per timestamp (n, L),
+    and M[j, g, tau], the expected misclassification cost of halting at tau
+    from group g at index j (zero for tau < j). None of it depends on alpha."""
+    _, _, maxp, _ = _trace_stats(train)
+    L = len(train.timeline)
+    candidates = []
+    for k in k_grid:
+        model = _build_economy(train, cost, k, smoothing)
+        if model is None:
+            continue
+        groups = np.stack(
+            [np.searchsorted(model.bin_edges[j], maxp[:, j], side="right") for j in range(L)],
+            axis=1,
+        )
+        mis_paths = np.zeros((L, k, L))
+        for j in range(L):
+            for g in range(k):
+                mis_paths[j, g, j:] = model.expected_mis_path(g, j)
+        candidates.append((model, groups, mis_paths))
+    if not candidates:
+        raise DataError("no feasible k for the confidence partition")
+    return candidates
+
+
+def _economy_halt_table(
+    mis_paths: np.ndarray, d: np.ndarray, alpha: float, myopic: bool = False
+) -> np.ndarray:
+    """(L, k) halt decisions of EconomyTrigger._halt, from _economy_state's
+    M and the delay vector; the last index always halts."""
+    L, k, _ = mis_paths.shape
+    costs = alpha * mis_paths + (1.0 - alpha) * d
+    table = np.ones((L, k), dtype=bool)
+    for j in range(L - 1):
+        horizon = costs[j, :, j + 1 : j + 2] if myopic else costs[j, :, j + 1 :]
+        table[j] = costs[j, :, j] <= horizon.min(axis=1)
+    return table
+
+
 def fit_economy(
     train: TriggerTrainSet,
     cost: CostModel,
@@ -350,30 +441,20 @@ def fit_economy(
     """Select k by empirical mean weighted cost of the induced policy on the
     trigger train set; infeasible k (empty bin) are skipped; ties favor the
     smaller k."""
-    _, pred, maxp, _ = _trace_stats(train)
-    labels = np.array(train.labels)
-    n, L = pred.shape
-    best_model, best_cost = None, math.inf
-    for k in k_grid:
-        model = _build_economy(train, cost, k, smoothing)
-        if model is None:
-            continue
-        halt_table = np.zeros((L, k), dtype=bool)
-        for j in range(L):
-            for g in range(k):
-                costs = model.expected_costs(g, j)
-                halt_table[j, g] = j == L - 1 or costs[0] <= costs[1:].min()
-        groups = np.stack(
-            [np.searchsorted(model.bin_edges[j], maxp[:, j], side="right") for j in range(L)],
-            axis=1,
-        )
-        halts = halt_table[np.arange(L)[None, :], groups]
-        c = _policy_mean_cost(halts, pred, labels, train.timeline, cost)
-        if c < best_cost - 1e-15:
-            best_model, best_cost = model, c
-    if best_model is None:
-        raise DataError("no feasible k for the confidence partition")
-    return best_model
+    candidates = _fit_state(
+        train, ("economy",) + _cost_key(cost) + (tuple(k_grid), smoothing),
+        lambda: _economy_state(train, cost, k_grid, smoothing),
+    )
+    d = _delays(cost, train.timeline)
+    steps = np.arange(len(train.timeline))[None, :]
+    halts = (
+        _economy_halt_table(mis_paths, d, cost.alpha)[steps, groups]
+        for _, groups, mis_paths in candidates
+    )
+    best = candidates[_select(_halt_outcomes(train, cost, halts), cost.alpha)][0]
+    model = copy.copy(best)  # shares the alpha-free arrays, _mis included
+    model.cost = cost
+    return model
 
 
 def economy_expected_costs(model: EconomyTrigger, group: int, t_idx: int) -> np.ndarray:
@@ -434,26 +515,25 @@ def fit_ecec(train: TriggerTrainSet, cost: CostModel) -> EcecTrigger:
     """Tune the confidence threshold on the 40-point grid; ties go to the
     smaller gamma."""
     P, pred, _, _ = _trace_stats(train)
-    labels = np.array(train.labels)
     n, L, K = P.shape
-    prec = _ecec_precisions(pred, labels, K)
-    # Running confidence per series and timestamp: product over past agreeing
-    # steps of (1 - precision), computed incrementally.
-    conf = np.zeros((n, L))
-    for s in range(n):
-        for j in range(L):
-            acc = 1.0
-            cur = pred[s, j]
-            for tau in range(j + 1):
-                if pred[s, tau] == cur:
-                    acc *= 1.0 - prec[tau, cur]
-            conf[s, j] = 1.0 - acc
-    best_gamma, best_cost = None, math.inf
-    for gamma in PROBA_GRID:
-        c = _policy_mean_cost(conf >= gamma, pred, labels, train.timeline, cost)
-        if c < best_cost - 1e-15:
-            best_gamma, best_cost = gamma, c
-    return EcecTrigger(train.timeline, cost, prec, best_gamma)
+
+    def build():
+        prec = _ecec_precisions(pred, np.array(train.labels), K)
+        # Running confidence per series and timestamp: product over past
+        # agreeing steps of (1 - precision).
+        conf = np.zeros((n, L))
+        for s in range(n):
+            for j in range(L):
+                acc = 1.0
+                cur = pred[s, j]
+                for tau in range(j + 1):
+                    if pred[s, tau] == cur:
+                        acc *= 1.0 - prec[tau, cur]
+                conf[s, j] = 1.0 - acc
+        return prec, _halt_outcomes(train, cost, (conf >= gamma for gamma in PROBA_GRID))
+
+    prec, outcomes = _fit_state(train, ("ecec",) + _cost_key(cost), build)
+    return EcecTrigger(train.timeline, cost, prec, PROBA_GRID[_select(outcomes, cost.alpha)])
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +542,11 @@ def fit_ecec(train: TriggerTrainSet, cost: CostModel) -> EcecTrigger:
 
 
 def backward_min_costs(costs: np.ndarray) -> np.ndarray:
-    """b[tau] = min over tau' > tau of costs[tau']; +inf at the last index."""
-    L = len(costs)
-    out = np.full(L, math.inf)
-    running = math.inf
-    for tau in range(L - 2, -1, -1):
-        running = min(running, costs[tau + 1])
-        out[tau] = running
+    """b[..., tau] = min over tau' > tau of costs[..., tau']; +inf at the last
+    index. Works along the last axis."""
+    costs = np.asarray(costs, dtype=float)
+    out = np.full(costs.shape, math.inf)
+    out[..., :-1] = np.minimum.accumulate(costs[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -522,6 +600,30 @@ class CalimeraTrigger(TriggerModel):
         }
 
 
+def _calimera_factors(
+    train: TriggerTrainSet, ridge: float, rbf_bandwidth: Optional[float]
+) -> List[Tuple[np.ndarray, float, np.ndarray]]:
+    """Per non-final timestamp: the inputs X, the RBF bandwidth and the
+    Cholesky factor of gram + ridge * I. None of it depends on alpha."""
+    P, _, _, _ = _trace_stats(train)
+    n, L, _ = P.shape
+    tt = np.array(train.timeline.timestamps) / train.timeline.series_length
+    factors = []
+    for j in range(L - 1):
+        X = np.concatenate([P[:, j, :], np.full((n, 1), tt[j])], axis=1)
+        bandwidth = rbf_bandwidth if rbf_bandwidth is not None else _median_pairwise_distance(X)
+        gram = _rbf_kernel(X, X, bandwidth)
+        system = gram + ridge * np.eye(n)
+        try:
+            chol = np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                f"kernel system not positive definite at timestamp {train.timeline.timestamps[j]}"
+            ) from None
+        factors.append((X, bandwidth, chol))
+    return factors
+
+
 def fit_calimera(
     train: TriggerTrainSet,
     cost: CostModel,
@@ -535,36 +637,30 @@ def fit_calimera(
     The myopic targets (next-step cost instead of the backward minimum) are
     fitted alongside from the same factorization.
     """
-    P, pred, _, _ = _trace_stats(train)
-    n, L, K = P.shape
+    factors = _fit_state(
+        train, ("calimera", ridge, rbf_bandwidth),
+        lambda: _calimera_factors(train, ridge, rbf_bandwidth),
+    )
+    _, pred, _, _ = _trace_stats(train)
     labels = np.array(train.labels)
     mis = np.asarray(cost.mis_matrix)
-    d = np.array([delay_cost(cost, t, train.timeline.series_length) for t in train.timeline.timestamps])
+    d = _delays(cost, train.timeline)
     a = cost.alpha
     realized = a * mis[pred, labels[:, None]] + (1.0 - a) * d[None, :]  # (n, L)
-    steps: List[_KrrStep] = []
-    tt = np.array(train.timeline.timestamps) / train.timeline.series_length
-    for j in range(L - 1):
-        targets_full = np.empty(n)
-        targets_myopic = np.empty(n)
-        for s in range(n):
-            back = backward_min_costs(realized[s])
-            targets_full[s] = realized[s, j] - back[j]
-            targets_myopic[s] = realized[s, j] - realized[s, j + 1]
-        X = np.concatenate([P[:, j, :], np.full((n, 1), tt[j])], axis=1)
-        bandwidth = rbf_bandwidth if rbf_bandwidth is not None else _median_pairwise_distance(X)
-        gram = _rbf_kernel(X, X, bandwidth)
-        system = gram + ridge * np.eye(n)
-        try:
-            chol = np.linalg.cholesky(system)
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                f"kernel system not positive definite at timestamp {train.timeline.timestamps[j]}"
-            ) from None
-        def solve(rhs):
-            y = np.linalg.solve(chol, rhs)
-            return np.linalg.solve(chol.T, y)
-        steps.append(_KrrStep(X, bandwidth, solve(targets_full), solve(targets_myopic)))
+    later = backward_min_costs(realized)
+
+    def solve(chol, rhs):
+        y = np.linalg.solve(chol, rhs)
+        return np.linalg.solve(chol.T, y)
+
+    steps = [
+        _KrrStep(
+            X, bandwidth,
+            solve(chol, realized[:, j] - later[:, j]),
+            solve(chol, realized[:, j] - realized[:, j + 1]),
+        )
+        for j, (X, bandwidth, chol) in enumerate(factors)
+    ]
     return CalimeraTrigger(train.timeline, cost, steps, ridge)
 
 
@@ -573,12 +669,9 @@ def decide_calimera(model: CalimeraTrigger, trace_prefix: np.ndarray, t_idx: int
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:
-    """Horizon-1 variant of an anticipation-based model."""
-    if isinstance(model, EconomyTrigger):
-        return EconomyTrigger(
-            model.timeline, model.cost, model.k, model.bin_edges, model.transitions,
-            model.class_counts, model.confusion_counts, model.smoothing, myopic=True,
-        )
-    if isinstance(model, CalimeraTrigger):
-        return CalimeraTrigger(model.timeline, model.cost, model.steps, model.ridge, myopic=True)
-    raise ValueError(f"make_myopic only applies to economy/calimera, got {model.variant}")
+    """Horizon-1 variant of an anticipation-based model; shares its fit."""
+    if not isinstance(model, (EconomyTrigger, CalimeraTrigger)):
+        raise ValueError(f"make_myopic only applies to economy/calimera, got {model.variant}")
+    myopic = copy.copy(model)
+    myopic.myopic = True
+    return myopic

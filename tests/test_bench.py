@@ -1,10 +1,13 @@
+import collections
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from ects_bench import bench, cli
+from ects_bench import bench, cli, metrics, trigger
 from ects_bench.core import DelayCurve, LabeledSeries
 from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
 from ects_bench.errors import ConfigError
@@ -167,6 +170,76 @@ class TestRunBenchmark:
                 assert r.misclassification_cost == 100.0
 
 
+@pytest.fixture(scope="module")
+def sweep_dataset():
+    return generate_synthetic(9, 15, 4, 0.3, seed=4, name="sweep")
+
+
+def _sweep_config(tmp_path):
+    return bench.BenchConfig(
+        datasets=("unused",),
+        methods=bench.VALID_METHODS,
+        output_dir=os.path.join(str(tmp_path), "o"),
+    )
+
+
+class TestAlphaSweep:
+    def test_alpha_free_state_built_once_per_dataset(self, tmp_path, monkeypatch, sweep_dataset):
+        calls = collections.defaultdict(list)  # name -> one key per call
+
+        def counting(name, fn, key=lambda *args: None):
+            def wrapped(*args, **kwargs):
+                calls[name].append(key(*args))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(trigger, "_build_economy", counting(
+            "build_economy", trigger._build_economy, lambda train, cost, k, smoothing: k))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(metrics, "optimal_time", counting(
+            "oracle", metrics.optimal_time, lambda trace, label, cost, timeline: (id(trace), cost.alpha)))
+        config = _sweep_config(tmp_path)
+        records, timeline = bench.run_dataset(sweep_dataset, config)
+
+        assert len(records) == 9 * 11 * len(sweep_dataset.test)
+        assert calls["build_economy"] == list(range(1, 21))
+        assert len(calls["cholesky"]) == len(timeline) - 1
+        oracle = calls["oracle"]
+        assert len(set(oracle)) == len(oracle) == len(sweep_dataset.test) * len(config.alpha_grid)
+
+    def test_myopic_records_equal_fresh_myopic_fits(self, tmp_path, monkeypatch, sweep_dataset):
+        seen = {}
+        fit_trigger = bench._fit_trigger
+
+        def spy(method, train_set, cost):
+            seen["train_set"] = train_set
+            return fit_trigger(method, train_set, cost)
+
+        def spy_collection(*args, **kwargs):
+            seen["collection"] = fit_collection(*args, **kwargs)
+            return seen["collection"]
+
+        fit_collection = bench.classify.fit_collection
+        monkeypatch.setattr(bench, "_fit_trigger", spy)
+        monkeypatch.setattr(bench.classify, "fit_collection", spy_collection)
+        config = _sweep_config(tmp_path)
+        records, _ = bench.run_dataset(sweep_dataset, config)
+
+        shared = seen["train_set"]
+        test_traces = [seen["collection"].prob_trace(s) for s in sweep_dataset.test]
+        fits = {"economy_myopic": trigger.fit_economy, "calimera_myopic": trigger.fit_calimera}
+        for alpha in config.alpha_grid:
+            cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
+            for method, fit in fits.items():
+                fresh = trigger.TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
+                model = trigger.make_myopic(fit(fresh, cost))
+                got = [(r.predicted_label, r.trigger_time) for r in records
+                       if r.method == method and r.alpha == alpha]
+                decisions = [trigger.simulate_online(model, trace) for trace in test_traces]
+                want = [(d.predicted_label, d.trigger_time) for d in decisions]
+                assert got == want, (method, alpha)
+
+
 class TestReports:
     def test_written_files_and_row_counts(self, tmp_path, tiny_run):
         config, bundle = tiny_run
@@ -248,6 +321,46 @@ class TestCli:
         out = os.path.join(str(tmp_path), "o")
         code = cli.main(["prepare", "--train", missing, "--test", missing, "--out", out])
         assert code == 2
+
+    # Manifest contents by case: None = no file, "dir" = a directory in its
+    # place, str = raw text, dict = JSON object.
+    BAD_MANIFESTS = {
+        "missing": None,
+        "directory": "dir",
+        "invalid_json": "{not json",
+        "not_an_object": "[1, 2]",
+        "no_train_file": {"test_file": "test.csv"},
+        "no_test_file": {"train_file": "train.csv"},
+        "missing_series_file": {"train_file": "absent.csv", "test_file": "absent.csv"},
+    }
+
+    @pytest.mark.parametrize("command", ["screen", "run"])
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_bad_manifest_one_line_data_error(self, tmp_path, command, case):
+        content = self.BAD_MANIFESTS[case]
+        manifest = os.path.join(str(tmp_path), "manifest.json")
+        if content == "dir":
+            os.mkdir(manifest)
+        elif isinstance(content, str):
+            with open(manifest, "w") as fh:
+                fh.write(content)
+        elif content is not None:
+            with open(manifest, "w") as fh:
+                json.dump(content, fh)
+        args = ["--manifest", manifest]
+        if command == "run":
+            args = ["--config", _config_file(tmp_path, manifest)]
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ects_bench.cli", command, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("absent.csv" if case == "missing_series_file" else manifest) in lines[0]
 
     def test_prepare_with_imbalance(self, tmp_path):
         rng = np.random.default_rng(3)

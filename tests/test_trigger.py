@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -15,6 +16,9 @@ from ects_bench.trigger import (
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
     TriggerTrainSet,
+    _delays,
+    _economy_halt_table,
+    _economy_state,
     backward_min_costs,
     decide_calimera,
     decide_economy,
@@ -263,6 +267,47 @@ class TestEconomy:
         b = fit_economy(train, cost)
         assert a.k == b.k
         np.testing.assert_array_equal(a.transitions, b.transitions)
+
+    @pytest.mark.parametrize("seed,K", [(30, 2), (31, 3)])
+    def test_state_halt_table_equals_online_decision(self, seed, K):
+        train = random_train_set(seed=seed, n=40, L=6, K=K)
+        L = len(train.timeline)
+        for alpha in [round(0.1 * i, 1) for i in range(11)]:
+            cost = standard_cost_model(K, alpha)
+            d = _delays(cost, train.timeline)
+            for model, _, mis_paths in _economy_state(train, cost, range(1, 6), 1.0):
+                priced = copy.copy(model)  # the state's model, at this alpha
+                priced.cost = cost
+                full = _economy_halt_table(mis_paths, d, alpha)
+                myopic = _economy_halt_table(mis_paths, d, alpha, myopic=True)
+                for j in range(L - 1):
+                    for g in range(model.k):
+                        costs = priced.expected_costs(g, j)
+                        assert full[j, g] == (costs[0] <= costs[1:].min())
+                        assert myopic[j, g] == (costs[0] <= costs[1])
+                assert full[-1].all() and myopic[-1].all()
+
+
+class TestFitState:
+    @pytest.mark.parametrize(
+        "fit", [fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
+    )
+    def test_shared_state_fits_equal_fresh_fits(self, fit):
+        shared = random_train_set(seed=32, n=30, L=5, K=3)
+        for alpha in [round(0.1 * i, 1) for i in range(11)]:
+            cost = standard_cost_model(3, alpha)
+            fresh = TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
+            a, b = fit(shared, cost), fit(fresh, cost)
+            assert a.to_json() == b.to_json()
+            for sa, sb in zip(getattr(a, "steps", ()), getattr(b, "steps", ())):
+                assert np.array_equal(sa.dual_full, sb.dual_full)
+                assert np.array_equal(sa.dual_myopic, sb.dual_myopic)
+
+    def test_failed_state_raises_again(self):
+        train = random_train_set(seed=13, n=6, L=3, K=2)
+        for alpha in (0.0, 0.5):
+            with pytest.raises(DataError, match="no feasible k"):
+                fit_economy(train, standard_cost_model(2, alpha), k_grid=(50,))
 
 
 class TestEcec:
