@@ -6,9 +6,10 @@ part, 60% trigger part; 30% of the classifier part held out for calibration),
 one classifier collection fitted once, trigger-train probability traces
 computed once. Each tuned trigger builds its alpha-independent state once
 per dataset, on its first fit; each alpha then only selects parameters by
-cost, and a *_myopic variant reuses the same alpha's full fit. Every
-(method, alpha) trigger is simulated online on the test set, against one
-oracle per (test series, alpha). Datasets that cannot satisfy the split are
+cost, and a *_myopic variant reuses the same alpha's full fit. The test
+traces are stacked once; each (method, alpha) trigger halts every test series
+at the first True of its vectorised halts, priced against one oracle per
+(test series, alpha). Datasets that cannot satisfy the split are
 skipped with a recorded reason. Seeds are derived by hashing (master seed,
 dataset, method, alpha) so results do not depend on scheduling order.
 """
@@ -34,7 +35,7 @@ from .core import (
     standard_cost_model,
     weighted_loss,
 )
-from .data import Dataset, SplitSpec, load_manifest, stratified_split
+from .data import Dataset, SplitSpec, dataset_from_manifest, load_manifest, stratified_split
 from .errors import ConfigError, DataError
 
 VALID_METHODS = (
@@ -83,6 +84,23 @@ _CONFIG_KEYS = {
 }
 
 
+def _typed(value, kinds, what: str):
+    """value if it has one of the JSON kinds (a boolean has none), else a
+    ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
+def _section(doc: dict, key: str, allowed: Sequence[str]) -> dict:
+    """doc[key] as an object whose keys are all allowed."""
+    value = _typed(doc[key], dict, key)
+    bad = sorted(set(value) - set(allowed))
+    if bad:
+        raise ConfigError(f"unknown {key} keys: {', '.join(bad)}")
+    return value
+
+
 def parse_config(path: str) -> BenchConfig:
     """Load and validate a JSON config file; unknown keys are rejected."""
     try:
@@ -96,26 +114,23 @@ def parse_config(path: str) -> BenchConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     kwargs: Dict[str, object] = {}
-    kwargs["datasets"] = tuple(doc.get("datasets", ()))
-    kwargs["methods"] = tuple(doc.get("methods", ()))
+    kwargs["datasets"] = tuple(_typed(doc.get("datasets", []), list, "datasets"))
+    kwargs["methods"] = tuple(_typed(doc.get("methods", []), list, "methods"))
     if "cost_setting" in doc:
         kwargs["cost_setting"] = doc["cost_setting"]
     if "alpha_grid" in doc:
-        kwargs["alpha_grid"] = tuple(float(a) for a in doc["alpha_grid"])
+        alphas = _typed(doc["alpha_grid"], list, "alpha_grid")
+        kwargs["alpha_grid"] = tuple(float(_typed(a, (int, float), "alpha")) for a in alphas)
     if "classifier" in doc:
-        clf = dict(doc["classifier"])
-        bad = sorted(set(clf) - {"l2", "iters", "lr"})
-        if bad:
-            raise ConfigError(f"unknown classifier keys: {', '.join(bad)}")
-        kwargs["classifier"] = classify.ClassifierHyper(**clf)
+        clf = _section(doc, "classifier", ("l2", "iters", "lr"))
+        kwargs["classifier"] = classify.ClassifierHyper(
+            **{k: _typed(v, int if k == "iters" else (int, float), f"classifier {k}") for k, v in clf.items()}
+        )
     if "split" in doc:
-        sp = dict(doc["split"])
-        bad = sorted(set(sp) - {"classifier_fraction", "calibration_fraction_of_classifier_part", "seed"})
-        if bad:
-            raise ConfigError(f"unknown split keys: {', '.join(bad)}")
-        kwargs["split"] = SplitSpec(**sp)
+        sp = _section(doc, "split", ("classifier_fraction", "calibration_fraction_of_classifier_part"))
+        kwargs["split"] = SplitSpec(**{k: _typed(v, (int, float), f"split {k}") for k, v in sp.items()})
     if "seed" in doc:
-        kwargs["seed"] = int(doc["seed"])
+        kwargs["seed"] = _typed(doc["seed"], int, "seed")
     if "output_dir" in doc:
         kwargs["output_dir"] = str(doc["output_dir"])
     return BenchConfig(**kwargs)
@@ -142,14 +157,13 @@ def cost_model_for(setting: str, num_classes: int, alpha: float) -> CostModel:
     return anomaly_cost_model(alpha)
 
 
-def _load_config_dataset(entry) -> Dataset:
+def _load_config_dataset(entry, position: int) -> Dataset:
+    """A config dataset entry: a manifest path, or an inline manifest object
+    whose relative series paths are taken from the working directory."""
     if isinstance(entry, str):
         return load_manifest(entry)
     if isinstance(entry, dict):
-        from .data import load_dataset
-
-        ds = load_dataset(entry["train_file"], entry["test_file"], entry.get("name", ""))
-        return ds
+        return dataset_from_manifest(entry, f"config datasets[{position}]")
     raise ConfigError(f"dataset entry must be a manifest path or object, got {type(entry).__name__}")
 
 
@@ -190,14 +204,12 @@ def run_dataset(
         derive_seed(config.seed, dataset.name, "calibration"),
     )
     timeline = classify.default_timeline(dataset.length)
-    collection = classify.fit_collection(
-        fit_part, timeline, config.classifier, calib_part,
-        derive_seed(config.seed, dataset.name, "classifier"),
-    )
+    collection = classify.fit_collection(fit_part, timeline, config.classifier, calib_part)
     trig_traces = tuple(collection.prob_trace(s) for s in trig_part)
     trig_labels = tuple(s.label for s in trig_part)
     train_set = trigger.TriggerTrainSet(trig_traces, trig_labels, timeline)
     test_traces = [collection.prob_trace(s) for s in dataset.test]
+    test_stats = trigger.trigger_stats(np.stack(test_traces))
 
     records: List[EvalRecord] = []
     for alpha in config.alpha_grid:
@@ -212,10 +224,11 @@ def run_dataset(
             if base not in fitted:
                 fitted[base] = _fit_trigger(base, train_set, cost)
             model = fitted[base] if base == method else trigger.make_myopic(fitted[base])
-            for series, trace, (t_star, oracle_cost) in zip(dataset.test, test_traces, oracle):
-                decision = trigger.simulate_online(model, trace)
-                c_m = misclassification_cost(cost, decision.predicted_label, series.label)
-                c_d = delay_cost(cost, decision.trigger_time, dataset.length)
+            first = model.halts(test_stats).argmax(axis=1)
+            for series, pred, j, (t_star, oracle_cost) in zip(dataset.test, test_stats.pred, first, oracle):
+                predicted_label, trigger_time = int(pred[j]), timeline.timestamps[j]
+                c_m = misclassification_cost(cost, predicted_label, series.label)
+                c_d = delay_cost(cost, trigger_time, dataset.length)
                 w = alpha * c_m + (1.0 - alpha) * c_d
                 records.append(
                     EvalRecord(
@@ -224,8 +237,8 @@ def run_dataset(
                         alpha=alpha,
                         series_id=series.id,
                         true_label=series.label,
-                        predicted_label=decision.predicted_label,
-                        trigger_time=decision.trigger_time,
+                        predicted_label=predicted_label,
+                        trigger_time=trigger_time,
                         weighted_cost=w,
                         misclassification_cost=c_m,
                         delay_cost=c_d,
@@ -243,8 +256,8 @@ def run_benchmark(config: BenchConfig) -> ReportBundle:
     records: List[EvalRecord] = []
     timelines: Dict[str, SampledTimeline] = {}
     skipped: List[Tuple[str, str]] = []
-    for entry in config.datasets:
-        dataset = _load_config_dataset(entry)
+    for position, entry in enumerate(config.datasets):
+        dataset = _load_config_dataset(entry, position)
         try:
             dataset_records, timeline = run_dataset(dataset, config)
         except DataError as exc:

@@ -16,7 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .core import LabeledSeries, SampledTimeline
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 NUM_FEATURES = 7
 
@@ -26,6 +26,10 @@ class ClassifierHyper:
     l2: float = 1e-3
     iters: int = 500
     lr: float = 0.1
+
+    def __post_init__(self):
+        if not (self.l2 >= 0.0 and self.iters >= 0 and self.lr > 0.0):  # NaN fails too
+            raise ConfigError(f"classifier needs l2 >= 0, iters >= 0 and lr > 0, got {self}")
 
 
 def default_timeline(length: int, count: int = 20) -> SampledTimeline:
@@ -226,11 +230,9 @@ def fit_collection(
     timeline: SampledTimeline,
     hyper: ClassifierHyper,
     calibration_set: Sequence[LabeledSeries],
-    seed: int = 0,
 ) -> ChronologicalClassifierCollection:
     """Fit the per-timestamp models on train and their Platt calibrators on
-    the held-out calibration set. Deterministic given the inputs; the seed is
-    accepted for interface uniformity only."""
+    the held-out calibration set. Deterministic given the inputs."""
     train_labels = np.array([s.label for s in train])
     calib_labels = np.array([s.label for s in calibration_set])
     num_classes = int(max(train_labels.max(), calib_labels.max())) + 1

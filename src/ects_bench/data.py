@@ -1,13 +1,14 @@
 """Dataset ingestion, splitting, normalization and the synthetic generator.
 
 Series files are headerless UTF-8 text, one series per line:
-``label,v1,...,vT`` with '\n' line endings. A dataset manifest is a JSON
-object {name, train_file, test_file, num_classes, length}.
+``label,v1,...,vT`` with finite values and '\n' line endings. A dataset
+manifest is a JSON object {name, train_file, test_file, num_classes, length}.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -52,7 +53,6 @@ class SplitSpec:
 
     classifier_fraction: float = 0.4
     calibration_fraction_of_classifier_part: float = 0.3
-    seed: int = 0
 
     def __post_init__(self):
         for f in (self.classifier_fraction, self.calibration_fraction_of_classifier_part):
@@ -63,12 +63,15 @@ class SplitSpec:
 def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]]]:
     rows: List[Tuple[int, List[float]]] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read series file {path}: {exc.strerror or exc}") from None
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
             if not line:
                 continue
             fields = line.split(",")
@@ -79,6 +82,8 @@ def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]
                 values = [float(v) for v in fields[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                raise DataError(f"{path}:{lineno}: non-finite value")
             rows.append((label, values))
     if not rows:
         raise DataError(f"{path}: no series")
@@ -146,8 +151,8 @@ def save_dataset(dataset: Dataset, out_dir: str) -> Dict[str, object]:
 
 
 def load_manifest(path: str) -> Dataset:
-    """Load the dataset a manifest names; an unreadable or malformed manifest
-    is a DataError naming it."""
+    """Load the dataset a manifest file names; relative series paths are
+    taken from the manifest's directory."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -155,21 +160,28 @@ def load_manifest(path: str) -> Dataset:
         raise DataError(f"cannot read manifest {path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from None
+    return dataset_from_manifest(manifest, f"manifest {path}", os.path.dirname(os.path.abspath(path)))
+
+
+def dataset_from_manifest(manifest: object, where: str, base: str = "") -> Dataset:
+    """Load the dataset a manifest object names, with relative series paths
+    joined to base. A malformed manifest, or one whose K or T disagrees with
+    its files, is a DataError that starts with where."""
     if not isinstance(manifest, dict):
-        raise DataError(f"manifest {path}: root must be a JSON object")
+        raise DataError(f"{where}: root must be a JSON object")
     missing = [key for key in ("train_file", "test_file") if key not in manifest]
     if missing:
-        raise DataError(f"manifest {path}: missing {' and '.join(missing)}")
-    base = os.path.dirname(os.path.abspath(path))
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
+        raise DataError(f"{where}: missing {' and '.join(missing)}")
+    if not all(isinstance(manifest[key], str) for key in ("train_file", "test_file")):
+        raise DataError(f"{where}: train_file and test_file must be strings")
     ds = load_dataset(
-        resolve(manifest["train_file"]), resolve(manifest["test_file"]), manifest.get("name", "")
+        os.path.join(base, manifest["train_file"]), os.path.join(base, manifest["test_file"]),
+        manifest.get("name", ""),
     )
     if "num_classes" in manifest and manifest["num_classes"] != ds.num_classes:
-        raise DataError(f"{path}: manifest says K={manifest['num_classes']}, files have K={ds.num_classes}")
+        raise DataError(f"{where}: says K={manifest['num_classes']}, files have K={ds.num_classes}")
     if "length" in manifest and manifest["length"] != ds.length:
-        raise DataError(f"{path}: manifest says T={manifest['length']}, files have T={ds.length}")
+        raise DataError(f"{where}: says T={manifest['length']}, files have T={ds.length}")
     return ds
 
 
@@ -367,7 +379,7 @@ def information_gain_screen(dataset: Dataset, classifier_config=None, seed: int 
     timestamps = sorted(set(ts_of.values()))
     timeline = SampledTimeline(tuple(timestamps), T)
     calib, fit_part = stratified_split(dataset.train, 0.3, seed)
-    collection = fit_collection(fit_part, timeline, hyper, calib, seed)
+    collection = fit_collection(fit_part, timeline, hyper, calib)
     labels = np.array([s.label for s in dataset.train])
     auc_at = {}
     for t in timestamps:

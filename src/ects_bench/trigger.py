@@ -1,8 +1,13 @@
 """Halting policies over probability traces.
 
 A trace is an (L, K) array of calibrated class-probability vectors, one per
-timeline timestamp. A trigger model sees only the prefix observed so far and
-answers halt-or-wait; every model halts at the final index.
+timeline timestamp. Each policy is defined once, as ``halts(stats)`` over a
+stack of n traces observed up to m <= L timestamps (``trigger_stats``):
+column j is the halt-or-wait answer at timeline index j, it reads nothing
+after column j, and every model halts at the final index. A series'
+decision is the first halt in its row, read at that index's argmax label.
+``decide`` and ``simulate_online`` replay the same definition one prefix at a
+time; they are the reference the tests hold the stacked decisions to.
 
 Implemented policies: the Asap/Alap baselines, a max-probability threshold,
 a linear stopping rule over (p1, p2, t/T), an expected-cost Markov-chain
@@ -11,11 +16,11 @@ rule, and a cost-difference kernel-ridge regressor. The two expected-cost
 policies have myopic (horizon-1) variants.
 
 Each tuned fit runs in two steps. The state that does not depend on alpha
-(candidate first halts, the Markov model and its expected misclassification
-paths, kernel factorizations) is built on first use and kept on the
-TriggerTrainSet, so a sweep over alpha builds it once per dataset. The
-selection step, run per call, is only the cost arithmetic and the
-tie-breaking scan.
+(every grid candidate's first halts, the Markov models with their expected
+misclassification paths, kernel factorizations) is built on first use and
+kept on the TriggerTrainSet, so a sweep over alpha builds it once per
+dataset. The selection step, run per call, is only the cost arithmetic and
+the tie-breaking scan.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +40,22 @@ from .errors import DataError, NumericError
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
 STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
 STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
+
+
+class TraceStats(NamedTuple):
+    """Stacked traces P (n, m, K) and what the policies read from them, per
+    (series, timeline index): argmax class, max probability, top-2 margin."""
+
+    P: np.ndarray
+    pred: np.ndarray
+    maxp: np.ndarray
+    p2: np.ndarray
+
+
+def trigger_stats(P: np.ndarray) -> TraceStats:
+    """The policies' inputs for a stack of traces P (n, m, K), m <= L."""
+    top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
+    return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1])
 
 
 @dataclass(frozen=True)
@@ -63,7 +84,7 @@ class TriggerTrainSet:
 
 
 class TriggerModel:
-    """Base halting policy; subclasses override _halt."""
+    """Base halting policy; subclasses define _halts."""
 
     variant = "base"
 
@@ -71,16 +92,23 @@ class TriggerModel:
         self.timeline = timeline
         self.cost = cost
 
+    def halts(self, stats: TraceStats) -> np.ndarray:
+        """(n, m) bool: True = halt at timeline index j. Forced halt at the
+        last timeline index."""
+        h = self._halts(stats)
+        if h.shape[1] == len(self.timeline):
+            h[:, -1] = True
+        return h
+
+    def _halts(self, stats: TraceStats) -> np.ndarray:
+        """The policy as a new (n, m) array; column j reads columns 0..j only."""
+        raise NotImplementedError
+
     def decide(self, trace_prefix: np.ndarray, i: int) -> bool:
-        """True = halt now. Forced halt at the last timeline index."""
+        """True = halt now, judged from the trace up to index i alone."""
         if i >= len(self.timeline):
             raise ValueError(f"index {i} outside timeline")
-        if i == len(self.timeline) - 1:
-            return True
-        return self._halt(trace_prefix, i)
-
-    def _halt(self, trace_prefix: np.ndarray, i: int) -> bool:
-        raise NotImplementedError
+        return bool(self.halts(trigger_stats(np.asarray(trace_prefix)[None, : i + 1]))[0, i])
 
     def params(self) -> dict:
         return {}
@@ -114,19 +142,15 @@ def simulate_online(model: TriggerModel, trace: np.ndarray) -> Decision:
 class AsapTrigger(TriggerModel):
     variant = "asap"
 
-    def _halt(self, trace_prefix, i):
-        return True
+    def _halts(self, stats):
+        return np.ones(stats.pred.shape, dtype=bool)
 
 
 class AlapTrigger(TriggerModel):
     variant = "alap"
 
-    def _halt(self, trace_prefix, i):
-        return False
-
-
-def decide_proba_threshold(p_t: np.ndarray, theta: float) -> bool:
-    return bool(np.max(p_t) >= theta)
+    def _halts(self, stats):
+        return np.zeros(stats.pred.shape, dtype=bool)
 
 
 class ProbaThresholdTrigger(TriggerModel):
@@ -138,16 +162,11 @@ class ProbaThresholdTrigger(TriggerModel):
             raise ValueError(f"theta must be in (0, 1], got {theta}")
         self.theta = theta
 
-    def _halt(self, trace_prefix, i):
-        return decide_proba_threshold(trace_prefix[i], self.theta)
+    def _halts(self, stats):
+        return stats.maxp >= self.theta
 
     def params(self):
         return {"theta": self.theta}
-
-
-def decide_stopping_rule(p1: float, p2: float, t: int, length: int, gamma) -> bool:
-    g1, g2, g3 = gamma
-    return g1 * p1 + g2 * p2 + g3 * (t / length) > 0.0
 
 
 class StoppingRuleTrigger(TriggerModel):
@@ -157,11 +176,11 @@ class StoppingRuleTrigger(TriggerModel):
         super().__init__(timeline, cost)
         self.gamma = tuple(float(g) for g in gamma)
 
-    def _halt(self, trace_prefix, i):
-        p = np.sort(trace_prefix[i])[::-1]
-        p1 = float(p[0])
-        p2 = float(p[0] - p[1])
-        return decide_stopping_rule(p1, p2, self.timeline.timestamps[i], self.timeline.series_length, self.gamma)
+    def _halts(self, stats):
+        g1, g2, g3 = self.gamma
+        m = stats.maxp.shape[1]
+        tt = np.array(self.timeline.timestamps[:m]) / self.timeline.series_length
+        return g1 * stats.maxp + g2 * stats.p2 + g3 * tt > 0.0
 
     def params(self):
         return {"gamma": list(self.gamma)}
@@ -185,18 +204,9 @@ def _cost_key(cost: CostModel) -> tuple:
     return (cost.mis_matrix, cost.delay)
 
 
-def _trace_stats(train: TriggerTrainSet):
-    """Stacked per-trace quantities used by policy simulation."""
-
-    def build():
-        P = train.prob_array  # (n, L, K)
-        pred = P.argmax(axis=2)  # (n, L)
-        top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
-        maxp = top2[:, :, 0]
-        p2 = top2[:, :, 0] - top2[:, :, 1]
-        return P, pred, maxp, p2
-
-    return _fit_state(train, ("trace_stats",), build)
+def _trace_stats(train: TriggerTrainSet) -> TraceStats:
+    """trigger_stats of the train set's traces, stacked once."""
+    return _fit_state(train, ("trace_stats",), lambda: trigger_stats(train.prob_array))
 
 
 def _delays(cost: CostModel, timeline: SampledTimeline) -> np.ndarray:
@@ -207,21 +217,11 @@ def _delays(cost: CostModel, timeline: SampledTimeline) -> np.ndarray:
 def _halt_outcomes(
     train: TriggerTrainSet, cost: CostModel, candidate_halts: Iterable[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Unweighted C_m and C_d of every series at its first halt (last index
-    forced), one row per candidate (n, L) halts matrix."""
-    _, pred, _, _ = _trace_stats(train)
-    labels = np.array(train.labels)
-    mis = np.asarray(cost.mis_matrix)
-    d = _delays(cost, train.timeline)
-    rows = np.arange(len(labels))
-    c_m, c_d = [], []
-    for halts in candidate_halts:
-        h = halts.copy()
-        h[:, -1] = True
-        first = h.argmax(axis=1)
-        c_m.append(mis[pred[rows, first], labels])
-        c_d.append(d[first])
-    return np.array(c_m), np.array(c_d)
+    """Unweighted C_m and C_d of every series at its first halt, one row per
+    candidate's (n, L) halts."""
+    first = np.array([halts.argmax(axis=1) for halts in candidate_halts])  # (candidates, n)
+    pred = _trace_stats(train).pred[np.arange(len(train.labels)), first]
+    return np.asarray(cost.mis_matrix)[pred, np.array(train.labels)], _delays(cost, train.timeline)[first]
 
 
 def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
@@ -237,29 +237,36 @@ def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
     return best
 
 
-def fit_proba_threshold(train: TriggerTrainSet, cost: CostModel) -> ProbaThresholdTrigger:
-    """Pick theta from the 40-point grid minimizing empirical mean weighted
-    cost of the simulated policy; ties go to the smaller theta."""
-    _, _, maxp, _ = _trace_stats(train)
+def _fit_grid(
+    train: TriggerTrainSet, cost: CostModel, name: str, grid: Sequence,
+    make: Callable[[object], TriggerModel],
+) -> TriggerModel:
+    """make(point) for the grid point whose policy has the least empirical
+    mean weighted cost on the train set; ties go to the earlier point. The
+    candidates' outcomes do not depend on alpha and are kept as state."""
+    stats = _trace_stats(train)
     outcomes = _fit_state(
-        train, ("proba_threshold",) + _cost_key(cost),
-        lambda: _halt_outcomes(train, cost, (maxp >= theta for theta in PROBA_GRID)),
+        train, (name,) + _cost_key(cost),
+        lambda: _halt_outcomes(train, cost, (make(point).halts(stats) for point in grid)),
     )
-    return ProbaThresholdTrigger(train.timeline, PROBA_GRID[_select(outcomes, cost.alpha)], cost)
+    return make(grid[_select(outcomes, cost.alpha)])
+
+
+def fit_proba_threshold(train: TriggerTrainSet, cost: CostModel) -> ProbaThresholdTrigger:
+    """Pick theta from the 40-point grid; ties go to the smaller theta."""
+    return _fit_grid(
+        train, cost, "proba_threshold", PROBA_GRID,
+        lambda theta: ProbaThresholdTrigger(train.timeline, theta, cost),
+    )
 
 
 def fit_stopping_rule(train: TriggerTrainSet, cost: CostModel) -> StoppingRuleTrigger:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
     smallest vector."""
-    _, _, maxp, p2 = _trace_stats(train)
-    tt = np.array(train.timeline.timestamps) / train.timeline.series_length
-    outcomes = _fit_state(
-        train, ("stopping_rule",) + _cost_key(cost),
-        lambda: _halt_outcomes(
-            train, cost, (g1 * maxp + g2 * p2 + g3 * tt > 0.0 for g1, g2, g3 in STOPPING_RULE_GRID)
-        ),
+    return _fit_grid(
+        train, cost, "stopping_rule", STOPPING_RULE_GRID,
+        lambda gamma: StoppingRuleTrigger(train.timeline, gamma, cost),
     )
-    return StoppingRuleTrigger(train.timeline, STOPPING_RULE_GRID[_select(outcomes, cost.alpha)], cost)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +299,7 @@ class EconomyTrigger(TriggerModel):
         self.smoothing = smoothing
         self.myopic = myopic
         self._mis = self._expected_mis()
+        self.mis_paths = self._expected_mis_paths()
 
     def _expected_mis(self) -> np.ndarray:
         """Expected unweighted misclassification cost per (timestamp, group)."""
@@ -313,34 +321,35 @@ class EconomyTrigger(TriggerModel):
                 out[j, g] = total
         return out
 
-    def group_of(self, p_t: np.ndarray, i: int) -> int:
-        return int(np.searchsorted(self.bin_edges[i], float(np.max(p_t)), side="right"))
-
-    def expected_mis_path(self, group: int, t_idx: int) -> np.ndarray:
-        """Expected unweighted misclassification cost of halting at each
-        tau = t_idx..last, starting from the given group at t_idx."""
+    def _expected_mis_paths(self) -> np.ndarray:
+        """M[j, g, tau]: expected unweighted misclassification cost of halting
+        at tau from group g at index j (zero for tau < j), carrying the group
+        distribution along the transitions. Does not depend on alpha."""
         L = len(self.timeline)
-        reach = np.zeros(self.k)
-        reach[group] = 1.0
-        out = np.empty(L - t_idx)
-        for tau in range(t_idx, L):
-            out[tau - t_idx] = reach @ self._mis[tau]
-            if tau < L - 1:
-                reach = reach @ self.transitions[tau]
+        out = np.zeros((L, self.k, L))
+        for j in range(L):
+            for g in range(self.k):
+                reach = np.eye(self.k)[g]
+                for tau in range(j, L):
+                    out[j, g, tau] = reach @ self._mis[tau]
+                    if tau < L - 1:
+                        reach = reach @ self.transitions[tau]
         return out
+
+    def priced_costs(self) -> np.ndarray:
+        """(L, k, L): expected weighted cost of halting at tau from group g at
+        index j, for tau >= j."""
+        a = self.cost.alpha
+        return a * self.mis_paths + (1.0 - a) * _delays(self.cost, self.timeline)
 
     def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
         """Expected weighted cost for each tau = t_idx..last, starting from
         the given group at t_idx."""
-        a = self.cost.alpha
-        d = _delays(self.cost, self.timeline)
-        return a * self.expected_mis_path(group, t_idx) + (1.0 - a) * d[t_idx:]
+        return self.priced_costs()[t_idx, group, t_idx:]
 
-    def _halt(self, trace_prefix, i):
-        group = self.group_of(trace_prefix[i], i)
-        costs = self.expected_costs(group, i)
-        horizon = costs[1:2] if self.myopic else costs[1:]
-        return bool(costs[0] <= horizon.min())
+    def _halts(self, stats):
+        groups = _groups(self.bin_edges, stats.maxp)
+        return _economy_halt_table(self.priced_costs(), self.myopic)[np.arange(groups.shape[1]), groups]
 
     def params(self):
         return {
@@ -354,82 +363,62 @@ class EconomyTrigger(TriggerModel):
         }
 
 
+def _groups(bin_edges: List[np.ndarray], maxp: np.ndarray) -> np.ndarray:
+    """(n, m) confidence group of each max probability: the number of its
+    timestamp's interior bin edges at or below it."""
+    columns = [np.searchsorted(bin_edges[j], maxp[:, j], side="right") for j in range(maxp.shape[1])]
+    return np.stack(columns, axis=1)
+
+
+def _economy_halt_table(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
+    """(L, k) halt decisions from priced (L, k, L) costs: halt at index j in
+    group g when halting now costs no more than the best later halt (the
+    next one, if myopic). The last index always halts."""
+    L = costs.shape[0]
+    table = np.ones(costs.shape[:2], dtype=bool)
+    for j in range(L - 1):
+        horizon = costs[j, :, j + 1 : j + 2] if myopic else costs[j, :, j + 1 :]
+        table[j] = costs[j, :, j] <= horizon.min(axis=1)
+    return table
+
+
 def _build_economy(
     train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float
 ) -> Optional[EconomyTrigger]:
     """Build the k-bin model; None if some bin is empty at some timestamp."""
     P, pred, maxp, _ = _trace_stats(train)
-    n, L, K = P.shape
+    _, L, K = P.shape
     labels = np.array(train.labels)
-    bin_edges: List[np.ndarray] = []
-    groups = np.zeros((n, L), dtype=int)
-    for j in range(L):
-        col = maxp[:, j]
-        edges = np.quantile(col, [i / k for i in range(1, k)]) if k > 1 else np.array([])
-        g = np.searchsorted(edges, col, side="right")
-        if len(set(g.tolist())) < k:
-            return None
-        bin_edges.append(np.asarray(edges, dtype=float))
-        groups[:, j] = g
-    transitions = np.zeros((max(L - 1, 1), k, k))
-    for j in range(L - 1):
-        counts = np.zeros((k, k))
-        np.add.at(counts, (groups[:, j], groups[:, j + 1]), 1.0)
-        counts += smoothing
-        row_sums = counts.sum(axis=1, keepdims=True)
-        if np.any(row_sums == 0):
-            return None
-        transitions[j] = counts / row_sums
+    bin_edges = [np.quantile(maxp[:, j], [i / k for i in range(1, k)]) for j in range(L)]
+    groups = _groups(bin_edges, maxp)
+    if any(len(np.unique(groups[:, j])) < k for j in range(L)):
+        return None
+    # Counts are whole numbers plus the smoothing, so the sums are exact.
+    j = np.arange(L)[None, :]
+    counts = np.zeros((L - 1, k, k))
+    np.add.at(counts, (j[:, :-1], groups[:, :-1], groups[:, 1:]), 1.0)
+    counts += smoothing
+    row_sums = counts.sum(axis=2, keepdims=True)
+    if np.any(row_sums == 0):
+        return None
     class_counts = np.zeros((L, k, K))
+    np.add.at(class_counts, (j, groups, labels[:, None]), 1.0)
     confusion_counts = np.zeros((L, k, K, K))
-    for j in range(L):
-        np.add.at(class_counts, (j, groups[:, j], labels), 1.0)
-        np.add.at(confusion_counts, (j, groups[:, j], labels, pred[:, j]), 1.0)
+    np.add.at(confusion_counts, (j, groups, labels[:, None], pred), 1.0)
     return EconomyTrigger(
-        train.timeline, cost, k, bin_edges, transitions[: L - 1] if L > 1 else transitions[:0],
-        class_counts, confusion_counts, smoothing,
+        train.timeline, cost, k, bin_edges, counts / row_sums, class_counts, confusion_counts, smoothing
     )
 
 
 def _economy_state(
     train: TriggerTrainSet, cost: CostModel, k_grid: Sequence[int], smoothing: float
-) -> List[Tuple[EconomyTrigger, np.ndarray, np.ndarray]]:
-    """Per feasible k: the model, each series' group per timestamp (n, L),
-    and M[j, g, tau], the expected misclassification cost of halting at tau
-    from group g at index j (zero for tau < j). None of it depends on alpha."""
-    _, _, maxp, _ = _trace_stats(train)
-    L = len(train.timeline)
-    candidates = []
-    for k in k_grid:
-        model = _build_economy(train, cost, k, smoothing)
-        if model is None:
-            continue
-        groups = np.stack(
-            [np.searchsorted(model.bin_edges[j], maxp[:, j], side="right") for j in range(L)],
-            axis=1,
-        )
-        mis_paths = np.zeros((L, k, L))
-        for j in range(L):
-            for g in range(k):
-                mis_paths[j, g, j:] = model.expected_mis_path(g, j)
-        candidates.append((model, groups, mis_paths))
-    if not candidates:
+) -> List[EconomyTrigger]:
+    """The model of every feasible k, its expected misclassification paths
+    included; none of it depends on alpha."""
+    models = [m for m in (_build_economy(train, cost, k, smoothing) for k in k_grid) if m is not None]
+    if not models:
         raise DataError("no feasible k for the confidence partition")
-    return candidates
-
-
-def _economy_halt_table(
-    mis_paths: np.ndarray, d: np.ndarray, alpha: float, myopic: bool = False
-) -> np.ndarray:
-    """(L, k) halt decisions of EconomyTrigger._halt, from _economy_state's
-    M and the delay vector; the last index always halts."""
-    L, k, _ = mis_paths.shape
-    costs = alpha * mis_paths + (1.0 - alpha) * d
-    table = np.ones((L, k), dtype=bool)
-    for j in range(L - 1):
-        horizon = costs[j, :, j + 1 : j + 2] if myopic else costs[j, :, j + 1 :]
-        table[j] = costs[j, :, j] <= horizon.min(axis=1)
-    return table
+    return models
 
 
 def fit_economy(
@@ -441,43 +430,21 @@ def fit_economy(
     """Select k by empirical mean weighted cost of the induced policy on the
     trigger train set; infeasible k (empty bin) are skipped; ties favor the
     smaller k."""
-    candidates = _fit_state(
+    state = _fit_state(
         train, ("economy",) + _cost_key(cost) + (tuple(k_grid), smoothing),
         lambda: _economy_state(train, cost, k_grid, smoothing),
     )
-    d = _delays(cost, train.timeline)
-    steps = np.arange(len(train.timeline))[None, :]
-    halts = (
-        _economy_halt_table(mis_paths, d, cost.alpha)[steps, groups]
-        for _, groups, mis_paths in candidates
-    )
-    best = candidates[_select(_halt_outcomes(train, cost, halts), cost.alpha)][0]
-    model = copy.copy(best)  # shares the alpha-free arrays, _mis included
-    model.cost = cost
-    return model
-
-
-def economy_expected_costs(model: EconomyTrigger, group: int, t_idx: int) -> np.ndarray:
-    return model.expected_costs(group, t_idx)
-
-
-def decide_economy(model: EconomyTrigger, trace_prefix: np.ndarray, t_idx: int) -> bool:
-    return model.decide(trace_prefix, t_idx)
+    candidates = [copy.copy(model) for model in state]  # they share the alpha-free arrays
+    for model in candidates:
+        model.cost = cost
+    stats = _trace_stats(train)
+    outcomes = _halt_outcomes(train, cost, (model.halts(stats) for model in candidates))
+    return candidates[_select(outcomes, cost.alpha)]
 
 
 # ---------------------------------------------------------------------------
 # Precision-sequence confidence rule.
 # ---------------------------------------------------------------------------
-
-
-def ecec_confidence(pred_sequence: Sequence[int], current_label: int, precisions: np.ndarray) -> float:
-    """1 - prod over agreeing past steps of (1 - precision); precisions is
-    (L, K) indexed by (timeline index, class)."""
-    acc = 1.0
-    for tau, p in enumerate(pred_sequence):
-        if p == current_label:
-            acc *= 1.0 - precisions[tau, current_label]
-    return 1.0 - acc
 
 
 class EcecTrigger(TriggerModel):
@@ -490,10 +457,21 @@ class EcecTrigger(TriggerModel):
         self.precisions = precisions  # (L, K)
         self.gamma = gamma
 
-    def _halt(self, trace_prefix, i):
-        preds = [int(np.argmax(trace_prefix[j])) for j in range(i + 1)]
-        conf = ecec_confidence(preds, preds[-1], self.precisions)
-        return conf >= self.gamma
+    def confidences(self, stats: TraceStats) -> np.ndarray:
+        """(n, m): 1 - the product, over the steps so far that predicted the
+        current class, of (1 - that step's precision for it)."""
+        pred = stats.pred
+        prec = self.precisions[: pred.shape[1]]
+        conf = np.empty(pred.shape)
+        for c in range(prec.shape[1]):
+            agree = pred == c
+            # Sequential products; a factor of 1.0 on other classes is exact.
+            running = np.multiply.accumulate(np.where(agree, 1.0 - prec[:, c], 1.0), axis=1)
+            conf[agree] = 1.0 - running[agree]
+        return conf
+
+    def _halts(self, stats):
+        return self.confidences(stats) >= self.gamma
 
     def params(self):
         return {"gamma": self.gamma, "precisions": self.precisions.tolist()}
@@ -501,39 +479,22 @@ class EcecTrigger(TriggerModel):
 
 def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Add-one smoothed per-(timestamp, class) precision on the train set."""
-    n, L = pred.shape
-    prec = np.zeros((L, num_classes))
-    for j in range(L):
-        for c in range(num_classes):
-            predicted = pred[:, j] == c
-            correct = predicted & (labels == c)
-            prec[j, c] = (correct.sum() + 1.0) / (predicted.sum() + 2.0)
-    return prec
+    predicted = pred[:, :, None] == np.arange(num_classes)  # (n, L, K)
+    correct = predicted & (labels[:, None, None] == np.arange(num_classes))
+    return (correct.sum(axis=0) + 1.0) / (predicted.sum(axis=0) + 2.0)
 
 
 def fit_ecec(train: TriggerTrainSet, cost: CostModel) -> EcecTrigger:
     """Tune the confidence threshold on the 40-point grid; ties go to the
     smaller gamma."""
-    P, pred, _, _ = _trace_stats(train)
-    n, L, K = P.shape
-
-    def build():
-        prec = _ecec_precisions(pred, np.array(train.labels), K)
-        # Running confidence per series and timestamp: product over past
-        # agreeing steps of (1 - precision).
-        conf = np.zeros((n, L))
-        for s in range(n):
-            for j in range(L):
-                acc = 1.0
-                cur = pred[s, j]
-                for tau in range(j + 1):
-                    if pred[s, tau] == cur:
-                        acc *= 1.0 - prec[tau, cur]
-                conf[s, j] = 1.0 - acc
-        return prec, _halt_outcomes(train, cost, (conf >= gamma for gamma in PROBA_GRID))
-
-    prec, outcomes = _fit_state(train, ("ecec",) + _cost_key(cost), build)
-    return EcecTrigger(train.timeline, cost, prec, PROBA_GRID[_select(outcomes, cost.alpha)])
+    stats = _trace_stats(train)
+    prec = _fit_state(
+        train, ("ecec_precisions",),
+        lambda: _ecec_precisions(stats.pred, np.array(train.labels), stats.P.shape[2]),
+    )
+    return _fit_grid(
+        train, cost, "ecec", PROBA_GRID, lambda gamma: EcecTrigger(train.timeline, cost, prec, gamma)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +526,11 @@ def _median_pairwise_distance(X: np.ndarray) -> float:
     return med if med > 1e-12 else 1.0
 
 
+def _krr_inputs(P_j: np.ndarray, t: int, series_length: int) -> np.ndarray:
+    """Regression inputs at one timestamp: each probability vector plus t/T."""
+    return np.concatenate([P_j, np.full((P_j.shape[0], 1), t / series_length)], axis=1)
+
+
 @dataclass
 class _KrrStep:
     X: np.ndarray
@@ -582,15 +548,20 @@ class CalimeraTrigger(TriggerModel):
         self.ridge = ridge
         self.myopic = myopic
 
-    def predicted_delta(self, p_t: np.ndarray, i: int) -> float:
-        step = self.steps[i]
-        x = np.concatenate([p_t, [self.timeline.timestamps[i] / self.timeline.series_length]])
-        k_vec = _rbf_kernel(x[None, :], step.X, step.bandwidth)[0]
-        dual = step.dual_myopic if self.myopic else step.dual_full
-        return float(k_vec @ dual)
+    def predicted_deltas(self, stats: TraceStats) -> np.ndarray:
+        """(n, m): the regressed cost of halting now minus that of the best
+        later halt (the next one, if myopic); -inf at the last index, which
+        has no later halt (as in backward_min_costs)."""
+        out = np.full(stats.pred.shape, -math.inf)
+        for j in range(min(out.shape[1], len(self.steps))):
+            step = self.steps[j]
+            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
+            dual = step.dual_myopic if self.myopic else step.dual_full
+            out[:, j] = _rbf_kernel(X, step.X, step.bandwidth) @ dual
+        return out
 
-    def _halt(self, trace_prefix, i):
-        return self.predicted_delta(trace_prefix[i], i) <= 0.0
+    def _halts(self, stats):
+        return self.predicted_deltas(stats) <= 0.0
 
     def params(self):
         return {
@@ -607,10 +578,9 @@ def _calimera_factors(
     Cholesky factor of gram + ridge * I. None of it depends on alpha."""
     P, _, _, _ = _trace_stats(train)
     n, L, _ = P.shape
-    tt = np.array(train.timeline.timestamps) / train.timeline.series_length
     factors = []
     for j in range(L - 1):
-        X = np.concatenate([P[:, j, :], np.full((n, 1), tt[j])], axis=1)
+        X = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
         bandwidth = rbf_bandwidth if rbf_bandwidth is not None else _median_pairwise_distance(X)
         gram = _rbf_kernel(X, X, bandwidth)
         system = gram + ridge * np.eye(n)
@@ -662,10 +632,6 @@ def fit_calimera(
         for j, (X, bandwidth, chol) in enumerate(factors)
     ]
     return CalimeraTrigger(train.timeline, cost, steps, ridge)
-
-
-def decide_calimera(model: CalimeraTrigger, trace_prefix: np.ndarray, t_idx: int) -> bool:
-    return model.decide(trace_prefix, t_idx)
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:

@@ -32,10 +32,10 @@ from ects_bench.trigger import (
     StoppingRuleTrigger,
     TriggerTrainSet,
     backward_min_costs,
-    economy_expected_costs,
     fit_calimera,
     fit_economy,
     simulate_online,
+    trigger_stats,
 )
 
 SYNTH_SEEDS = (1, 2, 3)
@@ -161,7 +161,7 @@ def test_criterion_04_expected_cost_hand_computation():
         labels.append(label)
     train = TriggerTrainSet(tuple(traces), tuple(labels), timeline)
     model = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,), smoothing=0.0)
-    costs = economy_expected_costs(model, 0, 0)
+    costs = model.expected_costs(0, 0)
     ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
     record_acceptance(
         4, "single-group expected costs equal hand counts", ok,
@@ -189,7 +189,7 @@ def test_criterion_05_cost_difference_targets():
     model = fit_calimera(train, standard_cost_model(2, 0.5), ridge=lam)
     # wrong at t=1, right at t=2 under alpha=0.5 linear delay
     target = (0.5 * 1.0 + 0.5 * 0.5) - (0.5 * 1.0)
-    predicted = model.predicted_delta(trace[0], 0)
+    predicted = model.predicted_deltas(trigger_stats(trace[None]))[0, 0]
     closed_form_ok = abs(predicted - target / (1.0 + lam)) < 1e-9
     ok = bool(backward_ok) and closed_form_ok
     record_acceptance(

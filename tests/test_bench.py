@@ -227,12 +227,13 @@ class TestAlphaSweep:
 
         shared = seen["train_set"]
         test_traces = [seen["collection"].prob_trace(s) for s in sweep_dataset.test]
-        fits = {"economy_myopic": trigger.fit_economy, "calimera_myopic": trigger.fit_calimera}
         for alpha in config.alpha_grid:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
-            for method, fit in fits.items():
+            for method in config.methods:
                 fresh = trigger.TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
-                model = trigger.make_myopic(fit(fresh, cost))
+                model = fit_trigger(method.removesuffix("_myopic"), fresh, cost)
+                if method.endswith("_myopic"):
+                    model = trigger.make_myopic(model)
                 got = [(r.predicted_label, r.trigger_time) for r in records
                        if r.method == method and r.alpha == alpha]
                 decisions = [trigger.simulate_online(model, trace) for trace in test_traces]
@@ -322,8 +323,15 @@ class TestCli:
         code = cli.main(["prepare", "--train", missing, "--test", missing, "--out", out])
         assert code == 2
 
+    # Series file bytes by case; the fault is on line 2.
+    BAD_SERIES_FILES = {
+        "nan_value": b"0,1.0,2.0\n1,nan,2.0\n",
+        "inf_value": b"0,1.0,2.0\n1,-inf,2.0\n",
+        "non_utf8": b"0,1.0,2.0\n1,\xff\xfe,3.0\n",
+    }
     # Manifest contents by case: None = no file, "dir" = a directory in its
-    # place, str = raw text, dict = JSON object.
+    # place, str = raw text, dict = JSON object. A series file named bad.csv
+    # holds its case's BAD_SERIES_FILES bytes.
     BAD_MANIFESTS = {
         "missing": None,
         "directory": "dir",
@@ -332,13 +340,37 @@ class TestCli:
         "no_train_file": {"test_file": "test.csv"},
         "no_test_file": {"train_file": "train.csv"},
         "missing_series_file": {"train_file": "absent.csv", "test_file": "absent.csv"},
+        **{case: {"train_file": "bad.csv", "test_file": "bad.csv"} for case in BAD_SERIES_FILES},
     }
+
+    @staticmethod
+    def _assert_one_line_data_error(args, named):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ects_bench.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert named in lines[0]
+
+    def _bad_series_file(self, tmp_path, case):
+        path = os.path.join(str(tmp_path), "bad.csv")
+        with open(path, "wb") as fh:
+            fh.write(self.BAD_SERIES_FILES[case])
+        return path
 
     @pytest.mark.parametrize("command", ["screen", "run"])
     @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
     def test_bad_manifest_one_line_data_error(self, tmp_path, command, case):
         content = self.BAD_MANIFESTS[case]
         manifest = os.path.join(str(tmp_path), "manifest.json")
+        named = "absent.csv" if case == "missing_series_file" else manifest
+        if case in self.BAD_SERIES_FILES:
+            named = self._bad_series_file(tmp_path, case) + ":2:"
         if content == "dir":
             os.mkdir(manifest)
         elif isinstance(content, str):
@@ -350,17 +382,52 @@ class TestCli:
         args = ["--manifest", manifest]
         if command == "run":
             args = ["--config", _config_file(tmp_path, manifest)]
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ects_bench.cli", command, *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        lines = proc.stderr.splitlines()
-        assert proc.returncode == 2, proc.stderr
-        assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert ("absent.csv" if case == "missing_series_file" else manifest) in lines[0]
+        self._assert_one_line_data_error([command, *args], named)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SERIES_FILES))
+    def test_bad_series_file_prepare_one_line_data_error(self, tmp_path, case):
+        bad = self._bad_series_file(tmp_path, case)
+        out = os.path.join(str(tmp_path), "out")
+        self._assert_one_line_data_error(["prepare", "--train", bad, "--test", bad, "--out", out], bad + ":2:")
+
+    # Config overrides by case; each must end `run` with one config error line.
+    BAD_CONFIGS = {
+        "seed_string": {"seed": "abc"},
+        "seed_float": {"seed": 1.5},
+        "alpha_string": {"alpha_grid": ["a"]},
+        "alpha_grid_not_list": {"alpha_grid": 0.5},
+        "iters_string": {"classifier": {"iters": "many"}},
+        "iters_negative": {"classifier": {"iters": -1}},
+        "lr_zero": {"classifier": {"lr": 0}},
+        "l2_negative": {"classifier": {"l2": -0.1}},
+        "classifier_not_object": {"classifier": [1]},
+        "split_seed": {"split": {"seed": 5}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_bad_config_one_line_config_error(self, tmp_path, tiny_manifest, capsys, case):
+        path = _config_file(tmp_path, tiny_manifest, **self.BAD_CONFIGS[case])
+        assert cli.main(["run", "--config", path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+
+    def test_inline_dataset_validated_like_a_manifest(self, tmp_path, tiny_manifest, capsys):
+        root = os.path.dirname(tiny_manifest)
+        files = {"train_file": os.path.join(root, "train.csv"), "test_file": os.path.join(root, "test.csv")}
+        cases = [
+            ({"test_file": files["test_file"]}, 2, "data error: config datasets[0]: missing train_file"),
+            (dict(files, length=99), 2, "data error: config datasets[0]: says T=99"),
+            (dict(files, num_classes=2), 2, "data error: config datasets[0]: says K=2"),
+            (dict(files, name="inline", num_classes=3, length=9), 0, None),
+        ]
+        for entry, code, message in cases:
+            path = _config_file(tmp_path, entry, methods=["asap"], alpha_grid=[0.5])
+            assert cli.main(["run", "--config", path]) == code, entry
+            err = capsys.readouterr().err.splitlines()
+            if message is None:
+                assert err == []
+            else:
+                assert len(err) == 1 and err[0].startswith(message), err
 
     def test_prepare_with_imbalance(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ects_bench.core import CostModel, DelayCurve, SampledTimeline, standard_cost_model
 from ects_bench.errors import DataError
@@ -16,16 +18,9 @@ from ects_bench.trigger import (
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
     TriggerTrainSet,
-    _delays,
     _economy_halt_table,
     _economy_state,
     backward_min_costs,
-    decide_calimera,
-    decide_economy,
-    decide_proba_threshold,
-    decide_stopping_rule,
-    ecec_confidence,
-    economy_expected_costs,
     fit_calimera,
     fit_ecec,
     fit_economy,
@@ -33,6 +28,7 @@ from ects_bench.trigger import (
     fit_stopping_rule,
     make_myopic,
     simulate_online,
+    trigger_stats,
 )
 
 
@@ -44,6 +40,12 @@ def random_train_set(seed=0, n=12, L=5, K=2, T=10):
     traces = tuple(row / row.sum(axis=1, keepdims=True) for row in raw)
     labels = tuple(int(v) for v in rng.integers(0, K, size=n))
     return TriggerTrainSet(traces, labels, timeline)
+
+
+def first_step_halts(model, p_t):
+    """The model's decision at timeline index 0 for one probability vector:
+    halts on a stack of one series observed for one timestamp."""
+    return bool(model.halts(trigger_stats(np.array([[p_t]], dtype=float)))[0, 0])
 
 
 def confident_correct_train_set(n=8, L=4, T=8):
@@ -88,6 +90,9 @@ class TestBaselines:
 
 class TestProbaThreshold:
     def test_decide_examples(self):
+        def decide_proba_threshold(p_t, theta):
+            return first_step_halts(ProbaThresholdTrigger(SampledTimeline((1, 2), 2), theta), p_t)
+
         assert decide_proba_threshold(np.array([0.8, 0.2]), 0.7) is True
         assert decide_proba_threshold(np.array([0.6, 0.4]), 0.7) is False
         assert decide_proba_threshold(np.array([0.5, 0.5]), 1.0 / 40.0) is True
@@ -146,9 +151,14 @@ class TestProbaThreshold:
 
 class TestStoppingRule:
     def test_decide_examples(self):
-        assert decide_stopping_rule(0.5, 0.1, 3, 10, (0.0, 0.0, 1.0)) is True
-        assert decide_stopping_rule(0.5, 0.1, 3, 10, (0.0, 0.0, -1.0)) is False
-        assert decide_stopping_rule(0.5, 0.0, 6, 10, (1.0, 0.0, -1.0)) is False
+        def decide_stopping_rule(p_t, t, length, gamma):
+            model = StoppingRuleTrigger(SampledTimeline((t, length), length), gamma)
+            return first_step_halts(model, p_t)
+
+        # p_t gives (p1, p2): (0.5, 0.1), (0.5, 0.1) and (0.5, 0.0).
+        assert decide_stopping_rule([0.5, 0.4, 0.1], 3, 10, (0.0, 0.0, 1.0)) is True
+        assert decide_stopping_rule([0.5, 0.4, 0.1], 3, 10, (0.0, 0.0, -1.0)) is False
+        assert decide_stopping_rule([0.5, 0.5], 6, 10, (1.0, 0.0, -1.0)) is False
 
     def test_time_only_gammas_match_baselines(self):
         train = random_train_set(seed=5, K=3)
@@ -202,9 +212,9 @@ class TestEconomy:
         train = hand_economy_train_set()
         cost = standard_cost_model(2, 0.5)
         model = fit_economy(train, cost, k_grid=(1,), smoothing=0.0)
-        costs = economy_expected_costs(model, 0, 0)
+        costs = model.expected_costs(0, 0)
         np.testing.assert_allclose(costs, [0.45, 0.55], atol=1e-9)
-        assert decide_economy(model, train.traces[0][:1], 0) is True
+        assert model.decide(train.traces[0][:1], 0) is True
 
     def test_k1_reduces_to_empirical_error_rate(self):
         train = random_train_set(seed=8, n=20, L=4, K=2)
@@ -217,7 +227,7 @@ class TestEconomy:
         for j, t in enumerate(train.timeline.timestamps):
             err = float(np.mean(pred[:, j] != labels))
             expected = alpha * err + (1 - alpha) * (t / T)
-            assert economy_expected_costs(model, 0, j)[0] == pytest.approx(expected, abs=1e-9)
+            assert model.expected_costs(0, j)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
@@ -242,7 +252,7 @@ class TestEconomy:
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
             for g in range(model.k):
-                first = economy_expected_costs(model, g, j)[0]
+                first = model.expected_costs(g, j)[0]
                 immediate = alpha * model._mis[j, g] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
 
@@ -250,7 +260,7 @@ class TestEconomy:
         train = random_train_set(seed=12, n=20, L=5, K=2)
         zero = CostModel(((0.0, 0.0), (0.0, 0.0)), DelayCurve.LINEAR, 0.5)
         model = fit_economy(train, zero, k_grid=(2,))
-        costs = economy_expected_costs(model, 0, 0)
+        costs = model.expected_costs(0, 0)
         assert all(b > a for a, b in zip(costs, costs[1:]))
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
         np.testing.assert_allclose(costs, 0.5 * d, atol=1e-12)
@@ -274,12 +284,11 @@ class TestEconomy:
         L = len(train.timeline)
         for alpha in [round(0.1 * i, 1) for i in range(11)]:
             cost = standard_cost_model(K, alpha)
-            d = _delays(cost, train.timeline)
-            for model, _, mis_paths in _economy_state(train, cost, range(1, 6), 1.0):
+            for model in _economy_state(train, cost, range(1, 6), 1.0):
                 priced = copy.copy(model)  # the state's model, at this alpha
                 priced.cost = cost
-                full = _economy_halt_table(mis_paths, d, alpha)
-                myopic = _economy_halt_table(mis_paths, d, alpha, myopic=True)
+                full = _economy_halt_table(priced.priced_costs())
+                myopic = _economy_halt_table(priced.priced_costs(), myopic=True)
                 for j in range(L - 1):
                     for g in range(model.k):
                         costs = priced.expected_costs(g, j)
@@ -313,9 +322,17 @@ class TestFitState:
 class TestEcec:
     def test_confidence_examples(self):
         prec = np.array([[0.9, 0.9], [0.8, 0.8]])
-        assert ecec_confidence([0], 0, prec) == pytest.approx(0.9)
-        assert ecec_confidence([1, 1], 1, prec) == pytest.approx(0.98)
-        assert ecec_confidence([0, 1], 1, prec) == pytest.approx(0.8)
+        model = EcecTrigger(SampledTimeline((1, 2), 2), None, prec, 0.5)
+        votes = {0: [0.9, 0.1], 1: [0.1, 0.9]}
+
+        def confidence(pred_sequence):
+            """Confidence at the last step of one trace with these argmaxes."""
+            P = np.array([[votes[p] for p in pred_sequence]])
+            return model.confidences(trigger_stats(P))[0, -1]
+
+        assert confidence([0]) == pytest.approx(0.9)
+        assert confidence([1, 1]) == pytest.approx(0.98)
+        assert confidence([0, 1]) == pytest.approx(0.8)
 
     def test_unseen_class_precision_half(self):
         train = confident_correct_train_set()
@@ -379,7 +396,7 @@ class TestCalimera:
         c0 = alpha * 1.0 + (1 - alpha) * 0.5
         c1 = alpha * 0.0 + (1 - alpha) * 1.0
         target = c0 - c1
-        got = model.predicted_delta(trace[0], 0)
+        got = model.predicted_deltas(trigger_stats(trace[None]))[0, 0]
         assert got == pytest.approx(target / (1.0 + lam), abs=1e-9)
 
     def test_decide_rule(self):
@@ -391,14 +408,14 @@ class TestCalimera:
                 super().__init__(base.timeline, base.cost, base.steps, base.ridge)
                 self._delta = delta
 
-            def predicted_delta(self, p_t, i):
-                return self._delta
+            def predicted_deltas(self, stats):
+                return np.full(stats.pred.shape, self._delta)
 
         waiting = Stub(model, 0.5)
         halting = Stub(model, -0.1)
         prefix = train.traces[0][:1]
-        assert decide_calimera(waiting, prefix, 0) is False
-        assert decide_calimera(halting, prefix, 0) is True
+        assert waiting.decide(prefix, 0) is False
+        assert halting.decide(prefix, 0) is True
         # forced at last index regardless of prediction
         assert waiting.decide(train.traces[0], len(train.timeline) - 1) is True
 
@@ -412,14 +429,24 @@ class TestCalimera:
             np.testing.assert_array_equal(sa.dual_myopic, sb.dual_myopic)
 
 
+def crafted_cost_paths(path, k):
+    """Priced (L, k, L) economy costs whose every group, seen at index j,
+    expects path[j:]."""
+    L = len(path)
+    costs = np.zeros((L, k, L))
+    for j in range(L):
+        costs[j, :, j:] = path[j:]
+    return costs
+
+
 class TestMyopic:
     def test_economy_rule_difference(self):
         train = random_train_set(seed=20, n=20, L=3)
         base = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,))
 
         class Fixed(EconomyTrigger):
-            def expected_costs(self, group, t_idx):
-                return np.array([0.5, 0.6, 0.1][t_idx:])
+            def priced_costs(self):
+                return crafted_cost_paths([0.5, 0.6, 0.1], self.k)
 
         fixed = Fixed(
             base.timeline, base.cost, base.k, base.bin_edges, base.transitions,
@@ -435,8 +462,8 @@ class TestMyopic:
         base = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,))
 
         class Falling(EconomyTrigger):
-            def expected_costs(self, group, t_idx):
-                return np.array([0.9, 0.5, 0.2][t_idx:])
+            def priced_costs(self):
+                return crafted_cost_paths([0.9, 0.5, 0.2], self.k)
 
         args = (
             base.timeline, base.cost, base.k, base.bin_edges, base.transitions,
@@ -472,46 +499,56 @@ class TestMyopic:
             make_myopic(AsapTrigger(train.timeline))
 
 
-class _Recorder:
-    def __init__(self):
-        self.max_row = -1
+FITS = {
+    "asap": lambda train, cost: AsapTrigger(train.timeline, cost),
+    "alap": lambda train, cost: AlapTrigger(train.timeline, cost),
+    "proba_threshold": fit_proba_threshold,
+    "stopping_rule": fit_stopping_rule,
+    "economy": fit_economy,
+    "ecec": fit_ecec,
+    "calimera": fit_calimera,
+}
+VARIANTS = tuple(FITS) + ("economy_myopic", "calimera_myopic")
 
 
-class MonitoredTrace:
-    """Array wrapper recording the largest row index ever read."""
-
-    def __init__(self, arr, recorder):
-        self._arr = arr
-        self._recorder = recorder
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            stop = key.stop if key.stop is not None else self._arr.shape[0]
-            return MonitoredTrace(self._arr[key], self._recorder)
-        if isinstance(key, (int, np.integer)):
-            self._recorder.max_row = max(self._recorder.max_row, int(key))
-            return self._arr[key]
-        return self._arr[key]
+def random_traces(rng, n, L, K, coarse):
+    """n random (L, K) traces; coarse ones come from a few integer weights,
+    so ties in the max probability are common."""
+    raw = rng.integers(1, 4, size=(n, L, K)).astype(float) if coarse else rng.random((n, L, K))
+    return raw / raw.sum(axis=2, keepdims=True)
 
 
 class TestOnlineContract:
-    def test_prefix_only_access(self):
-        train = random_train_set(seed=24, n=20, L=6)
-        cost = standard_cost_model(2, 0.5)
-        models = [
-            fit_proba_threshold(train, cost),
-            fit_stopping_rule(train, cost),
-            fit_economy(train, cost, k_grid=(1, 2)),
-            fit_ecec(train, cost),
-            fit_calimera(train, cost),
-        ]
-        for model in models:
-            for trace in train.traces[:5]:
-                recorder = _Recorder()
-                decision = simulate_online(model, MonitoredTrace(trace, recorder))
-                halt_index = train.timeline.index_of(decision.trigger_time)
-                assert recorder.max_row <= halt_index
-                assert decision.trigger_time in train.timeline.timestamps
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        L=st.integers(1, 5),
+        K=st.sampled_from((2, 3)),
+        alpha=st.floats(0.0, 1.0),
+        coarse=st.booleans(),
+    )
+    def test_halts_match_online_replay_and_are_causal(self, seed, L, K, alpha, coarse):
+        rng = np.random.default_rng(seed)
+        train = random_train_set(seed=seed, n=int(rng.integers(4, 17)), L=L, K=K)
+        cost = standard_cost_model(K, alpha)
+        P = random_traces(rng, 6, L, K, coarse)
+        for variant in VARIANTS:
+            model = FITS[variant.removesuffix("_myopic")](train, cost)
+            if variant.endswith("_myopic"):
+                model = make_myopic(model)
+            stats = trigger_stats(P)
+            halts = model.halts(stats)
+            assert halts.shape == (6, L) and halts[:, -1].all(), variant
+            first = halts.argmax(axis=1)
+            for row, trace in enumerate(P):
+                online = simulate_online(model, trace)
+                got = (int(stats.pred[row, first[row]]), train.timeline.timestamps[first[row]])
+                assert got == (online.predicted_label, online.trigger_time), (variant, row)
+            for i in range(L - 1):
+                future = P.copy()
+                future[:, i + 1 :] = random_traces(rng, 6, L - i - 1, K, coarse)
+                changed = model.halts(trigger_stats(future))
+                assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (variant, i)
 
     def test_persistence_document(self):
         train = random_train_set(seed=25)
