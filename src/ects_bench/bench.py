@@ -251,8 +251,8 @@ def run_dataset(
 
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:
-    """Run every dataset in turn. A DataError skips the dataset with its
-    reason recorded; a NumericError aborts the run."""
+    """Run every dataset in turn. A DataError while running a loaded dataset
+    skips it with its reason recorded; a NumericError aborts the run."""
     records: List[EvalRecord] = []
     timelines: Dict[str, SampledTimeline] = {}
     skipped: List[Tuple[str, str]] = []
@@ -402,17 +402,21 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
     )
     written.append(summaries_path)
 
-    # Mean ranks per alpha with bootstrap CIs over per-dataset rank values.
+    # Ranks and pairwise tests read, per alpha, the costs of the datasets that
+    # have every method, in dataset order.
     by_alpha: Dict[float, Dict[str, Dict[str, float]]] = {}
     methods = sorted({s.method for s in bundle.summaries})
     for s in bundle.summaries:
         by_alpha.setdefault(s.alpha, {}).setdefault(s.dataset, {})[s.method] = s.avg_cost
+    complete_by_alpha: Dict[float, Dict[str, Dict[str, float]]] = {}
+    for alpha, costs in sorted(by_alpha.items()):
+        complete = {d: row for d, row in sorted(costs.items()) if all(m in row for m in methods)}
+        if complete:
+            complete_by_alpha[alpha] = complete
+
+    # Mean ranks per alpha with bootstrap CIs over per-dataset rank values.
     rank_rows: List[Tuple[float, str, float, float, float]] = []
-    for alpha in sorted(by_alpha):
-        costs = by_alpha[alpha]
-        complete = {d: row for d, row in costs.items() if all(m in row for m in methods)}
-        if not complete:
-            continue
+    for alpha, complete in complete_by_alpha.items():
         ranks = stats.per_dataset_ranks(complete, methods)
         for method in methods:
             values = ranks[method]
@@ -426,17 +430,10 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
 
     # Pairwise comparisons per alpha with Holm-adjusted Wilcoxon p-values.
     pair_rows = []
-    for alpha in sorted(by_alpha):
-        costs = by_alpha[alpha]
-        datasets = sorted(d for d, row in costs.items() if all(m in row for m in methods))
-        if not datasets:
-            continue
-        pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1:]]
-        raw = []
-        for a, b in pairs:
-            ca = [costs[d][a] for d in datasets]
-            cb = [costs[d][b] for d in datasets]
-            raw.append(stats.pairwise_comparison(ca, cb))
+    pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1:]]
+    for alpha, costs in complete_by_alpha.items():
+        rows = list(costs.values())
+        raw = [stats.pairwise_comparison([r[a] for r in rows], [r[b] for r in rows]) for a, b in pairs]
         adjusted = stats.holm_adjust([r[3] for r in raw])
         for (a, b), (wins, ties, losses, p), p_adj in zip(pairs, raw, adjusted):
             pair_rows.append((alpha, a, b, wins, ties, losses, p, p_adj))

@@ -95,12 +95,14 @@ def fit_multinomial(
     d = X.shape[1]
     weights = np.zeros((d, num_classes))
     intercepts = np.zeros(num_classes)
-    for _ in range(hyper.iters):
-        value, grad_w, grad_b = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
-        if not math.isfinite(value):
-            raise NumericError("non-finite loss during multinomial fit")
-        weights -= hyper.lr * grad_w
-        intercepts -= hyper.lr * grad_b
+    # A diverging fit is reported by the non-finite loss check, not by warnings.
+    with np.errstate(all="ignore"):
+        for _ in range(hyper.iters):
+            value, grad_w, grad_b = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
+            if not math.isfinite(value):
+                raise NumericError("non-finite loss during multinomial fit")
+            weights -= hyper.lr * grad_w
+            intercepts -= hyper.lr * grad_b
     return weights, intercepts
 
 

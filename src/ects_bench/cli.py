@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bench, data
@@ -28,8 +29,9 @@ def _cmd_prepare(args) -> int:
         minority = min(set(labels), key=labels.count)
         dataset = data.make_imbalanced(dataset, minority, args.imbalance, args.seed)
     manifest = data.save_dataset(dataset, args.out)
-    print(f"wrote {manifest['train_file']} ({len(dataset.train)} series), "
-          f"{manifest['test_file']} ({len(dataset.test)} series), K={dataset.num_classes}")
+    print(f"wrote {os.path.join(args.out, manifest['train_file'])} ({len(dataset.train)} series), "
+          f"{os.path.join(args.out, manifest['test_file'])} ({len(dataset.test)} series), "
+          f"K={dataset.num_classes}")
     return 0
 
 
@@ -53,8 +55,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import os
-
     records = bench.load_records_csv(os.path.join(args.results, "records.csv"))
     timelines = bench.load_timelines_json(os.path.join(args.results, "timelines.json"))
     bundle = bench.bundle_from_records(records, timelines)

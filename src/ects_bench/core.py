@@ -103,9 +103,6 @@ class CostModel:
     def num_classes(self) -> int:
         return len(self.mis_matrix)
 
-    def with_alpha(self, alpha: float) -> "CostModel":
-        return CostModel(self.mis_matrix, self.delay, alpha)
-
 
 @dataclass(frozen=True)
 class Decision:

@@ -16,7 +16,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .core import LabeledSeries, SampledTimeline
-from .errors import DataError, SplitError
+from .errors import ConfigError, DataError, SplitError
+from .stats import _rank_ascending
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class SplitSpec:
     def __post_init__(self):
         for f in (self.classifier_fraction, self.calibration_fraction_of_classifier_part):
             if not 0.0 < f < 1.0:
-                raise DataError(f"split fraction {f} must be in (0, 1)")
+                raise ConfigError(f"split fraction {f} must be in (0, 1)")
 
 
 def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]]]:
@@ -84,15 +85,13 @@ def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]
                 raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from None
             if not all(map(math.isfinite, values)):
                 raise DataError(f"{path}:{lineno}: non-finite value")
+            if rows and len(values) != len(rows[0][1]):
+                raise DataError(
+                    f"{path}:{lineno}: ragged row with {len(values)} values, expected {len(rows[0][1])}"
+                )
             rows.append((label, values))
     if not rows:
         raise DataError(f"{path}: no series")
-    length = len(rows[0][1])
-    for lineno, (_, values) in enumerate(rows, start=1):
-        if len(values) != length:
-            raise DataError(
-                f"{path}:{lineno}: ragged row with {len(values)} values, expected {length}"
-            )
     return rows
 
 
@@ -131,16 +130,15 @@ def save_series_file(series: Sequence[LabeledSeries], path: str) -> None:
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> Dict[str, object]:
-    """Write train/test files plus a manifest; returns the manifest object."""
+    """Write train/test files plus a manifest that names them relative to its
+    own directory; returns the manifest object."""
     os.makedirs(out_dir, exist_ok=True)
-    train_file = os.path.join(out_dir, "train.csv")
-    test_file = os.path.join(out_dir, "test.csv")
-    save_series_file(dataset.train, train_file)
-    save_series_file(dataset.test, test_file)
+    save_series_file(dataset.train, os.path.join(out_dir, "train.csv"))
+    save_series_file(dataset.test, os.path.join(out_dir, "test.csv"))
     manifest = {
         "name": dataset.name,
-        "train_file": train_file,
-        "test_file": test_file,
+        "train_file": "train.csv",
+        "test_file": "test.csv",
         "num_classes": dataset.num_classes,
         "length": dataset.length,
     }
@@ -344,17 +342,7 @@ def _macro_ovr_auc(proba: np.ndarray, labels: np.ndarray, num_classes: int) -> f
         n_neg = len(labels) - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        scores = proba[:, c]
-        order = np.argsort(scores, kind="mergesort")
-        ranks = np.empty(len(scores))
-        sorted_scores = scores[order]
-        i = 0
-        while i < len(scores):
-            j = i
-            while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-                j += 1
-            ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
+        ranks = np.array(_rank_ascending(proba[:, c].tolist()))
         rank_sum = ranks[pos].sum()
         aucs.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     if not aucs:

@@ -1,15 +1,12 @@
 """Statistical comparison layer: mean ranks, bootstrap confidence intervals,
-the Wilcoxon signed-rank test with Holm correction, and pairwise win/tie/loss
-comparisons."""
+the exact two-sided Wilcoxon signed-rank test with Holm correction, and
+pairwise win/tie/loss comparisons."""
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-
-EXACT_WILCOXON_MAX_N = 12
 
 
 def _rank_ascending(values: Sequence[float]) -> List[float]:
@@ -80,53 +77,30 @@ def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:
     return ranks, signs
 
 
-def wilcoxon_signed_rank(diffs: Sequence[float], alternative: str = "two-sided") -> Tuple[float, float]:
-    """Wilcoxon signed-rank: returns (W, p).
+def wilcoxon_signed_rank(diffs: Sequence[float]) -> Tuple[float, float]:
+    """Wilcoxon signed-rank: returns (W, p), exact and two-sided for any n.
 
     W is the smaller of the positive/negative rank sums. Zero differences are
-    dropped. Exact p by full sign enumeration for n <= 12, otherwise a normal
-    approximation with tie and continuity corrections. Two-sided p is
-    P(min(S+, S-) <= W) under random signs; "one-sided" is the directional
-    value in favor of the observed effect, P(S+ <= W).
+    dropped and tied absolute differences share their average rank. p is
+    P(min(S+, S-) <= W) under random signs, from the null distribution of S+
+    counted over the doubled rank sums: tie-averaged ranks are whole or half
+    numbers, so each rank r leaves the table as it is or shifts it by 2r.
+    Entries are multiples of 2**-n, so p is exactly count / 2**n for n <= 53.
     """
-    if alternative not in ("two-sided", "one-sided"):
-        raise ValueError(f"unknown alternative {alternative!r}")
     ranks, signs = _signed_ranks(diffs)
-    n = len(ranks)
-    if n == 0:
+    if not ranks:
         return 0.0, 1.0
     w_pos = sum(r for r, s in zip(ranks, signs) if s > 0)
     total = sum(ranks)
-    w_neg = total - w_pos
-    w = min(w_pos, w_neg)
-    if n <= EXACT_WILCOXON_MAX_N:
-        count = 0
-        for mask in range(1 << n):
-            s_pos = sum(ranks[i] for i in range(n) if mask >> i & 1)
-            if alternative == "two-sided":
-                if min(s_pos, total - s_pos) <= w + 1e-12:
-                    count += 1
-            else:
-                if s_pos <= w + 1e-12:
-                    count += 1
-        return w, count / (1 << n)
-    mean = total / 2.0
-    # Tie correction over groups of equal absolute differences.
-    tie_term = 0.0
-    seen: Dict[float, int] = {}
-    for r in ranks:
-        seen[r] = seen.get(r, 0) + 1
-    for r, cnt in seen.items():
-        if cnt > 1:
-            tie_term += cnt**3 - cnt
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-    if var <= 0:
-        return w, 1.0
-    z = (w - mean + 0.5) / math.sqrt(var)
-    p = 0.5 * math.erfc(-z / math.sqrt(2.0))
-    if alternative == "two-sided":
-        p = min(1.0, 2.0 * p)
-    return w, min(1.0, p)
+    w = min(w_pos, total - w_pos)
+    doubled = [int(2 * r) for r in ranks]
+    dist = np.zeros(sum(doubled) + 1)
+    dist[0] = 1.0
+    for d in doubled:
+        dist[d:] = 0.5 * (dist[d:] + dist[:-d])
+        dist[:d] *= 0.5
+    s_pos = np.arange(len(dist)) / 2.0
+    return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
 
 
 def holm_adjust(p_values: Sequence[float]) -> List[float]:

@@ -288,13 +288,14 @@ class TestReports:
 
 
 class TestCli:
-    def test_prepare_and_screen(self, tmp_path, capsys):
+    def test_prepare_and_screen(self, tmp_path, monkeypatch, capsys):
         ds = generate_synthetic(12, 12, 3, 0.1, seed=2)
         train = os.path.join(str(tmp_path), "train.csv")
         test = os.path.join(str(tmp_path), "test.csv")
         save_series_file(ds.train, train)
         save_series_file(ds.test, test)
-        out = os.path.join(str(tmp_path), "ds")
+        monkeypatch.chdir(tmp_path)
+        out = os.path.join("rel", "ds")  # relative to the working directory
         assert cli.main(["prepare", "--train", train, "--test", test, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "manifest.json"))
         assert cli.main(["screen", "--manifest", os.path.join(out, "manifest.json")]) == 0
@@ -323,11 +324,12 @@ class TestCli:
         code = cli.main(["prepare", "--train", missing, "--test", missing, "--out", out])
         assert code == 2
 
-    # Series file bytes by case; the fault is on line 2.
+    # Series file bytes by case, and the file line the message must name.
     BAD_SERIES_FILES = {
-        "nan_value": b"0,1.0,2.0\n1,nan,2.0\n",
-        "inf_value": b"0,1.0,2.0\n1,-inf,2.0\n",
-        "non_utf8": b"0,1.0,2.0\n1,\xff\xfe,3.0\n",
+        "nan_value": (b"0,1.0,2.0\n1,nan,2.0\n", 2),
+        "inf_value": (b"0,1.0,2.0\n1,-inf,2.0\n", 2),
+        "non_utf8": (b"0,1.0,2.0\n1,\xff\xfe,3.0\n", 2),
+        "ragged_after_blank": (b"0,1.0,2.0\n\n1,1.0,2.0,3.0\n", 3),
     }
     # Manifest contents by case: None = no file, "dir" = a directory in its
     # place, str = raw text, dict = JSON object. A series file named bad.csv
@@ -344,13 +346,16 @@ class TestCli:
     }
 
     @staticmethod
-    def _assert_one_line_data_error(args, named):
+    def _cli_subprocess(args):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "ects_bench.cli", *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def _assert_one_line_data_error(self, args, named):
+        proc = self._cli_subprocess(args)
         lines = proc.stderr.splitlines()
         assert proc.returncode == 2, proc.stderr
         assert len(lines) == 1 and lines[0].startswith("data error: "), proc.stderr
@@ -358,10 +363,13 @@ class TestCli:
         assert named in lines[0]
 
     def _bad_series_file(self, tmp_path, case):
+        """Writes the case's bad.csv; returns its path and the 'path:line:'
+        its error names."""
         path = os.path.join(str(tmp_path), "bad.csv")
+        content, line = self.BAD_SERIES_FILES[case]
         with open(path, "wb") as fh:
-            fh.write(self.BAD_SERIES_FILES[case])
-        return path
+            fh.write(content)
+        return path, f"{path}:{line}:"
 
     @pytest.mark.parametrize("command", ["screen", "run"])
     @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
@@ -370,7 +378,7 @@ class TestCli:
         manifest = os.path.join(str(tmp_path), "manifest.json")
         named = "absent.csv" if case == "missing_series_file" else manifest
         if case in self.BAD_SERIES_FILES:
-            named = self._bad_series_file(tmp_path, case) + ":2:"
+            _, named = self._bad_series_file(tmp_path, case)
         if content == "dir":
             os.mkdir(manifest)
         elif isinstance(content, str):
@@ -386,9 +394,9 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_SERIES_FILES))
     def test_bad_series_file_prepare_one_line_data_error(self, tmp_path, case):
-        bad = self._bad_series_file(tmp_path, case)
+        bad, named = self._bad_series_file(tmp_path, case)
         out = os.path.join(str(tmp_path), "out")
-        self._assert_one_line_data_error(["prepare", "--train", bad, "--test", bad, "--out", out], bad + ":2:")
+        self._assert_one_line_data_error(["prepare", "--train", bad, "--test", bad, "--out", out], named)
 
     # Config overrides by case; each must end `run` with one config error line.
     BAD_CONFIGS = {
@@ -402,6 +410,7 @@ class TestCli:
         "l2_negative": {"classifier": {"l2": -0.1}},
         "classifier_not_object": {"classifier": [1]},
         "split_seed": {"split": {"seed": 5}},
+        "split_fraction": {"split": {"classifier_fraction": 1.5}},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -428,6 +437,34 @@ class TestCli:
                 assert err == []
             else:
                 assert len(err) == 1 and err[0].startswith(message), err
+
+    def test_data_error_skips_dataset_numeric_error_aborts_run(self, tmp_path, tiny_manifest):
+        # A class with a single train member cannot be split: that dataset is
+        # skipped with its reason, and the run still succeeds.
+        train = (
+            LabeledSeries("a", (0.0, 1.0), 0),
+            LabeledSeries("b", (0.5, 1.0), 0),
+            LabeledSeries("c", (1.0, 0.0), 1),
+        )
+        single = os.path.join(str(tmp_path), "single")
+        save_dataset(Dataset("single", train, train[:1], 2, 2), single)
+        datasets = [tiny_manifest, os.path.join(single, "manifest.json")]
+        config = _config_file(tmp_path, tiny_manifest, datasets=datasets)
+        proc = self._cli_subprocess(["run", "--config", config])
+        reason = "class 1 has a single member; cannot split"
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [f"skipped single: {reason}"]
+        with open(os.path.join(str(tmp_path), "out", "skipped.csv")) as fh:
+            assert fh.read() == f"dataset,reason\nsingle,{reason}\n"
+
+        # A diverging classifier fit aborts the whole run before any report.
+        out = os.path.join(str(tmp_path), "aborted")
+        config = _config_file(tmp_path, tiny_manifest, classifier={"lr": 1e300}, output_dir=out)
+        proc = self._cli_subprocess(["run", "--config", config])
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 3, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("numeric error: "), proc.stderr
+        assert not os.path.exists(out)
 
     def test_prepare_with_imbalance(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -22,7 +22,7 @@ from ects_bench.data import (
     znormalize_dataset,
     _macro_ovr_auc,
 )
-from ects_bench.errors import DataError, SplitError
+from ects_bench.errors import ConfigError, DataError, SplitError
 
 
 def _write(tmp_path, name, text):
@@ -289,9 +289,9 @@ class TestInformationGainScreen:
 
 
 def test_split_spec_validates_fractions():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SplitSpec(classifier_fraction=0.0)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         SplitSpec(calibration_fraction_of_classifier_part=1.0)
 
 
