@@ -14,7 +14,6 @@ from .core import (
     loss,
     misclassification_cost,
     standard_cost_model,
-    weighted_loss,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "loss",
     "misclassification_cost",
     "standard_cost_model",
-    "weighted_loss",
 ]
 
 __version__ = "0.1.0"

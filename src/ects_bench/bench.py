@@ -8,9 +8,9 @@ computed once. Each tuned trigger builds its alpha-independent state once
 per dataset, on its first fit; each alpha then only selects parameters by
 cost, and a *_myopic variant reuses the same alpha's full fit. The test
 traces are stacked once; each (method, alpha) trigger halts every test series
-at the first True of its vectorised halts, priced against one oracle per
-(test series, alpha). Datasets that cannot satisfy the split are
-skipped with a recorded reason. Seeds are derived by hashing (master seed,
+at the first True of its vectorised halts, priced against the oracle: one
+scan over the stacked test traces per alpha. Datasets that cannot satisfy
+the split are skipped with a recorded reason. Seeds are derived by hashing (master seed,
 dataset, method, alpha) so results do not depend on scheduling order.
 """
 
@@ -33,7 +33,6 @@ from .core import (
     delay_cost,
     misclassification_cost,
     standard_cost_model,
-    weighted_loss,
 )
 from .data import Dataset, SplitSpec, dataset_from_manifest, load_manifest, stratified_split
 from .errors import ConfigError, DataError
@@ -205,19 +204,18 @@ def run_dataset(
     )
     timeline = classify.default_timeline(dataset.length)
     collection = classify.fit_collection(fit_part, timeline, config.classifier, calib_part)
-    trig_traces = tuple(collection.prob_trace(s) for s in trig_part)
+    trig_traces = collection.prob_trace(trig_part)
     trig_labels = tuple(s.label for s in trig_part)
-    train_set = trigger.TriggerTrainSet(trig_traces, trig_labels, timeline)
-    test_traces = [collection.prob_trace(s) for s in dataset.test]
-    test_stats = trigger.trigger_stats(np.stack(test_traces))
+    train_set = trigger.TriggerTrainSet(tuple(trig_traces), trig_labels, timeline)
+    test_traces = collection.prob_trace(dataset.test)
+    test_labels = tuple(s.label for s in dataset.test)
+    test_stats = trigger.trigger_stats(test_traces)
 
     records: List[EvalRecord] = []
     for alpha in config.alpha_grid:
         cost = cost_model_for(config.cost_setting, dataset.num_classes, alpha)
-        oracle = [
-            metrics.optimal_time(trace, series.label, cost, timeline)
-            for series, trace in zip(dataset.test, test_traces)
-        ]
+        oracle_times, oracle_costs = metrics.optimal_time(test_traces, test_labels, cost, timeline)
+        oracle = list(zip(oracle_times.tolist(), oracle_costs.tolist()))
         fitted: Dict[str, trigger.TriggerModel] = {}  # this alpha's fits, shared with *_myopic
         for method in config.methods:
             base = method.removesuffix("_myopic")
@@ -295,23 +293,38 @@ RECORD_FIELDS = (
 )
 
 
-def load_records_csv(path: str) -> List[EvalRecord]:
+def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> List[EvalRecord]:
+    """The records write_reports wrote. A row whose field count or field
+    types are wrong, or whose dataset has no timeline, is a DataError naming
+    its path:line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != RECORD_FIELDS:
-            raise DataError(f"{path}: unexpected records header")
-        for line in fh:
-            f = line.rstrip("\n").split(",")
-            records.append(
-                EvalRecord(
-                    dataset=f[0], method=f[1], alpha=float(f[2]), series_id=f[3],
-                    true_label=int(f[4]), predicted_label=int(f[5]), trigger_time=int(f[6]),
-                    weighted_cost=float(f[7]), misclassification_cost=float(f[8]),
-                    delay_cost=float(f[9]), oracle_time=int(f[10]), oracle_cost=float(f[11]),
-                    regret=float(f[12]),
+    lineno = 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if tuple(header) != RECORD_FIELDS:
+                raise DataError(f"{path}:1: unexpected records header")
+            for lineno, line in enumerate(fh, start=2):
+                f = line.rstrip("\n").split(",")
+                if len(f) != len(RECORD_FIELDS):
+                    raise DataError(f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, got {len(f)}")
+                if f[0] not in timelines:
+                    raise DataError(f"{path}:{lineno}: dataset {f[0]!r} has no timeline")
+                records.append(
+                    EvalRecord(
+                        dataset=f[0], method=f[1], alpha=float(f[2]), series_id=f[3],
+                        true_label=int(f[4]), predicted_label=int(f[5]), trigger_time=int(f[6]),
+                        weighted_cost=float(f[7]), misclassification_cost=float(f[8]),
+                        delay_cost=float(f[9]), oracle_time=int(f[10]), oracle_cost=float(f[11]),
+                        regret=float(f[12]),
+                    )
                 )
-            )
+    except OSError as exc:
+        raise DataError(f"cannot read records file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+    except ValueError as exc:  # a field of the wrong type
+        raise DataError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
@@ -484,12 +497,19 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
 
 
 def load_timelines_json(path: str) -> Dict[str, SampledTimeline]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return {
-        name: SampledTimeline(tuple(entry["timestamps"]), entry["series_length"])
-        for name, entry in doc.items()
-    }
+    """The timelines write_reports wrote; a missing or malformed file is a
+    DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return {
+            name: SampledTimeline(tuple(entry["timestamps"]), entry["series_length"])
+            for name, entry in doc.items()
+        }
+    except OSError as exc:
+        raise DataError(f"cannot read timelines file {path}: {exc.strerror or exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed timelines: {exc!r}") from None
 
 
 def bundle_from_records(records: List[EvalRecord], timelines: Dict[str, SampledTimeline]) -> ReportBundle:

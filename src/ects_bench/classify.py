@@ -4,14 +4,22 @@ The prediction component is a collection of multinomial logistic models, one
 per sampled timestamp, trained by full-batch gradient descent on 7 summary
 features of the observed prefix, then calibrated one-vs-rest with Platt
 sigmoids fitted on a held-out calibration set.
+
+Every step runs once over a whole stack: series enter as (n, T) value
+matrices, features form an (L, n, d) tensor and the L descents run as one. Each
+array form keeps the bits of the per-series, per-timestamp arithmetic: a
+score or a slope is one product per row (``np.matmul`` over a stack of rows;
+a single GEMM or GEMV over all rows rounds differently), and every summary
+is a per-row reduction along the last axis. Features and traces are built in
+blocks of ``_ROW_BLOCK`` rows, which bounds the temporaries; as every
+operation is per row, the blocks cannot change a bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from .core import LabeledSeries, SampledTimeline
 from .errors import ConfigError, DataError, NumericError
 
 NUM_FEATURES = 7
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -42,23 +51,37 @@ def default_timeline(length: int, count: int = 20) -> SampledTimeline:
     return SampledTimeline(tuple(ts), length)
 
 
-def extract_prefix_features(values: Sequence[float], t: int) -> np.ndarray:
-    """Summary features of values[:t]: mean, population std, least-squares
-    slope, min, max, last value, mean absolute first difference."""
-    if not 1 <= t <= len(values):
-        raise ValueError(f"t={t} outside [1, {len(values)}]")
-    prefix = np.asarray(values[:t], dtype=float)
-    mean = prefix.mean()
-    std = prefix.std()
+def prefix_features(values: np.ndarray, t: int) -> np.ndarray:
+    """Summary features of each row's prefix values[:, :t], shape (n, 7):
+    mean, population std, least-squares slope, min, max, last value, mean
+    absolute first difference."""
+    if not 1 <= t <= values.shape[1]:
+        raise ValueError(f"t={t} outside [1, {values.shape[1]}]")
+    prefix = values[:, :t]
+    mean = prefix.mean(axis=1)
     if t == 1:
-        slope = 0.0
-        madiff = 0.0
+        slope = madiff = np.zeros(len(prefix))
     else:
         x = np.arange(t, dtype=float)
         xc = x - x.mean()
-        slope = float(xc @ (prefix - mean) / (xc @ xc))
-        madiff = float(np.abs(np.diff(prefix)).mean())
-    return np.array([mean, std, slope, prefix.min(), prefix.max(), prefix[-1], madiff])
+        centred = (prefix - mean[:, None])[:, None, :]
+        # One dot per row; one GEMV over the rows rounds differently.
+        slope = np.matmul(centred, xc[:, None])[:, 0, 0] / (xc @ xc)
+        madiff = np.abs(np.diff(prefix, axis=1)).mean(axis=1)
+    return np.stack(
+        [mean, prefix.std(axis=1), slope, prefix.min(axis=1), prefix.max(axis=1), prefix[:, -1], madiff],
+        axis=1,
+    )
+
+
+def _feature_stack(series: Sequence[LabeledSeries], timestamps: Sequence[int]) -> np.ndarray:
+    """(L, n, d) prefix features of every series at every timestamp."""
+    out = np.empty((len(timestamps), len(series), NUM_FEATURES))
+    for lo in range(0, len(series), _ROW_BLOCK):
+        values = np.array([s.values for s in series[lo : lo + _ROW_BLOCK]], dtype=float)
+        for j, t in enumerate(timestamps):
+            out[j, lo : lo + _ROW_BLOCK] = prefix_features(values, t)
+    return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -73,43 +96,55 @@ def logloss_and_grad(
     X: np.ndarray,
     labels: np.ndarray,
     l2: float,
-) -> Tuple[float, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean multinomial log-loss with L2 on the weights (not the intercepts),
-    plus its analytic gradient."""
-    n = X.shape[0]
-    probs = softmax(X @ weights + intercepts)
-    picked = np.clip(probs[np.arange(n), labels], 1e-300, None)
-    value = float(-np.mean(np.log(picked)) + 0.5 * l2 * np.sum(weights**2))
+    plus its analytic gradient. Leading axes of weights (..., d, K),
+    intercepts (..., K) and X (..., n, d) stack independent problems over the
+    same labels (n,); the loss then has the leading shape."""
+    n = X.shape[-2]
+    rows = np.arange(n)
+    probs = softmax(np.matmul(X, weights) + intercepts[..., None, :])
+    picked = np.clip(probs[..., rows, labels], 1e-300, None)
+    value = -np.mean(np.log(picked), axis=-1) + 0.5 * l2 * np.sum(weights**2, axis=(-2, -1))
     onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
+    onehot[..., rows, labels] = 1.0
     diff = probs - onehot
-    grad_w = X.T @ diff / n + l2 * weights
-    grad_b = diff.mean(axis=0)
+    grad_w = np.matmul(np.swapaxes(X, -1, -2), diff) / n + l2 * weights
+    grad_b = diff.mean(axis=-2)
     return value, grad_w, grad_b
 
 
 def fit_multinomial(
     X: np.ndarray, labels: np.ndarray, num_classes: int, hyper: ClassifierHyper
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient descent from zero initialization; deterministic."""
-    d = X.shape[1]
-    weights = np.zeros((d, num_classes))
-    intercepts = np.zeros(num_classes)
-    # A diverging fit is reported by the non-finite loss check, not by warnings.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Full-batch gradient descent from zero initialization; deterministic.
+    Leading axes of X (..., n, d) stack independent fits, run as one.
+
+    Returns the weights (..., d, K), the intercepts (..., K) and, per fit,
+    whether every loss along the way, the final loss and the final weights
+    are finite.
+    """
+    lead, d = X.shape[:-2], X.shape[-1]
+    weights = np.zeros(lead + (d, num_classes))
+    intercepts = np.zeros(lead + (num_classes,))
+    finite = np.ones(lead, dtype=bool)
+    # A diverging fit is reported through `finite`, not by warnings.
     with np.errstate(all="ignore"):
         for _ in range(hyper.iters):
             value, grad_w, grad_b = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
-            if not math.isfinite(value):
-                raise NumericError("non-finite loss during multinomial fit")
+            finite &= np.isfinite(value)
             weights -= hyper.lr * grad_w
             intercepts -= hyper.lr * grad_b
-    return weights, intercepts
+        value = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)[0]
+    finite &= np.isfinite(value) & np.isfinite(weights).all(axis=(-2, -1))
+    return weights, intercepts, finite & np.isfinite(intercepts).all(axis=-1)
 
 
 def fit_platt(scores: np.ndarray, targets: np.ndarray, iters: int = 100) -> Tuple[float, float]:
     """Fit p = 1 / (1 + exp(A * s + B)) by Newton steps on the log-loss.
 
     Uses Platt's smoothed targets to avoid saturation on separable scores.
+    A non-finite Hessian determinant, A or B is a NumericError.
     """
     n_pos = float(targets.sum())
     n_neg = float(len(targets) - n_pos)
@@ -119,112 +154,79 @@ def fit_platt(scores: np.ndarray, targets: np.ndarray, iters: int = 100) -> Tupl
     a = 0.0
     b = math.log((n_neg + 1.0) / (n_pos + 1.0))
     reg = 1e-9
-    for _ in range(iters):
-        z = np.clip(a * scores + b, -500, 500)
-        p = 1.0 / (1.0 + np.exp(z))
-        # d logloss / dz with p = sigma(-z): p - t flips sign through z.
-        dz = p - t
-        w = p * (1.0 - p)
-        ga = float(-(dz * scores).sum()) + reg * a
-        gb = float(-dz.sum()) + reg * b
-        haa = float((w * scores * scores).sum()) + reg
-        hbb = float(w.sum()) + reg
-        hab = float((w * scores).sum())
-        det = haa * hbb - hab * hab
-        if det <= 1e-18:
-            break
-        da = (hbb * ga - hab * gb) / det
-        db = (haa * gb - hab * ga) / det
-        a -= da
-        b -= db
-        if abs(da) < 1e-12 and abs(db) < 1e-12:
-            break
+    with np.errstate(all="ignore"):
+        for _ in range(iters):
+            z = np.clip(a * scores + b, -500, 500)
+            p = 1.0 / (1.0 + np.exp(z))
+            # d logloss / dz with p = sigma(-z): p - t flips sign through z.
+            dz = p - t
+            w = p * (1.0 - p)
+            ga = float(-(dz * scores).sum()) + reg * a
+            gb = float(-dz.sum()) + reg * b
+            haa = float((w * scores * scores).sum()) + reg
+            hbb = float(w.sum()) + reg
+            hab = float((w * scores).sum())
+            det = haa * hbb - hab * hab
+            if not math.isfinite(det):
+                raise NumericError("non-finite Hessian in Platt calibration")
+            if det <= 1e-18:
+                break
+            da = (hbb * ga - hab * gb) / det
+            db = (haa * gb - hab * ga) / det
+            a -= da
+            b -= db
+            if abs(da) < 1e-12 and abs(db) < 1e-12:
+                break
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericError("non-finite Platt coefficients")
     return a, b
 
 
-def platt_apply(a: float, b: float, scores: np.ndarray) -> np.ndarray:
+def platt_apply(a, b, scores: np.ndarray) -> np.ndarray:
     z = np.clip(a * scores + b, -500, 500)
     return 1.0 / (1.0 + np.exp(z))
 
 
-@dataclass
-class TimestampModel:
-    weights: np.ndarray  # (d, K)
-    intercepts: np.ndarray  # (K,)
-    feature_mean: np.ndarray  # (d,)
-    feature_std: np.ndarray  # (d,)
-    platt: List[Tuple[float, float]]  # per-class (A, B)
-
-
-@dataclass
+@dataclass(frozen=True)
 class ChronologicalClassifierCollection:
-    """One calibrated linear classifier per timeline timestamp."""
+    """One calibrated linear classifier per timeline timestamp, held as
+    stacks whose leading axis is the timeline index."""
 
     timeline: SampledTimeline
-    num_classes: int
-    models: Dict[int, TimestampModel] = field(default_factory=dict)
+    weights: np.ndarray  # (L, d, K)
+    intercepts: np.ndarray  # (L, K)
+    feature_mean: np.ndarray  # (L, d)
+    feature_std: np.ndarray  # (L, d)
+    platt: np.ndarray  # (L, K, 2): per-class Platt (A, B)
 
-    def _scores(self, values: Sequence[float], t: int) -> Tuple[TimestampModel, np.ndarray]:
-        if t not in self.timeline.timestamps:
-            raise ValueError(f"timestamp {t} not in timeline")
-        model = self.models[t]
-        feats = (extract_prefix_features(values, t) - model.feature_mean) / model.feature_std
-        return model, feats @ model.weights + model.intercepts
+    @property
+    def num_classes(self) -> int:
+        return self.intercepts.shape[1]
 
-    def predict_proba(self, values: Sequence[float], t: int, calibrated: bool = True) -> np.ndarray:
-        model, scores = self._scores(values, t)
-        if not calibrated:
-            return softmax(scores)
-        per_class = np.array(
-            [platt_apply(a, b, np.array([scores[c]]))[0] for c, (a, b) in enumerate(model.platt)]
-        )
-        total = per_class.sum()
-        if total <= 0 or not np.isfinite(total):
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        return per_class / total
-
-    def prob_trace(self, series: LabeledSeries, calibrated: bool = True) -> np.ndarray:
-        """Probability vectors over the whole timeline, shape (len(timeline), K)."""
-        if series.length != self.timeline.series_length:
-            raise DataError(
-                f"series length {series.length} != timeline length {self.timeline.series_length}"
-            )
-        return np.stack(
-            [self.predict_proba(series.values, t, calibrated) for t in self.timeline.timestamps]
-        )
-
-    def to_json(self) -> str:
-        doc = {
-            "timeline": list(self.timeline.timestamps),
-            "series_length": self.timeline.series_length,
-            "num_classes": self.num_classes,
-            "models": {
-                str(t): {
-                    "weights": m.weights.tolist(),
-                    "intercepts": m.intercepts.tolist(),
-                    "feature_mean": m.feature_mean.tolist(),
-                    "feature_std": m.feature_std.tolist(),
-                    "platt": [list(p) for p in m.platt],
-                }
-                for t, m in self.models.items()
-            },
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChronologicalClassifierCollection":
-        doc = json.loads(text)
-        timeline = SampledTimeline(tuple(doc["timeline"]), doc["series_length"])
-        coll = cls(timeline, doc["num_classes"])
-        for t_str, m in doc["models"].items():
-            coll.models[int(t_str)] = TimestampModel(
-                weights=np.array(m["weights"]),
-                intercepts=np.array(m["intercepts"]),
-                feature_mean=np.array(m["feature_mean"]),
-                feature_std=np.array(m["feature_std"]),
-                platt=[(float(a), float(b)) for a, b in m["platt"]],
-            )
-        return coll
+    def prob_trace(self, series: Sequence[LabeledSeries], calibrated: bool = True) -> np.ndarray:
+        """Probability vectors of each series over the whole timeline, shape
+        (n, L, K); row i depends on series[i] alone."""
+        T = self.timeline.series_length
+        for s in series:
+            if s.length != T:
+                raise DataError(f"series length {s.length} != timeline length {T}")
+        K = self.num_classes
+        out = np.empty((len(series), len(self.timeline), K))
+        for lo in range(0, len(series), _ROW_BLOCK):
+            feats = _feature_stack(series[lo : lo + _ROW_BLOCK], self.timeline.timestamps)
+            z = (feats - self.feature_mean[:, None, :]) / self.feature_std[:, None, :]
+            # One (1, d) @ (d, K) product per row; one GEMM over the rows rounds differently.
+            scores = np.matmul(z[:, :, None, :], self.weights[:, None])[:, :, 0, :]
+            scores += self.intercepts[:, None, :]
+            if calibrated:
+                per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
+                total = per_class.sum(axis=-1, keepdims=True)
+                usable = (total > 0) & np.isfinite(total)
+                probs = np.divide(per_class, total, out=np.full_like(per_class, 1.0 / K), where=usable)
+            else:
+                probs = softmax(scores)
+            out[lo : lo + _ROW_BLOCK] = probs.transpose(1, 0, 2)
+        return out
 
 
 def fit_collection(
@@ -234,7 +236,8 @@ def fit_collection(
     calibration_set: Sequence[LabeledSeries],
 ) -> ChronologicalClassifierCollection:
     """Fit the per-timestamp models on train and their Platt calibrators on
-    the held-out calibration set. Deterministic given the inputs."""
+    the held-out calibration set. Deterministic given the inputs. A fit that
+    diverges is a NumericError naming its earliest timestamp."""
     train_labels = np.array([s.label for s in train])
     calib_labels = np.array([s.label for s in calibration_set])
     num_classes = int(max(train_labels.max(), calib_labels.max())) + 1
@@ -244,22 +247,23 @@ def fit_collection(
         if missing:
             raise DataError(f"classes {missing} absent from the {part} set")
 
-    coll = ChronologicalClassifierCollection(timeline, num_classes)
-    for t in timeline.timestamps:
-        X = np.stack([extract_prefix_features(s.values, t) for s in train])
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std < 1e-12, 1.0, std)
-        Xs = (X - mean) / std
-        try:
-            weights, intercepts = fit_multinomial(Xs, train_labels, num_classes, hyper)
-        except NumericError as exc:
-            raise NumericError(f"timestamp {t}: {exc}") from None
-        Xc = (np.stack([extract_prefix_features(s.values, t) for s in calibration_set]) - mean) / std
-        calib_scores = Xc @ weights + intercepts
-        platt = [
-            fit_platt(calib_scores[:, c], (calib_labels == c).astype(float))
-            for c in range(num_classes)
-        ]
-        coll.models[t] = TimestampModel(weights, intercepts, mean, std, platt)
-    return coll
+    timestamps = timeline.timestamps
+    X = _feature_stack(train, timestamps)
+    mean = X.mean(axis=1)
+    std = X.std(axis=1)
+    std = np.where(std < 1e-12, 1.0, std)
+    weights, intercepts, finite = fit_multinomial(
+        (X - mean[:, None, :]) / std[:, None, :], train_labels, num_classes, hyper
+    )
+    if not finite.all():
+        raise NumericError(f"timestamp {timestamps[int(np.argmin(finite))]}: multinomial fit diverged")
+    Xc = _feature_stack(calibration_set, timestamps)
+    calib_scores = np.matmul((Xc - mean[:, None, :]) / std[:, None, :], weights) + intercepts[:, None, :]
+    platt = np.empty((len(timestamps), num_classes, 2))
+    for j, t in enumerate(timestamps):
+        for c in range(num_classes):
+            try:
+                platt[j, c] = fit_platt(calib_scores[j, :, c], (calib_labels == c).astype(float))
+            except NumericError as exc:
+                raise NumericError(f"timestamp {t}: {exc}") from None
+    return ChronologicalClassifierCollection(timeline, weights, intercepts, mean, std, platt)

@@ -55,8 +55,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    records = bench.load_records_csv(os.path.join(args.results, "records.csv"))
     timelines = bench.load_timelines_json(os.path.join(args.results, "timelines.json"))
+    records = bench.load_records_csv(os.path.join(args.results, "records.csv"), timelines)
     bundle = bench.bundle_from_records(records, timelines)
     for path in bench.write_reports(bundle, args.out, emit_svg=args.svg):
         print(path)

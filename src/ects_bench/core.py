@@ -2,8 +2,9 @@
 
 A decision made at time t with prediction y_hat against truth y is priced by
 a misclassification matrix plus a delay curve; the trade-off weight alpha
-blends the two in the weighted loss. All types here are immutable after
-construction and safe to share between threads.
+blends the two into the weighted price alpha * C_m + (1 - alpha) * C_d. All
+types here are immutable after construction and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
+
+import numpy as np
 
 
 class DelayCurve(Enum):
@@ -78,7 +81,7 @@ class CostModel:
     """Misclassification matrix + delay curve + trade-off weight alpha.
 
     mis_matrix is indexed [predicted][true]. The delay curve is stored
-    unweighted; the (1 - alpha) factor enters only through weighted_loss.
+    unweighted; a decision's weighted price is alpha * C_m + (1 - alpha) * C_d.
     """
 
     mis_matrix: Tuple[Tuple[float, ...], ...]
@@ -141,6 +144,11 @@ def delay_cost(model: CostModel, t: int, length: int) -> float:
     return math.exp(frac * math.log(100.0))
 
 
+def delay_costs(model: CostModel, timeline: SampledTimeline) -> np.ndarray:
+    """Unweighted delay cost at each timeline index."""
+    return np.array([delay_cost(model, t, timeline.series_length) for t in timeline.timestamps])
+
+
 def misclassification_cost(model: CostModel, predicted: int, true: int) -> float:
     k = model.num_classes
     if not (0 <= predicted < k and 0 <= true < k):
@@ -151,14 +159,6 @@ def misclassification_cost(model: CostModel, predicted: int, true: int) -> float
 def loss(model: CostModel, predicted: int, true: int, t: int, length: int) -> float:
     """Unweighted loss: misclassification plus delay."""
     return misclassification_cost(model, predicted, true) + delay_cost(model, t, length)
-
-
-def weighted_loss(model: CostModel, predicted: int, true: int, t: int, length: int) -> float:
-    """alpha * C_m + (1 - alpha) * C_d."""
-    a = model.alpha
-    return a * misclassification_cost(model, predicted, true) + (1.0 - a) * delay_cost(
-        model, t, length
-    )
 
 
 def standard_cost_model(num_classes: int, alpha: float) -> CostModel:

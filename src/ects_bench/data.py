@@ -369,10 +369,10 @@ def information_gain_screen(dataset: Dataset, classifier_config=None, seed: int 
     calib, fit_part = stratified_split(dataset.train, 0.3, seed)
     collection = fit_collection(fit_part, timeline, hyper, calib)
     labels = np.array([s.label for s in dataset.train])
-    auc_at = {}
-    for t in timestamps:
-        proba = np.stack([collection.predict_proba(s.values, t) for s in dataset.train])
-        auc_at[t] = _macro_ovr_auc(proba, labels, dataset.num_classes)
+    traces = collection.prob_trace(dataset.train)
+    auc_at = {
+        t: _macro_ovr_auc(traces[:, j], labels, dataset.num_classes) for j, t in enumerate(timestamps)
+    }
 
     def window_mean(window):
         return float(np.mean([auc_at[ts_of[p]] for p in window]))

@@ -8,7 +8,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, EvalRecord, SampledTimeline, weighted_loss
+from .core import CostModel, EvalRecord, SampledTimeline, delay_costs
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,22 @@ def earliness(records: Sequence[EvalRecord], series_length: int) -> float:
 
 
 def optimal_time(
-    trace: np.ndarray, true_label: int, cost: CostModel, timeline: SampledTimeline
-) -> Tuple[int, float]:
-    """Loss-minimizing decision time over the sampled timeline with full
-    knowledge of the trace; ties go to the earliest timestamp."""
-    best_t, best_loss = None, None
-    for i, t in enumerate(timeline.timestamps):
-        predicted = int(np.argmax(trace[i]))
-        value = weighted_loss(cost, predicted, true_label, t, timeline.series_length)
-        if best_loss is None or value < best_loss - 1e-15:
-            best_t, best_loss = t, value
-    return best_t, best_loss
+    traces: np.ndarray, labels: Sequence[int], cost: CostModel, timeline: SampledTimeline
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Loss-minimizing decision time of each series over the sampled timeline,
+    with full knowledge of its trace; traces is (n, L, K). One left-to-right
+    scan over the L columns: a later index must win by more than 1e-15, so
+    ties go to the earliest timestamp. Returns the times and the losses,
+    shape (n,) each."""
+    a = cost.alpha
+    mis = np.asarray(cost.mis_matrix)[traces.argmax(axis=2), np.asarray(labels)[:, None]]
+    price = a * mis + (1.0 - a) * delay_costs(cost, timeline)  # (n, L)
+    best, best_index = price[:, 0], np.zeros(len(price), dtype=int)
+    for i in range(1, price.shape[1]):
+        better = price[:, i] < best - 1e-15
+        best = np.where(better, price[:, i], best)
+        best_index[better] = i
+    return np.asarray(timeline.timestamps)[best_index], best
 
 
 def regret(record: EvalRecord) -> float:

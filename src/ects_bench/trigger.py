@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_cost
+from .core import CostModel, Decision, SampledTimeline, delay_costs
 from .errors import DataError, NumericError
 
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
@@ -44,18 +44,21 @@ STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 1
 
 class TraceStats(NamedTuple):
     """Stacked traces P (n, m, K) and what the policies read from them, per
-    (series, timeline index): argmax class, max probability, top-2 margin."""
+    (series, timeline index): argmax class, max probability, top-2 margin.
+    ``kernels`` keeps calimera's kernel blocks against this stack, so an
+    alpha sweep over one stack builds each block once."""
 
     P: np.ndarray
     pred: np.ndarray
     maxp: np.ndarray
     p2: np.ndarray
+    kernels: Dict[int, Tuple[np.ndarray, np.ndarray]]
 
 
 def trigger_stats(P: np.ndarray) -> TraceStats:
     """The policies' inputs for a stack of traces P (n, m, K), m <= L."""
     top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
-    return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1])
+    return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1], {})
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,6 @@ def _trace_stats(train: TriggerTrainSet) -> TraceStats:
     return _fit_state(train, ("trace_stats",), lambda: trigger_stats(train.prob_array))
 
 
-def _delays(cost: CostModel, timeline: SampledTimeline) -> np.ndarray:
-    """Unweighted delay cost at each timeline index."""
-    return np.array([delay_cost(cost, t, timeline.series_length) for t in timeline.timestamps])
-
-
 def _halt_outcomes(
     train: TriggerTrainSet, cost: CostModel, candidate_halts: Iterable[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -221,7 +219,7 @@ def _halt_outcomes(
     candidate's (n, L) halts."""
     first = np.array([halts.argmax(axis=1) for halts in candidate_halts])  # (candidates, n)
     pred = _trace_stats(train).pred[np.arange(len(train.labels)), first]
-    return np.asarray(cost.mis_matrix)[pred, np.array(train.labels)], _delays(cost, train.timeline)[first]
+    return np.asarray(cost.mis_matrix)[pred, np.array(train.labels)], delay_costs(cost, train.timeline)[first]
 
 
 def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
@@ -340,7 +338,7 @@ class EconomyTrigger(TriggerModel):
         """(L, k, L): expected weighted cost of halting at tau from group g at
         index j, for tau >= j."""
         a = self.cost.alpha
-        return a * self.mis_paths + (1.0 - a) * _delays(self.cost, self.timeline)
+        return a * self.mis_paths + (1.0 - a) * delay_costs(self.cost, self.timeline)
 
     def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
         """Expected weighted cost for each tau = t_idx..last, starting from
@@ -386,7 +384,7 @@ def _build_economy(
     train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float
 ) -> Optional[EconomyTrigger]:
     """Build the k-bin model; None if some bin is empty at some timestamp."""
-    P, pred, maxp, _ = _trace_stats(train)
+    P, pred, maxp = _trace_stats(train)[:3]
     _, L, K = P.shape
     labels = np.array(train.labels)
     bin_edges = [np.quantile(maxp[:, j], [i / k for i in range(1, k)]) for j in range(L)]
@@ -555,10 +553,20 @@ class CalimeraTrigger(TriggerModel):
         out = np.full(stats.pred.shape, -math.inf)
         for j in range(min(out.shape[1], len(self.steps))):
             step = self.steps[j]
-            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
-            dual = step.dual_myopic if self.myopic else step.dual_full
-            out[:, j] = _rbf_kernel(X, step.X, step.bandwidth) @ dual
+            out[:, j] = self._kernel(stats, j) @ (step.dual_myopic if self.myopic else step.dual_full)
         return out
+
+    def _kernel(self, stats: TraceStats, j: int) -> np.ndarray:
+        """RBF block between the stack's inputs at index j and step j's train
+        inputs. It is kept on stats under j with those train inputs, which
+        every alpha's fit from the same alpha-free state shares."""
+        step = self.steps[j]
+        train_X, block = stats.kernels.get(j, (None, None))
+        if train_X is not step.X:
+            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
+            block = _rbf_kernel(X, step.X, step.bandwidth)
+            stats.kernels[j] = (step.X, block)
+        return block
 
     def _halts(self, stats):
         return self.predicted_deltas(stats) <= 0.0
@@ -576,7 +584,7 @@ def _calimera_factors(
 ) -> List[Tuple[np.ndarray, float, np.ndarray]]:
     """Per non-final timestamp: the inputs X, the RBF bandwidth and the
     Cholesky factor of gram + ridge * I. None of it depends on alpha."""
-    P, _, _, _ = _trace_stats(train)
+    P = _trace_stats(train).P
     n, L, _ = P.shape
     factors = []
     for j in range(L - 1):
@@ -611,10 +619,10 @@ def fit_calimera(
         train, ("calimera", ridge, rbf_bandwidth),
         lambda: _calimera_factors(train, ridge, rbf_bandwidth),
     )
-    _, pred, _, _ = _trace_stats(train)
+    pred = _trace_stats(train).pred
     labels = np.array(train.labels)
     mis = np.asarray(cost.mis_matrix)
-    d = _delays(cost, train.timeline)
+    d = delay_costs(cost, train.timeline)
     a = cost.alpha
     realized = a * mis[pred, labels[:, None]] + (1.0 - a) * d[None, :]  # (n, L)
     later = backward_min_costs(realized)

@@ -16,7 +16,12 @@ import pytest
 from conftest import record_acceptance
 from ects_bench import bench
 from ects_bench.classify import logloss_and_grad
-from ects_bench.core import SampledTimeline, standard_cost_model, weighted_loss
+from ects_bench.core import (
+    SampledTimeline,
+    delay_cost,
+    misclassification_cost,
+    standard_cost_model,
+)
 from ects_bench.data import generate_synthetic, save_dataset
 from ects_bench.metrics import optimal_time
 from ects_bench.stats import (
@@ -132,9 +137,12 @@ def test_criterion_03_oracle_soundness(synth_run):
         trace = raw / raw.sum(axis=1, keepdims=True)
         true = int(rng.integers(0, K))
         cost = standard_cost_model(K, float(rng.random()))
-        t_star, loss = optimal_time(trace, true, cost, timeline)
+        times, oracle_losses = optimal_time(trace[None], (true,), cost, timeline)
+        t_star, loss = times[0], oracle_losses[0]
+        a = cost.alpha
         losses = [
-            weighted_loss(cost, int(np.argmax(trace[i])), true, t, T)
+            a * misclassification_cost(cost, int(np.argmax(trace[i])), true)
+            + (1.0 - a) * delay_cost(cost, t, T)
             for i, t in enumerate(timeline.timestamps)
         ]
         best_idx = int(np.argmin(losses))

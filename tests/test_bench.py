@@ -196,16 +196,23 @@ class TestAlphaSweep:
         monkeypatch.setattr(trigger, "_build_economy", counting(
             "build_economy", trigger._build_economy, lambda train, cost, k, smoothing: k))
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(trigger, "_rbf_kernel", counting("rbf_kernel", trigger._rbf_kernel))
         monkeypatch.setattr(metrics, "optimal_time", counting(
-            "oracle", metrics.optimal_time, lambda trace, label, cost, timeline: (id(trace), cost.alpha)))
+            "oracle", metrics.optimal_time,
+            lambda traces, labels, cost, timeline: (id(traces), traces.shape[0], labels, cost.alpha)))
         config = _sweep_config(tmp_path)
         records, timeline = bench.run_dataset(sweep_dataset, config)
 
         assert len(records) == 9 * 11 * len(sweep_dataset.test)
         assert calls["build_economy"] == list(range(1, 21))
         assert len(calls["cholesky"]) == len(timeline) - 1
+        # Per non-final timestamp: one train gram and one test-kernel block.
+        assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
+        # One oracle call per alpha, each over the whole stack of test traces.
         oracle = calls["oracle"]
-        assert len(set(oracle)) == len(oracle) == len(sweep_dataset.test) * len(config.alpha_grid)
+        labels = tuple(s.label for s in sweep_dataset.test)
+        assert [key[3] for key in oracle] == list(config.alpha_grid)
+        assert {key[:3] for key in oracle} == {(oracle[0][0], len(sweep_dataset.test), labels)}
 
     def test_myopic_records_equal_fresh_myopic_fits(self, tmp_path, monkeypatch, sweep_dataset):
         seen = {}
@@ -226,7 +233,7 @@ class TestAlphaSweep:
         records, _ = bench.run_dataset(sweep_dataset, config)
 
         shared = seen["train_set"]
-        test_traces = [seen["collection"].prob_trace(s) for s in sweep_dataset.test]
+        test_traces = seen["collection"].prob_trace(sweep_dataset.test)
         for alpha in config.alpha_grid:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
             for method in config.methods:
@@ -280,9 +287,9 @@ class TestReports:
         _, bundle = tiny_run
         out = os.path.join(str(tmp_path), "rt")
         bench.write_reports(bundle, out)
-        records = bench.load_records_csv(os.path.join(out, "records.csv"))
-        assert records == bundle.records
         timelines = bench.load_timelines_json(os.path.join(out, "timelines.json"))
+        records = bench.load_records_csv(os.path.join(out, "records.csv"), timelines)
+        assert records == bundle.records
         rebuilt = bench.bundle_from_records(records, timelines)
         assert rebuilt.summaries == bundle.summaries
 
@@ -465,6 +472,58 @@ class TestCli:
         assert proc.returncode == 3, proc.stderr
         assert len(lines) == 1 and lines[0].startswith("numeric error: "), proc.stderr
         assert not os.path.exists(out)
+
+    def test_fit_diverged_to_finite_weights_one_line_numeric_error(self, tmp_path):
+        # One huge step on values scaled by 100: every loss the descent sees
+        # is finite, the weights end near 1e301 and the loss after them is not.
+        ds = generate_synthetic(9, 10, 4, 0.3, seed=0, name="scaled")
+        ds = Dataset(
+            ds.name,
+            *([LabeledSeries(s.id, tuple(100.0 * v for v in s.values), s.label) for s in part]
+              for part in (ds.train, ds.test)),
+            ds.num_classes, ds.length,
+        )
+        save_dataset(ds, str(tmp_path / "ds"))
+        out = str(tmp_path / "out")
+        config = _config_file(tmp_path, str(tmp_path / "ds" / "manifest.json"),
+                              classifier={"lr": 1e300, "iters": 1}, output_dir=out)
+        proc = self._cli_subprocess(["run", "--config", config])
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 3, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("numeric error: timestamp "), proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not os.path.exists(out)
+
+    # Damage to a results directory by case: the file, and None to delete it
+    # or an edit of the fields of its line 3. `report` must end with one data
+    # error line that names the file (and line).
+    BAD_RESULTS = {
+        "missing_records": ("records.csv", None),
+        "missing_timelines": ("timelines.json", None),
+        "non_integer_label": ("records.csv", lambda f: f[:4] + ["1.5"] + f[5:]),
+        "short_row": ("records.csv", lambda f: f[:-1]),
+        "long_row": ("records.csv", lambda f: f + ["0"]),
+        "unknown_dataset": ("records.csv", lambda f: ["ghost"] + f[1:]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_RESULTS))
+    def test_bad_results_report_one_line_data_error(self, tmp_path, tiny_run, case):
+        results = str(tmp_path / "results")
+        bench.write_reports(tiny_run[1], results)
+        name, edit = self.BAD_RESULTS[case]
+        path = os.path.join(results, name)
+        if edit is None:
+            os.remove(path)
+            named = path
+        else:
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            lines[2] = ",".join(edit(lines[2].split(",")))
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            named = f"{path}:3:"
+        out = str(tmp_path / "rebuilt")
+        self._assert_one_line_data_error(["report", "--results", results, "--out", out], named)
 
     def test_prepare_with_imbalance(self, tmp_path):
         rng = np.random.default_rng(3)

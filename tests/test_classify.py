@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ects_bench.classify import (
-    ChronologicalClassifierCollection,
     ClassifierHyper,
     default_timeline,
-    extract_prefix_features,
     fit_collection,
     fit_multinomial,
     fit_platt,
     logloss_and_grad,
     platt_apply,
+    prefix_features,
     softmax,
 )
+from ects_bench.core import LabeledSeries
 from ects_bench.data import generate_synthetic, stratified_split
-from ects_bench.errors import DataError
+from ects_bench.errors import DataError, NumericError
 
 
 class TestDefaultTimeline:
@@ -35,25 +38,48 @@ class TestDefaultTimeline:
             assert all(1 <= t <= T for t in tl.timestamps)
 
 
+def scalar_prefix_features(prefix):
+    """Reference: the features of one 1-D prefix, one numpy call per value."""
+    mean = prefix.mean()
+    if len(prefix) == 1:
+        slope = madiff = 0.0
+    else:
+        x = np.arange(len(prefix), dtype=float)
+        xc = x - x.mean()
+        slope = xc @ (prefix - mean) / (xc @ xc)
+        madiff = np.abs(np.diff(prefix)).mean()
+    return np.array([mean, prefix.std(), slope, prefix.min(), prefix.max(), prefix[-1], madiff])
+
+
 class TestPrefixFeatures:
     def test_constant_prefix(self):
-        feats = extract_prefix_features([1.0, 1.0, 1.0], 3)
+        feats = prefix_features(np.array([[1.0, 1.0, 1.0]]), 3)[0]
         np.testing.assert_allclose(feats, [1, 0, 0, 1, 1, 1, 0], atol=1e-12)
 
     def test_ramp_prefix(self):
-        feats = extract_prefix_features([0.0, 1.0, 2.0], 3)
+        feats = prefix_features(np.array([[0.0, 1.0, 2.0]]), 3)[0]
         np.testing.assert_allclose(
             feats, [1.0, np.sqrt(2.0 / 3.0), 1.0, 0.0, 2.0, 2.0, 1.0], atol=1e-9
         )
 
     def test_single_point_conventions(self):
-        feats = extract_prefix_features([5.0], 1)
+        feats = prefix_features(np.array([[5.0, 7.0]]), 1)[0]
         assert feats[2] == 0.0  # slope
         assert feats[6] == 0.0  # mean abs diff
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            extract_prefix_features([1.0, 2.0], 3)
+            prefix_features(np.array([[1.0, 2.0]]), 3)
+        with pytest.raises(ValueError):
+            prefix_features(np.array([[1.0, 2.0]]), 0)
+
+    def test_rows_equal_scalar_reference(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(scale=50.0, size=(40, 300))
+        for t in (1, 2, 3, 17, 128, 129, 300):
+            got = prefix_features(values, t)
+            want = np.stack([scalar_prefix_features(row[:t]) for row in values])
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGradient:
@@ -99,7 +125,8 @@ class TestFitMultinomial:
         labels = (X[:, 0] + 0.2 * rng.normal(size=40) > 0).astype(int)
         norms = []
         for l2 in (1e-4, 1e-2, 1.0):
-            w, _ = fit_multinomial(X, labels, 2, ClassifierHyper(l2=l2, iters=800, lr=0.2))
+            w, _, finite = fit_multinomial(X, labels, 2, ClassifierHyper(l2=l2, iters=800, lr=0.2))
+            assert finite
             norms.append(float(np.sum(w**2)))
         assert norms[0] >= norms[1] >= norms[2]
 
@@ -108,10 +135,34 @@ class TestFitMultinomial:
         X = rng.normal(size=(20, 3))
         labels = rng.integers(0, 2, size=20)
         labels[:2] = [0, 1]
-        w1, b1 = fit_multinomial(X, labels, 2, ClassifierHyper())
-        w2, b2 = fit_multinomial(X, labels, 2, ClassifierHyper())
+        w1, b1, _ = fit_multinomial(X, labels, 2, ClassifierHyper())
+        w2, b2, _ = fit_multinomial(X, labels, 2, ClassifierHyper())
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(b1, b2)
+
+    def test_stacked_fits_equal_single_fits(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(4, 30, 5))
+        labels = rng.integers(0, 3, size=30)
+        W, b, finite = fit_multinomial(X, labels, 3, ClassifierHyper(iters=50))
+        assert finite.tolist() == [True] * 4
+        for j in range(4):
+            w1, b1, _ = fit_multinomial(X[j], labels, 3, ClassifierHyper(iters=50))
+            np.testing.assert_array_equal(W[j], w1)
+            np.testing.assert_array_equal(b[j], b1)
+
+    def test_divergence_after_last_step_reported(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(2, 30, 4))
+        X[1] *= 1e3
+        labels = rng.integers(0, 3, size=30)
+        labels[:3] = [0, 1, 2]
+        # One huge step: every loss before it is finite, the weights after it
+        # are finite but absurd, and the final loss is not.
+        _, _, finite = fit_multinomial(X, labels, 3, ClassifierHyper(lr=1e300, iters=1))
+        assert finite.tolist() == [False, False]
+        _, _, finite = fit_multinomial(X, labels, 3, ClassifierHyper(lr=1e300, iters=0))
+        assert finite.tolist() == [True, True]
 
 
 class TestPlatt:
@@ -144,48 +195,52 @@ def fitted():
 class TestCollection:
     def test_noiseless_training_accuracy(self, fitted):
         ds, fit_part, _, timeline, coll = fitted
-        T = timeline.series_length
-        correct = sum(
-            int(np.argmax(coll.predict_proba(s.values, T))) == s.label for s in fit_part
-        )
-        assert correct == len(fit_part)
+        predicted = coll.prob_trace(fit_part)[:, -1].argmax(axis=1)
+        assert predicted.tolist() == [s.label for s in fit_part]
 
     def test_probabilities_sum_to_one(self, fitted):
         ds, _, _, timeline, coll = fitted
-        for s in ds.test[:3]:
-            for t in timeline.timestamps:
-                p = coll.predict_proba(s.values, t)
-                assert p.shape == (3,)
-                assert np.all(p >= 0.0)
-                assert abs(p.sum() - 1.0) < 1e-9
+        P = coll.prob_trace(ds.test[:3])
+        assert P.shape == (3, len(timeline), 3)
+        assert np.all(P >= 0.0)
+        assert np.all(np.abs(P.sum(axis=2) - 1.0) < 1e-9)
 
     def test_trace_shape_and_determinism(self, fitted):
         ds, _, _, timeline, coll = fitted
-        trace1 = coll.prob_trace(ds.test[0])
-        trace2 = coll.prob_trace(ds.test[0])
-        assert trace1.shape == (len(timeline), 3)
+        trace1 = coll.prob_trace(ds.test[:1])
+        trace2 = coll.prob_trace(ds.test[:1])
+        assert trace1.shape == (1, len(timeline), 3)
         np.testing.assert_array_equal(trace1, trace2)
 
-    def test_unknown_timestamp_rejected(self, fitted):
+    def test_wrong_length_series_rejected(self, fitted):
         ds, _, _, timeline, coll = fitted
-        bad = timeline.series_length + 1
-        with pytest.raises(ValueError):
-            coll.predict_proba(ds.test[0].values, bad)
+        short = LabeledSeries("short", ds.test[0].values[:-1], 0)
+        with pytest.raises(DataError, match="series length 14 != timeline length 15"):
+            coll.prob_trace([ds.test[0], short])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 1e3]))
+    def test_rows_independent_of_the_stack(self, fitted, n, seed, scale):
+        _, _, _, timeline, coll = fitted
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=scale, size=(n, timeline.series_length))
+        series = [LabeledSeries(f"s{i}", tuple(v), 0) for i, v in enumerate(values)]
+        P = coll.prob_trace(series)
+        for i in range(n):
+            np.testing.assert_array_equal(P[i], coll.prob_trace(series[i : i + 1])[0])
 
     def test_refit_identical(self, fitted):
         ds, fit_part, calib, timeline, coll = fitted
         again = fit_collection(fit_part, timeline, ClassifierHyper(), calib)
-        for t in timeline.timestamps:
-            np.testing.assert_array_equal(coll.models[t].weights, again.models[t].weights)
-            assert coll.models[t].platt == again.models[t].platt
+        np.testing.assert_array_equal(coll.weights, again.weights)
+        np.testing.assert_array_equal(coll.platt, again.platt)
 
     def test_standardization_uses_train_only(self, fitted):
         ds, fit_part, calib, timeline, coll = fitted
         # A perturbed test set cannot change the fitted model.
         again = fit_collection(fit_part, timeline, ClassifierHyper(), calib)
         _ = [s for s in ds.test]  # test set never enters fit_collection
-        for t in timeline.timestamps:
-            np.testing.assert_array_equal(coll.models[t].feature_mean, again.models[t].feature_mean)
+        np.testing.assert_array_equal(coll.feature_mean, again.feature_mean)
 
     def test_missing_class_error(self, fitted):
         ds, fit_part, calib, timeline, _ = fitted
@@ -193,19 +248,16 @@ class TestCollection:
         with pytest.raises(DataError, match=r"classes \[2\]"):
             fit_collection(only_two, timeline, ClassifierHyper(), calib)
 
-    def test_json_round_trip(self, fitted):
-        ds, _, _, timeline, coll = fitted
-        restored = ChronologicalClassifierCollection.from_json(coll.to_json())
-        for s in ds.test[:2]:
-            np.testing.assert_allclose(
-                coll.prob_trace(s), restored.prob_trace(s), atol=1e-15
-            )
-
     def test_uncalibrated_zero_iters_uniform(self, fitted):
         ds, fit_part, calib, timeline, _ = fitted
         coll = fit_collection(fit_part, timeline, ClassifierHyper(iters=0), calib)
-        p = coll.predict_proba(ds.test[0].values, timeline.series_length, calibrated=False)
-        np.testing.assert_allclose(p, np.full(3, 1.0 / 3.0), atol=1e-12)
+        P = coll.prob_trace(ds.test[:1], calibrated=False)
+        np.testing.assert_allclose(P[0], np.full((len(timeline), 3), 1.0 / 3.0), atol=1e-12)
+
+    def test_divergence_names_the_earliest_timestamp(self, fitted):
+        ds, fit_part, calib, timeline, _ = fitted
+        with pytest.raises(NumericError, match=f"timestamp {timeline.timestamps[0]}: "):
+            fit_collection(fit_part, timeline, ClassifierHyper(lr=1e300, iters=1), calib)
 
 
 def test_softmax_shift_invariant():

@@ -12,7 +12,6 @@ from ects_bench.core import (
     loss,
     misclassification_cost,
     standard_cost_model,
-    weighted_loss,
 )
 
 
@@ -70,22 +69,6 @@ def test_loss_examples():
     assert loss(anomaly, 0, 1, 100, 100) == pytest.approx(200.0)
 
 
-def test_weighted_loss_examples():
-    assert weighted_loss(standard_cost_model(2, 0.0), 0, 1, 50, 100) == pytest.approx(0.5)
-    assert weighted_loss(standard_cost_model(2, 1.0), 0, 1, 50, 100) == pytest.approx(1.0)
-    assert weighted_loss(standard_cost_model(2, 0.5), 0, 1, 100, 100) == pytest.approx(1.0)
-
-
-def test_weighted_loss_bounded_standard():
-    for alpha in (0.0, 0.3, 0.7, 1.0):
-        model = standard_cost_model(3, alpha)
-        for predicted in range(3):
-            for true in range(3):
-                for t in (1, 25, 50, 100):
-                    value = weighted_loss(model, predicted, true, t, 100)
-                    assert 0.0 <= value <= 1.0
-
-
 @pytest.mark.parametrize("curve_model", [standard_cost_model(2, 0.5), anomaly_cost_model(0.5)])
 def test_delay_cost_non_decreasing(curve_model):
     values = [delay_cost(curve_model, t, 50) for t in range(1, 51)]
@@ -96,9 +79,10 @@ def test_loss_equals_scaled_weighted_loss_at_half():
     model = standard_cost_model(2, 0.5)
     for predicted, true in ((0, 0), (0, 1)):
         for t in (1, 10, 20):
-            assert loss(model, predicted, true, t, 20) == pytest.approx(
-                2.0 * weighted_loss(model, predicted, true, t, 20), abs=1e-12
+            weighted = 0.5 * misclassification_cost(model, predicted, true) + 0.5 * delay_cost(
+                model, t, 20
             )
+            assert loss(model, predicted, true, t, 20) == pytest.approx(2.0 * weighted, abs=1e-12)
 
 
 def test_exponential_endpoint_ratio():

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from ects_bench.core import (
     EvalRecord,
     SampledTimeline,
+    anomaly_cost_model,
+    delay_cost,
+    misclassification_cost,
     standard_cost_model,
-    weighted_loss,
 )
 from ects_bench.metrics import (
     accuracy,
@@ -87,12 +89,34 @@ class TestAverages:
         assert earliness(records, 20) == 0.5
 
 
+def weighted_price(cost, predicted, true, t, length):
+    a = cost.alpha
+    return a * misclassification_cost(cost, predicted, true) + (1.0 - a) * delay_cost(cost, t, length)
+
+
+def brute_force_oracle(trace, true, cost, timeline):
+    """Reference: one series' scan, a Python price per timestamp; a later
+    timestamp must win by more than 1e-15."""
+    best_t, best_loss = None, None
+    for i, t in enumerate(timeline.timestamps):
+        value = weighted_price(cost, int(np.argmax(trace[i])), true, t, timeline.series_length)
+        if best_loss is None or value < best_loss - 1e-15:
+            best_t, best_loss = t, value
+    return best_t, best_loss
+
+
+def one_oracle(trace, true, cost, timeline):
+    """optimal_time on a stack of one series."""
+    times, losses = optimal_time(trace[None], (true,), cost, timeline)
+    return int(times[0]), float(losses[0])
+
+
 class TestOptimalTime:
     def test_always_correct_earliest(self):
         timeline = SampledTimeline(tuple(range(1, 11)), 10)
         trace = np.tile([0.9, 0.1], (10, 1))
         cost = standard_cost_model(2, 0.5)
-        t_star, loss = optimal_time(trace, 0, cost, timeline)
+        t_star, loss = one_oracle(trace, 0, cost, timeline)
         assert t_star == 1
         assert loss == pytest.approx(0.05)
 
@@ -100,7 +124,7 @@ class TestOptimalTime:
         timeline = SampledTimeline(tuple(range(1, 11)), 10)
         trace = np.array([[0.2, 0.8]] * 5 + [[0.8, 0.2]] * 5)
         cost = standard_cost_model(2, 0.5)
-        t_star, loss = optimal_time(trace, 0, cost, timeline)
+        t_star, loss = one_oracle(trace, 0, cost, timeline)
         assert t_star == 6
         assert loss == pytest.approx(0.3)
 
@@ -108,7 +132,7 @@ class TestOptimalTime:
         timeline = SampledTimeline(tuple(range(1, 11)), 10)
         trace = np.tile([0.1, 0.9], (10, 1))
         cost = standard_cost_model(2, 0.5)
-        t_star, _ = optimal_time(trace, 0, cost, timeline)
+        t_star, _ = one_oracle(trace, 0, cost, timeline)
         assert t_star == 1
 
     def test_matches_exhaustive_enumeration(self):
@@ -124,14 +148,42 @@ class TestOptimalTime:
             true = int(rng.integers(0, K))
             alpha = float(rng.random())
             cost = standard_cost_model(K, alpha)
-            t_star, loss = optimal_time(trace, true, cost, timeline)
+            t_star, loss = one_oracle(trace, true, cost, timeline)
             losses = [
-                weighted_loss(cost, int(np.argmax(trace[i])), true, t, T)
+                weighted_price(cost, int(np.argmax(trace[i])), true, t, T)
                 for i, t in enumerate(timeline.timestamps)
             ]
             best = min(losses)
             assert loss == pytest.approx(best, abs=1e-12)
             assert t_star == timeline.timestamps[int(np.argmin(losses))]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        L=st.integers(1, 12),
+        extra=st.integers(0, 30),
+        anomaly=st.booleans(),
+        K=st.integers(2, 4),
+        alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_series_scan(self, n, L, extra, anomaly, K, alpha, seed):
+        rng = np.random.default_rng(seed)
+        T = L + extra
+        ts = sorted(rng.choice(np.arange(1, T), size=L - 1, replace=False).tolist()) + [T]
+        timeline = SampledTimeline(tuple(ts), T)
+        if anomaly:
+            K, cost = 2, anomaly_cost_model(alpha)
+        else:
+            cost = standard_cost_model(K, alpha)
+        # Few distinct values: argmax ties within a vector, price ties across time.
+        traces = rng.integers(0, 3, size=(n, L, K)).astype(float) + 1.0
+        traces /= traces.sum(axis=2, keepdims=True)
+        labels = tuple(int(v) for v in rng.integers(0, K, size=n))
+        times, losses = optimal_time(traces, labels, cost, timeline)
+        assert times.shape == losses.shape == (n,)
+        for i in range(n):
+            assert (times[i], losses[i]) == brute_force_oracle(traces[i], labels[i], cost, timeline)
 
 
 class TestRegret:

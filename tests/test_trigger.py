@@ -419,6 +419,21 @@ class TestCalimera:
         # forced at last index regardless of prediction
         assert waiting.decide(train.traces[0], len(train.timeline) - 1) is True
 
+    def test_kernel_blocks_shared_only_by_fits_of_one_state(self):
+        train = random_train_set(seed=23, n=15, L=4)
+        test = random_train_set(seed=24, n=9, L=4)
+        P = test.prob_array
+        models = [
+            fit_calimera(train, standard_cost_model(2, alpha), ridge=ridge)
+            for ridge in (1e-2, 1.0) for alpha in (0.2, 0.8)
+        ]
+        shared = trigger_stats(P)
+        for model in models + models[::-1]:
+            for m in (model, make_myopic(model)):
+                np.testing.assert_array_equal(
+                    m.predicted_deltas(shared), m.predicted_deltas(trigger_stats(P))
+                )
+
     def test_fit_deterministic(self):
         train = random_train_set(seed=19, n=15, L=4)
         cost = standard_cost_model(2, 0.5)
