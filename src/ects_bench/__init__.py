@@ -6,12 +6,11 @@ from .core import (
     CostModel,
     Decision,
     DelayCurve,
-    EvalRecord,
     LabeledSeries,
+    RecordTable,
     SampledTimeline,
     anomaly_cost_model,
     delay_cost,
-    loss,
     misclassification_cost,
     standard_cost_model,
 )
@@ -20,12 +19,11 @@ __all__ = [
     "CostModel",
     "Decision",
     "DelayCurve",
-    "EvalRecord",
     "LabeledSeries",
+    "RecordTable",
     "SampledTimeline",
     "anomaly_cost_model",
     "delay_cost",
-    "loss",
     "misclassification_cost",
     "standard_cost_model",
 ]

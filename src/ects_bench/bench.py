@@ -17,21 +17,23 @@ dataset, method, alpha) so results do not depend on scheduling order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import classify, metrics, stats, trigger
 from .core import (
+    COLUMN_DTYPE,
+    RECORD_FIELDS,
+    RECORD_TYPES,
     CostModel,
-    EvalRecord,
+    RecordTable,
     SampledTimeline,
     anomaly_cost_model,
-    delay_cost,
-    misclassification_cost,
     standard_cost_model,
 )
 from .data import Dataset, SplitSpec, dataset_from_manifest, load_manifest, stratified_split
@@ -137,10 +139,10 @@ def parse_config(path: str) -> BenchConfig:
 
 @dataclass
 class ReportBundle:
-    records: List[EvalRecord] = field(default_factory=list)
-    summaries: List[metrics.RunSummary] = field(default_factory=list)
+    records: RecordTable  # sorted by (dataset, method, alpha, series_id)
+    summaries: List[metrics.RunSummary]
+    timelines: Dict[str, SampledTimeline]
     skipped: List[Tuple[str, str]] = field(default_factory=list)  # (dataset, reason)
-    timelines: Dict[str, SampledTimeline] = field(default_factory=dict)
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -189,10 +191,16 @@ def _fit_trigger(
     raise ConfigError(f"unknown method {method!r}")
 
 
-def run_dataset(
-    dataset: Dataset, config: BenchConfig
-) -> Tuple[List[EvalRecord], SampledTimeline]:
-    """All records for one dataset across methods and alphas."""
+def run_dataset(dataset: Dataset, config: BenchConfig) -> Tuple[RecordTable, SampledTimeline]:
+    """All records for one dataset across methods and alphas. The blocks are
+    joined once the fit state behind them is freed."""
+    blocks, timeline = _record_blocks(dataset, config)
+    return RecordTable.concat(blocks), timeline
+
+
+def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTable], SampledTimeline]:
+    """One block of records per (alpha, method), priced from the first halt
+    of each test series."""
     split_seed = derive_seed(config.seed, dataset.name, "split")
     clf_part, trig_part = stratified_split(
         dataset.train, config.split.classifier_fraction, split_seed
@@ -211,11 +219,12 @@ def run_dataset(
     test_labels = tuple(s.label for s in dataset.test)
     test_stats = trigger.trigger_stats(test_traces)
 
-    records: List[EvalRecord] = []
+    labels, rows = np.array(test_labels), np.arange(len(test_labels))
+    series_ids = [s.id for s in dataset.test]
+    blocks: List[RecordTable] = []
     for alpha in config.alpha_grid:
         cost = cost_model_for(config.cost_setting, dataset.num_classes, alpha)
-        oracle_times, oracle_costs = metrics.optimal_time(test_traces, test_labels, cost, timeline)
-        oracle = list(zip(oracle_times.tolist(), oracle_costs.tolist()))
+        oracle = metrics.optimal_time(test_traces, test_labels, cost, timeline)
         fitted: Dict[str, trigger.TriggerModel] = {}  # this alpha's fits, shared with *_myopic
         for method in config.methods:
             base = method.removesuffix("_myopic")
@@ -223,47 +232,29 @@ def run_dataset(
                 fitted[base] = _fit_trigger(base, train_set, cost)
             model = fitted[base] if base == method else trigger.make_myopic(fitted[base])
             first = model.halts(test_stats).argmax(axis=1)
-            for series, pred, j, (t_star, oracle_cost) in zip(dataset.test, test_stats.pred, first, oracle):
-                predicted_label, trigger_time = int(pred[j]), timeline.timestamps[j]
-                c_m = misclassification_cost(cost, predicted_label, series.label)
-                c_d = delay_cost(cost, trigger_time, dataset.length)
-                w = alpha * c_m + (1.0 - alpha) * c_d
-                records.append(
-                    EvalRecord(
-                        dataset=dataset.name,
-                        method=method,
-                        alpha=alpha,
-                        series_id=series.id,
-                        true_label=series.label,
-                        predicted_label=predicted_label,
-                        trigger_time=trigger_time,
-                        weighted_cost=w,
-                        misclassification_cost=c_m,
-                        delay_cost=c_d,
-                        oracle_time=t_star,
-                        oracle_cost=oracle_cost,
-                        regret=w - oracle_cost,
-                    )
-                )
-    return records, timeline
+            blocks.append(metrics.price_records(
+                dataset.name, method, series_ids, labels, test_stats.pred[rows, first], first,
+                oracle, cost, timeline,
+            ))
+    return blocks, timeline
 
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:
     """Run every dataset in turn. A DataError while running a loaded dataset
     skips it with its reason recorded; a NumericError aborts the run."""
-    records: List[EvalRecord] = []
+    tables: List[RecordTable] = []
     timelines: Dict[str, SampledTimeline] = {}
     skipped: List[Tuple[str, str]] = []
     for position, entry in enumerate(config.datasets):
         dataset = _load_config_dataset(entry, position)
         try:
-            dataset_records, timeline = run_dataset(dataset, config)
+            table, timeline = run_dataset(dataset, config)
         except DataError as exc:
             skipped.append((dataset.name, str(exc)))
             continue
-        records.extend(dataset_records)
+        tables.append(table)
         timelines[dataset.name] = timeline
-    bundle = bundle_from_records(records, timelines)
+    bundle = bundle_from_records(RecordTable.concat(tables), timelines)
     bundle.skipped = skipped
     return bundle
 
@@ -286,46 +277,72 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-RECORD_FIELDS = (
-    "dataset", "method", "alpha", "series_id", "true_label", "predicted_label",
-    "trigger_time", "weighted_cost", "misclassification_cost", "delay_cost",
-    "oracle_time", "oracle_cost", "regret",
-)
+PARSE_BLOCK_LINES = 4096
 
 
-def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> List[EvalRecord]:
-    """The records write_reports wrote. A row whose field count or field
-    types are wrong, or whose dataset has no timeline, is a DataError naming
-    its path:line."""
-    records = []
-    lineno = 1
+def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> RecordTable:
+    """Records lines (each ending in a newline) as a table that keeps each
+    line as its row text. A bad line is a ValueError; given that line alone,
+    the message says what is wrong with it."""
+    width = len(RECORD_FIELDS)
+    tokens = ",".join(lines).split(",")  # a line's last field keeps its newline
+    # Each line holds one newline, at its end: every line has `width` fields
+    # iff there are width * len(lines) tokens and every width-th ends a line.
+    if len(tokens) != width * len(lines) or "".join(tokens[width - 1::width]).count("\n") != len(lines):
+        raise ValueError(f"expected {width} fields, got {len(tokens)}")
+    datasets = set(tokens[0::width])
+    if not datasets <= timelines.keys():
+        raise ValueError(f"dataset {min(datasets - timelines.keys())!r} has no timeline")
+    columns = {}
+    for k, (name, kind) in enumerate(zip(RECORD_FIELDS, RECORD_TYPES)):
+        column = tokens[k::width]
+        # Each distinct token is converted once, and a str column shares one
+        # object per distinct value.
+        try:
+            value = {token: kind(token) for token in set(column)}
+            columns[name] = np.array(list(map(value.__getitem__, column)), dtype=COLUMN_DTYPE[kind])
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    for dataset in datasets:
+        rows = columns["dataset"] == dataset
+        for name in ("trigger_time", "oracle_time"):
+            times = columns[name][rows]
+            off = ~np.isin(times, timelines[dataset].timestamps)
+            if off.any():
+                raise ValueError(f"{name} {times[off][0]} is not on the timeline of dataset {dataset!r}")
+    return RecordTable(**columns, text=np.array(lines, dtype=object))
+
+
+def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> RecordTable:
+    """The records write_reports wrote, each line kept as its row's text and
+    parsed in blocks of PARSE_BLOCK_LINES. A row whose field count or field
+    types are wrong, whose dataset has no timeline, or whose trigger or oracle
+    time is not on that timeline is a DataError naming its path:line."""
+    blocks: List[RecordTable] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != RECORD_FIELDS:
+            if tuple(fh.readline().strip().split(",")) != RECORD_FIELDS:
                 raise DataError(f"{path}:1: unexpected records header")
-            for lineno, line in enumerate(fh, start=2):
-                f = line.rstrip("\n").split(",")
-                if len(f) != len(RECORD_FIELDS):
-                    raise DataError(f"{path}:{lineno}: expected {len(RECORD_FIELDS)} fields, got {len(f)}")
-                if f[0] not in timelines:
-                    raise DataError(f"{path}:{lineno}: dataset {f[0]!r} has no timeline")
-                records.append(
-                    EvalRecord(
-                        dataset=f[0], method=f[1], alpha=float(f[2]), series_id=f[3],
-                        true_label=int(f[4]), predicted_label=int(f[5]), trigger_time=int(f[6]),
-                        weighted_cost=float(f[7]), misclassification_cost=float(f[8]),
-                        delay_cost=float(f[9]), oracle_time=int(f[10]), oracle_cost=float(f[11]),
-                        regret=float(f[12]),
-                    )
-                )
+            for start in itertools.count(2, PARSE_BLOCK_LINES):
+                lines = list(itertools.islice(fh, PARSE_BLOCK_LINES))
+                if not lines:
+                    break
+                if not lines[-1].endswith("\n"):
+                    lines[-1] += "\n"
+                try:
+                    blocks.append(_parse_block(lines, timelines))
+                except ValueError:  # name the first bad line
+                    for lineno, line in enumerate(lines, start=start):
+                        try:
+                            _parse_block([line], timelines)
+                        except ValueError as exc:
+                            raise DataError(f"{path}:{lineno}: {exc}") from None
+                    raise
     except OSError as exc:
         raise DataError(f"cannot read records file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
-    except ValueError as exc:  # a field of the wrong type
-        raise DataError(f"{path}:{lineno}: {exc}") from None
-    return records
+    return RecordTable.concat(blocks)
 
 
 def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods: Sequence[str]) -> str:
@@ -390,16 +407,9 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
     written.append(timelines_path)
 
     records_path = os.path.join(out_dir, "records.csv")
-    _write_csv(
-        records_path,
-        RECORD_FIELDS,
-        [
-            (r.dataset, r.method, r.alpha, r.series_id, r.true_label, r.predicted_label,
-             r.trigger_time, r.weighted_cost, r.misclassification_cost, r.delay_cost,
-             r.oracle_time, r.oracle_cost, r.regret)
-            for r in bundle.records
-        ],
-    )
+    with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(RECORD_FIELDS) + "\n")
+        fh.writelines(bundle.records.text)
     written.append(records_path)
 
     summaries_path = os.path.join(out_dir, "summaries.csv")
@@ -512,13 +522,27 @@ def load_timelines_json(path: str) -> Dict[str, SampledTimeline]:
         raise DataError(f"{path}: malformed timelines: {exc!r}") from None
 
 
-def bundle_from_records(records: List[EvalRecord], timelines: Dict[str, SampledTimeline]) -> ReportBundle:
-    """Rebuild a full bundle (summaries included) from raw records."""
-    bundle = ReportBundle(records=sorted(records, key=lambda r: (r.dataset, r.method, r.alpha, r.series_id)))
-    bundle.timelines = timelines
-    grouped: Dict[Tuple[str, str, float], List[EvalRecord]] = {}
-    for r in bundle.records:
-        grouped.setdefault((r.dataset, r.method, r.alpha), []).append(r)
-    for key in sorted(grouped):
-        bundle.summaries.append(metrics.summarize(grouped[key], timelines[key[0]]))
-    return bundle
+def _str_order(column: np.ndarray) -> np.ndarray:
+    """Each entry's rank among the column's distinct strings in Python's str
+    order (numpy's fixed-width strings would drop trailing NULs)."""
+    values = column.tolist()
+    rank = {v: i for i, v in enumerate(sorted(set(values)))}
+    return np.fromiter(map(rank.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeline]) -> ReportBundle:
+    """Rebuild a full bundle from raw records: the rows sorted stably by
+    (dataset, method, alpha, series_id), and one summary per (dataset,
+    method, alpha) group, each over its contiguous slice."""
+    dataset, method = _str_order(records.dataset), _str_order(records.method)
+    order = np.lexsort((_str_order(records.series_id), records.alpha, method, dataset))
+    table = records.take(order)
+    dataset, method, alpha = dataset[order], method[order], table.alpha
+    new_group = np.ones(len(table), dtype=bool)
+    new_group[1:] = (dataset[1:] != dataset[:-1]) | (method[1:] != method[:-1]) | (alpha[1:] != alpha[:-1])
+    bounds = np.flatnonzero(new_group).tolist() + [len(table)]
+    summaries = [
+        metrics.summarize(table.take(slice(lo, hi)), timelines[table.dataset[lo]])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return ReportBundle(table, summaries, timelines)

@@ -115,23 +115,64 @@ class Decision:
     trigger_time: int
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One priced decision: the atom of every report."""
+RECORD_FIELDS = (
+    "dataset", "method", "alpha", "series_id", "true_label", "predicted_label",
+    "trigger_time", "weighted_cost", "misclassification_cost", "delay_cost",
+    "oracle_time", "oracle_cost", "regret",
+)
+RECORD_TYPES = (str, str, float, str, int, int, int, float, float, float, int, float, float)
+COLUMN_DTYPE = {str: object, int: np.int64, float: np.float64}
 
-    dataset: str
-    method: str
-    alpha: float
-    series_id: str
-    true_label: int
-    predicted_label: int
-    trigger_time: int
-    weighted_cost: float
-    misclassification_cost: float
-    delay_cost: float
-    oracle_time: int
-    oracle_cost: float
-    regret: float
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Priced decisions, one row per (dataset, method, alpha, series): the
+    atom of every report. Each field is a numpy column (str fields are object
+    columns); ``text`` holds each row's records.csv line, newline included,
+    and is what the records writer joins."""
+
+    dataset: np.ndarray
+    method: np.ndarray
+    alpha: np.ndarray
+    series_id: np.ndarray
+    true_label: np.ndarray
+    predicted_label: np.ndarray
+    trigger_time: np.ndarray
+    weighted_cost: np.ndarray
+    misclassification_cost: np.ndarray
+    delay_cost: np.ndarray
+    oracle_time: np.ndarray
+    oracle_cost: np.ndarray
+    regret: np.ndarray
+    text: np.ndarray
+
+    @classmethod
+    def from_columns(cls, **columns) -> "RecordTable":
+        """A table from one sequence per field; the row text is formatted a
+        column at a time, repr for floats and str otherwise."""
+        cols = {
+            name: np.asarray(columns[name], dtype=COLUMN_DTYPE[kind])
+            for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)
+        }
+        fields = [map(repr if kind is float else str, cols[name].tolist())
+                  for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)]
+        text = [",".join(row) + "\n" for row in zip(*fields)]
+        return cls(**cols, text=np.array(text, dtype=object))
+
+    @classmethod
+    def concat(cls, tables: Sequence["RecordTable"]) -> "RecordTable":
+        """The tables' rows in order, in one table."""
+        if len(tables) < 2:
+            return tables[0] if tables else cls.from_columns(**{name: () for name in RECORD_FIELDS})
+        return cls(**{name: np.concatenate([getattr(t, name) for t in tables])
+                      for name in RECORD_FIELDS + ("text",)})
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def take(self, index) -> "RecordTable":
+        """The rows at index (a slice gives views) in a new table."""
+        return RecordTable(**{name: getattr(self, name)[index] for name in RECORD_FIELDS + ("text",)})
 
 
 def delay_cost(model: CostModel, t: int, length: int) -> float:
@@ -154,11 +195,6 @@ def misclassification_cost(model: CostModel, predicted: int, true: int) -> float
     if not (0 <= predicted < k and 0 <= true < k):
         raise ValueError(f"label out of range for K={k}: predicted={predicted} true={true}")
     return model.mis_matrix[predicted][true]
-
-
-def loss(model: CostModel, predicted: int, true: int, t: int, length: int) -> float:
-    """Unweighted loss: misclassification plus delay."""
-    return misclassification_cost(model, predicted, true) + delay_cost(model, t, length)
 
 
 def standard_cost_model(num_classes: int, alpha: float) -> CostModel:

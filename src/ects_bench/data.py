@@ -279,17 +279,6 @@ def make_imbalanced(
     return Dataset(dataset.name, tuple(train), tuple(test), 2, dataset.length)
 
 
-def discretize_regression_target(values: Sequence[float], quantile: float) -> List[int]:
-    """Binary labels from a numeric target: 1 iff value > interpolated quantile."""
-    if not 0.0 < quantile < 1.0:
-        raise DataError("quantile must be in (0, 1)")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or np.ptp(arr) == 0.0:
-        raise DataError("degenerate target: all values equal")
-    threshold = float(np.quantile(arr, quantile))
-    return [1 if v > threshold else 0 for v in arr]
-
-
 def generate_synthetic(
     length: int,
     per_class_train: int,

@@ -1,5 +1,6 @@
-"""Corpus-level decision pricing: average costs, accuracy/earliness, the
-optimal-stopping oracle, regret, and Pareto-front extraction."""
+"""Corpus-level decision pricing: per-group summaries (average cost,
+accuracy, earliness, regret), the optimal-stopping oracle, and Pareto-front
+extraction."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, EvalRecord, SampledTimeline, delay_costs
+from .core import CostModel, RecordTable, SampledTimeline, delay_costs
 
 
 @dataclass(frozen=True)
@@ -21,36 +22,6 @@ class RunSummary:
     earliness: float
     mean_regret: float
     mean_trigger_index: float
-
-
-def _require_nonempty(records: Sequence[EvalRecord]) -> None:
-    if not records:
-        raise ValueError("empty record list")
-
-
-def avg_cost(records: Sequence[EvalRecord]) -> float:
-    """Mean unweighted per-record cost C_m + C_d."""
-    _require_nonempty(records)
-    return float(np.mean([r.misclassification_cost + r.delay_cost for r in records]))
-
-
-def avg_cost_alpha(records: Sequence[EvalRecord], alpha: float) -> float:
-    """Mean of alpha * C_m + (1 - alpha) * C_d."""
-    _require_nonempty(records)
-    return float(
-        np.mean([alpha * r.misclassification_cost + (1.0 - alpha) * r.delay_cost for r in records])
-    )
-
-
-def accuracy(records: Sequence[EvalRecord]) -> float:
-    _require_nonempty(records)
-    return float(np.mean([r.predicted_label == r.true_label for r in records]))
-
-
-def earliness(records: Sequence[EvalRecord], series_length: int) -> float:
-    """Mean normalized trigger time, denominator the true series length."""
-    _require_nonempty(records)
-    return float(np.mean([r.trigger_time for r in records])) / series_length
 
 
 def optimal_time(
@@ -72,10 +43,32 @@ def optimal_time(
     return np.asarray(timeline.timestamps)[best_index], best
 
 
-def regret(record: EvalRecord) -> float:
-    """Realized weighted loss minus the oracle loss; nonnegative by the
-    argmin definition of the oracle."""
-    return record.weighted_cost - record.oracle_cost
+def price_records(
+    dataset: str,
+    method: str,
+    series_ids: Sequence[str],
+    true: np.ndarray,
+    predicted: np.ndarray,
+    index: np.ndarray,
+    oracle: Tuple[np.ndarray, np.ndarray],
+    cost: CostModel,
+    timeline: SampledTimeline,
+) -> RecordTable:
+    """One (dataset, method, alpha) block of records: each series' decision
+    (predicted label at timeline index) priced elementwise as
+    alpha * C_m + (1 - alpha) * C_d, its regret against the oracle's
+    (times, losses)."""
+    n, a = len(series_ids), cost.alpha
+    c_m = np.asarray(cost.mis_matrix)[predicted, true]
+    c_d = delay_costs(cost, timeline)[index]
+    w = a * c_m + (1.0 - a) * c_d
+    oracle_times, oracle_costs = oracle
+    return RecordTable.from_columns(
+        dataset=[dataset] * n, method=[method] * n, alpha=np.full(n, a), series_id=series_ids,
+        true_label=true, predicted_label=predicted, trigger_time=np.asarray(timeline.timestamps)[index],
+        weighted_cost=w, misclassification_cost=c_m, delay_cost=c_d, oracle_time=oracle_times,
+        oracle_cost=oracle_costs, regret=w - oracle_costs,
+    )
 
 
 def pareto_front(points: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -96,17 +89,19 @@ def pareto_front(points: Sequence[Tuple[float, float]]) -> List[Tuple[float, flo
     return out
 
 
-def summarize(records: Sequence[EvalRecord], timeline: SampledTimeline) -> RunSummary:
-    """Summary of a single (dataset, method, alpha) record group."""
-    _require_nonempty(records)
-    first = records[0]
+def summarize(records: RecordTable, timeline: SampledTimeline) -> RunSummary:
+    """Summary of one (dataset, method, alpha) group, a table whose trigger
+    times lie on the timeline. Each mean is np.mean over a column of the
+    group, so contiguous columns give the same pairwise sums as a list."""
+    if not len(records):
+        raise ValueError("empty record table")
     return RunSummary(
-        dataset=first.dataset,
-        method=first.method,
-        alpha=first.alpha,
-        avg_cost=float(np.mean([r.weighted_cost for r in records])),
-        accuracy=accuracy(records),
-        earliness=earliness(records, timeline.series_length),
-        mean_regret=float(np.mean([r.regret for r in records])),
-        mean_trigger_index=float(np.mean([timeline.index_of(r.trigger_time) for r in records])),
+        dataset=records.dataset[0],
+        method=records.method[0],
+        alpha=float(records.alpha[0]),
+        avg_cost=float(np.mean(records.weighted_cost)),
+        accuracy=float(np.mean(records.predicted_label == records.true_label)),
+        earliness=float(np.mean(records.trigger_time)) / timeline.series_length,
+        mean_regret=float(np.mean(records.regret)),
+        mean_trigger_index=float(np.mean(np.searchsorted(timeline.timestamps, records.trigger_time))),
     )

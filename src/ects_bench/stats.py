@@ -1,6 +1,6 @@
-"""Statistical comparison layer: mean ranks, bootstrap confidence intervals,
-the exact two-sided Wilcoxon signed-rank test with Holm correction, and
-pairwise win/tie/loss comparisons."""
+"""Statistical comparison layer: per-dataset ranks, bootstrap confidence
+intervals, the exact two-sided Wilcoxon signed-rank test with Holm
+correction, and pairwise win/tie/loss comparisons."""
 
 from __future__ import annotations
 
@@ -25,28 +25,15 @@ def _rank_ascending(values: Sequence[float]) -> List[float]:
     return ranks
 
 
-def mean_ranks(costs: Dict[str, Dict[str, float]], methods: Sequence[str]) -> Dict[str, float]:
-    """Per-method mean rank across datasets; costs[dataset][method], lower is
-    better (rank 1)."""
-    out = {m: 0.0 for m in methods}
-    n = len(costs)
-    if n == 0:
-        raise ValueError("no datasets")
-    for dataset, row in costs.items():
-        missing = [m for m in methods if m not in row]
-        if missing:
-            raise ValueError(f"missing cost for {missing[0]!r} on dataset {dataset!r}")
-        ranks = _rank_ascending([row[m] for m in methods])
-        for m, r in zip(methods, ranks):
-            out[m] += r / n
-    return out
-
-
 def per_dataset_ranks(costs: Dict[str, Dict[str, float]], methods: Sequence[str]) -> Dict[str, List[float]]:
-    """Rank vectors per method across datasets, for bootstrap CIs on the mean."""
+    """Rank vectors per method across datasets in dataset order;
+    costs[dataset][method], lower is better (rank 1)."""
     out: Dict[str, List[float]] = {m: [] for m in methods}
     for dataset in sorted(costs):
         row = costs[dataset]
+        missing = [m for m in methods if m not in row]
+        if missing:
+            raise ValueError(f"missing cost for {missing[0]!r} on dataset {dataset!r}")
         ranks = _rank_ascending([row[m] for m in methods])
         for m, r in zip(methods, ranks):
             out[m].append(r)
@@ -65,8 +52,7 @@ def bootstrap_mean_ci(
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(arr), size=(resamples, len(arr)))
     means = arr[idx].mean(axis=1)
-    lo = float(np.quantile(means, (1.0 - level) / 2.0))
-    hi = float(np.quantile(means, (1.0 + level) / 2.0))
+    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
     return lo, hi
 
 

@@ -228,8 +228,8 @@ def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
     c_m, c_d = outcomes
     weighted = alpha * c_m + (1.0 - alpha) * c_d
     best, best_cost = None, math.inf
-    for idx, row in enumerate(weighted):
-        c = float(np.mean(row))
+    # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
+    for idx, c in enumerate(weighted.mean(axis=1).tolist()):
         if c < best_cost - 1e-15:
             best, best_cost = idx, c
     return best

@@ -122,7 +122,7 @@ def test_criterion_02_trigger_equivalences():
 
 def test_criterion_03_oracle_soundness(synth_run):
     _, bundle, _ = synth_run
-    min_regret = min(r.regret for r in bundle.records)
+    min_regret = float(bundle.records.regret.min())
     regret_ok = min_regret >= -1e-12
 
     rng = np.random.default_rng(1)
@@ -255,14 +255,12 @@ def test_criterion_07_cost_informed_triggers_beat_baselines(synth_run):
     zero = _mean_costs_by_method(bundle, 0.0)
     asap_unbeaten = all(zero["asap"] <= zero[m] + 1e-12 for m in CORE_METHODS)
 
-    mis_terms = defaultdict(lambda: defaultdict(list))
-    for r in bundle.records:
-        if r.alpha == 1.0 and r.method in CORE_METHODS:
-            mis_terms[r.method][r.dataset].append(r.misclassification_cost)
-    mean_mis = {
-        m: float(np.mean([np.mean(v) for v in per_ds.values()]))
-        for m, per_ds in mis_terms.items()
-    }
+    r = bundle.records
+    mean_mis = {}  # per method, in the records' (sorted) order
+    for m in sorted(CORE_METHODS):
+        rows = (r.alpha == 1.0) & (r.method == m)
+        mean_mis[m] = float(np.mean([np.mean(r.misclassification_cost[rows & (r.dataset == d)])
+                                     for d in sorted(set(r.dataset[rows].tolist()))]))
     best_method = min(mean_mis, key=mean_mis.get)
     best = mean_mis[best_method]
     alap_gap = mean_mis["alap"] - best

@@ -3,14 +3,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ects_bench import bench, cli, metrics, trigger
-from ects_bench.core import DelayCurve, LabeledSeries
+from ects_bench.core import RECORD_FIELDS, DelayCurve, LabeledSeries
 from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
-from ects_bench.errors import ConfigError
+from ects_bench.errors import ConfigError, DataError
+
+
+def assert_same_table(a, b):
+    for name in RECORD_FIELDS + ("text",):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 @pytest.fixture(scope="module")
@@ -101,26 +109,24 @@ class TestRunBenchmark:
     def test_asap_and_alap_times(self, tiny_run):
         config, bundle = tiny_run
         timeline = bundle.timelines["tiny"]
-        for r in bundle.records:
-            if r.method == "asap":
-                assert r.trigger_time == timeline.timestamps[0]
-            if r.method == "alap":
-                assert r.trigger_time == timeline.timestamps[-1]
+        r = bundle.records
+        assert (r.trigger_time[r.method == "asap"] == timeline.timestamps[0]).all()
+        assert (r.trigger_time[r.method == "alap"] == timeline.timestamps[-1]).all()
 
     def test_regret_nonnegative(self, tiny_run):
         _, bundle = tiny_run
-        assert all(r.regret >= -1e-12 for r in bundle.records)
+        assert (bundle.records.regret >= -1e-12).all()
 
     def test_standard_cost_components(self, tiny_run):
         _, bundle = tiny_run
         timeline = bundle.timelines["tiny"]
         T = timeline.series_length
-        for r in bundle.records[:200]:
-            assert r.misclassification_cost in (0.0, 1.0)
-            assert r.delay_cost == pytest.approx(r.trigger_time / T)
-            assert r.weighted_cost == pytest.approx(
-                r.alpha * r.misclassification_cost + (1 - r.alpha) * r.delay_cost
-            )
+        r = bundle.records.take(slice(0, 200))
+        assert np.isin(r.misclassification_cost, (0.0, 1.0)).all()
+        assert r.delay_cost == pytest.approx(r.trigger_time / T)
+        assert r.weighted_cost == pytest.approx(
+            r.alpha * r.misclassification_cost + (1 - r.alpha) * r.delay_cost
+        )
 
     def test_skip_reason_recorded(self, tmp_path, tiny_manifest):
         # a dataset with a singleton class cannot satisfy the split
@@ -163,11 +169,11 @@ class TestRunBenchmark:
         bundle = bench.run_benchmark(config)
         assert bundle.records
         T = bundle.timelines["bin"].series_length
-        for r in bundle.records:
-            assert r.delay_cost == pytest.approx(np.exp((r.trigger_time / T) * np.log(100.0)))
-            assert r.misclassification_cost in (0.0, 1.0, 100.0)
-            if r.true_label == 1 and r.predicted_label == 0:
-                assert r.misclassification_cost == 100.0
+        r = bundle.records
+        assert r.delay_cost == pytest.approx(np.exp((r.trigger_time / T) * np.log(100.0)))
+        assert np.isin(r.misclassification_cost, (0.0, 1.0, 100.0)).all()
+        missed = (r.true_label == 1) & (r.predicted_label == 0)
+        assert (r.misclassification_cost[missed] == 100.0).all()
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +247,9 @@ class TestAlphaSweep:
                 model = fit_trigger(method.removesuffix("_myopic"), fresh, cost)
                 if method.endswith("_myopic"):
                     model = trigger.make_myopic(model)
-                got = [(r.predicted_label, r.trigger_time) for r in records
-                       if r.method == method and r.alpha == alpha]
+                rows = (records.method == method) & (records.alpha == alpha)
+                got = list(zip(records.predicted_label[rows].tolist(),
+                               records.trigger_time[rows].tolist()))
                 decisions = [trigger.simulate_online(model, trace) for trace in test_traces]
                 want = [(d.predicted_label, d.trigger_time) for d in decisions]
                 assert got == want, (method, alpha)
@@ -289,9 +296,96 @@ class TestReports:
         bench.write_reports(bundle, out)
         timelines = bench.load_timelines_json(os.path.join(out, "timelines.json"))
         records = bench.load_records_csv(os.path.join(out, "records.csv"), timelines)
-        assert records == bundle.records
+        assert_same_table(records, bundle.records)
         rebuilt = bench.bundle_from_records(records, timelines)
         assert rebuilt.summaries == bundle.summaries
+
+
+# Timelines of the hand-written results directories below.
+TIMELINES = {"a": {"timestamps": [1, 3, 5], "series_length": 5},
+             "b": {"timestamps": [2, 4], "series_length": 4}}
+REPORT_FILES = ("records.csv", "summaries.csv", "ranks.csv", "pairwise.csv", "pareto.csv",
+                "timelines.json")
+
+
+def _write_results(directory, lines):
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, "timelines.json"), "w") as fh:
+        json.dump(TIMELINES, fh)
+    with open(os.path.join(directory, "records.csv"), "w", newline="\n") as fh:
+        fh.write(",".join(bench.RECORD_FIELDS) + "\n" + "".join(lines))
+
+
+def _report(results, out):
+    timelines = bench.load_timelines_json(os.path.join(results, "timelines.json"))
+    records = bench.load_records_csv(os.path.join(results, "records.csv"), timelines)
+    bench.write_reports(bench.bundle_from_records(records, timelines), out)
+    files = {}
+    for name in REPORT_FILES:
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+def _line(dataset="a", method="m", alpha="0.5", series="s1", true=0, predicted=0, t=None,
+          weighted="0.5", c_m="0.0", c_d="1.0", oracle_cost="0.25", regret="0.25"):
+    t = TIMELINES[dataset]["timestamps"][-1] if t is None else t
+    return f"{dataset},{method},{alpha},{series},{true},{predicted},{t},{weighted},{c_m},{c_d},{t},{oracle_cost},{regret}\n"
+
+
+@st.composite
+def _records_lines(draw):
+    """records.csv lines with distinct (dataset, method, alpha value,
+    series_id) keys, some repeated verbatim: rows whose keys tie are then
+    identical, so their order cannot show in a sorted file."""
+    keys = draw(st.lists(st.tuples(
+        st.sampled_from(sorted(TIMELINES)),
+        st.sampled_from(["m1", "m10"]),
+        st.sampled_from(["0.3", "0.30000000000000004", "0.10"]),
+        st.sampled_from(["s9", "s10", "s1", "s1\x00"]),
+    ), min_size=1, max_size=30, unique_by=lambda k: (k[0], k[1], float(k[2]), k[3])))
+    cost = st.sampled_from(["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"])
+    lines = []
+    for dataset, method, alpha, series in keys:
+        line = _line(dataset, method, alpha, series, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
+                     draw(st.sampled_from(TIMELINES[dataset]["timestamps"])), draw(cost), draw(cost),
+                     draw(cost), draw(cost), draw(cost))
+        lines += [line] * draw(st.integers(1, 3))
+    return draw(st.permutations(lines))
+
+
+class TestRecordTable:
+    @given(_records_lines(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_report_independent_of_row_order(self, lines, rnd):
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_results(os.path.join(tmp, "drawn"), lines)
+            first = _report(os.path.join(tmp, "drawn"), os.path.join(tmp, "sorted"))
+            sorted_lines = first["records.csv"].decode().splitlines(keepends=True)[1:]
+            assert sorted(sorted_lines) == sorted(lines)  # each row written as read
+            shuffled = list(sorted_lines)
+            rnd.shuffle(shuffled)
+            _write_results(os.path.join(tmp, "shuffled"), shuffled)
+            assert _report(os.path.join(tmp, "shuffled"), os.path.join(tmp, "again")) == first
+            assert _report(os.path.join(tmp, "sorted"), os.path.join(tmp, "fixed")) == first
+
+    @pytest.mark.parametrize("lineno", [2, 4097, 4098, 5001])
+    def test_type_error_names_its_line_in_any_block(self, tmp_path, lineno):
+        lines = [_line(series=f"s{i}") for i in range(5000)]
+        lines[lineno - 2] = _line(true="x")
+        _write_results(str(tmp_path), lines)
+        path = os.path.join(str(tmp_path), "records.csv")
+        timelines = bench.load_timelines_json(os.path.join(str(tmp_path), "timelines.json"))
+        with pytest.raises(DataError, match=f"^{path}:{lineno}: true_label: invalid literal"):
+            bench.load_records_csv(path, timelines)
+
+    def test_non_canonical_float_kept_as_read(self, tmp_path):
+        lines = [_line(series="s1", weighted="0.50"), _line(series="s2", weighted="1.0")]
+        _write_results(str(tmp_path / "in"), lines)
+        files = _report(str(tmp_path / "in"), str(tmp_path / "out"))
+        assert files["records.csv"].decode().splitlines(keepends=True)[1:] == lines
+        summary = files["summaries.csv"].decode().splitlines()[1].split(",")
+        assert summary[:4] == ["a", "m", "0.5", "0.75"]
 
 
 class TestCli:
@@ -504,6 +598,8 @@ class TestCli:
         "short_row": ("records.csv", lambda f: f[:-1]),
         "long_row": ("records.csv", lambda f: f + ["0"]),
         "unknown_dataset": ("records.csv", lambda f: ["ghost"] + f[1:]),
+        "trigger_time_off_timeline": ("records.csv", lambda f: f[:6] + ["99"] + f[7:]),
+        "oracle_time_off_timeline": ("records.csv", lambda f: f[:10] + ["99"] + f[11:]),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_RESULTS))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ects_bench.core import (
@@ -9,10 +10,10 @@ from ects_bench.core import (
     SampledTimeline,
     anomaly_cost_model,
     delay_cost,
-    loss,
     misclassification_cost,
     standard_cost_model,
 )
+from ects_bench.metrics import price_records
 
 
 def test_delay_cost_linear_endpoint():
@@ -61,12 +62,22 @@ def test_misclassification_cost_index_error():
         misclassification_cost(model, 2, 0)
 
 
+def _unweighted_losses(model, predicted, true, t, length):
+    """C_m + C_d of each decision, read from the records price_records makes."""
+    timeline = SampledTimeline(tuple(range(1, length + 1)), length)
+    n = len(predicted)
+    r = price_records("d", "m", [f"s{i}" for i in range(n)], np.array(true), np.array(predicted),
+                      np.array(t) - 1, (np.full(n, length), np.zeros(n)), model, timeline)
+    return r.misclassification_cost + r.delay_cost, r.weighted_cost
+
+
 def test_loss_examples():
     std = standard_cost_model(2, 0.5)
-    assert loss(std, 0, 1, 50, 100) == pytest.approx(1.5)
-    assert loss(std, 1, 1, 100, 100) == pytest.approx(1.0)
+    losses, _ = _unweighted_losses(std, [0, 1], [1, 1], [50, 100], 100)
+    assert losses.tolist() == pytest.approx([1.5, 1.0])
     anomaly = anomaly_cost_model(0.5)
-    assert loss(anomaly, 0, 1, 100, 100) == pytest.approx(200.0)
+    losses, _ = _unweighted_losses(anomaly, [0], [1], [100], 100)
+    assert losses.tolist() == pytest.approx([200.0])
 
 
 @pytest.mark.parametrize("curve_model", [standard_cost_model(2, 0.5), anomaly_cost_model(0.5)])
@@ -82,7 +93,9 @@ def test_loss_equals_scaled_weighted_loss_at_half():
             weighted = 0.5 * misclassification_cost(model, predicted, true) + 0.5 * delay_cost(
                 model, t, 20
             )
-            assert loss(model, predicted, true, t, 20) == pytest.approx(2.0 * weighted, abs=1e-12)
+            loss, priced = _unweighted_losses(model, [predicted], [true], [t], 20)
+            assert priced[0] == weighted
+            assert loss[0] == pytest.approx(2.0 * weighted, abs=1e-12)
 
 
 def test_exponential_endpoint_ratio():

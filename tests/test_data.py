@@ -9,7 +9,6 @@ from ects_bench.core import LabeledSeries
 from ects_bench.data import (
     Dataset,
     SplitSpec,
-    discretize_regression_target,
     generate_synthetic,
     information_gain_screen,
     load_dataset,
@@ -218,20 +217,6 @@ class TestMakeImbalanced:
         ds = generate_synthetic(6, 3, 2, 0.1, seed=0)
         with pytest.raises(DataError, match="binary"):
             make_imbalanced(ds, 0, 0.2, seed=0)
-
-
-class TestDiscretizeTarget:
-    def test_median_split(self):
-        assert discretize_regression_target([1.0, 2.0, 3.0, 4.0], 0.5) == [0, 0, 1, 1]
-
-    def test_second_decile(self):
-        # interpolated 0.2-quantile of 1..10 is 2.8; eight values exceed it
-        labels = discretize_regression_target([float(v) for v in range(1, 11)], 0.2)
-        assert sum(labels) == 8
-
-    def test_constant_error(self):
-        with pytest.raises(DataError, match="degenerate"):
-            discretize_regression_target([2.0, 2.0, 2.0], 0.5)
 
 
 class TestGenerateSynthetic:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench.core import (
-    EvalRecord,
     SampledTimeline,
     anomaly_cost_model,
     delay_cost,
@@ -12,81 +11,74 @@ from ects_bench.core import (
     standard_cost_model,
 )
 from ects_bench.metrics import (
-    accuracy,
-    avg_cost,
-    avg_cost_alpha,
-    earliness,
     optimal_time,
     pareto_front,
-    regret,
+    price_records,
     summarize,
 )
 
+T = 20
+TIMELINE = SampledTimeline(tuple(range(1, T + 1)), T)
 
-def _record(true=0, predicted=0, t=10, c_m=0.0, c_d=0.5, alpha=0.5, oracle_cost=0.0):
-    w = alpha * c_m + (1 - alpha) * c_d
-    return EvalRecord(
-        dataset="d", method="m", alpha=alpha, series_id="s",
-        true_label=true, predicted_label=predicted, trigger_time=t,
-        weighted_cost=w, misclassification_cost=c_m, delay_cost=c_d,
-        oracle_time=t, oracle_cost=oracle_cost, regret=w - oracle_cost,
-    )
+
+def _records(decisions, alpha=0.5, oracle_costs=None, timeline=TIMELINE):
+    """One (dataset, method, alpha) group of records priced under the
+    standard binary cost model; decisions are (true, predicted, t)."""
+    true, predicted, times = np.array(decisions, dtype=int).reshape(-1, 3).T
+    n = len(decisions)
+    oracle = (np.full(n, timeline.timestamps[-1]),
+              np.zeros(n) if oracle_costs is None else np.asarray(oracle_costs, dtype=float))
+    return price_records("d", "m", [f"s{i}" for i in range(n)], true, predicted,
+                         np.searchsorted(timeline.timestamps, times), oracle,
+                         standard_cost_model(2, alpha), timeline)
 
 
 class TestAverages:
     def test_avg_cost_mean_of_losses(self):
-        records = [_record(c_m=1.0, c_d=0.5), _record(c_m=0.0, c_d=0.5)]
-        assert avg_cost(records) == pytest.approx(1.0)
+        records = _records([(0, 1, 10), (0, 0, 10)])  # weighted costs 0.75 and 0.25
+        assert summarize(records, TIMELINE).avg_cost == pytest.approx(0.5)
 
     def test_all_correct_at_deadline(self):
-        records = [_record(c_m=0.0, c_d=1.0) for _ in range(4)]
-        assert avg_cost(records) == pytest.approx(1.0)
+        records = _records([(0, 0, T)] * 4, alpha=0.0)
+        assert summarize(records, TIMELINE).avg_cost == pytest.approx(1.0)
 
     def test_single_record(self):
-        assert avg_cost([_record(c_m=1.0, c_d=0.25)]) == pytest.approx(1.25)
+        s = summarize(_records([(0, 1, 5)], alpha=0.5), TIMELINE)
+        assert s.avg_cost == pytest.approx(0.5 * 1.0 + 0.5 * 0.25)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            avg_cost([])
-        with pytest.raises(ValueError):
-            avg_cost_alpha([], 0.5)
-        with pytest.raises(ValueError):
-            accuracy([])
+            summarize(_records([]), TIMELINE)
 
     def test_avg_cost_alpha_example(self):
-        records = [_record(c_m=0.0, c_d=0.2), _record(c_m=1.0, c_d=1.0)]
-        assert avg_cost_alpha(records, 0.5) == pytest.approx(0.55)
+        records = _records([(0, 0, 4), (0, 1, 20)], alpha=0.5)
+        assert summarize(records, TIMELINE).avg_cost == pytest.approx(0.55)
 
     def test_alpha_zero_is_mean_delay(self):
-        records = [_record(c_m=1.0, c_d=0.3), _record(c_m=0.0, c_d=0.7)]
-        assert avg_cost_alpha(records, 0.0) == pytest.approx(0.5)
+        records = _records([(0, 1, 6), (0, 0, 14)], alpha=0.0)
+        assert summarize(records, TIMELINE).avg_cost == pytest.approx(0.5)
 
     def test_standard_identity(self):
         rng = np.random.default_rng(0)
-        T = 20
-        records = []
+        decisions = []
         for i in range(50):
             correct = bool(rng.integers(0, 2))
             t = int(rng.integers(1, T + 1))
-            records.append(
-                _record(true=0, predicted=0 if correct else 1,
-                        t=t, c_m=0.0 if correct else 1.0, c_d=t / T)
-            )
+            decisions.append((0, 0 if correct else 1, t))
         for alpha in (0.0, 0.3, 0.5, 0.9, 1.0):
-            lhs = avg_cost_alpha(records, alpha)
-            rhs = alpha * (1 - accuracy(records)) + (1 - alpha) * earliness(records, T)
-            assert abs(lhs - rhs) < 1e-12
+            s = summarize(_records(decisions, alpha=alpha), TIMELINE)
+            rhs = alpha * (1 - s.accuracy) + (1 - alpha) * s.earliness
+            assert abs(s.avg_cost - rhs) < 1e-12
 
     def test_alpha_linearity(self):
-        records = [_record(c_m=1.0, c_d=0.2), _record(c_m=0.0, c_d=0.9)]
-        mid = avg_cost_alpha(records, 0.5)
-        ends = 0.5 * (avg_cost_alpha(records, 0.0) + avg_cost_alpha(records, 1.0))
-        assert abs(mid - ends) < 1e-12
+        decisions = [(0, 1, 4), (0, 0, 18)]
+        cost = {a: summarize(_records(decisions, alpha=a), TIMELINE).avg_cost for a in (0.0, 0.5, 1.0)}
+        assert abs(cost[0.5] - 0.5 * (cost[0.0] + cost[1.0])) < 1e-12
 
     def test_accuracy_and_earliness(self):
-        records = [_record(predicted=0, true=0, t=10), _record(predicted=1, true=0, t=10)]
-        assert accuracy(records) == 0.5
-        assert earliness(records, 20) == 0.5
+        s = summarize(_records([(0, 0, 10), (0, 1, 10)]), TIMELINE)
+        assert s.accuracy == 0.5
+        assert s.earliness == 0.5
 
 
 def weighted_price(cost, predicted, true, t, length):
@@ -188,12 +180,14 @@ class TestOptimalTime:
 
 class TestRegret:
     def test_zero_at_oracle(self):
-        r = _record(c_m=0.0, c_d=0.5, oracle_cost=0.25)
-        assert regret(r) == pytest.approx(0.0)
+        records = _records([(0, 0, 10)], alpha=0.5, oracle_costs=[0.25])
+        assert records.regret[0] == pytest.approx(0.0)
+        assert summarize(records, TIMELINE).mean_regret == pytest.approx(0.0)
 
     def test_matches_weighted_minus_oracle(self):
-        r = _record(c_m=1.0, c_d=1.0, alpha=0.5, oracle_cost=0.3)
-        assert regret(r) == pytest.approx(1.0 - 0.3)
+        records = _records([(0, 1, 20)], alpha=0.5, oracle_costs=[0.3])
+        assert records.regret[0] == pytest.approx(1.0 - 0.3)
+        assert summarize(records, TIMELINE).mean_regret == pytest.approx(1.0 - 0.3)
 
 
 class TestParetoFront:
@@ -234,11 +228,9 @@ class TestParetoFront:
 
 def test_summarize_fields():
     timeline = SampledTimeline((5, 10), 10)
-    records = [
-        _record(predicted=0, true=0, t=5, c_m=0.0, c_d=0.5),
-        _record(predicted=1, true=0, t=10, c_m=1.0, c_d=1.0),
-    ]
+    records = _records([(0, 0, 5), (0, 1, 10)], timeline=timeline)
     s = summarize(records, timeline)
+    assert (s.dataset, s.method, s.alpha) == ("d", "m", 0.5)
     assert s.accuracy == 0.5
     assert s.earliness == pytest.approx(0.75)
     assert s.mean_trigger_index == pytest.approx(0.5)

@@ -6,7 +6,6 @@ import pytest
 from ects_bench.stats import (
     bootstrap_mean_ci,
     holm_adjust,
-    mean_ranks,
     pairwise_comparison,
     per_dataset_ranks,
     wilcoxon_signed_rank,
@@ -33,6 +32,11 @@ def enumeration_wilcoxon(diffs):
     return w, count / 2**n
 
 
+def mean_ranks(costs, methods):
+    """Per-method mean rank across datasets, as write_reports takes it."""
+    return {m: float(np.mean(r)) for m, r in per_dataset_ranks(costs, methods).items()}
+
+
 class TestMeanRanks:
     def test_consistent_ordering(self):
         costs = {
@@ -54,7 +58,7 @@ class TestMeanRanks:
 
     def test_missing_cell_named(self):
         with pytest.raises(ValueError, match="'B'.*'d1'"):
-            mean_ranks({"d1": {"A": 0.5}}, ["A", "B"])
+            per_dataset_ranks({"d1": {"A": 0.5}}, ["A", "B"])
 
     def test_ranks_sum_invariant(self):
         rng = np.random.default_rng(4)
@@ -72,7 +76,7 @@ class TestMeanRanks:
         transformed = {
             d: {m: np.exp(3.0 * v) + 1.0 for m, v in row.items()} for d, row in costs.items()
         }
-        assert mean_ranks(costs, methods) == mean_ranks(transformed, methods)
+        assert per_dataset_ranks(costs, methods) == per_dataset_ranks(transformed, methods)
 
 
 class TestBootstrap:
