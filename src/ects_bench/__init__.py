@@ -6,9 +6,9 @@ from .core import (
     CostModel,
     Decision,
     DelayCurve,
-    LabeledSeries,
     RecordTable,
     SampledTimeline,
+    SeriesSet,
     anomaly_cost_model,
     delay_cost,
     misclassification_cost,
@@ -19,9 +19,9 @@ __all__ = [
     "CostModel",
     "Decision",
     "DelayCurve",
-    "LabeledSeries",
     "RecordTable",
     "SampledTimeline",
+    "SeriesSet",
     "anomaly_cost_model",
     "delay_cost",
     "misclassification_cost",

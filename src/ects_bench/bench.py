@@ -212,19 +212,18 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
     )
     timeline = classify.default_timeline(dataset.length)
     collection = classify.fit_collection(fit_part, timeline, config.classifier, calib_part)
-    trig_traces = collection.prob_trace(trig_part)
-    trig_labels = tuple(s.label for s in trig_part)
-    train_set = trigger.TriggerTrainSet(tuple(trig_traces), trig_labels, timeline)
-    test_traces = collection.prob_trace(dataset.test)
-    test_labels = tuple(s.label for s in dataset.test)
+    train_set = trigger.TriggerTrainSet(collection.prob_trace(trig_part.values), trig_part.labels, timeline)
+    test = dataset.test
+    test_traces = collection.prob_trace(test.values)
     test_stats = trigger.trigger_stats(test_traces)
+    # optimal_time takes the labels as a tuple: hashable, so a caller may key on it.
+    oracle_labels = tuple(test.labels.tolist())
 
-    labels, rows = np.array(test_labels), np.arange(len(test_labels))
-    series_ids = [s.id for s in dataset.test]
+    rows = np.arange(len(test))
     blocks: List[RecordTable] = []
     for alpha in config.alpha_grid:
         cost = cost_model_for(config.cost_setting, dataset.num_classes, alpha)
-        oracle = metrics.optimal_time(test_traces, test_labels, cost, timeline)
+        oracle = metrics.optimal_time(test_traces, oracle_labels, cost, timeline)
         fitted: Dict[str, trigger.TriggerModel] = {}  # this alpha's fits, shared with *_myopic
         for method in config.methods:
             base = method.removesuffix("_myopic")
@@ -233,7 +232,7 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
             model = fitted[base] if base == method else trigger.make_myopic(fitted[base])
             first = model.halts(test_stats).argmax(axis=1)
             blocks.append(metrics.price_records(
-                dataset.name, method, series_ids, labels, test_stats.pred[rows, first], first,
+                dataset.name, method, test.ids, test.labels, test_stats.pred[rows, first], first,
                 oracle, cost, timeline,
             ))
     return blocks, timeline
@@ -507,15 +506,18 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
 
 
 def load_timelines_json(path: str) -> Dict[str, SampledTimeline]:
-    """The timelines write_reports wrote; a missing or malformed file is a
-    DataError."""
+    """The timelines write_reports wrote; a missing or malformed file, or a
+    timestamp or series length that is not a JSON integer, is a DataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        return {
-            name: SampledTimeline(tuple(entry["timestamps"]), entry["series_length"])
-            for name, entry in doc.items()
-        }
+        timelines = {}
+        for name, entry in doc.items():
+            timestamps, length = tuple(entry["timestamps"]), entry["series_length"]
+            if not all(type(v) is int for v in timestamps + (length,)):  # JSON true is a bool
+                raise DataError(f"{path}: dataset {name!r}: timestamps and series_length must be JSON integers")
+            timelines[name] = SampledTimeline(timestamps, length)
+        return timelines
     except OSError as exc:
         raise DataError(f"cannot read timelines file {path}: {exc.strerror or exc}") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -10,8 +10,8 @@ matrices, features form an (L, n, d) tensor and the L descents run as one. Each
 array form keeps the bits of the per-series, per-timestamp arithmetic: a
 score or a slope is one product per row (``np.matmul`` over a stack of rows;
 a single GEMM or GEMV over all rows rounds differently), and every summary
-is a per-row reduction along the last axis. Features and traces are built in
-blocks of ``_ROW_BLOCK`` rows, which bounds the temporaries; as every
+is a per-row reduction along the last axis. Prefix features are built in
+blocks of ``_ROW_BLOCK`` rows, which bounds the (n, t) temporaries; as every
 operation is per row, the blocks cannot change a bit.
 """
 
@@ -23,7 +23,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import LabeledSeries, SampledTimeline
+from .core import SampledTimeline, SeriesSet
 from .errors import ConfigError, DataError, NumericError
 
 NUM_FEATURES = 7
@@ -74,13 +74,13 @@ def prefix_features(values: np.ndarray, t: int) -> np.ndarray:
     )
 
 
-def _feature_stack(series: Sequence[LabeledSeries], timestamps: Sequence[int]) -> np.ndarray:
-    """(L, n, d) prefix features of every series at every timestamp."""
-    out = np.empty((len(timestamps), len(series), NUM_FEATURES))
-    for lo in range(0, len(series), _ROW_BLOCK):
-        values = np.array([s.values for s in series[lo : lo + _ROW_BLOCK]], dtype=float)
+def _feature_stack(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
+    """(L, n, d) prefix features of every row of the (n, T) values at every
+    timestamp."""
+    out = np.empty((len(timestamps), len(values), NUM_FEATURES))
+    for lo in range(0, len(values), _ROW_BLOCK):
         for j, t in enumerate(timestamps):
-            out[j, lo : lo + _ROW_BLOCK] = prefix_features(values, t)
+            out[j, lo : lo + _ROW_BLOCK] = prefix_features(values[lo : lo + _ROW_BLOCK], t)
     return out
 
 
@@ -203,43 +203,40 @@ class ChronologicalClassifierCollection:
     def num_classes(self) -> int:
         return self.intercepts.shape[1]
 
-    def prob_trace(self, series: Sequence[LabeledSeries], calibrated: bool = True) -> np.ndarray:
+    def prob_trace(self, values: np.ndarray, calibrated: bool = True) -> np.ndarray:
         """Probability vectors of each series over the whole timeline, shape
-        (n, L, K); row i depends on series[i] alone."""
+        (n, L, K), from the (n, T) series values; row i depends on values[i]
+        alone."""
+        values = np.ascontiguousarray(values, dtype=float)
         T = self.timeline.series_length
-        for s in series:
-            if s.length != T:
-                raise DataError(f"series length {s.length} != timeline length {T}")
+        if values.ndim != 2 or values.shape[1] != T:
+            raise DataError(f"series values of shape {values.shape}, expected (n, {T})")
         K = self.num_classes
-        out = np.empty((len(series), len(self.timeline), K))
-        for lo in range(0, len(series), _ROW_BLOCK):
-            feats = _feature_stack(series[lo : lo + _ROW_BLOCK], self.timeline.timestamps)
-            z = (feats - self.feature_mean[:, None, :]) / self.feature_std[:, None, :]
-            # One (1, d) @ (d, K) product per row; one GEMM over the rows rounds differently.
-            scores = np.matmul(z[:, :, None, :], self.weights[:, None])[:, :, 0, :]
-            scores += self.intercepts[:, None, :]
-            if calibrated:
-                per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
-                total = per_class.sum(axis=-1, keepdims=True)
-                usable = (total > 0) & np.isfinite(total)
-                probs = np.divide(per_class, total, out=np.full_like(per_class, 1.0 / K), where=usable)
-            else:
-                probs = softmax(scores)
-            out[lo : lo + _ROW_BLOCK] = probs.transpose(1, 0, 2)
-        return out
+        feats = _feature_stack(values, self.timeline.timestamps)
+        z = (feats - self.feature_mean[:, None, :]) / self.feature_std[:, None, :]
+        # One (1, d) @ (d, K) product per row; one GEMM over the rows rounds differently.
+        scores = np.matmul(z[:, :, None, :], self.weights[:, None])[:, :, 0, :]
+        scores += self.intercepts[:, None, :]
+        if calibrated:
+            per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
+            total = per_class.sum(axis=-1, keepdims=True)
+            usable = (total > 0) & np.isfinite(total)
+            probs = np.divide(per_class, total, out=np.full_like(per_class, 1.0 / K), where=usable)
+        else:
+            probs = softmax(scores)
+        return np.ascontiguousarray(probs.transpose(1, 0, 2))
 
 
 def fit_collection(
-    train: Sequence[LabeledSeries],
+    train: SeriesSet,
     timeline: SampledTimeline,
     hyper: ClassifierHyper,
-    calibration_set: Sequence[LabeledSeries],
+    calibration_set: SeriesSet,
 ) -> ChronologicalClassifierCollection:
     """Fit the per-timestamp models on train and their Platt calibrators on
     the held-out calibration set. Deterministic given the inputs. A fit that
     diverges is a NumericError naming its earliest timestamp."""
-    train_labels = np.array([s.label for s in train])
-    calib_labels = np.array([s.label for s in calibration_set])
+    train_labels, calib_labels = train.labels, calibration_set.labels
     num_classes = int(max(train_labels.max(), calib_labels.max())) + 1
     for part, labels in (("train", train_labels), ("calibration", calib_labels)):
         present = set(labels.tolist())
@@ -248,7 +245,7 @@ def fit_collection(
             raise DataError(f"classes {missing} absent from the {part} set")
 
     timestamps = timeline.timestamps
-    X = _feature_stack(train, timestamps)
+    X = _feature_stack(train.values, timestamps)
     mean = X.mean(axis=1)
     std = X.std(axis=1)
     std = np.where(std < 1e-12, 1.0, std)
@@ -257,7 +254,7 @@ def fit_collection(
     )
     if not finite.all():
         raise NumericError(f"timestamp {timestamps[int(np.argmin(finite))]}: multinomial fit diverged")
-    Xc = _feature_stack(calibration_set, timestamps)
+    Xc = _feature_stack(calibration_set.values, timestamps)
     calib_scores = np.matmul((Xc - mean[:, None, :]) / std[:, None, :], weights) + intercepts[:, None, :]
     platt = np.empty((len(timestamps), num_classes, 2))
     for j, t in enumerate(timestamps):

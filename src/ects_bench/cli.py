@@ -25,7 +25,7 @@ def _cmd_prepare(args) -> int:
     if args.znorm:
         dataset = data.znormalize_dataset(dataset)
     if args.imbalance is not None:
-        labels = [s.label for s in dataset.train]
+        labels = dataset.train.labels.tolist()
         minority = min(set(labels), key=labels.count)
         dataset = data.make_imbalanced(dataset, minority, args.imbalance, args.seed)
     manifest = data.save_dataset(dataset, args.out)

@@ -22,31 +22,46 @@ class DelayCurve(Enum):
     EXPONENTIAL = "exponential"
 
 
-def _check_finite(values: Sequence[float], what: str) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{what} contains non-finite value {v!r}")
+@dataclass(frozen=True, eq=False)
+class SeriesSet:
+    """Fixed-length univariate series with their class labels, held as
+    columns: ids (n,), values (n, T) float64 and labels (n,) int64. Row i is
+    series i; a set is checked once, as a whole."""
 
-
-@dataclass(frozen=True)
-class LabeledSeries:
-    """One fixed-length univariate series with its class label."""
-
-    id: str
-    values: Tuple[float, ...]
-    label: int
+    ids: Tuple[str, ...]
+    values: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) < 2:
-            raise ValueError(f"series {self.id!r}: length must be >= 2")
-        if self.label < 0:
-            raise ValueError(f"series {self.id!r}: negative label")
-        _check_finite(self.values, f"series {self.id!r}")
+        ids = tuple(self.ids)
+        # C order keeps each row's reductions in the order of a 1-D series.
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if values.ndim != 2 or len(values) != len(ids) or labels.shape != (len(ids),):
+            raise ValueError(f"{len(ids)} ids, values of shape {values.shape} and labels of shape "
+                             f"{labels.shape} do not agree")
+        if values.shape[1] < 2:
+            raise ValueError("series length must be >= 2")
+        for bad, what in ((~np.isfinite(values).all(axis=1), "a non-finite value"),
+                          (labels < 0, "a negative label")):
+            if bad.any():
+                raise ValueError(f"series {ids[int(np.argmax(bad))]!r} has {what}")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "labels", labels)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @property
     def length(self) -> int:
-        return len(self.values)
+        return self.values.shape[1]
+
+    def take(self, index) -> "SeriesSet":
+        """The series at index (an integer array), in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        ids = tuple(map(self.ids.__getitem__, index.tolist()))
+        return SeriesSet(ids, self.values[index], self.labels[index])
 
 
 @dataclass(frozen=True)
@@ -188,6 +203,12 @@ def delay_cost(model: CostModel, t: int, length: int) -> float:
 def delay_costs(model: CostModel, timeline: SampledTimeline) -> np.ndarray:
     """Unweighted delay cost at each timeline index."""
     return np.array([delay_cost(model, t, timeline.series_length) for t in timeline.timestamps])
+
+
+def weighted_costs(alpha: float, c_m, c_d):
+    """alpha * C_m + (1 - alpha) * C_d elementwise: the weighted price of
+    decisions from their unweighted misclassification and delay costs."""
+    return alpha * c_m + (1.0 - alpha) * c_d
 
 
 def misclassification_cost(model: CostModel, predicted: int, true: int) -> float:

@@ -8,14 +8,13 @@ manifest is a JSON object {name, train_file, test_file, num_classes, length}.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LabeledSeries, SampledTimeline
+from .core import SampledTimeline, SeriesSet
 from .errors import ConfigError, DataError, SplitError
 from .stats import _rank_ascending
 
@@ -23,26 +22,25 @@ from .stats import _rank_ascending
 @dataclass(frozen=True)
 class Dataset:
     name: str
-    train: Tuple[LabeledSeries, ...]
-    test: Tuple[LabeledSeries, ...]
+    train: SeriesSet
+    test: SeriesSet
     num_classes: int
     length: int
 
     def __post_init__(self):
-        object.__setattr__(self, "train", tuple(self.train))
-        object.__setattr__(self, "test", tuple(self.test))
         if self.num_classes < 2:
             raise DataError(f"dataset {self.name!r}: need K >= 2 classes")
-        for s in self.train + self.test:
-            if s.length != self.length:
+        for part_name, part in (("train", self.train), ("test", self.test)):
+            if part.length != self.length:
                 raise DataError(
-                    f"dataset {self.name!r}: series {s.id!r} has length {s.length}, expected {self.length}"
+                    f"dataset {self.name!r}: {part_name} series have length {part.length}, expected {self.length}"
                 )
-            if s.label >= self.num_classes:
-                raise DataError(f"dataset {self.name!r}: series {s.id!r} label {s.label} >= K")
-        train_labels = {s.label for s in self.train}
-        if train_labels != set(range(self.num_classes)):
-            missing = sorted(set(range(self.num_classes)) - train_labels)
+            too_big = np.flatnonzero(part.labels >= self.num_classes)
+            if too_big.size:
+                i = too_big[0]
+                raise DataError(f"dataset {self.name!r}: series {part.ids[i]!r} label {part.labels[i]} >= K")
+        missing = sorted(set(range(self.num_classes)) - set(self.train.labels.tolist()))
+        if missing:
             raise DataError(f"dataset {self.name!r}: classes {missing} absent from train")
 
 
@@ -61,8 +59,11 @@ class SplitSpec:
                 raise ConfigError(f"split fraction {f} must be in (0, 1)")
 
 
-def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]]]:
-    rows: List[Tuple[int, List[float]]] = []
+def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
+    """The raw labels and the (n, T) value matrix of a series file; a bad
+    line is a DataError naming its path:line."""
+    labels: List[int] = []
+    rows: List[np.ndarray] = []
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -80,19 +81,20 @@ def _parse_series_file(path: str, id_prefix: str) -> List[Tuple[int, List[float]
                 raise DataError(f"{path}:{lineno}: expected 'label,v1,...,vT' with T >= 2")
             try:
                 label = int(fields[0])
-                values = [float(v) for v in fields[1:]]
+                values = np.array(list(map(float, fields[1:])))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if not all(map(math.isfinite, values)):
+            if not np.isfinite(values).all():
                 raise DataError(f"{path}:{lineno}: non-finite value")
-            if rows and len(values) != len(rows[0][1]):
+            if rows and len(values) != len(rows[0]):
                 raise DataError(
-                    f"{path}:{lineno}: ragged row with {len(values)} values, expected {len(rows[0][1])}"
+                    f"{path}:{lineno}: ragged row with {len(values)} values, expected {len(rows[0])}"
                 )
-            rows.append((label, values))
+            labels.append(label)
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no series")
-    return rows
+    return labels, np.stack(rows)
 
 
 def load_dataset(train_path: str, test_path: str, name: str = "") -> Dataset:
@@ -101,32 +103,30 @@ def load_dataset(train_path: str, test_path: str, name: str = "") -> Dataset:
     Raw labels are remapped to 0..K-1 preserving their sort order; a test
     label never seen in train is an error.
     """
-    train_rows = _parse_series_file(train_path, "train")
-    test_rows = _parse_series_file(test_path, "test")
-    raw_labels = sorted({label for label, _ in train_rows})
+    train_labels, train_values = _parse_series_file(train_path)
+    test_labels, test_values = _parse_series_file(test_path)
+    raw_labels = sorted(set(train_labels))
     remap = {raw: i for i, raw in enumerate(raw_labels)}
-    for label, _ in test_rows:
+    for label in test_labels:
         if label not in remap:
             raise DataError(f"{test_path}: test label {label} unseen in train")
-    if len(train_rows[0][1]) != len(test_rows[0][1]):
-        raise DataError(f"train length {len(train_rows[0][1])} != test length {len(test_rows[0][1])}")
-    train = tuple(
-        LabeledSeries(f"train-{i}", values, remap[label])
-        for i, (label, values) in enumerate(train_rows)
-    )
-    test = tuple(
-        LabeledSeries(f"test-{i}", values, remap[label])
-        for i, (label, values) in enumerate(test_rows)
-    )
+    if train_values.shape[1] != test_values.shape[1]:
+        raise DataError(f"train length {train_values.shape[1]} != test length {test_values.shape[1]}")
+
+    def part(prefix: str, labels: List[int], values: np.ndarray) -> SeriesSet:
+        ids = tuple(f"{prefix}-{i}" for i in range(len(labels)))
+        return SeriesSet(ids, values, list(map(remap.__getitem__, labels)))
+
     if not name:
         name = os.path.splitext(os.path.basename(train_path))[0]
-    return Dataset(name, train, test, len(raw_labels), len(train_rows[0][1]))
+    return Dataset(name, part("train", train_labels, train_values), part("test", test_labels, test_values),
+                   len(raw_labels), train_values.shape[1])
 
 
-def save_series_file(series: Sequence[LabeledSeries], path: str) -> None:
+def save_series_file(series: SeriesSet, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in series:
-            fh.write(",".join([str(s.label)] + [repr(v) for v in s.values]) + "\n")
+        for label, values in zip(series.labels.tolist(), series.values.tolist()):
+            fh.write(",".join([str(label)] + list(map(repr, values))) + "\n")
 
 
 def save_dataset(dataset: Dataset, out_dir: str) -> Dict[str, object]:
@@ -183,28 +183,23 @@ def dataset_from_manifest(manifest: object, where: str, base: str = "") -> Datas
     return ds
 
 
-def stratified_split(
-    series: Sequence[LabeledSeries], fraction: float, seed: int
-) -> Tuple[List[LabeledSeries], List[LabeledSeries]]:
+def stratified_split(series: SeriesSet, fraction: float, seed: int) -> Tuple[SeriesSet, SeriesSet]:
     """Split per class: part_a gets round(fraction * count), at least 1 and at
-    most count - 1. Deterministic given the seed."""
-    by_class: Dict[int, List[LabeledSeries]] = {}
-    for s in series:
-        by_class.setdefault(s.label, []).append(s)
-    for label, members in by_class.items():
-        if len(members) < 2:
-            raise SplitError(f"class {label} has a single member; cannot split")
+    most count - 1. Classes are taken in label order, and each part keeps its
+    members' order within a class. Deterministic given the seed."""
+    classes, counts = np.unique(series.labels, return_counts=True)
     rng = np.random.default_rng(seed)
-    part_a: List[LabeledSeries] = []
-    part_b: List[LabeledSeries] = []
-    for label in sorted(by_class):
-        members = by_class[label]
-        n = len(members)
+    part_a: List[np.ndarray] = []
+    part_b: List[np.ndarray] = []
+    for label, n in zip(classes.tolist(), counts.tolist()):
+        if n < 2:
+            raise SplitError(f"class {label} has a single member; cannot split")
+        members = np.flatnonzero(series.labels == label)
         take = min(max(int(round(fraction * n)), 1), n - 1)
         order = rng.permutation(n)
-        part_a.extend(members[i] for i in sorted(order[:take]))
-        part_b.extend(members[i] for i in sorted(order[take:]))
-    return part_a, part_b
+        part_a.append(members[np.sort(order[:take])])
+        part_b.append(members[np.sort(order[take:])])
+    return series.take(np.concatenate(part_a)), series.take(np.concatenate(part_b))
 
 
 def znormalize(values: Sequence[float]) -> np.ndarray:
@@ -232,20 +227,20 @@ def znormalize(values: Sequence[float]) -> np.ndarray:
 
 
 def znormalize_dataset(dataset: Dataset) -> Dataset:
-    def norm(part):
-        return tuple(
-            LabeledSeries(s.id, tuple(znormalize(s.values)), s.label) for s in part
-        )
+    def norm(part: SeriesSet) -> SeriesSet:
+        values = np.empty_like(part.values)
+        for i, row in enumerate(part.values):
+            values[i] = znormalize(row)
+        return SeriesSet(part.ids, values, part.labels)
     return Dataset(dataset.name, norm(dataset.train), norm(dataset.test),
                    dataset.num_classes, dataset.length)
 
 
 def _subsample_minority(
-    series: Sequence[LabeledSeries], minority_class: int, minority_fraction: float,
-    rng: np.random.Generator,
-) -> List[LabeledSeries]:
-    minority = [s for s in series if s.label == minority_class]
-    majority = [s for s in series if s.label != minority_class]
+    series: SeriesSet, minority_class: int, minority_fraction: float, rng: np.random.Generator,
+) -> SeriesSet:
+    minority = np.flatnonzero(series.labels == minority_class)
+    majority = np.flatnonzero(series.labels != minority_class)
     n_maj = len(majority)
     n_min = len(minority)
     if n_min / (n_min + n_maj) <= minority_fraction:
@@ -256,10 +251,8 @@ def _subsample_minority(
     best_m = min(
         range(1, n_min + 1), key=lambda m: (abs(m / (n_maj + m) - minority_fraction), m)
     )
-    keep = sorted(rng.permutation(n_min)[:best_m])
-    out = list(majority) + [minority[i] for i in keep]
-    out.sort(key=lambda s: s.id)
-    return out
+    kept = np.concatenate([majority, minority[np.sort(rng.permutation(n_min)[:best_m])]])
+    return series.take(sorted(kept.tolist(), key=series.ids.__getitem__))  # stable: by id, then kept order
 
 
 def make_imbalanced(
@@ -276,7 +269,7 @@ def make_imbalanced(
     rng = np.random.default_rng(seed)
     train = _subsample_minority(dataset.train, minority_class, minority_fraction, rng)
     test = _subsample_minority(dataset.test, minority_class, minority_fraction, rng)
-    return Dataset(dataset.name, tuple(train), tuple(test), 2, dataset.length)
+    return Dataset(dataset.name, train, test, 2, dataset.length)
 
 
 def generate_synthetic(
@@ -301,15 +294,14 @@ def generate_synthetic(
         hi = (c + 1) * length // 3
         templates[c, lo:hi] = 1.0
 
-    def make(part: str, per_class: int) -> Tuple[LabeledSeries, ...]:
-        out = []
-        for c in range(classes):
-            noise = rng.normal(0.0, noise_std, size=(per_class, length)) if noise_std > 0 else np.zeros((per_class, length))
-            for i in range(per_class):
-                out.append(
-                    LabeledSeries(f"{part}-c{c}-{i}", tuple(templates[c] + noise[i]), c)
-                )
-        return tuple(out)
+    def make(part: str, per_class: int) -> SeriesSet:
+        values = [
+            templates[c] + (rng.normal(0.0, noise_std, size=(per_class, length)) if noise_std > 0
+                            else np.zeros((per_class, length)))
+            for c in range(classes)
+        ]
+        ids = tuple(f"{part}-c{c}-{i}" for c in range(classes) for i in range(per_class))
+        return SeriesSet(ids, np.concatenate(values), np.repeat(np.arange(classes), per_class))
 
     train = make("train", per_class_train)
     test = make("test", per_class_test)
@@ -357,8 +349,8 @@ def information_gain_screen(dataset: Dataset, classifier_config=None, seed: int 
     timeline = SampledTimeline(tuple(timestamps), T)
     calib, fit_part = stratified_split(dataset.train, 0.3, seed)
     collection = fit_collection(fit_part, timeline, hyper, calib)
-    labels = np.array([s.label for s in dataset.train])
-    traces = collection.prob_trace(dataset.train)
+    labels = dataset.train.labels
+    traces = collection.prob_trace(dataset.train.values)
     auc_at = {
         t: _macro_ovr_auc(traces[:, j], labels, dataset.num_classes) for j, t in enumerate(timestamps)
     }

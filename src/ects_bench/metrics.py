@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, RecordTable, SampledTimeline, delay_costs
+from .core import CostModel, RecordTable, SampledTimeline, delay_costs, weighted_costs
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,8 @@ def optimal_time(
     scan over the L columns: a later index must win by more than 1e-15, so
     ties go to the earliest timestamp. Returns the times and the losses,
     shape (n,) each."""
-    a = cost.alpha
     mis = np.asarray(cost.mis_matrix)[traces.argmax(axis=2), np.asarray(labels)[:, None]]
-    price = a * mis + (1.0 - a) * delay_costs(cost, timeline)  # (n, L)
+    price = weighted_costs(cost.alpha, mis, delay_costs(cost, timeline))  # (n, L)
     best, best_index = price[:, 0], np.zeros(len(price), dtype=int)
     for i in range(1, price.shape[1]):
         better = price[:, i] < best - 1e-15
@@ -58,13 +57,13 @@ def price_records(
     (predicted label at timeline index) priced elementwise as
     alpha * C_m + (1 - alpha) * C_d, its regret against the oracle's
     (times, losses)."""
-    n, a = len(series_ids), cost.alpha
+    n = len(series_ids)
     c_m = np.asarray(cost.mis_matrix)[predicted, true]
     c_d = delay_costs(cost, timeline)[index]
-    w = a * c_m + (1.0 - a) * c_d
+    w = weighted_costs(cost.alpha, c_m, c_d)
     oracle_times, oracle_costs = oracle
     return RecordTable.from_columns(
-        dataset=[dataset] * n, method=[method] * n, alpha=np.full(n, a), series_id=series_ids,
+        dataset=[dataset] * n, method=[method] * n, alpha=np.full(n, cost.alpha), series_id=series_ids,
         true_label=true, predicted_label=predicted, trigger_time=np.asarray(timeline.timestamps)[index],
         weighted_cost=w, misclassification_cost=c_m, delay_cost=c_d, oracle_time=oracle_times,
         oracle_cost=oracle_costs, regret=w - oracle_costs,

@@ -34,7 +34,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_costs
+from .core import CostModel, Decision, SampledTimeline, delay_costs, weighted_costs
 from .errors import DataError, NumericError
 
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
@@ -61,29 +61,30 @@ def trigger_stats(P: np.ndarray) -> TraceStats:
     return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1], {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TriggerTrainSet:
-    """Probability traces plus true labels for the trigger partition."""
+    """Probability traces (n, L, K) plus true labels (n,) for the trigger
+    partition, and the policies' inputs read from the traces once."""
 
-    traces: Tuple[np.ndarray, ...]
-    labels: Tuple[int, ...]
+    traces: np.ndarray
+    labels: np.ndarray
     timeline: SampledTimeline
+    stats: TraceStats = field(init=False, repr=False)
     # Alpha-independent fit state, keyed by fit and its alpha-free settings.
-    _state: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _state: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.traces) != len(self.labels):
-            raise DataError("traces and labels length mismatch")
-        if not self.traces:
+        traces = np.asarray(self.traces, dtype=float)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if traces.ndim != 3 or labels.shape != traces.shape[:1]:
+            raise DataError(f"traces of shape {traces.shape} and labels of shape {labels.shape} do not agree")
+        if not len(labels):
             raise DataError("empty trigger train set")
-        L = len(self.timeline)
-        for tr in self.traces:
-            if tr.shape[0] != L:
-                raise DataError("trace length differs from timeline length")
-
-    @property
-    def prob_array(self) -> np.ndarray:
-        return np.stack(self.traces)
+        if traces.shape[1] != len(self.timeline):
+            raise DataError("trace length differs from timeline length")
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stats", trigger_stats(traces))
 
 
 class TriggerModel:
@@ -207,26 +208,20 @@ def _cost_key(cost: CostModel) -> tuple:
     return (cost.mis_matrix, cost.delay)
 
 
-def _trace_stats(train: TriggerTrainSet) -> TraceStats:
-    """trigger_stats of the train set's traces, stacked once."""
-    return _fit_state(train, ("trace_stats",), lambda: trigger_stats(train.prob_array))
-
-
 def _halt_outcomes(
     train: TriggerTrainSet, cost: CostModel, candidate_halts: Iterable[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Unweighted C_m and C_d of every series at its first halt, one row per
     candidate's (n, L) halts."""
     first = np.array([halts.argmax(axis=1) for halts in candidate_halts])  # (candidates, n)
-    pred = _trace_stats(train).pred[np.arange(len(train.labels)), first]
-    return np.asarray(cost.mis_matrix)[pred, np.array(train.labels)], delay_costs(cost, train.timeline)[first]
+    pred = train.stats.pred[np.arange(len(train.labels)), first]
+    return np.asarray(cost.mis_matrix)[pred, train.labels], delay_costs(cost, train.timeline)[first]
 
 
 def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
     """Index of the candidate with the least mean weighted cost; a later
     candidate must win by more than 1e-15, so ties keep the earliest."""
-    c_m, c_d = outcomes
-    weighted = alpha * c_m + (1.0 - alpha) * c_d
+    weighted = weighted_costs(alpha, *outcomes)
     best, best_cost = None, math.inf
     # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
     for idx, c in enumerate(weighted.mean(axis=1).tolist()):
@@ -242,10 +237,9 @@ def _fit_grid(
     """make(point) for the grid point whose policy has the least empirical
     mean weighted cost on the train set; ties go to the earlier point. The
     candidates' outcomes do not depend on alpha and are kept as state."""
-    stats = _trace_stats(train)
     outcomes = _fit_state(
         train, (name,) + _cost_key(cost),
-        lambda: _halt_outcomes(train, cost, (make(point).halts(stats) for point in grid)),
+        lambda: _halt_outcomes(train, cost, (make(point).halts(train.stats) for point in grid)),
     )
     return make(grid[_select(outcomes, cost.alpha)])
 
@@ -300,23 +294,19 @@ class EconomyTrigger(TriggerModel):
         self.mis_paths = self._expected_mis_paths()
 
     def _expected_mis(self) -> np.ndarray:
-        """Expected unweighted misclassification cost per (timestamp, group)."""
-        L = len(self.timeline)
+        """Expected unweighted misclassification cost per (timestamp, group):
+        the sum over true classes y, in order, of p(y) times the dot of
+        p(predicted | y) with the cost column of y."""
         K = self.class_counts.shape[2]
-        mis_matrix = np.asarray(self.cost.mis_matrix)
+        mis_matrix = np.asarray(self.cost.mis_matrix)  # [predicted][true]
         s = self.smoothing
-        out = np.zeros((L, self.k))
-        for j in range(L):
-            for g in range(self.k):
-                cc = self.class_counts[j, g]
-                p_y = (cc + s) / (cc.sum() + s * K)
-                total = 0.0
-                for y in range(K):
-                    conf = self.confusion_counts[j, g, y]
-                    p_pred = (conf + s) / (conf.sum() + s * K)
-                    # mis_matrix is [predicted][true]
-                    total += p_y[y] * float(p_pred @ mis_matrix[:, y])
-                out[j, g] = total
+        cc, conf = self.class_counts, self.confusion_counts
+        p_y = (cc + s) / (cc.sum(axis=2, keepdims=True) + s * K)  # (L, k, K)
+        p_pred = (conf + s) / (conf.sum(axis=3, keepdims=True) + s * K)  # (L, k, K, K)
+        out = np.zeros(cc.shape[:2])
+        for y in range(K):
+            # One dot per (timestamp, group), as for a single row.
+            out += p_y[:, :, y] * np.matmul(p_pred[:, :, y, None, :], mis_matrix[:, y, None])[:, :, 0, 0]
         return out
 
     def _expected_mis_paths(self) -> np.ndarray:
@@ -326,19 +316,18 @@ class EconomyTrigger(TriggerModel):
         L = len(self.timeline)
         out = np.zeros((L, self.k, L))
         for j in range(L):
-            for g in range(self.k):
-                reach = np.eye(self.k)[g]
-                for tau in range(j, L):
-                    out[j, g, tau] = reach @ self._mis[tau]
-                    if tau < L - 1:
-                        reach = reach @ self.transitions[tau]
+            reach = np.eye(self.k)[:, None, :]  # (k, 1, k): one row per starting group
+            for tau in range(j, L):
+                # One product per row; a single GEMV or GEMM rounds differently.
+                out[j, :, tau] = np.matmul(reach, self._mis[tau][:, None])[:, 0, 0]
+                if tau < L - 1:
+                    reach = np.matmul(reach, self.transitions[tau])
         return out
 
     def priced_costs(self) -> np.ndarray:
         """(L, k, L): expected weighted cost of halting at tau from group g at
         index j, for tau >= j."""
-        a = self.cost.alpha
-        return a * self.mis_paths + (1.0 - a) * delay_costs(self.cost, self.timeline)
+        return weighted_costs(self.cost.alpha, self.mis_paths, delay_costs(self.cost, self.timeline))
 
     def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
         """Expected weighted cost for each tau = t_idx..last, starting from
@@ -384,9 +373,9 @@ def _build_economy(
     train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float
 ) -> Optional[EconomyTrigger]:
     """Build the k-bin model; None if some bin is empty at some timestamp."""
-    P, pred, maxp = _trace_stats(train)[:3]
+    P, pred, maxp = train.stats[:3]
     _, L, K = P.shape
-    labels = np.array(train.labels)
+    labels = train.labels
     bin_edges = [np.quantile(maxp[:, j], [i / k for i in range(1, k)]) for j in range(L)]
     groups = _groups(bin_edges, maxp)
     if any(len(np.unique(groups[:, j])) < k for j in range(L)):
@@ -435,8 +424,7 @@ def fit_economy(
     candidates = [copy.copy(model) for model in state]  # they share the alpha-free arrays
     for model in candidates:
         model.cost = cost
-    stats = _trace_stats(train)
-    outcomes = _halt_outcomes(train, cost, (model.halts(stats) for model in candidates))
+    outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in candidates))
     return candidates[_select(outcomes, cost.alpha)]
 
 
@@ -485,10 +473,9 @@ def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> 
 def fit_ecec(train: TriggerTrainSet, cost: CostModel) -> EcecTrigger:
     """Tune the confidence threshold on the 40-point grid; ties go to the
     smaller gamma."""
-    stats = _trace_stats(train)
     prec = _fit_state(
         train, ("ecec_precisions",),
-        lambda: _ecec_precisions(stats.pred, np.array(train.labels), stats.P.shape[2]),
+        lambda: _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2]),
     )
     return _fit_grid(
         train, cost, "ecec", PROBA_GRID, lambda gamma: EcecTrigger(train.timeline, cost, prec, gamma)
@@ -584,7 +571,7 @@ def _calimera_factors(
 ) -> List[Tuple[np.ndarray, float, np.ndarray]]:
     """Per non-final timestamp: the inputs X, the RBF bandwidth and the
     Cholesky factor of gram + ridge * I. None of it depends on alpha."""
-    P = _trace_stats(train).P
+    P = train.traces
     n, L, _ = P.shape
     factors = []
     for j in range(L - 1):
@@ -619,12 +606,8 @@ def fit_calimera(
         train, ("calimera", ridge, rbf_bandwidth),
         lambda: _calimera_factors(train, ridge, rbf_bandwidth),
     )
-    pred = _trace_stats(train).pred
-    labels = np.array(train.labels)
-    mis = np.asarray(cost.mis_matrix)
-    d = delay_costs(cost, train.timeline)
-    a = cost.alpha
-    realized = a * mis[pred, labels[:, None]] + (1.0 - a) * d[None, :]  # (n, L)
+    mis = np.asarray(cost.mis_matrix)[train.stats.pred, train.labels[:, None]]
+    realized = weighted_costs(cost.alpha, mis, delay_costs(cost, train.timeline))  # (n, L)
     later = backward_min_costs(realized)
 
     def solve(chol, rhs):

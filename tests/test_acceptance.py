@@ -167,7 +167,7 @@ def test_criterion_04_expected_cost_hand_computation():
         second = wrong[label] if i == 0 else right[label]
         traces.append(np.stack([first, second]))
         labels.append(label)
-    train = TriggerTrainSet(tuple(traces), tuple(labels), timeline)
+    train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
     model = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,), smoothing=0.0)
     costs = model.expected_costs(0, 0)
     ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
@@ -192,7 +192,7 @@ def test_criterion_05_cost_difference_targets():
 
     timeline = SampledTimeline((1, 2), 2)
     trace = np.array([[0.3, 0.7], [0.8, 0.2]])
-    train = TriggerTrainSet((trace,), (0,), timeline)
+    train = TriggerTrainSet(trace[None], np.array([0]), timeline)
     lam = 1e-2
     model = fit_calimera(train, standard_cost_model(2, 0.5), ridge=lam)
     # wrong at t=1, right at t=2 under alpha=0.5 linear delay

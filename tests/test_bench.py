@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench import bench, cli, metrics, trigger
-from ects_bench.core import RECORD_FIELDS, DelayCurve, LabeledSeries
+from ects_bench.core import RECORD_FIELDS, DelayCurve, SeriesSet
 from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
 from ects_bench.errors import ConfigError, DataError
 
@@ -130,12 +130,8 @@ class TestRunBenchmark:
 
     def test_skip_reason_recorded(self, tmp_path, tiny_manifest):
         # a dataset with a singleton class cannot satisfy the split
-        train = (
-            LabeledSeries("a", (0.0, 1.0), 0),
-            LabeledSeries("b", (0.5, 1.0), 0),
-            LabeledSeries("c", (1.0, 0.0), 1),
-        )
-        bad = Dataset("bad", train, train[:1], 2, 2)
+        train = SeriesSet(("a", "b", "c"), [(0.0, 1.0), (0.5, 1.0), (1.0, 0.0)], [0, 0, 1])
+        bad = Dataset("bad", train, train.take([0]), 2, 2)
         out = os.path.join(str(tmp_path), "bad")
         save_dataset(bad, out)
         config = bench.BenchConfig(
@@ -152,10 +148,8 @@ class TestRunBenchmark:
         ds = generate_synthetic(9, 12, 3, 0.3, seed=1, name="bin3")
         # collapse to binary: classes {0} vs {1, 2}
         def to_binary(part, prefix):
-            return tuple(
-                LabeledSeries(f"{prefix}-{i}", s.values, 0 if s.label == 0 else 1)
-                for i, s in enumerate(part)
-            )
+            ids = tuple(f"{prefix}-{i}" for i in range(len(part)))
+            return SeriesSet(ids, part.values, np.minimum(part.labels, 1))
         binary = Dataset("bin", to_binary(ds.train, "train"), to_binary(ds.test, "test"), 2, 9)
         out = os.path.join(str(tmp_path), "bin")
         save_dataset(binary, out)
@@ -216,7 +210,7 @@ class TestAlphaSweep:
         assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
         # One oracle call per alpha, each over the whole stack of test traces.
         oracle = calls["oracle"]
-        labels = tuple(s.label for s in sweep_dataset.test)
+        labels = tuple(sweep_dataset.test.labels.tolist())
         assert [key[3] for key in oracle] == list(config.alpha_grid)
         assert {key[:3] for key in oracle} == {(oracle[0][0], len(sweep_dataset.test), labels)}
 
@@ -239,7 +233,7 @@ class TestAlphaSweep:
         records, _ = bench.run_dataset(sweep_dataset, config)
 
         shared = seen["train_set"]
-        test_traces = seen["collection"].prob_trace(sweep_dataset.test)
+        test_traces = seen["collection"].prob_trace(sweep_dataset.test.values)
         for alpha in config.alpha_grid:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
             for method in config.methods:
@@ -542,13 +536,9 @@ class TestCli:
     def test_data_error_skips_dataset_numeric_error_aborts_run(self, tmp_path, tiny_manifest):
         # A class with a single train member cannot be split: that dataset is
         # skipped with its reason, and the run still succeeds.
-        train = (
-            LabeledSeries("a", (0.0, 1.0), 0),
-            LabeledSeries("b", (0.5, 1.0), 0),
-            LabeledSeries("c", (1.0, 0.0), 1),
-        )
+        train = SeriesSet(("a", "b", "c"), [(0.0, 1.0), (0.5, 1.0), (1.0, 0.0)], [0, 0, 1])
         single = os.path.join(str(tmp_path), "single")
-        save_dataset(Dataset("single", train, train[:1], 2, 2), single)
+        save_dataset(Dataset("single", train, train.take([0]), 2, 2), single)
         datasets = [tiny_manifest, os.path.join(single, "manifest.json")]
         config = _config_file(tmp_path, tiny_manifest, datasets=datasets)
         proc = self._cli_subprocess(["run", "--config", config])
@@ -573,8 +563,7 @@ class TestCli:
         ds = generate_synthetic(9, 10, 4, 0.3, seed=0, name="scaled")
         ds = Dataset(
             ds.name,
-            *([LabeledSeries(s.id, tuple(100.0 * v for v in s.values), s.label) for s in part]
-              for part in (ds.train, ds.test)),
+            *(SeriesSet(part.ids, 100.0 * part.values, part.labels) for part in (ds.train, ds.test)),
             ds.num_classes, ds.length,
         )
         save_dataset(ds, str(tmp_path / "ds"))
@@ -588,9 +577,10 @@ class TestCli:
         assert "Warning" not in proc.stderr
         assert not os.path.exists(out)
 
-    # Damage to a results directory by case: the file, and None to delete it
-    # or an edit of the fields of its line 3. `report` must end with one data
-    # error line that names the file (and line).
+    # Damage to a results directory by case: the file, and None to delete it,
+    # an edit of the fields of line 3 of records.csv, or an edit of the "tiny"
+    # entry of timelines.json. `report` must end with one data error line that
+    # names the file (and line, or dataset).
     BAD_RESULTS = {
         "missing_records": ("records.csv", None),
         "missing_timelines": ("timelines.json", None),
@@ -600,6 +590,10 @@ class TestCli:
         "unknown_dataset": ("records.csv", lambda f: ["ghost"] + f[1:]),
         "trigger_time_off_timeline": ("records.csv", lambda f: f[:6] + ["99"] + f[7:]),
         "oracle_time_off_timeline": ("records.csv", lambda f: f[:10] + ["99"] + f[11:]),
+        "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
+        "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
+        "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),
+        "series_length_float": ("timelines.json", lambda e: e.update(series_length=9.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_RESULTS))
@@ -611,6 +605,13 @@ class TestCli:
         if edit is None:
             os.remove(path)
             named = path
+        elif name == "timelines.json":
+            with open(path) as fh:
+                doc = json.load(fh)
+            edit(doc["tiny"])
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            named = f"{path}: dataset 'tiny'"
         else:
             with open(path) as fh:
                 lines = fh.read().splitlines()
@@ -623,17 +624,12 @@ class TestCli:
 
     def test_prepare_with_imbalance(self, tmp_path):
         rng = np.random.default_rng(3)
-        rows_train = []
-        rows_test = []
-        for c in range(2):
-            for i in range(20):
-                vals = rng.normal(loc=float(c), size=6)
-                rows_train.append(LabeledSeries(f"tr-{c}-{i}", tuple(vals), c))
-                rows_test.append(LabeledSeries(f"te-{c}-{i}", tuple(vals + 0.1), c))
+        values = np.array([rng.normal(loc=float(c), size=6) for c in range(2) for i in range(20)])
+        labels = np.repeat([0, 1], 20)
         train = os.path.join(str(tmp_path), "train.csv")
         test = os.path.join(str(tmp_path), "test.csv")
-        save_series_file(rows_train, train)
-        save_series_file(rows_test, test)
+        save_series_file(SeriesSet(tuple(f"tr-{i}" for i in range(40)), values, labels), train)
+        save_series_file(SeriesSet(tuple(f"te-{i}" for i in range(40)), values + 0.1, labels), test)
         out = os.path.join(str(tmp_path), "imb")
         code = cli.main([
             "prepare", "--train", train, "--test", test, "--out", out,

@@ -15,7 +15,6 @@ from ects_bench.classify import (
     prefix_features,
     softmax,
 )
-from ects_bench.core import LabeledSeries
 from ects_bench.data import generate_synthetic, stratified_split
 from ects_bench.errors import DataError, NumericError
 
@@ -195,28 +194,29 @@ def fitted():
 class TestCollection:
     def test_noiseless_training_accuracy(self, fitted):
         ds, fit_part, _, timeline, coll = fitted
-        predicted = coll.prob_trace(fit_part)[:, -1].argmax(axis=1)
-        assert predicted.tolist() == [s.label for s in fit_part]
+        predicted = coll.prob_trace(fit_part.values)[:, -1].argmax(axis=1)
+        assert predicted.tolist() == fit_part.labels.tolist()
 
     def test_probabilities_sum_to_one(self, fitted):
         ds, _, _, timeline, coll = fitted
-        P = coll.prob_trace(ds.test[:3])
+        P = coll.prob_trace(ds.test.values[:3])
         assert P.shape == (3, len(timeline), 3)
         assert np.all(P >= 0.0)
         assert np.all(np.abs(P.sum(axis=2) - 1.0) < 1e-9)
 
     def test_trace_shape_and_determinism(self, fitted):
         ds, _, _, timeline, coll = fitted
-        trace1 = coll.prob_trace(ds.test[:1])
-        trace2 = coll.prob_trace(ds.test[:1])
+        trace1 = coll.prob_trace(ds.test.values[:1])
+        trace2 = coll.prob_trace(ds.test.values[:1])
         assert trace1.shape == (1, len(timeline), 3)
         np.testing.assert_array_equal(trace1, trace2)
 
     def test_wrong_length_series_rejected(self, fitted):
         ds, _, _, timeline, coll = fitted
-        short = LabeledSeries("short", ds.test[0].values[:-1], 0)
-        with pytest.raises(DataError, match="series length 14 != timeline length 15"):
-            coll.prob_trace([ds.test[0], short])
+        with pytest.raises(DataError, match=r"shape \(2, 14\), expected \(n, 15\)"):
+            coll.prob_trace(ds.test.values[:2, :-1])
+        with pytest.raises(DataError, match=r"shape \(15,\), expected \(n, 15\)"):
+            coll.prob_trace(ds.test.values[0])
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 1e3]))
@@ -224,10 +224,9 @@ class TestCollection:
         _, _, _, timeline, coll = fitted
         rng = np.random.default_rng(seed)
         values = rng.normal(scale=scale, size=(n, timeline.series_length))
-        series = [LabeledSeries(f"s{i}", tuple(v), 0) for i, v in enumerate(values)]
-        P = coll.prob_trace(series)
+        P = coll.prob_trace(values)
         for i in range(n):
-            np.testing.assert_array_equal(P[i], coll.prob_trace(series[i : i + 1])[0])
+            np.testing.assert_array_equal(P[i], coll.prob_trace(values[i : i + 1])[0])
 
     def test_refit_identical(self, fitted):
         ds, fit_part, calib, timeline, coll = fitted
@@ -239,19 +238,19 @@ class TestCollection:
         ds, fit_part, calib, timeline, coll = fitted
         # A perturbed test set cannot change the fitted model.
         again = fit_collection(fit_part, timeline, ClassifierHyper(), calib)
-        _ = [s for s in ds.test]  # test set never enters fit_collection
+        _ = ds.test.values  # test set never enters fit_collection
         np.testing.assert_array_equal(coll.feature_mean, again.feature_mean)
 
     def test_missing_class_error(self, fitted):
         ds, fit_part, calib, timeline, _ = fitted
-        only_two = [s for s in fit_part if s.label != 2]
+        only_two = fit_part.take(np.flatnonzero(fit_part.labels != 2))
         with pytest.raises(DataError, match=r"classes \[2\]"):
             fit_collection(only_two, timeline, ClassifierHyper(), calib)
 
     def test_uncalibrated_zero_iters_uniform(self, fitted):
         ds, fit_part, calib, timeline, _ = fitted
         coll = fit_collection(fit_part, timeline, ClassifierHyper(iters=0), calib)
-        P = coll.prob_trace(ds.test[:1], calibrated=False)
+        P = coll.prob_trace(ds.test.values[:1], calibrated=False)
         np.testing.assert_allclose(P[0], np.full((len(timeline), 3), 1.0 / 3.0), atol=1e-12)
 
     def test_divergence_names_the_earliest_timestamp(self, fitted):

@@ -6,8 +6,8 @@ import pytest
 from ects_bench.core import (
     CostModel,
     DelayCurve,
-    LabeledSeries,
     SampledTimeline,
+    SeriesSet,
     anomaly_cost_model,
     delay_cost,
     misclassification_cost,
@@ -113,13 +113,18 @@ def test_cost_model_validation():
         CostModel(((0.0, 1.0), (1.0, 0.0)), DelayCurve.LINEAR, 1.5)
 
 
-def test_labeled_series_validation():
-    with pytest.raises(ValueError):
-        LabeledSeries("x", (1.0,), 0)
-    with pytest.raises(ValueError):
-        LabeledSeries("x", (1.0, float("nan")), 0)
-    with pytest.raises(ValueError):
-        LabeledSeries("x", (1.0, 2.0), -1)
+def test_series_set_validation():
+    with pytest.raises(ValueError, match="length must be >= 2"):
+        SeriesSet(("x",), [[1.0]], [0])
+    with pytest.raises(ValueError, match="'y' has a non-finite value"):
+        SeriesSet(("x", "y"), [[1.0, 2.0], [1.0, float("nan")]], [0, 0])
+    with pytest.raises(ValueError, match="'x' has a negative label"):
+        SeriesSet(("x",), [[1.0, 2.0]], [-1])
+    with pytest.raises(ValueError, match="do not agree"):
+        SeriesSet(("x", "y"), [[1.0, 2.0]], [0])
+    with pytest.raises(ValueError, match="do not agree"):
+        SeriesSet(("x",), [1.0, 2.0], [0])
+
 
 
 def test_timeline_validation():

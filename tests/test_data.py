@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ects_bench.core import LabeledSeries
+from ects_bench.core import SeriesSet
 from ects_bench.data import (
     Dataset,
     SplitSpec,
@@ -39,15 +39,13 @@ class TestLoadDataset:
         assert ds.num_classes == 2
         assert ds.length == 2
         # raw labels remapped preserving sort order: 0 -> 0, 1 -> 1
-        assert ds.train[0].label == 1
-        assert ds.train[1].label == 0
+        assert ds.train.labels.tolist() == [1, 0]
 
     def test_label_remap_preserves_order(self, tmp_path):
         train = _write(tmp_path, "train.csv", "7,0.0,0.5\n3,1.0,1.5\n")
         test = _write(tmp_path, "test.csv", "3,2.0,2.5\n")
         ds = load_dataset(train, test)
-        assert ds.train[0].label == 1  # raw 7 sorts after raw 3
-        assert ds.train[1].label == 0
+        assert ds.train.labels.tolist() == [1, 0]  # raw 7 sorts after raw 3
 
     def test_ragged_row_names_line(self, tmp_path):
         train = _write(tmp_path, "train.csv", "0,1.0,2.0\n1,1.0,2.0,3.0\n")
@@ -87,46 +85,102 @@ class TestLoadDataset:
                 b = fh.read()
             assert a == b
 
+    def test_saved_values_load_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(6, 4)) * np.array([1.0, 1e-300, 1e300, 1.0])
+        values[0, :3] = (-0.0, 5e-324, 0.1)
+        values[1, 0] = -5e-324
+        ds = Dataset("bits", SeriesSet(tuple(f"s{i}" for i in range(6)), values, [0, 1] * 3),
+                     SeriesSet(("t",), values[-1:], [1]), 2, 4)
+        save_dataset(ds, str(tmp_path))
+        back = load_manifest(os.path.join(tmp_path, "manifest.json"))
+        assert back.train.values.tobytes() == values.tobytes()
+        assert back.test.values.tobytes() == values[-1:].tobytes()
+
+
+def _split_reference(ids, labels, fraction, seed):
+    """The split as one list per class: classes in label order, members in
+    input order, part_a gets the sorted first `take` of a permutation."""
+    by_class = {}
+    for i, label in zip(ids, labels):
+        by_class.setdefault(label, []).append(i)
+    if any(len(members) < 2 for members in by_class.values()):
+        raise SplitError("single member")
+    rng = np.random.default_rng(seed)
+    part_a, part_b = [], []
+    for label in sorted(by_class):
+        members = by_class[label]
+        n = len(members)
+        take = min(max(int(round(fraction * n)), 1), n - 1)
+        order = rng.permutation(n)
+        part_a.extend(members[i] for i in sorted(order[:take]))
+        part_b.extend(members[i] for i in sorted(order[take:]))
+    return part_a, part_b
+
 
 class TestStratifiedSplit:
     def _series(self, counts):
-        out = []
-        for label, n in counts.items():
-            for i in range(n):
-                out.append(LabeledSeries(f"c{label}-{i}", (float(i), float(i + 1)), label))
-        return out
+        ids = [f"c{label}-{i}" for label, n in counts.items() for i in range(n)]
+        values = [(float(i), float(i + 1)) for n in counts.values() for i in range(n)]
+        labels = [label for label, n in counts.items() for _ in range(n)]
+        return SeriesSet(tuple(ids), values, labels)
 
     def test_five_per_class_fraction_04(self):
         series = self._series({0: 5, 1: 5})
         a, b = stratified_split(series, 0.4, seed=1)
         assert len(a) == 4 and len(b) == 6
-        assert sum(1 for s in a if s.label == 0) == 2
-        assert sum(1 for s in a if s.label == 1) == 2
+        assert int(np.sum(a.labels == 0)) == 2
+        assert int(np.sum(a.labels == 1)) == 2
 
     def test_min_one_per_class(self):
         series = self._series({0: 3, 1: 3})
         a, b = stratified_split(series, 0.4, seed=1)
-        assert sum(1 for s in a if s.label == 0) == 1
-        assert sum(1 for s in a if s.label == 1) == 1
+        assert int(np.sum(a.labels == 0)) == 1
+        assert int(np.sum(a.labels == 1)) == 1
 
     def test_deterministic(self):
         series = self._series({0: 8, 1: 8})
         a1, b1 = stratified_split(series, 0.5, seed=42)
         a2, b2 = stratified_split(series, 0.5, seed=42)
-        assert [s.id for s in a1] == [s.id for s in a2]
-        assert [s.id for s in b1] == [s.id for s in b2]
+        assert a1.ids == a2.ids
+        assert b1.ids == b2.ids
 
     def test_partition_is_exact(self):
         series = self._series({0: 7, 1: 5, 2: 9})
         a, b = stratified_split(series, 0.3, seed=3)
-        ids_a = {s.id for s in a}
-        ids_b = {s.id for s in b}
+        ids_a = set(a.ids)
+        ids_b = set(b.ids)
         assert ids_a.isdisjoint(ids_b)
-        assert ids_a | ids_b == {s.id for s in series}
+        assert ids_a | ids_b == set(series.ids)
         for label, n in ((0, 7), (1, 5), (2, 9)):
-            na = sum(1 for s in a if s.label == label)
-            nb = sum(1 for s in b if s.label == label)
+            na = int(np.sum(a.labels == label))
+            nb = int(np.sum(b.labels == label))
             assert na + nb == n
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 3), min_size=1, max_size=40)
+        | st.lists(st.sampled_from([0, 5]), min_size=1, max_size=40),
+        fraction=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(labels=[0, 1, 0], fraction=0.5, seed=0)
+    @example(labels=[2, 2, 2, 2, 0, 0], fraction=0.5, seed=1)
+    def test_matches_per_class_list_reference(self, labels, fraction, seed):
+        ids = tuple(f"s{i}" for i in range(len(labels)))
+        series = SeriesSet(ids, np.arange(2.0 * len(labels)).reshape(-1, 2), labels)
+        try:
+            want = _split_reference(ids, labels, fraction, seed)
+        except SplitError:
+            with pytest.raises(SplitError, match="single member"):
+                stratified_split(series, fraction, seed)
+            return
+        a, b = stratified_split(series, fraction, seed)
+        assert (list(a.ids), list(b.ids)) == want
+        for part in (a, b):
+            rows = [ids.index(i) for i in part.ids]
+            assert part.labels.tolist() == [labels[r] for r in rows]
+            assert part.values.tolist() == series.values[rows].tolist()
 
     def test_singleton_class_error(self):
         series = self._series({0: 4, 1: 1})
@@ -166,33 +220,25 @@ class TestZnormalize:
     def test_dataset_variant(self):
         ds = generate_synthetic(6, 2, 2, 0.2, seed=0)
         normed = znormalize_dataset(ds)
-        for s in normed.train:
-            arr = np.asarray(s.values)
+        for arr in normed.train.values:
             assert abs(arr.mean()) < 1e-9 or np.all(arr == 0.0)
 
 
 class TestMakeImbalanced:
     def _balanced_binary(self, per_class):
-        train = tuple(
-            LabeledSeries(f"train-{c}-{i}", (float(i), 0.0), c)
-            for c in range(2)
-            for i in range(per_class)
-        )
-        test = tuple(
-            LabeledSeries(f"test-{c}-{i}", (float(i), 0.0), c)
-            for c in range(2)
-            for i in range(per_class)
-        )
-        return Dataset("bin", train, test, 2, 2)
+        def part(prefix):
+            ids = tuple(f"{prefix}-{c}-{i}" for c in range(2) for i in range(per_class))
+            values = [(float(i), 0.0) for c in range(2) for i in range(per_class)]
+            return SeriesSet(ids, values, [c for c in range(2) for _ in range(per_class)])
+        return Dataset("bin", part("train"), part("test"), 2, 2)
 
     def test_target_fraction_approx(self):
         ds = self._balanced_binary(50)
         out = make_imbalanced(ds, 1, 0.2, seed=0)
-        minority = [s for s in out.train if s.label == 1]
-        majority = [s for s in out.train if s.label == 0]
-        assert len(majority) == 50
+        assert int(np.sum(out.train.labels == 0)) == 50
         # 13/(50+13) = 0.206 is the closest achievable share to 0.2
-        assert len(minority) == 13
+        assert int(np.sum(out.train.labels == 1)) == 13
+        assert list(out.train.ids) == sorted(out.train.ids)
 
     def test_not_over_target_error(self):
         ds = self._balanced_binary(10)
@@ -203,14 +249,14 @@ class TestMakeImbalanced:
         ds = self._balanced_binary(20)
         a = make_imbalanced(ds, 0, 0.25, seed=9)
         b = make_imbalanced(ds, 0, 0.25, seed=9)
-        assert [s.id for s in a.train] == [s.id for s in b.train]
-        assert [s.id for s in a.test] == [s.id for s in b.test]
+        assert a.train.ids == b.train.ids
+        assert a.test.ids == b.test.ids
 
     def test_majority_untouched(self):
         ds = self._balanced_binary(30)
         out = make_imbalanced(ds, 1, 0.2, seed=2)
-        majority_before = {s.id for s in ds.train if s.label == 0}
-        majority_after = {s.id for s in out.train if s.label == 0}
+        majority_before = {i for i, label in zip(ds.train.ids, ds.train.labels) if label == 0}
+        majority_after = {i for i, label in zip(out.train.ids, out.train.labels) if label == 0}
         assert majority_before == majority_after
 
     def test_requires_binary(self):
@@ -222,26 +268,26 @@ class TestMakeImbalanced:
 class TestGenerateSynthetic:
     def test_noiseless_template(self):
         ds = generate_synthetic(15, 1, 1, 0.0, seed=0)
-        class0 = next(s for s in ds.train if s.label == 0)
-        assert class0.values[:5] == (1.0,) * 5
-        assert class0.values[5:] == (0.0,) * 10
+        class0 = ds.train.values[ds.train.labels == 0][0]
+        assert class0[:5].tolist() == [1.0] * 5
+        assert class0[5:].tolist() == [0.0] * 10
 
     def test_noiseless_nearest_neighbor_is_perfect(self):
         ds = generate_synthetic(9, 2, 3, 0.0, seed=1)
-        train = np.array([s.values for s in ds.train])
-        train_labels = np.array([s.label for s in ds.train])
-        for s in ds.test:
-            d = np.abs(train - np.asarray(s.values)).sum(axis=1)
-            assert train_labels[int(np.argmin(d))] == s.label
+        train, train_labels = ds.train.values, ds.train.labels
+        for values, label in zip(ds.test.values, ds.test.labels):
+            d = np.abs(train - values).sum(axis=1)
+            assert train_labels[int(np.argmin(d))] == label
 
     def test_deterministic(self):
         a = generate_synthetic(12, 4, 4, 0.3, seed=5)
         b = generate_synthetic(12, 4, 4, 0.3, seed=5)
-        assert all(x.values == y.values for x, y in zip(a.train + a.test, b.train + b.test))
+        assert np.array_equal(a.train.values, b.train.values)
+        assert np.array_equal(a.test.values, b.test.values)
 
     def test_templates_pairwise_distinct(self):
         ds = generate_synthetic(9, 1, 1, 0.0, seed=0)
-        templates = {s.label: s.values for s in ds.train}
+        templates = {int(label): values.tolist() for label, values in zip(ds.train.labels, ds.train.values)}
         assert templates[0] != templates[1]
         assert templates[1] != templates[2]
         assert templates[0] != templates[2]
@@ -262,11 +308,9 @@ class TestInformationGainScreen:
     def test_shuffled_labels_rejected(self):
         ds = generate_synthetic(20, 20, 5, 0.3, seed=3)
         rng = np.random.default_rng(0)
-        labels = rng.permutation([s.label for s in ds.train])
+        labels = rng.permutation(ds.train.labels)
         # keep every class present; relabel train arbitrarily
-        shuffled = tuple(
-            LabeledSeries(s.id, s.values, int(l)) for s, l in zip(ds.train, labels)
-        )
+        shuffled = SeriesSet(ds.train.ids, ds.train.values, labels)
         shuffled_ds = Dataset(ds.name, shuffled, ds.test, ds.num_classes, ds.length)
         gain_half, gain_full, accepted = information_gain_screen(shuffled_ds, seed=0)
         assert abs(gain_half) < 0.05
@@ -281,7 +325,7 @@ def test_split_spec_validates_fractions():
 
 
 def test_save_series_file_round_trip(tmp_path):
-    series = [LabeledSeries("a", (0.1, -2.5, 3.0), 1), LabeledSeries("b", (1.0, 2.0, 3.0), 0)]
+    series = SeriesSet(("a", "b"), [(0.1, -2.5, 3.0), (1.0, 2.0, 3.0)], [1, 0])
     path = os.path.join(tmp_path, "s.csv")
     save_series_file(series, path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -291,9 +335,10 @@ def test_save_series_file_round_trip(tmp_path):
 
 
 def test_dataset_validation_errors():
-    good = LabeledSeries("a", (1.0, 2.0), 0)
-    other = LabeledSeries("b", (1.0, 2.0), 1)
+    no_test = SeriesSet((), np.empty((0, 2)), ())
     with pytest.raises(DataError, match="absent"):
-        Dataset("d", (good, LabeledSeries("c", (0.0, 0.0), 0)), (), 2, 2)
+        Dataset("d", SeriesSet(("a", "c"), [(1.0, 2.0), (0.0, 0.0)], [0, 0]), no_test, 2, 2)
     with pytest.raises(DataError, match="length"):
-        Dataset("d", (good, other, LabeledSeries("c", (0.0, 0.0, 0.0), 0)), (), 2, 3)
+        Dataset("d", SeriesSet(("a", "b"), [(1.0, 2.0), (1.0, 2.0)], [0, 1]), no_test, 2, 3)
+    with pytest.raises(DataError, match="'b' label 2 >= K"):
+        Dataset("d", SeriesSet(("a", "b"), [(1.0, 2.0), (1.0, 2.0)], [0, 2]), no_test, 2, 2)

@@ -1,11 +1,18 @@
-"""The perfbench tracer wraps ects_bench functions by name; a rename must
-fail here, not only in a traced benchmark run."""
+"""The perfbench tracer wraps ects_bench functions by name and reads their
+arguments and results; a rename or a broken hook contract must fail here,
+not only in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
-TRACER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "tracer.py")
+from ects_bench.data import generate_synthetic, save_dataset
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def test_every_boundary_name_resolves():
@@ -22,3 +29,33 @@ def test_every_boundary_name_resolves():
             if not callable(target):
                 missing.append(f"{mod_name}.{attr}")
     assert not missing, missing
+
+
+def test_traced_run_and_report_count_their_work(tmp_path):
+    save_dataset(generate_synthetic(9, 6, 3, 0.3, seed=0, name="tiny"), str(tmp_path / "ds"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "datasets": [str(tmp_path / "ds" / "manifest.json")],
+        "methods": ["asap", "proba_threshold"],
+        "alpha_grid": [0.5],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    commands = {
+        "run": ["--config", str(config)],
+        "report": ["--results", str(tmp_path / "out"), "--out", str(tmp_path / "rebuilt")],
+    }
+    counts = {}
+    for command, args in commands.items():
+        spans = tmp_path / f"{command}.json"
+        proc = subprocess.run(
+            [sys.executable, TRACER, "--src", os.path.join(ROOT, "src"), "--spans", str(spans),
+             "--trace-id", command, "--", command, *args],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts[command] = json.loads(spans.read_text())["counts"]
+    assert counts["run"]["data.series_loaded"] > 0
+    assert counts["run"]["metrics.oracle_unique"] > 0
+    assert counts["run"]["bench.records"] > 0
+    assert counts["report"]["bench.records"] > 0

@@ -37,8 +37,8 @@ def random_train_set(seed=0, n=12, L=5, K=2, T=10):
     ts = tuple(sorted(rng.choice(np.arange(1, T), size=L - 1, replace=False).tolist()) + [T])
     timeline = SampledTimeline(ts, T)
     raw = rng.random((n, L, K))
-    traces = tuple(row / row.sum(axis=1, keepdims=True) for row in raw)
-    labels = tuple(int(v) for v in rng.integers(0, K, size=n))
+    traces = raw / raw.sum(axis=2, keepdims=True)
+    labels = rng.integers(0, K, size=n)
     return TriggerTrainSet(traces, labels, timeline)
 
 
@@ -58,7 +58,7 @@ def confident_correct_train_set(n=8, L=4, T=8):
         vec = np.array([0.95, 0.05]) if label == 0 else np.array([0.05, 0.95])
         traces.append(np.tile(vec, (L, 1)))
         labels.append(label)
-    return TriggerTrainSet(tuple(traces), tuple(labels), timeline)
+    return TriggerTrainSet(np.array(traces), np.array(labels), timeline)
 
 
 class TestBaselines:
@@ -136,7 +136,7 @@ class TestProbaThreshold:
         # maximally confident traces: every theta halts immediately, equal cost
         train = confident_correct_train_set()
         train = TriggerTrainSet(
-            tuple(np.tile([1.0, 0.0], (len(train.timeline), 1)) for _ in train.traces),
+            np.tile([1.0, 0.0], (len(train.traces), len(train.timeline), 1)),
             train.labels,
             train.timeline,
         )
@@ -179,8 +179,8 @@ class TestStoppingRule:
     def test_fit_tie_break_lexicographic(self):
         # single-timestamp timeline: every gamma is forced to the same decision
         timeline = SampledTimeline((5,), 5)
-        traces = tuple(np.array([[0.7, 0.3]]) for _ in range(4))
-        train = TriggerTrainSet(traces, (0, 0, 1, 1), timeline)
+        traces = np.tile([0.7, 0.3], (4, 1, 1))
+        train = TriggerTrainSet(traces, np.array([0, 0, 1, 1]), timeline)
         model = fit_stopping_rule(train, standard_cost_model(2, 0.5))
         assert model.gamma == (-1.0, -1.0, -1.0)
 
@@ -204,7 +204,7 @@ def hand_economy_train_set():
         second = wrong[label] if i == 0 else right[label]
         traces.append(np.stack([first, second]))
         labels.append(label)
-    return TriggerTrainSet(tuple(traces), tuple(labels), timeline)
+    return TriggerTrainSet(np.array(traces), np.array(labels), timeline)
 
 
 class TestEconomy:
@@ -221,7 +221,7 @@ class TestEconomy:
         alpha = 0.3
         cost = standard_cost_model(2, alpha)
         model = fit_economy(train, cost, k_grid=(1,), smoothing=0.0)
-        P, labels = train.prob_array, np.array(train.labels)
+        P, labels = train.traces, train.labels
         pred = P.argmax(axis=2)
         T = train.timeline.series_length
         for j, t in enumerate(train.timeline.timestamps):
@@ -295,6 +295,17 @@ class TestEconomy:
                         assert full[j, g] == (costs[0] <= costs[1:].min())
                         assert myopic[j, g] == (costs[0] <= costs[1])
                 assert full[-1].all() and myopic[-1].all()
+
+
+def test_train_set_checks_its_shapes():
+    timeline = SampledTimeline((1, 2), 2)
+    traces = np.full((3, 2, 2), 0.5)
+    with pytest.raises(DataError, match="do not agree"):
+        TriggerTrainSet(traces, np.array([0, 1]), timeline)
+    with pytest.raises(DataError, match="empty trigger train set"):
+        TriggerTrainSet(traces[:0], np.array([], dtype=int), timeline)
+    with pytest.raises(DataError, match="trace length differs"):
+        TriggerTrainSet(traces[:, :1], np.array([0, 1, 0]), timeline)
 
 
 class TestFitState:
@@ -387,7 +398,7 @@ class TestCalimera:
     def test_single_point_closed_form(self):
         timeline = SampledTimeline((1, 2), 2)
         trace = np.array([[0.3, 0.7], [0.8, 0.2]])
-        train = TriggerTrainSet((trace,), (0,), timeline)
+        train = TriggerTrainSet(trace[None], np.array([0]), timeline)
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
         lam = 1e-2
@@ -422,7 +433,7 @@ class TestCalimera:
     def test_kernel_blocks_shared_only_by_fits_of_one_state(self):
         train = random_train_set(seed=23, n=15, L=4)
         test = random_train_set(seed=24, n=9, L=4)
-        P = test.prob_array
+        P = test.traces
         models = [
             fit_calimera(train, standard_cost_model(2, alpha), ridge=ridge)
             for ridge in (1e-2, 1.0) for alpha in (0.2, 0.8)
@@ -497,7 +508,7 @@ class TestMyopic:
             raw = rng.random((3, 2))
             traces.append(raw / raw.sum(axis=1, keepdims=True))
             labels.append(i % 2)
-        train = TriggerTrainSet(tuple(traces), tuple(labels), timeline)
+        train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
         cost = standard_cost_model(2, 0.5)
         model = fit_calimera(train, cost)
         myopic = make_myopic(model)
