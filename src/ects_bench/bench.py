@@ -4,9 +4,10 @@ simulate / score pipeline, and report emission.
 The pipeline per dataset: stratified split of the train set (40% classifier
 part, 60% trigger part; 30% of the classifier part held out for calibration),
 one classifier collection fitted once, trigger-train probability traces
-computed once. Each tuned trigger builds its alpha-independent state once
-per dataset, on its first fit; each alpha then only selects parameters by
-cost, and a *_myopic variant reuses the same alpha's full fit. The test
+computed once. Each tuned trigger is fitted once per dataset over the whole
+alpha sweep: its alpha-independent state is a local of that one fit, and
+each alpha only selects parameters by cost. A *_myopic variant reuses the
+same alpha's full fit. The test
 traces are stacked once; each (method, alpha) trigger halts every test series
 at the first True of its vectorised halts, priced against the oracle: one
 scan over the stacked test traces per alpha. Datasets that cannot satisfy
@@ -65,8 +66,6 @@ class BenchConfig:
     output_dir: str = "bench-out"
 
     def __post_init__(self):
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ConfigError(f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
@@ -75,6 +74,11 @@ class BenchConfig:
         for a in self.alpha_grid:
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha {a} outside [0, 1]")
+        for name, values in (("methods", self.methods), ("alpha_grid", self.alpha_grid)):
+            if not values:
+                raise ConfigError(f"{name} must be nonempty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats an entry: {list(values)}")
         if not self.datasets:
             raise ConfigError("datasets must be nonempty")
 
@@ -133,7 +137,7 @@ def parse_config(path: str) -> BenchConfig:
     if "seed" in doc:
         kwargs["seed"] = _typed(doc["seed"], int, "seed")
     if "output_dir" in doc:
-        kwargs["output_dir"] = str(doc["output_dir"])
+        kwargs["output_dir"] = _typed(doc["output_dir"], str, "output_dir")
     return BenchConfig(**kwargs)
 
 
@@ -168,39 +172,40 @@ def _load_config_dataset(entry, position: int) -> Dataset:
     raise ConfigError(f"dataset entry must be a manifest path or object, got {type(entry).__name__}")
 
 
-def _fit_trigger(
+def _fit_sweep(
     method: str,
     train_set: trigger.TriggerTrainSet,
-    cost: CostModel,
-) -> trigger.TriggerModel:
-    timeline = train_set.timeline
+    costs: Sequence[CostModel],
+) -> List[trigger.TriggerModel]:
+    """One fitted model per cost model of the alpha sweep, in order."""
     if method == "asap":
-        return trigger.AsapTrigger(timeline, cost)
+        return [trigger.AsapTrigger(train_set.timeline)] * len(costs)
     if method == "alap":
-        return trigger.AlapTrigger(timeline, cost)
+        return [trigger.AlapTrigger(train_set.timeline)] * len(costs)
     if method == "proba_threshold":
-        return trigger.fit_proba_threshold(train_set, cost)
+        return trigger.fit_proba_threshold(train_set, costs)
     if method == "stopping_rule":
-        return trigger.fit_stopping_rule(train_set, cost)
+        return trigger.fit_stopping_rule(train_set, costs)
     if method == "economy":
-        return trigger.fit_economy(train_set, cost)
+        return trigger.fit_economy(train_set, costs)
     if method == "ecec":
-        return trigger.fit_ecec(train_set, cost)
+        return trigger.fit_ecec(train_set, costs)
     if method == "calimera":
-        return trigger.fit_calimera(train_set, cost)
+        return trigger.fit_calimera(train_set, costs)
     raise ConfigError(f"unknown method {method!r}")
 
 
 def run_dataset(dataset: Dataset, config: BenchConfig) -> Tuple[RecordTable, SampledTimeline]:
     """All records for one dataset across methods and alphas. The blocks are
-    joined once the fit state behind them is freed."""
+    joined once the fits behind them are freed."""
     blocks, timeline = _record_blocks(dataset, config)
     return RecordTable.concat(blocks), timeline
 
 
 def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTable], SampledTimeline]:
     """One block of records per (alpha, method), priced from the first halt
-    of each test series."""
+    of each test series. Each base method is fitted once over the sweep, in
+    method order, so a dataset's first error does not depend on alpha."""
     split_seed = derive_seed(config.seed, dataset.name, "split")
     clf_part, trig_part = stratified_split(
         dataset.train, config.split.classifier_fraction, split_seed
@@ -219,17 +224,18 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
     # optimal_time takes the labels as a tuple: hashable, so a caller may key on it.
     oracle_labels = tuple(test.labels.tolist())
 
+    costs = [cost_model_for(config.cost_setting, dataset.num_classes, a) for a in config.alpha_grid]
+    # One sweep per base method, in method order; *_myopic variants share it.
+    bases = dict.fromkeys(method.removesuffix("_myopic") for method in config.methods)
+    fitted = {base: _fit_sweep(base, train_set, costs) for base in bases}
+
     rows = np.arange(len(test))
     blocks: List[RecordTable] = []
-    for alpha in config.alpha_grid:
-        cost = cost_model_for(config.cost_setting, dataset.num_classes, alpha)
+    for i, cost in enumerate(costs):
         oracle = metrics.optimal_time(test_traces, oracle_labels, cost, timeline)
-        fitted: Dict[str, trigger.TriggerModel] = {}  # this alpha's fits, shared with *_myopic
         for method in config.methods:
             base = method.removesuffix("_myopic")
-            if base not in fitted:
-                fitted[base] = _fit_trigger(base, train_set, cost)
-            model = fitted[base] if base == method else trigger.make_myopic(fitted[base])
+            model = fitted[base][i] if base == method else trigger.make_myopic(fitted[base][i])
             first = model.halts(test_stats).argmax(axis=1)
             blocks.append(metrics.price_records(
                 dataset.name, method, test.ids, test.labels, test_stats.pred[rows, first], first,
@@ -387,7 +393,15 @@ def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods:
 
 def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) -> List[str]:
     """Emit records/summaries/ranks/pairwise/pareto CSVs (plus an optional
-    rank chart); byte-deterministic for a given bundle."""
+    rank chart); byte-deterministic for a given bundle. An output directory
+    that cannot be made or written is a ConfigError naming it."""
+    try:
+        return _write_report_files(bundle, out_dir, emit_svg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write reports to {out_dir!r}: {exc.strerror or exc}") from None
+
+
+def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> List[str]:
     os.makedirs(out_dir, exist_ok=True)
     written: List[str] = []
 

@@ -1,7 +1,8 @@
 """Dataset ingestion, splitting, normalization and the synthetic generator.
 
-Series files are headerless UTF-8 text, one series per line:
-``label,v1,...,vT`` with finite values and '\n' line endings. A dataset
+Series files are headerless ASCII text, one series per line:
+``label,v1,...,vT`` with finite values and '\n' or '\r\n' line endings;
+whitespace may surround a line but not appear inside it. A dataset
 manifest is a JSON object {name, train_file, test_file, num_classes, length}.
 """
 
@@ -59,6 +60,12 @@ class SplitSpec:
                 raise ConfigError(f"split fraction {f} must be in (0, 1)")
 
 
+# Bytes no field may hold, though int() and float() would read them: '_'
+# digit separators, whitespace and control characters, and non-ASCII bytes
+# (digits of other scripts).
+_OUTSIDE_FORMAT = bytes(range(33)) + b"_" + bytes(range(128, 256))
+
+
 def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
     """The raw labels and the (n, T) value matrix of a series file; a bad
     line is a DataError naming its path:line."""
@@ -70,13 +77,12 @@ def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
         raise DataError(f"cannot read series file {path}: {exc.strerror or exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                raise DataError(f"{path}:{lineno}: not UTF-8 text") from None
+            line = raw.strip()
             if not line:
                 continue
-            fields = line.split(",")
+            if len(line.translate(None, _OUTSIDE_FORMAT)) != len(line):
+                raise DataError(f"{path}:{lineno}: non-ASCII byte, '_' or whitespace inside the line")
+            fields = line.decode("ascii").split(",")
             if len(fields) < 3:
                 raise DataError(f"{path}:{lineno}: expected 'label,v1,...,vT' with T >= 2")
             try:

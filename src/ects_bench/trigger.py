@@ -15,19 +15,19 @@ model over equal-frequency confidence bins, a precision-sequence confidence
 rule, and a cost-difference kernel-ridge regressor. The two expected-cost
 policies have myopic (horizon-1) variants.
 
-Each tuned fit runs in two steps. The state that does not depend on alpha
-(every grid candidate's first halts, the Markov models with their expected
-misclassification paths, kernel factorizations) is built on first use and
-kept on the TriggerTrainSet, so a sweep over alpha builds it once per
-dataset. The selection step, run per call, is only the cost arithmetic and
-the tie-breaking scan.
+Each tuned fit takes the trigger partition and an alpha sweep: cost models
+that differ in alpha alone. It returns one model per cost model, in order.
+The state that does not depend on alpha (every grid candidate's first
+halts, the Markov models with their expected misclassification paths,
+ecec's precisions, kernel factorizations) is a local of that one call, so a
+sweep builds it once. Each alpha then adds only the cost arithmetic and the
+tie-breaking scan.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -70,8 +70,6 @@ class TriggerTrainSet:
     labels: np.ndarray
     timeline: SampledTimeline
     stats: TraceStats = field(init=False, repr=False)
-    # Alpha-independent fit state, keyed by fit and its alpha-free settings.
-    _state: Dict[tuple, object] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         traces = np.asarray(self.traces, dtype=float)
@@ -92,9 +90,8 @@ class TriggerModel:
 
     variant = "base"
 
-    def __init__(self, timeline: SampledTimeline, cost: Optional[CostModel] = None):
+    def __init__(self, timeline: SampledTimeline):
         self.timeline = timeline
-        self.cost = cost
 
     def halts(self, stats: TraceStats) -> np.ndarray:
         """(n, m) bool: True = halt at timeline index j. Forced halt at the
@@ -113,24 +110,6 @@ class TriggerModel:
         if i >= len(self.timeline):
             raise ValueError(f"index {i} outside timeline")
         return bool(self.halts(trigger_stats(np.asarray(trace_prefix)[None, : i + 1]))[0, i])
-
-    def params(self) -> dict:
-        return {}
-
-    def to_json(self) -> str:
-        doc = {
-            "variant": self.variant,
-            "timeline": list(self.timeline.timestamps),
-            "series_length": self.timeline.series_length,
-            "params": self.params(),
-        }
-        if self.cost is not None:
-            doc["cost"] = {
-                "mis_matrix": [list(r) for r in self.cost.mis_matrix],
-                "delay": self.cost.delay.value,
-                "alpha": self.cost.alpha,
-            }
-        return json.dumps(doc)
 
 
 def simulate_online(model: TriggerModel, trace: np.ndarray) -> Decision:
@@ -160,8 +139,8 @@ class AlapTrigger(TriggerModel):
 class ProbaThresholdTrigger(TriggerModel):
     variant = "proba_threshold"
 
-    def __init__(self, timeline, theta: float, cost=None):
-        super().__init__(timeline, cost)
+    def __init__(self, timeline, theta: float):
+        super().__init__(timeline)
         if not 0.0 < theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {theta}")
         self.theta = theta
@@ -169,15 +148,12 @@ class ProbaThresholdTrigger(TriggerModel):
     def _halts(self, stats):
         return stats.maxp >= self.theta
 
-    def params(self):
-        return {"theta": self.theta}
-
 
 class StoppingRuleTrigger(TriggerModel):
     variant = "stopping_rule"
 
-    def __init__(self, timeline, gamma: Tuple[float, float, float], cost=None):
-        super().__init__(timeline, cost)
+    def __init__(self, timeline, gamma: Tuple[float, float, float]):
+        super().__init__(timeline)
         self.gamma = tuple(float(g) for g in gamma)
 
     def _halts(self, stats):
@@ -186,26 +162,17 @@ class StoppingRuleTrigger(TriggerModel):
         tt = np.array(self.timeline.timestamps[:m]) / self.timeline.series_length
         return g1 * stats.maxp + g2 * stats.p2 + g3 * tt > 0.0
 
-    def params(self):
-        return {"gamma": list(self.gamma)}
-
 
 # ---------------------------------------------------------------------------
 # Policy simulation shared by the grid searches.
 # ---------------------------------------------------------------------------
 
 
-def _fit_state(train: TriggerTrainSet, key: tuple, build: Callable[[], object]):
-    """The train set's state under key, built on first use. A build that
-    raises stores nothing, so every later call raises the same error."""
-    if key not in train._state:
-        train._state[key] = build()
-    return train._state[key]
-
-
-def _cost_key(cost: CostModel) -> tuple:
-    """The alpha-free part of a cost model."""
-    return (cost.mis_matrix, cost.delay)
+def _sweep_base(costs: Sequence[CostModel]) -> CostModel:
+    """The first of a sweep's cost models, which must differ in alpha alone."""
+    if len({(cost.mis_matrix, cost.delay) for cost in costs}) != 1:
+        raise ValueError("an alpha sweep needs one or more cost models that differ in alpha alone")
+    return costs[0]
 
 
 def _halt_outcomes(
@@ -231,33 +198,26 @@ def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
 
 
 def _fit_grid(
-    train: TriggerTrainSet, cost: CostModel, name: str, grid: Sequence,
+    train: TriggerTrainSet, costs: Sequence[CostModel], grid: Sequence,
     make: Callable[[object], TriggerModel],
-) -> TriggerModel:
-    """make(point) for the grid point whose policy has the least empirical
-    mean weighted cost on the train set; ties go to the earlier point. The
-    candidates' outcomes do not depend on alpha and are kept as state."""
-    outcomes = _fit_state(
-        train, (name,) + _cost_key(cost),
-        lambda: _halt_outcomes(train, cost, (make(point).halts(train.stats) for point in grid)),
-    )
-    return make(grid[_select(outcomes, cost.alpha)])
+) -> List[TriggerModel]:
+    """Per cost model, make(point) for the grid point whose policy has the
+    least empirical mean weighted cost on the train set; ties go to the
+    earlier point. The candidates' outcomes are computed once per sweep."""
+    outcomes = _halt_outcomes(train, _sweep_base(costs), (make(point).halts(train.stats) for point in grid))
+    return [make(grid[_select(outcomes, cost.alpha)]) for cost in costs]
 
 
-def fit_proba_threshold(train: TriggerTrainSet, cost: CostModel) -> ProbaThresholdTrigger:
+def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[ProbaThresholdTrigger]:
     """Pick theta from the 40-point grid; ties go to the smaller theta."""
-    return _fit_grid(
-        train, cost, "proba_threshold", PROBA_GRID,
-        lambda theta: ProbaThresholdTrigger(train.timeline, theta, cost),
-    )
+    return _fit_grid(train, costs, PROBA_GRID, lambda theta: ProbaThresholdTrigger(train.timeline, theta))
 
 
-def fit_stopping_rule(train: TriggerTrainSet, cost: CostModel) -> StoppingRuleTrigger:
+def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[StoppingRuleTrigger]:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
     smallest vector."""
     return _fit_grid(
-        train, cost, "stopping_rule", STOPPING_RULE_GRID,
-        lambda gamma: StoppingRuleTrigger(train.timeline, gamma, cost),
+        train, costs, STOPPING_RULE_GRID, lambda gamma: StoppingRuleTrigger(train.timeline, gamma)
     )
 
 
@@ -277,52 +237,16 @@ class EconomyTrigger(TriggerModel):
         k: int,
         bin_edges: List[np.ndarray],
         transitions: np.ndarray,
-        class_counts: np.ndarray,
-        confusion_counts: np.ndarray,
-        smoothing: float = 1.0,
+        mis_paths: np.ndarray,
         myopic: bool = False,
     ):
-        super().__init__(timeline, cost)
+        super().__init__(timeline)
+        self.cost = cost
         self.k = k
         self.bin_edges = bin_edges  # per timestamp, (k-1,) interior edges
         self.transitions = transitions  # (L-1, k, k), rows normalized
-        self.class_counts = class_counts  # (L, k, K)
-        self.confusion_counts = confusion_counts  # (L, k, K true, K predicted)
-        self.smoothing = smoothing
+        self.mis_paths = mis_paths  # (L, k, L), see _expected_mis_paths
         self.myopic = myopic
-        self._mis = self._expected_mis()
-        self.mis_paths = self._expected_mis_paths()
-
-    def _expected_mis(self) -> np.ndarray:
-        """Expected unweighted misclassification cost per (timestamp, group):
-        the sum over true classes y, in order, of p(y) times the dot of
-        p(predicted | y) with the cost column of y."""
-        K = self.class_counts.shape[2]
-        mis_matrix = np.asarray(self.cost.mis_matrix)  # [predicted][true]
-        s = self.smoothing
-        cc, conf = self.class_counts, self.confusion_counts
-        p_y = (cc + s) / (cc.sum(axis=2, keepdims=True) + s * K)  # (L, k, K)
-        p_pred = (conf + s) / (conf.sum(axis=3, keepdims=True) + s * K)  # (L, k, K, K)
-        out = np.zeros(cc.shape[:2])
-        for y in range(K):
-            # One dot per (timestamp, group), as for a single row.
-            out += p_y[:, :, y] * np.matmul(p_pred[:, :, y, None, :], mis_matrix[:, y, None])[:, :, 0, 0]
-        return out
-
-    def _expected_mis_paths(self) -> np.ndarray:
-        """M[j, g, tau]: expected unweighted misclassification cost of halting
-        at tau from group g at index j (zero for tau < j), carrying the group
-        distribution along the transitions. Does not depend on alpha."""
-        L = len(self.timeline)
-        out = np.zeros((L, self.k, L))
-        for j in range(L):
-            reach = np.eye(self.k)[:, None, :]  # (k, 1, k): one row per starting group
-            for tau in range(j, L):
-                # One product per row; a single GEMV or GEMM rounds differently.
-                out[j, :, tau] = np.matmul(reach, self._mis[tau][:, None])[:, 0, 0]
-                if tau < L - 1:
-                    reach = np.matmul(reach, self.transitions[tau])
-        return out
 
     def priced_costs(self) -> np.ndarray:
         """(L, k, L): expected weighted cost of halting at tau from group g at
@@ -338,16 +262,37 @@ class EconomyTrigger(TriggerModel):
         groups = _groups(self.bin_edges, stats.maxp)
         return _economy_halt_table(self.priced_costs(), self.myopic)[np.arange(groups.shape[1]), groups]
 
-    def params(self):
-        return {
-            "k": self.k,
-            "bin_edges": [e.tolist() for e in self.bin_edges],
-            "transitions": self.transitions.tolist(),
-            "class_counts": self.class_counts.tolist(),
-            "confusion_counts": self.confusion_counts.tolist(),
-            "smoothing": self.smoothing,
-            "myopic": self.myopic,
-        }
+
+def _expected_mis(cc: np.ndarray, conf: np.ndarray, cost: CostModel, s: float) -> np.ndarray:
+    """Expected unweighted misclassification cost per (timestamp, group) from
+    the (L, k, K) class counts cc and (L, k, K true, K predicted) confusion
+    counts conf, smoothed by s: the sum over true classes y, in order, of
+    p(y) times the dot of p(predicted | y) with the cost column of y."""
+    K = cc.shape[2]
+    mis_matrix = np.asarray(cost.mis_matrix)  # [predicted][true]
+    p_y = (cc + s) / (cc.sum(axis=2, keepdims=True) + s * K)  # (L, k, K)
+    p_pred = (conf + s) / (conf.sum(axis=3, keepdims=True) + s * K)  # (L, k, K, K)
+    out = np.zeros(cc.shape[:2])
+    for y in range(K):
+        # One dot per (timestamp, group), as for a single row.
+        out += p_y[:, :, y] * np.matmul(p_pred[:, :, y, None, :], mis_matrix[:, y, None])[:, :, 0, 0]
+    return out
+
+
+def _expected_mis_paths(mis: np.ndarray, transitions: np.ndarray) -> np.ndarray:
+    """M[j, g, tau]: expected unweighted misclassification cost of halting
+    at tau from group g at index j (zero for tau < j), carrying the group
+    distribution along the transitions. Does not depend on alpha."""
+    L, k = mis.shape
+    out = np.zeros((L, k, L))
+    for j in range(L):
+        reach = np.eye(k)[:, None, :]  # (k, 1, k): one row per starting group
+        for tau in range(j, L):
+            # One product per row; a single GEMV or GEMM rounds differently.
+            out[j, :, tau] = np.matmul(reach, mis[tau][:, None])[:, 0, 0]
+            if tau < L - 1:
+                reach = np.matmul(reach, transitions[tau])
+    return out
 
 
 def _groups(bin_edges: List[np.ndarray], maxp: np.ndarray) -> np.ndarray:
@@ -372,7 +317,8 @@ def _economy_halt_table(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
 def _build_economy(
     train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float
 ) -> Optional[EconomyTrigger]:
-    """Build the k-bin model; None if some bin is empty at some timestamp."""
+    """Build the k-bin model at cost; None if some bin is empty at some
+    timestamp."""
     P, pred, maxp = train.stats[:3]
     _, L, K = P.shape
     labels = train.labels
@@ -388,44 +334,36 @@ def _build_economy(
     row_sums = counts.sum(axis=2, keepdims=True)
     if np.any(row_sums == 0):
         return None
+    transitions = counts / row_sums
     class_counts = np.zeros((L, k, K))
     np.add.at(class_counts, (j, groups, labels[:, None]), 1.0)
     confusion_counts = np.zeros((L, k, K, K))
     np.add.at(confusion_counts, (j, groups, labels[:, None], pred), 1.0)
-    return EconomyTrigger(
-        train.timeline, cost, k, bin_edges, counts / row_sums, class_counts, confusion_counts, smoothing
-    )
-
-
-def _economy_state(
-    train: TriggerTrainSet, cost: CostModel, k_grid: Sequence[int], smoothing: float
-) -> List[EconomyTrigger]:
-    """The model of every feasible k, its expected misclassification paths
-    included; none of it depends on alpha."""
-    models = [m for m in (_build_economy(train, cost, k, smoothing) for k in k_grid) if m is not None]
-    if not models:
-        raise DataError("no feasible k for the confidence partition")
-    return models
+    mis_paths = _expected_mis_paths(_expected_mis(class_counts, confusion_counts, cost, smoothing), transitions)
+    return EconomyTrigger(train.timeline, cost, k, bin_edges, transitions, mis_paths)
 
 
 def fit_economy(
     train: TriggerTrainSet,
-    cost: CostModel,
+    costs: Sequence[CostModel],
     k_grid: Sequence[int] = tuple(range(1, 21)),
     smoothing: float = 1.0,
-) -> EconomyTrigger:
-    """Select k by empirical mean weighted cost of the induced policy on the
-    trigger train set; infeasible k (empty bin) are skipped; ties favor the
-    smaller k."""
-    state = _fit_state(
-        train, ("economy",) + _cost_key(cost) + (tuple(k_grid), smoothing),
-        lambda: _economy_state(train, cost, k_grid, smoothing),
-    )
-    candidates = [copy.copy(model) for model in state]  # they share the alpha-free arrays
-    for model in candidates:
-        model.cost = cost
-    outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in candidates))
-    return candidates[_select(outcomes, cost.alpha)]
+) -> List[EconomyTrigger]:
+    """Per cost model, select k by empirical mean weighted cost of the
+    induced policy on the trigger train set; infeasible k (empty bin) are
+    skipped; ties favor the smaller k. Each feasible k's model is built once
+    per sweep."""
+    base = _sweep_base(costs)
+    models = [m for m in (_build_economy(train, base, k, smoothing) for k in k_grid) if m is not None]
+    if not models:
+        raise DataError("no feasible k for the confidence partition")
+    fitted = []
+    for cost in costs:
+        candidates = [EconomyTrigger(m.timeline, cost, m.k, m.bin_edges, m.transitions, m.mis_paths)
+                      for m in models]
+        outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in candidates))
+        fitted.append(candidates[_select(outcomes, cost.alpha)])
+    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +374,8 @@ def fit_economy(
 class EcecTrigger(TriggerModel):
     variant = "ecec"
 
-    def __init__(self, timeline, cost, precisions: np.ndarray, gamma: float):
-        super().__init__(timeline, cost)
+    def __init__(self, timeline, precisions: np.ndarray, gamma: float):
+        super().__init__(timeline)
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
         self.precisions = precisions  # (L, K)
@@ -459,9 +397,6 @@ class EcecTrigger(TriggerModel):
     def _halts(self, stats):
         return self.confidences(stats) >= self.gamma
 
-    def params(self):
-        return {"gamma": self.gamma, "precisions": self.precisions.tolist()}
-
 
 def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
     """Add-one smoothed per-(timestamp, class) precision on the train set."""
@@ -470,16 +405,11 @@ def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> 
     return (correct.sum(axis=0) + 1.0) / (predicted.sum(axis=0) + 2.0)
 
 
-def fit_ecec(train: TriggerTrainSet, cost: CostModel) -> EcecTrigger:
+def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[EcecTrigger]:
     """Tune the confidence threshold on the 40-point grid; ties go to the
     smaller gamma."""
-    prec = _fit_state(
-        train, ("ecec_precisions",),
-        lambda: _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2]),
-    )
-    return _fit_grid(
-        train, cost, "ecec", PROBA_GRID, lambda gamma: EcecTrigger(train.timeline, cost, prec, gamma)
-    )
+    prec = _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2])
+    return _fit_grid(train, costs, PROBA_GRID, lambda gamma: EcecTrigger(train.timeline, prec, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +457,9 @@ class _KrrStep:
 class CalimeraTrigger(TriggerModel):
     variant = "calimera"
 
-    def __init__(self, timeline, cost, steps: List[_KrrStep], ridge: float, myopic: bool = False):
-        super().__init__(timeline, cost)
+    def __init__(self, timeline, steps: List[_KrrStep], myopic: bool = False):
+        super().__init__(timeline)
         self.steps = steps  # one per non-final timestamp
-        self.ridge = ridge
         self.myopic = myopic
 
     def predicted_deltas(self, stats: TraceStats) -> np.ndarray:
@@ -546,7 +475,7 @@ class CalimeraTrigger(TriggerModel):
     def _kernel(self, stats: TraceStats, j: int) -> np.ndarray:
         """RBF block between the stack's inputs at index j and step j's train
         inputs. It is kept on stats under j with those train inputs, which
-        every alpha's fit from the same alpha-free state shares."""
+        every model of one fit_calimera sweep shares."""
         step = self.steps[j]
         train_X, block = stats.kernels.get(j, (None, None))
         if train_X is not step.X:
@@ -557,13 +486,6 @@ class CalimeraTrigger(TriggerModel):
 
     def _halts(self, stats):
         return self.predicted_deltas(stats) <= 0.0
-
-    def params(self):
-        return {
-            "ridge": self.ridge,
-            "myopic": self.myopic,
-            "bandwidths": [s.bandwidth for s in self.steps],
-        }
 
 
 def _calimera_factors(
@@ -591,38 +513,42 @@ def _calimera_factors(
 
 def fit_calimera(
     train: TriggerTrainSet,
-    cost: CostModel,
+    costs: Sequence[CostModel],
     ridge: float = 1e-2,
     rbf_bandwidth: Optional[float] = None,
-) -> CalimeraTrigger:
+) -> List[CalimeraTrigger]:
     """Per non-final timestamp, regress the cost difference between halting
     now and the best realized future cost onto the probability vector plus
-    normalized time, with an RBF kernel-ridge solved by Cholesky.
+    normalized time, with an RBF kernel-ridge solved by Cholesky. The
+    factorizations are built once per sweep; each cost model adds only its
+    targets and two triangular solves per timestamp.
 
     The myopic targets (next-step cost instead of the backward minimum) are
     fitted alongside from the same factorization.
     """
-    factors = _fit_state(
-        train, ("calimera", ridge, rbf_bandwidth),
-        lambda: _calimera_factors(train, ridge, rbf_bandwidth),
-    )
-    mis = np.asarray(cost.mis_matrix)[train.stats.pred, train.labels[:, None]]
-    realized = weighted_costs(cost.alpha, mis, delay_costs(cost, train.timeline))  # (n, L)
-    later = backward_min_costs(realized)
+    base = _sweep_base(costs)
+    factors = _calimera_factors(train, ridge, rbf_bandwidth)
+    mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
+    delays = delay_costs(base, train.timeline)
 
     def solve(chol, rhs):
         y = np.linalg.solve(chol, rhs)
         return np.linalg.solve(chol.T, y)
 
-    steps = [
-        _KrrStep(
-            X, bandwidth,
-            solve(chol, realized[:, j] - later[:, j]),
-            solve(chol, realized[:, j] - realized[:, j + 1]),
-        )
-        for j, (X, bandwidth, chol) in enumerate(factors)
-    ]
-    return CalimeraTrigger(train.timeline, cost, steps, ridge)
+    fitted = []
+    for cost in costs:
+        realized = weighted_costs(cost.alpha, mis, delays)  # (n, L)
+        later = backward_min_costs(realized)
+        steps = [
+            _KrrStep(
+                X, bandwidth,
+                solve(chol, realized[:, j] - later[:, j]),
+                solve(chol, realized[:, j] - realized[:, j + 1]),
+            )
+            for j, (X, bandwidth, chol) in enumerate(factors)
+        ]
+        fitted.append(CalimeraTrigger(train.timeline, steps))
+    return fitted
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:

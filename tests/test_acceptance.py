@@ -168,7 +168,7 @@ def test_criterion_04_expected_cost_hand_computation():
         traces.append(np.stack([first, second]))
         labels.append(label)
     train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
-    model = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,), smoothing=0.0)
+    model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,), smoothing=0.0)[0]
     costs = model.expected_costs(0, 0)
     ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
     record_acceptance(
@@ -194,7 +194,7 @@ def test_criterion_05_cost_difference_targets():
     trace = np.array([[0.3, 0.7], [0.8, 0.2]])
     train = TriggerTrainSet(trace[None], np.array([0]), timeline)
     lam = 1e-2
-    model = fit_calimera(train, standard_cost_model(2, 0.5), ridge=lam)
+    model = fit_calimera(train, [standard_cost_model(2, 0.5)], ridge=lam)[0]
     # wrong at t=1, right at t=2 under alpha=0.5 linear delay
     target = (0.5 * 1.0 + 0.5 * 0.5) - (0.5 * 1.0)
     predicted = model.predicted_deltas(trigger_stats(trace[None]))[0, 0]

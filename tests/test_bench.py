@@ -216,18 +216,18 @@ class TestAlphaSweep:
 
     def test_myopic_records_equal_fresh_myopic_fits(self, tmp_path, monkeypatch, sweep_dataset):
         seen = {}
-        fit_trigger = bench._fit_trigger
+        fit_sweep = bench._fit_sweep
 
-        def spy(method, train_set, cost):
+        def spy(method, train_set, costs):
             seen["train_set"] = train_set
-            return fit_trigger(method, train_set, cost)
+            return fit_sweep(method, train_set, costs)
 
         def spy_collection(*args, **kwargs):
             seen["collection"] = fit_collection(*args, **kwargs)
             return seen["collection"]
 
         fit_collection = bench.classify.fit_collection
-        monkeypatch.setattr(bench, "_fit_trigger", spy)
+        monkeypatch.setattr(bench, "_fit_sweep", spy)
         monkeypatch.setattr(bench.classify, "fit_collection", spy_collection)
         config = _sweep_config(tmp_path)
         records, _ = bench.run_dataset(sweep_dataset, config)
@@ -238,7 +238,7 @@ class TestAlphaSweep:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
             for method in config.methods:
                 fresh = trigger.TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
-                model = fit_trigger(method.removesuffix("_myopic"), fresh, cost)
+                model = fit_sweep(method.removesuffix("_myopic"), fresh, [cost])[0]
                 if method.endswith("_myopic"):
                     model = trigger.make_myopic(model)
                 rows = (records.method == method) & (records.alpha == alpha)
@@ -425,6 +425,9 @@ class TestCli:
         "inf_value": (b"0,1.0,2.0\n1,-inf,2.0\n", 2),
         "non_utf8": (b"0,1.0,2.0\n1,\xff\xfe,3.0\n", 2),
         "ragged_after_blank": (b"0,1.0,2.0\n\n1,1.0,2.0,3.0\n", 3),
+        "digit_separator": (b"0,1.0,2.0\n1_0,1_000,2.5\n", 2),
+        "inner_space": (b"0,1.0, 2.0\n1,1.0,2.0\n", 1),
+        "non_ascii_digit": ("0,1.0,2.0\n\u0661,1.0,2.0\n".encode(), 2),
     }
     # Manifest contents by case: None = no file, "dir" = a directory in its
     # place, str = raw text, dict = JSON object. A series file named bad.csv
@@ -506,14 +509,39 @@ class TestCli:
         "classifier_not_object": {"classifier": [1]},
         "split_seed": {"split": {"seed": 5}},
         "split_fraction": {"split": {"classifier_fraction": 1.5}},
+        "alpha_grid_empty": {"alpha_grid": []},
+        "alpha_grid_repeated": {"alpha_grid": [0.5, 0.5]},
+        "methods_repeated": {"methods": ["asap", "asap"]},
+        "output_dir_null": {"output_dir": None},
+        "output_dir_number": {"output_dir": 5},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-    def test_bad_config_one_line_config_error(self, tmp_path, tiny_manifest, capsys, case):
+    def test_bad_config_one_line_config_error(self, tmp_path, tiny_manifest, monkeypatch, capsys, case):
+        monkeypatch.chdir(tmp_path)  # where a misread output_dir would be written
         path = _config_file(tmp_path, tiny_manifest, **self.BAD_CONFIGS[case])
         assert cli.main(["run", "--config", path]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+
+    @pytest.mark.parametrize("case", ["run_empty_dir", "run_file_as_dir", "report_file_as_dir"])
+    def test_unusable_output_directory_one_line_config_error(self, tmp_path, tiny_run, capsys, case):
+        a_file = str(tmp_path / "a_file")
+        with open(a_file, "w") as fh:
+            fh.write("kept\n")
+        if case.startswith("run"):
+            out = "" if case == "run_empty_dir" else a_file
+            args = ["run", "--config", _config_file(tmp_path, tiny_run[0].datasets[0], output_dir=out)]
+        else:
+            results = str(tmp_path / "results")
+            bench.write_reports(tiny_run[1], results)
+            out = a_file
+            args = ["report", "--results", results, "--out", out]
+        assert cli.main(args) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: cannot write reports to {out!r}"), lines
+        with open(a_file) as fh:
+            assert fh.read() == "kept\n"
 
     def test_inline_dataset_validated_like_a_manifest(self, tmp_path, tiny_manifest, capsys):
         root = os.path.dirname(tiny_manifest)

@@ -59,6 +59,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="non-numeric"):
             load_dataset(train, test)
 
+    def test_surrounding_whitespace_and_crlf_accepted(self, tmp_path):
+        train = _write(tmp_path, "train.csv", " 0,1.0,2.0\t\r\n1,3.0,4.0\r\n\r\n")
+        test = _write(tmp_path, "test.csv", "1,-1e3,+2.5 \n")
+        ds = load_dataset(train, test)
+        assert ds.train.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.test.values.tolist() == [[-1000.0, 2.5]]
+
     def test_empty_file(self, tmp_path):
         train = _write(tmp_path, "train.csv", "")
         test = _write(tmp_path, "test.csv", "0,1.0,2.0\n")

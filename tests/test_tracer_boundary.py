@@ -2,6 +2,7 @@
 arguments and results; a rename or a broken hook contract must fail here,
 not only in a traced benchmark run."""
 
+import collections
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 
+from ects_bench.bench import VALID_METHODS
 from ects_bench.data import generate_synthetic, save_dataset
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -36,15 +38,15 @@ def test_traced_run_and_report_count_their_work(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "datasets": [str(tmp_path / "ds" / "manifest.json")],
-        "methods": ["asap", "proba_threshold"],
-        "alpha_grid": [0.5],
+        "methods": list(VALID_METHODS),
+        "alpha_grid": [0.0, 0.5, 1.0],
         "output_dir": str(tmp_path / "out"),
     }))
     commands = {
         "run": ["--config", str(config)],
         "report": ["--results", str(tmp_path / "out"), "--out", str(tmp_path / "rebuilt")],
     }
-    counts = {}
+    counts, spans_by_name = {}, {}
     for command, args in commands.items():
         spans = tmp_path / f"{command}.json"
         proc = subprocess.run(
@@ -54,8 +56,16 @@ def test_traced_run_and_report_count_their_work(tmp_path):
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
         )
         assert proc.returncode == 0, proc.stderr
-        counts[command] = json.loads(spans.read_text())["counts"]
+        traced = json.loads(spans.read_text())
+        counts[command] = traced["counts"]
+        spans_by_name[command] = collections.Counter(span[2] for span in traced["spans"])
     assert counts["run"]["data.series_loaded"] > 0
     assert counts["run"]["metrics.oracle_unique"] > 0
     assert counts["run"]["bench.records"] > 0
     assert counts["report"]["bench.records"] > 0
+    # Each tuned method is fitted once over the whole sweep; each myopic
+    # variant derives one model per alpha from its base method's fits.
+    run_spans = spans_by_name["run"]
+    for method in ("proba_threshold", "stopping_rule", "economy", "ecec", "calimera"):
+        assert run_spans[f"trigger.fit_{method}"] == 1, method
+    assert run_spans["trigger.make_myopic"] == 3 * 2

@@ -1,6 +1,3 @@
-import copy
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +15,8 @@ from ects_bench.trigger import (
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
     TriggerTrainSet,
+    _build_economy,
     _economy_halt_table,
-    _economy_state,
     backward_min_costs,
     fit_calimera,
     fit_ecec,
@@ -122,13 +119,13 @@ class TestProbaThreshold:
     def test_fit_halts_first_on_confident_traces(self):
         train = confident_correct_train_set()
         cost = standard_cost_model(2, 0.5)
-        model = fit_proba_threshold(train, cost)
+        model = fit_proba_threshold(train, [cost])[0]
         for trace in train.traces:
             assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
 
     def test_fit_pure_delay_prefers_earliest(self):
         train = random_train_set(seed=3, K=2)
-        model = fit_proba_threshold(train, standard_cost_model(2, 0.0))
+        model = fit_proba_threshold(train, [standard_cost_model(2, 0.0)])[0]
         for trace in train.traces:
             assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
 
@@ -140,13 +137,13 @@ class TestProbaThreshold:
             train.labels,
             train.timeline,
         )
-        model = fit_proba_threshold(train, standard_cost_model(2, 0.5))
+        model = fit_proba_threshold(train, [standard_cost_model(2, 0.5)])[0]
         assert model.theta == PROBA_GRID[0]
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=4)
         cost = standard_cost_model(2, 0.4)
-        assert fit_proba_threshold(train, cost).theta == fit_proba_threshold(train, cost).theta
+        assert fit_proba_threshold(train, [cost])[0].theta == fit_proba_threshold(train, [cost])[0].theta
 
 
 class TestStoppingRule:
@@ -172,7 +169,7 @@ class TestStoppingRule:
 
     def test_fit_pure_delay_halts_first(self):
         train = random_train_set(seed=6)
-        model = fit_stopping_rule(train, standard_cost_model(2, 0.0))
+        model = fit_stopping_rule(train, [standard_cost_model(2, 0.0)])[0]
         for trace in train.traces:
             assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
 
@@ -181,13 +178,13 @@ class TestStoppingRule:
         timeline = SampledTimeline((5,), 5)
         traces = np.tile([0.7, 0.3], (4, 1, 1))
         train = TriggerTrainSet(traces, np.array([0, 0, 1, 1]), timeline)
-        model = fit_stopping_rule(train, standard_cost_model(2, 0.5))
+        model = fit_stopping_rule(train, [standard_cost_model(2, 0.5)])[0]
         assert model.gamma == (-1.0, -1.0, -1.0)
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=7)
         cost = standard_cost_model(2, 0.6)
-        assert fit_stopping_rule(train, cost).gamma == fit_stopping_rule(train, cost).gamma
+        assert fit_stopping_rule(train, [cost])[0].gamma == fit_stopping_rule(train, [cost])[0].gamma
 
 
 def hand_economy_train_set():
@@ -211,7 +208,7 @@ class TestEconomy:
     def test_hand_counts_k1(self):
         train = hand_economy_train_set()
         cost = standard_cost_model(2, 0.5)
-        model = fit_economy(train, cost, k_grid=(1,), smoothing=0.0)
+        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)[0]
         costs = model.expected_costs(0, 0)
         np.testing.assert_allclose(costs, [0.45, 0.55], atol=1e-9)
         assert model.decide(train.traces[0][:1], 0) is True
@@ -220,7 +217,7 @@ class TestEconomy:
         train = random_train_set(seed=8, n=20, L=4, K=2)
         alpha = 0.3
         cost = standard_cost_model(2, alpha)
-        model = fit_economy(train, cost, k_grid=(1,), smoothing=0.0)
+        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)[0]
         P, labels = train.traces, train.labels
         pred = P.argmax(axis=2)
         T = train.timeline.series_length
@@ -231,12 +228,12 @@ class TestEconomy:
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
-        model = fit_economy(train, standard_cost_model(3, 0.5), k_grid=(3,))
+        model = fit_economy(train, [standard_cost_model(3, 0.5)], k_grid=(3,))[0]
         assert np.allclose(model.transitions.sum(axis=2), 1.0, atol=1e-9)
 
     def test_reach_vectors_stay_distributions(self):
         train = random_train_set(seed=10, n=30, L=5, K=2)
-        model = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(2,))
+        model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(2,))[0]
         reach = np.zeros(model.k)
         reach[1] = 1.0
         for step in model.transitions:
@@ -247,19 +244,19 @@ class TestEconomy:
     def test_first_entry_is_immediate_group_cost(self):
         train = random_train_set(seed=11, n=24, L=4, K=2)
         alpha = 0.5
-        model = fit_economy(train, standard_cost_model(2, alpha), k_grid=(2,))
+        model = fit_economy(train, [standard_cost_model(2, alpha)], k_grid=(2,))[0]
         d = train.timeline.timestamps
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
             for g in range(model.k):
                 first = model.expected_costs(g, j)[0]
-                immediate = alpha * model._mis[j, g] + (1 - alpha) * (d[j] / T)
+                immediate = alpha * model.mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
 
     def test_zero_matrix_costs_increase_with_delay(self):
         train = random_train_set(seed=12, n=20, L=5, K=2)
         zero = CostModel(((0.0, 0.0), (0.0, 0.0)), DelayCurve.LINEAR, 0.5)
-        model = fit_economy(train, zero, k_grid=(2,))
+        model = fit_economy(train, [zero], k_grid=(2,))[0]
         costs = model.expected_costs(0, 0)
         assert all(b > a for a, b in zip(costs, costs[1:]))
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
@@ -268,13 +265,13 @@ class TestEconomy:
     def test_all_infeasible_k_errors(self):
         train = random_train_set(seed=13, n=6, L=3, K=2)
         with pytest.raises(DataError, match="no feasible k"):
-            fit_economy(train, standard_cost_model(2, 0.5), k_grid=(50,))
+            fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(50,))
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=14, n=25)
         cost = standard_cost_model(2, 0.5)
-        a = fit_economy(train, cost)
-        b = fit_economy(train, cost)
+        a = fit_economy(train, [cost])[0]
+        b = fit_economy(train, [cost])[0]
         assert a.k == b.k
         np.testing.assert_array_equal(a.transitions, b.transitions)
 
@@ -284,13 +281,14 @@ class TestEconomy:
         L = len(train.timeline)
         for alpha in [round(0.1 * i, 1) for i in range(11)]:
             cost = standard_cost_model(K, alpha)
-            for model in _economy_state(train, cost, range(1, 6), 1.0):
-                priced = copy.copy(model)  # the state's model, at this alpha
-                priced.cost = cost
+            for k in range(1, 6):
+                priced = _build_economy(train, cost, k, 1.0)
+                if priced is None:
+                    continue
                 full = _economy_halt_table(priced.priced_costs())
                 myopic = _economy_halt_table(priced.priced_costs(), myopic=True)
                 for j in range(L - 1):
-                    for g in range(model.k):
+                    for g in range(priced.k):
                         costs = priced.expected_costs(g, j)
                         assert full[j, g] == (costs[0] <= costs[1:].min())
                         assert myopic[j, g] == (costs[0] <= costs[1])
@@ -308,32 +306,50 @@ def test_train_set_checks_its_shapes():
         TriggerTrainSet(traces[:, :1], np.array([0, 1, 0]), timeline)
 
 
-class TestFitState:
-    @pytest.mark.parametrize(
-        "fit", [fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
-    )
-    def test_shared_state_fits_equal_fresh_fits(self, fit):
-        shared = random_train_set(seed=32, n=30, L=5, K=3)
-        for alpha in [round(0.1 * i, 1) for i in range(11)]:
-            cost = standard_cost_model(3, alpha)
-            fresh = TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
-            a, b = fit(shared, cost), fit(fresh, cost)
-            assert a.to_json() == b.to_json()
-            for sa, sb in zip(getattr(a, "steps", ()), getattr(b, "steps", ())):
-                assert np.array_equal(sa.dual_full, sb.dual_full)
-                assert np.array_equal(sa.dual_myopic, sb.dual_myopic)
+SWEEP_FITS = [fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
 
-    def test_failed_state_raises_again(self):
-        train = random_train_set(seed=13, n=6, L=3, K=2)
-        for alpha in (0.0, 0.5):
-            with pytest.raises(DataError, match="no feasible k"):
-                fit_economy(train, standard_cost_model(2, alpha), k_grid=(50,))
+
+def fit_params(model):
+    """Everything a model chose and halts by: its attributes, with
+    calimera's steps as their fields."""
+    params = dict(vars(model))
+    if "steps" in params:
+        params["steps"] = [vars(step) for step in params["steps"]]
+    return params
+
+
+class TestFitState:
+    """A sweep builds its alpha-free state once and shares it across its
+    alphas; each of its models must equal a one-alpha sweep's, whose state
+    is built fresh."""
+
+    @pytest.mark.parametrize("fit", SWEEP_FITS)
+    def test_shared_state_fits_equal_fresh_fits(self, fit):
+        train = random_train_set(seed=32, n=30, L=5, K=3)
+        P = random_traces(np.random.default_rng(33), 9, 5, 3, coarse=False)
+        costs = [standard_cost_model(3, round(0.1 * i, 1)) for i in range(11)]
+        swept = fit(train, costs)
+        assert len(swept) == len(costs)
+        for cost, model in zip(costs, swept):
+            fresh = fit(train, [cost])[0]
+            np.testing.assert_equal(fit_params(model), fit_params(fresh))
+            assert np.array_equal(model.halts(trigger_stats(P)), fresh.halts(trigger_stats(P)))
+
+    @pytest.mark.parametrize("fit", SWEEP_FITS)
+    def test_sweep_must_differ_in_alpha_alone(self, fit):
+        train = random_train_set(seed=34, n=20, L=4, K=2)
+        half = standard_cost_model(2, 0.5)
+        other_matrix = CostModel(((0.0, 2.0), (1.0, 0.0)), DelayCurve.LINEAR, 0.3)
+        other_delay = CostModel(half.mis_matrix, DelayCurve.EXPONENTIAL, 0.3)
+        for costs in ([half, other_matrix], [half, other_delay], []):
+            with pytest.raises(ValueError, match="differ in alpha alone"):
+                fit(train, costs)
 
 
 class TestEcec:
     def test_confidence_examples(self):
         prec = np.array([[0.9, 0.9], [0.8, 0.8]])
-        model = EcecTrigger(SampledTimeline((1, 2), 2), None, prec, 0.5)
+        model = EcecTrigger(SampledTimeline((1, 2), 2), prec, 0.5)
         votes = {0: [0.9, 0.1], 1: [0.1, 0.9]}
 
         def confidence(pred_sequence):
@@ -347,7 +363,7 @@ class TestEcec:
 
     def test_unseen_class_precision_half(self):
         train = confident_correct_train_set()
-        model = fit_ecec(train, standard_cost_model(2, 0.5))
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
         # fabricate a prediction column where class 1 never appears
         pred = np.zeros((6, 3), dtype=int)
         labels = np.zeros(6, dtype=int)
@@ -359,20 +375,20 @@ class TestEcec:
 
     def test_gamma_in_grid(self):
         train = random_train_set(seed=15, n=20)
-        model = fit_ecec(train, standard_cost_model(2, 0.5))
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
         assert model.gamma in PROBA_GRID
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=16, n=20)
         cost = standard_cost_model(2, 0.5)
-        a = fit_ecec(train, cost)
-        b = fit_ecec(train, cost)
+        a = fit_ecec(train, [cost])[0]
+        b = fit_ecec(train, [cost])[0]
         assert a.gamma == b.gamma
         np.testing.assert_array_equal(a.precisions, b.precisions)
 
     def test_policy_halts_on_confident_history(self):
         train = confident_correct_train_set()
-        model = fit_ecec(train, standard_cost_model(2, 0.5))
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
         for trace in train.traces:
             d = simulate_online(model, trace)
             assert d.trigger_time in train.timeline.timestamps
@@ -402,7 +418,7 @@ class TestCalimera:
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
         lam = 1e-2
-        model = fit_calimera(train, cost, ridge=lam)
+        model = fit_calimera(train, [cost], ridge=lam)[0]
         # realized costs: wrong at t=1 (pred 1), right at t=2 (pred 0)
         c0 = alpha * 1.0 + (1 - alpha) * 0.5
         c1 = alpha * 0.0 + (1 - alpha) * 1.0
@@ -412,11 +428,11 @@ class TestCalimera:
 
     def test_decide_rule(self):
         train = random_train_set(seed=18, n=15, L=4)
-        model = fit_calimera(train, standard_cost_model(2, 0.5))
+        model = fit_calimera(train, [standard_cost_model(2, 0.5)])[0]
 
         class Stub(CalimeraTrigger):
             def __init__(self, base, delta):
-                super().__init__(base.timeline, base.cost, base.steps, base.ridge)
+                super().__init__(base.timeline, base.steps)
                 self._delta = delta
 
             def predicted_deltas(self, stats):
@@ -434,10 +450,8 @@ class TestCalimera:
         train = random_train_set(seed=23, n=15, L=4)
         test = random_train_set(seed=24, n=9, L=4)
         P = test.traces
-        models = [
-            fit_calimera(train, standard_cost_model(2, alpha), ridge=ridge)
-            for ridge in (1e-2, 1.0) for alpha in (0.2, 0.8)
-        ]
+        costs = [standard_cost_model(2, alpha) for alpha in (0.2, 0.8)]
+        models = [model for ridge in (1e-2, 1.0) for model in fit_calimera(train, costs, ridge=ridge)]
         shared = trigger_stats(P)
         for model in models + models[::-1]:
             for m in (model, make_myopic(model)):
@@ -448,8 +462,8 @@ class TestCalimera:
     def test_fit_deterministic(self):
         train = random_train_set(seed=19, n=15, L=4)
         cost = standard_cost_model(2, 0.5)
-        a = fit_calimera(train, cost)
-        b = fit_calimera(train, cost)
+        a = fit_calimera(train, [cost])[0]
+        b = fit_calimera(train, [cost])[0]
         for sa, sb in zip(a.steps, b.steps):
             np.testing.assert_array_equal(sa.dual_full, sb.dual_full)
             np.testing.assert_array_equal(sa.dual_myopic, sb.dual_myopic)
@@ -468,16 +482,13 @@ def crafted_cost_paths(path, k):
 class TestMyopic:
     def test_economy_rule_difference(self):
         train = random_train_set(seed=20, n=20, L=3)
-        base = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,))
+        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
 
         class Fixed(EconomyTrigger):
             def priced_costs(self):
                 return crafted_cost_paths([0.5, 0.6, 0.1], self.k)
 
-        fixed = Fixed(
-            base.timeline, base.cost, base.k, base.bin_edges, base.transitions,
-            base.class_counts, base.confusion_counts, base.smoothing,
-        )
+        fixed = Fixed(base.timeline, base.cost, base.k, base.bin_edges, base.transitions, base.mis_paths)
         myopic = make_myopic(fixed)
         prefix = train.traces[0][:1]
         assert fixed.decide(prefix, 0) is False  # future min 0.1 beats 0.5
@@ -485,16 +496,13 @@ class TestMyopic:
 
     def test_economy_decreasing_costs_both_wait(self):
         train = random_train_set(seed=21, n=20, L=3)
-        base = fit_economy(train, standard_cost_model(2, 0.5), k_grid=(1,))
+        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
 
         class Falling(EconomyTrigger):
             def priced_costs(self):
                 return crafted_cost_paths([0.9, 0.5, 0.2], self.k)
 
-        args = (
-            base.timeline, base.cost, base.k, base.bin_edges, base.transitions,
-            base.class_counts, base.confusion_counts, base.smoothing,
-        )
+        args = (base.timeline, base.cost, base.k, base.bin_edges, base.transitions, base.mis_paths)
         prefix = train.traces[0][:1]
         assert Falling(*args).decide(prefix, 0) is False
         assert Falling(*args, myopic=True).decide(prefix, 0) is False
@@ -510,7 +518,7 @@ class TestMyopic:
             labels.append(i % 2)
         train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
         cost = standard_cost_model(2, 0.5)
-        model = fit_calimera(train, cost)
+        model = fit_calimera(train, [cost])[0]
         myopic = make_myopic(model)
         assert myopic.myopic is True
         # duals differ only where backward-min differs from the next cost;
@@ -526,8 +534,8 @@ class TestMyopic:
 
 
 FITS = {
-    "asap": lambda train, cost: AsapTrigger(train.timeline, cost),
-    "alap": lambda train, cost: AlapTrigger(train.timeline, cost),
+    "asap": lambda train, costs: [AsapTrigger(train.timeline)] * len(costs),
+    "alap": lambda train, costs: [AlapTrigger(train.timeline)] * len(costs),
     "proba_threshold": fit_proba_threshold,
     "stopping_rule": fit_stopping_rule,
     "economy": fit_economy,
@@ -559,7 +567,7 @@ class TestOnlineContract:
         cost = standard_cost_model(K, alpha)
         P = random_traces(rng, 6, L, K, coarse)
         for variant in VARIANTS:
-            model = FITS[variant.removesuffix("_myopic")](train, cost)
+            model = FITS[variant.removesuffix("_myopic")](train, [cost])[0]
             if variant.endswith("_myopic"):
                 model = make_myopic(model)
             stats = trigger_stats(P)
@@ -575,14 +583,3 @@ class TestOnlineContract:
                 future[:, i + 1 :] = random_traces(rng, 6, L - i - 1, K, coarse)
                 changed = model.halts(trigger_stats(future))
                 assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (variant, i)
-
-    def test_persistence_document(self):
-        train = random_train_set(seed=25)
-        cost = standard_cost_model(2, 0.5)
-        model = fit_economy(train, cost, k_grid=(1, 2))
-        doc = json.loads(model.to_json())
-        assert doc["variant"] == "economy"
-        assert doc["cost"]["alpha"] == 0.5
-        assert "transitions" in doc["params"]
-        ecec_doc = json.loads(fit_ecec(train, cost).to_json())
-        assert ecec_doc["variant"] == "ecec"
