@@ -17,6 +17,7 @@ dataset, method, alpha) so results do not depend on scheduling order.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import json
@@ -38,7 +39,7 @@ from .core import (
     standard_cost_model,
 )
 from .data import Dataset, SplitSpec, dataset_from_manifest, load_manifest, stratified_split
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, writing_to
 
 VALID_METHODS = (
     "asap",
@@ -391,14 +392,27 @@ def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods:
     return "\n".join(parts) + "\n"
 
 
+def check_output_dir(out_dir: str) -> None:
+    """Raise the ConfigError write_reports would raise for an output directory
+    that cannot be made (an empty path, a file or a path under a file),
+    without making anything, so that `run` fails before its work."""
+    with writing_to("reports", out_dir):
+        if not out_dir:
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+        path = out_dir
+        while path and not os.path.isdir(path):
+            if os.path.exists(path):
+                code = errno.EEXIST if path == out_dir else errno.ENOTDIR
+                raise OSError(code, os.strerror(code))
+            path = os.path.dirname(path)
+
+
 def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) -> List[str]:
     """Emit records/summaries/ranks/pairwise/pareto CSVs (plus an optional
     rank chart); byte-deterministic for a given bundle. An output directory
     that cannot be made or written is a ConfigError naming it."""
-    try:
+    with writing_to("reports", out_dir):
         return _write_report_files(bundle, out_dir, emit_svg)
-    except OSError as exc:
-        raise ConfigError(f"cannot write reports to {out_dir!r}: {exc.strerror or exc}") from None
 
 
 def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> List[str]:

@@ -45,6 +45,7 @@ def _cmd_screen(args) -> int:
 
 def _cmd_run(args) -> int:
     config = bench.parse_config(args.config)
+    bench.check_output_dir(config.output_dir)
     bundle = bench.run_benchmark(config)
     written = bench.write_reports(bundle, config.output_dir, emit_svg=args.svg)
     for path in written:

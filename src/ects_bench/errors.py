@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 NumericError -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class EctsBenchError(Exception):
     """Base class for all library errors."""
@@ -23,3 +25,13 @@ class SplitError(DataError):
 
 class NumericError(EctsBenchError):
     """A numeric procedure diverged or a linear system could not be solved."""
+
+
+@contextmanager
+def writing_to(what: str, out_dir: str):
+    """Turn an OSError raised while writing what into out_dir into a
+    ConfigError naming that directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} to {out_dir!r}: {exc.strerror or exc}") from None

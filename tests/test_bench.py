@@ -524,22 +524,35 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: "), lines
 
-    @pytest.mark.parametrize("case", ["run_empty_dir", "run_file_as_dir", "report_file_as_dir"])
-    def test_unusable_output_directory_one_line_config_error(self, tmp_path, tiny_run, capsys, case):
+    @pytest.mark.parametrize("case", ["run_empty_dir", "run_file_as_dir", "run_under_file",
+                                      "report_file_as_dir", "prepare_empty_dir",
+                                      "prepare_file_as_dir", "prepare_under_file"])
+    def test_unusable_output_directory_one_line_config_error(self, tmp_path, tiny_run, monkeypatch,
+                                                             capsys, case):
         a_file = str(tmp_path / "a_file")
         with open(a_file, "w") as fh:
             fh.write("kept\n")
-        if case.startswith("run"):
-            out = "" if case == "run_empty_dir" else a_file
+        command, kind = case.split("_", 1)
+        out = {"empty_dir": "", "file_as_dir": a_file, "under_file": os.path.join(a_file, "sub")}[kind]
+        what = "reports"
+        if command == "run":
             args = ["run", "--config", _config_file(tmp_path, tiny_run[0].datasets[0], output_dir=out)]
-        else:
+
+            def no_load(path):  # the output directory is checked before any dataset is loaded
+                raise AssertionError(f"loaded {path}")
+            monkeypatch.setattr(bench, "load_manifest", no_load)
+        elif command == "report":
             results = str(tmp_path / "results")
             bench.write_reports(tiny_run[1], results)
-            out = a_file
             args = ["report", "--results", results, "--out", out]
+        else:
+            root = os.path.dirname(tiny_run[0].datasets[0])
+            args = ["prepare", "--train", os.path.join(root, "train.csv"),
+                    "--test", os.path.join(root, "test.csv"), "--out", out]
+            what = "dataset"
         assert cli.main(args) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"config error: cannot write reports to {out!r}"), lines
+        assert len(lines) == 1 and lines[0].startswith(f"config error: cannot write {what} to {out!r}"), lines
         with open(a_file) as fh:
             assert fh.read() == "kept\n"
 

@@ -1,4 +1,5 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from ects_bench.data import (
     znormalize,
     znormalize_dataset,
     _macro_ovr_auc,
+    _parse_series_file,
+    _parse_series_lines,
 )
 from ects_bench.errors import ConfigError, DataError, SplitError
 
@@ -103,6 +106,114 @@ class TestLoadDataset:
         back = load_manifest(os.path.join(tmp_path, "manifest.json"))
         assert back.train.values.tobytes() == values.tobytes()
         assert back.test.values.tobytes() == values[-1:].tobytes()
+
+
+def _repr_rows(labels, values):
+    """Series file text as each value's repr, joined: the writer's contract."""
+    return "".join(",".join([str(label)] + list(map(repr, row))) + "\n"
+                   for label, row in zip(labels, values.tolist())).encode()
+
+
+def _saved_bytes(labels, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        save_series_file(SeriesSet(tuple(map(str, range(len(labels)))), values, labels), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+# Where repr changes between fixed and exponent notation (1e-4, 1e16) and
+# where 15 significant digits stop fitting below 10**15 (1e14, 1e15).
+_EDGES = [float(v) for edge in (1e-4, 1e14, 1e15, 1e16)
+          for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
+
+
+def _decimal(digits, k, negative):
+    """The decimal with the given significant digits whose first digit is at
+    10**k."""
+    return float(f"{'-' if negative else ''}{digits}e{k - len(str(digits)) + 1}")
+
+
+_SERIES_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # with subnormals and -0.0
+    st.sampled_from([0.0, -0.0]),
+    st.builds(_decimal, st.integers(1, 17).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)),
+              st.integers(-8, 17), st.booleans()),
+    st.tuples(st.sampled_from(_EDGES), st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
+)
+
+
+@st.composite
+def _series_rows(draw):
+    n, length = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    values = draw(st.lists(_SERIES_VALUES, min_size=n * length, max_size=n * length))
+    labels = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n))
+    return labels, np.array(values).reshape(n, length)
+
+
+# Series file bytes: digits, number syntax, the separator, words float()
+# reads, bytes the format excludes, blank lines and CRLF endings.
+_LINE_TOKENS = [str(d).encode() for d in range(10)] + [
+    b".", b"e", b"E", b"+", b"-", b",", b"inf", b"nan", b"_", b" ", b"\t", b"\r", b"#", b"\xe9"]
+
+
+@st.composite
+def _series_file_bytes(draw):
+    width = draw(st.integers(1, 4))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(lambda v: repr(v).encode()),
+                       st.integers(-999, 999).map(lambda v: str(v).encode()),
+                       st.sampled_from([b"1e3", b".5", b"5.", b"+2", b"-0"]))
+    soup = st.lists(st.sampled_from(_LINE_TOKENS), max_size=8).map(b"".join)
+    field = st.one_of(number, soup.filter(lambda f: b"," not in f))
+    label = st.integers(0, 3).map(lambda v: str(v).encode())
+    row = st.builds(lambda label, fields: b",".join([label] + fields), label,
+                    st.lists(number, min_size=width, max_size=width))
+    odd_row = st.builds(lambda label, fields: b",".join([label] + fields), st.one_of(label, field),
+                        st.lists(field, min_size=width, max_size=width + 1))
+    lines = draw(st.one_of(st.lists(st.one_of(row, st.just(b"")), max_size=6),
+                           st.lists(st.one_of(row, odd_row, soup, st.just(b"")), max_size=6)))
+    return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+
+
+class TestSeriesFileText:
+    @given(_series_rows())
+    @settings(max_examples=200, deadline=None)
+    @example(([0], np.array([[1e-4, -9.5e-05, 0.1 + 0.2, 150.0, 1e14, 99999999999999.0, -0.0, 5e-324]])))
+    def test_written_bytes_equal_the_repr_join(self, rows):
+        labels, values = rows
+        assert _saved_bytes(labels, values) == _repr_rows(labels, values)
+
+    def test_written_bytes_equal_the_repr_join_across_blocks(self):
+        # 65 rows of 1,000 values fit in a block; the first block mixes
+        # fixed-point decimals with values only repr writes, and the second
+        # holds full-precision rows.
+        rng = np.random.default_rng(3)
+        values = np.round(rng.normal(size=(70, 1000)) * 10.0 ** rng.integers(-5, 15, (70, 1)), 6)
+        values[:65:7, ::13] = rng.normal(size=(10, 77)) * 1e-6
+        values[65:] = rng.normal(size=(5, 1000))
+        labels = rng.integers(0, 1000, 70).tolist()
+        assert _saved_bytes(labels, values) == _repr_rows(labels, values)
+
+    @given(_series_file_bytes())
+    @settings(max_examples=200, deadline=None)
+    @example(b"0,1.0,2.0\n1,nan,2.0\n")
+    @example(b"0,1.0,2.0\n\n1,1.0,2.0,3.0\n")
+    @example(b"0,1.0,x\n0,1.0,2.0,3.0\n")
+    @example(b"0,1.0,2.0\n1,\n")
+    @example(b"0,5\n1,6\n")
+    def test_parser_matches_the_line_reference(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            outcomes = []
+            for parse in (_parse_series_file, lambda p: _parse_series_lines(p, content.split(b"\n"))):
+                try:
+                    labels, values = parse(path)
+                    outcomes.append((labels, values.shape, values.tobytes()))
+                except DataError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def _split_reference(ids, labels, fraction, seed):
