@@ -7,6 +7,9 @@ Subcommands:
   run      execute a benchmark config and write all reports
   report   recompute derived reports from an existing results directory
 
+Each subcommand imports the modules it runs when it runs, so `--help` loads
+no numpy and `report` loads no fitting or ingestion code.
+
 Exit codes: 0 success, 1 config error, 2 data error, 3 numeric error.
 """
 
@@ -16,11 +19,12 @@ import argparse
 import os
 import sys
 
-from . import bench, data
 from .errors import ConfigError, DataError, NumericError
 
 
 def _cmd_prepare(args) -> int:
+    from . import data
+
     dataset = data.load_dataset(args.train, args.test, args.name or "")
     if args.znorm:
         dataset = data.znormalize_dataset(dataset)
@@ -36,18 +40,22 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_screen(args) -> int:
+    from . import classify, data
+
     dataset = data.load_manifest(args.manifest)
-    gain_half, gain_full, accepted = data.information_gain_screen(dataset, seed=args.seed)
+    gain_half, gain_full, accepted = classify.information_gain_screen(dataset, seed=args.seed)
     print(f"auc_gain_half={gain_half:.4f} auc_gain_full={gain_full:.4f} "
           f"accepted={'yes' if accepted else 'no'}")
     return 0
 
 
 def _cmd_run(args) -> int:
+    from . import bench, report
+
     config = bench.parse_config(args.config)
-    bench.check_output_dir(config.output_dir)
+    report.check_output_dir(config.output_dir)
     bundle = bench.run_benchmark(config)
-    written = bench.write_reports(bundle, config.output_dir, emit_svg=args.svg)
+    written = report.write_reports(bundle, config.output_dir, emit_svg=args.svg)
     for path in written:
         print(path)
     for name, reason in bundle.skipped:
@@ -56,10 +64,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    timelines = bench.load_timelines_json(os.path.join(args.results, "timelines.json"))
-    records = bench.load_records_csv(os.path.join(args.results, "records.csv"), timelines)
-    bundle = bench.bundle_from_records(records, timelines)
-    for path in bench.write_reports(bundle, args.out, emit_svg=args.svg):
+    from . import report
+
+    timelines = report.load_timelines_json(os.path.join(args.results, "timelines.json"))
+    records = report.load_records_csv(os.path.join(args.results, "records.csv"), timelines)
+    bundle = report.bundle_from_records(records, timelines)
+    for path in report.write_reports(bundle, args.out, emit_svg=args.svg):
         print(path)
     return 0
 

@@ -84,12 +84,6 @@ class SampledTimeline:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def index_of(self, t: int) -> int:
-        try:
-            return self.timestamps.index(t)
-        except ValueError:
-            raise ValueError(f"timestamp {t} not in timeline") from None
-
 
 @dataclass(frozen=True)
 class CostModel:

@@ -70,22 +70,16 @@ def price_records(
     )
 
 
-def pareto_front(points: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Non-dominated subset of (earliness, accuracy) points, input order
-    preserved. A point dominates another with <= earliness and >= accuracy,
-    at least one strict."""
+def pareto_front(points: Sequence[Tuple[float, float]]) -> List[bool]:
+    """Per (earliness, accuracy) point, whether it is on the non-dominated
+    front. A point dominates another with <= earliness and >= accuracy, at
+    least one strict; equal points are both on the front or both off it."""
     if not points:
         raise ValueError("empty point list")
-    out = []
-    for i, (e_i, a_i) in enumerate(points):
-        dominated = any(
-            (e_j <= e_i and a_j >= a_i and (e_j < e_i or a_j > a_i))
-            for j, (e_j, a_j) in enumerate(points)
-            if j != i
-        )
-        if not dominated:
-            out.append((e_i, a_i))
-    return out
+    return [
+        not any(e_j <= e_i and a_j >= a_i and (e_j < e_i or a_j > a_i) for e_j, a_j in points)
+        for e_i, a_i in points
+    ]
 
 
 def summarize(records: RecordTable, timeline: SampledTimeline) -> RunSummary:

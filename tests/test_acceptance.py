@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
-from ects_bench import bench
+from ects_bench import bench, report
 from ects_bench.classify import logloss_and_grad
 from ects_bench.core import (
     SampledTimeline,
@@ -303,7 +303,7 @@ def test_criterion_09_byte_identical_reruns(tmp_path_factory):
     )
     dirs = [os.path.join(str(root), d) for d in ("run-a", "run-b")]
     for d in dirs:
-        bench.write_reports(bench.run_benchmark(config), d, emit_svg=True)
+        report.write_reports(bench.run_benchmark(config), d, emit_svg=True)
     ok = sorted(os.listdir(dirs[0])) == sorted(os.listdir(dirs[1]))
     for name in sorted(os.listdir(dirs[0])):
         with open(os.path.join(dirs[0], name), "rb") as fh:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ects_bench import bench, cli, metrics, trigger
+from ects_bench import bench, cli, metrics, report, trigger
 from ects_bench.core import RECORD_FIELDS, DelayCurve, SeriesSet
 from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
 from ects_bench.errors import ConfigError, DataError
@@ -77,11 +77,11 @@ class TestParseConfig:
 
 class TestDeriveSeed:
     def test_stable(self):
-        assert bench.derive_seed(0, "a", 1) == bench.derive_seed(0, "a", 1)
+        assert report.derive_seed(0, "a", 1) == report.derive_seed(0, "a", 1)
 
     def test_part_sensitive(self):
-        assert bench.derive_seed(0, "a") != bench.derive_seed(0, "b")
-        assert bench.derive_seed(0, "a") != bench.derive_seed(1, "a")
+        assert report.derive_seed(0, "a") != report.derive_seed(0, "b")
+        assert report.derive_seed(0, "a") != report.derive_seed(1, "a")
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +253,7 @@ class TestReports:
     def test_written_files_and_row_counts(self, tmp_path, tiny_run):
         config, bundle = tiny_run
         out = os.path.join(str(tmp_path), "reports")
-        written = bench.write_reports(bundle, out)
+        written = report.write_reports(bundle, out)
         names = {os.path.basename(p) for p in written}
         assert {"records.csv", "summaries.csv", "ranks.csv", "pairwise.csv",
                 "pareto.csv", "timelines.json"} <= names
@@ -265,7 +265,7 @@ class TestReports:
     def test_svg_emitted_on_request(self, tmp_path, tiny_run):
         _, bundle = tiny_run
         out = os.path.join(str(tmp_path), "reports-svg")
-        written = bench.write_reports(bundle, out, emit_svg=True)
+        written = report.write_reports(bundle, out, emit_svg=True)
         svg = [p for p in written if p.endswith(".svg")]
         assert len(svg) == 1
         with open(svg[0]) as fh:
@@ -275,8 +275,8 @@ class TestReports:
         config, _ = tiny_run
         out_a = os.path.join(str(tmp_path), "a")
         out_b = os.path.join(str(tmp_path), "b")
-        bench.write_reports(bench.run_benchmark(config), out_a)
-        bench.write_reports(bench.run_benchmark(config), out_b)
+        report.write_reports(bench.run_benchmark(config), out_a)
+        report.write_reports(bench.run_benchmark(config), out_b)
         for name in sorted(os.listdir(out_a)):
             with open(os.path.join(out_a, name), "rb") as fh:
                 a = fh.read()
@@ -287,11 +287,11 @@ class TestReports:
     def test_records_round_trip(self, tmp_path, tiny_run):
         _, bundle = tiny_run
         out = os.path.join(str(tmp_path), "rt")
-        bench.write_reports(bundle, out)
-        timelines = bench.load_timelines_json(os.path.join(out, "timelines.json"))
-        records = bench.load_records_csv(os.path.join(out, "records.csv"), timelines)
+        report.write_reports(bundle, out)
+        timelines = report.load_timelines_json(os.path.join(out, "timelines.json"))
+        records = report.load_records_csv(os.path.join(out, "records.csv"), timelines)
         assert_same_table(records, bundle.records)
-        rebuilt = bench.bundle_from_records(records, timelines)
+        rebuilt = report.bundle_from_records(records, timelines)
         assert rebuilt.summaries == bundle.summaries
 
 
@@ -307,13 +307,13 @@ def _write_results(directory, lines):
     with open(os.path.join(directory, "timelines.json"), "w") as fh:
         json.dump(TIMELINES, fh)
     with open(os.path.join(directory, "records.csv"), "w", newline="\n") as fh:
-        fh.write(",".join(bench.RECORD_FIELDS) + "\n" + "".join(lines))
+        fh.write(",".join(RECORD_FIELDS) + "\n" + "".join(lines))
 
 
 def _report(results, out):
-    timelines = bench.load_timelines_json(os.path.join(results, "timelines.json"))
-    records = bench.load_records_csv(os.path.join(results, "records.csv"), timelines)
-    bench.write_reports(bench.bundle_from_records(records, timelines), out)
+    timelines = report.load_timelines_json(os.path.join(results, "timelines.json"))
+    records = report.load_records_csv(os.path.join(results, "records.csv"), timelines)
+    report.write_reports(report.bundle_from_records(records, timelines), out)
     files = {}
     for name in REPORT_FILES:
         with open(os.path.join(out, name), "rb") as fh:
@@ -369,9 +369,9 @@ class TestRecordTable:
         lines[lineno - 2] = _line(true="x")
         _write_results(str(tmp_path), lines)
         path = os.path.join(str(tmp_path), "records.csv")
-        timelines = bench.load_timelines_json(os.path.join(str(tmp_path), "timelines.json"))
+        timelines = report.load_timelines_json(os.path.join(str(tmp_path), "timelines.json"))
         with pytest.raises(DataError, match=f"^{path}:{lineno}: true_label: invalid literal"):
-            bench.load_records_csv(path, timelines)
+            report.load_records_csv(path, timelines)
 
     def test_non_canonical_float_kept_as_read(self, tmp_path):
         lines = [_line(series="s1", weighted="0.50"), _line(series="s2", weighted="1.0")]
@@ -444,13 +444,56 @@ class TestCli:
     }
 
     @staticmethod
-    def _cli_subprocess(args):
+    def _cli_subprocess(args, launcher=("-m", "ects_bench.cli")):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
-            [sys.executable, "-m", "ects_bench.cli", *args],
+            [sys.executable, *launcher, *args],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    # Runs the CLI in a fresh process, then prints the modules it loaded on
+    # the last line of stdout.
+    LOADED_MODULES = (
+        "import sys\n"
+        "from ects_bench import cli\n"
+        "try:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(*sorted(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize("command, own_modules", [
+        ("help", {"cli", "errors"}),
+        ("prepare", {"cli", "core", "data", "errors"}),
+        ("report", {"cli", "core", "errors", "metrics", "report", "stats"}),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, tiny_run, command, own_modules):
+        root = os.path.dirname(tiny_run[0].datasets[0])
+        results = str(tmp_path / "results")
+        report.write_reports(tiny_run[1], results)
+        args = {
+            "help": ["--help"],
+            "prepare": ["prepare", "--train", os.path.join(root, "train.csv"),
+                        "--test", os.path.join(root, "test.csv"), "--out", str(tmp_path / "prepared")],
+            "report": ["report", "--results", results, "--out", str(tmp_path / "rebuilt")],
+        }[command]
+        proc = self._cli_subprocess(args, launcher=("-c", self.LOADED_MODULES))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.splitlines()[-1].split())
+        assert {m for m in loaded if m.startswith("ects_bench.")} == {f"ects_bench.{m}" for m in own_modules}
+        if command == "help":
+            assert "numpy" not in loaded
+
+    def test_unreadable_config_one_line_config_error(self, tmp_path, capsys):
+        for content in (b'{"seed": ' + b"1" * 5000 + b"}", b'{"output_dir": "\xff"}'):
+            path = tmp_path / "config.json"
+            path.write_bytes(content)
+            assert cli.main(["run", "--config", str(path)]) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("config error: cannot read config "), lines
 
     def _assert_one_line_data_error(self, args, named):
         proc = self._cli_subprocess(args)
@@ -514,6 +557,9 @@ class TestCli:
         "methods_repeated": {"methods": ["asap", "asap"]},
         "output_dir_null": {"output_dir": None},
         "output_dir_number": {"output_dir": 5},
+        "alpha_huge_int": {"alpha_grid": [10**400]},
+        "l2_huge_int": {"classifier": {"l2": 10**400}},
+        "lr_huge_int": {"classifier": {"lr": 10**400}},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
@@ -543,7 +589,7 @@ class TestCli:
             monkeypatch.setattr(bench, "load_manifest", no_load)
         elif command == "report":
             results = str(tmp_path / "results")
-            bench.write_reports(tiny_run[1], results)
+            report.write_reports(tiny_run[1], results)
             args = ["report", "--results", results, "--out", out]
         else:
             root = os.path.dirname(tiny_run[0].datasets[0])
@@ -640,7 +686,7 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_RESULTS))
     def test_bad_results_report_one_line_data_error(self, tmp_path, tiny_run, case):
         results = str(tmp_path / "results")
-        bench.write_reports(tiny_run[1], results)
+        report.write_reports(tiny_run[1], results)
         name, edit = self.BAD_RESULTS[case]
         path = os.path.join(results, name)
         if edit is None:

@@ -134,7 +134,3 @@ def test_timeline_validation():
         SampledTimeline((1, 2), 3)  # does not end at T
     with pytest.raises(ValueError):
         SampledTimeline((), 3)
-    tl = SampledTimeline((1, 2, 3), 3)
-    assert tl.index_of(2) == 1
-    with pytest.raises(ValueError):
-        tl.index_of(4)

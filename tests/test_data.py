@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ects_bench.classify import _macro_ovr_auc, information_gain_screen
 from ects_bench.core import SeriesSet
 from ects_bench.data import (
     Dataset,
     SplitSpec,
     generate_synthetic,
-    information_gain_screen,
     load_dataset,
     load_manifest,
     make_imbalanced,
@@ -20,7 +20,6 @@ from ects_bench.data import (
     stratified_split,
     znormalize,
     znormalize_dataset,
-    _macro_ovr_auc,
     _parse_series_file,
     _parse_series_lines,
 )

@@ -193,15 +193,15 @@ class TestRegret:
 class TestParetoFront:
     def test_single_dominator(self):
         pts = [(0.2, 0.9), (0.3, 0.8), (0.1, 0.95)]
-        assert pareto_front(pts) == [(0.1, 0.95)]
+        assert pareto_front(pts) == [False, False, True]
 
     def test_incomparable_kept(self):
         pts = [(0.1, 0.8), (0.5, 0.95)]
-        assert pareto_front(pts) == pts
+        assert pareto_front(pts) == [True, True]
 
     def test_duplicates_retained(self):
         pts = [(0.2, 0.9), (0.2, 0.9)]
-        assert pareto_front(pts) == pts
+        assert pareto_front(pts) == [True, True]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -216,7 +216,9 @@ class TestParetoFront:
     )
     @settings(max_examples=80, deadline=None)
     def test_front_is_antichain(self, pts):
-        front = pareto_front(pts)
+        on_front = pareto_front(pts)
+        assert len(on_front) == len(pts)
+        front = [p for p, on in zip(pts, on_front) if on]
         assert front
         for i, (e_i, a_i) in enumerate(front):
             for j, (e_j, a_j) in enumerate(front):

@@ -63,6 +63,11 @@ def test_traced_run_and_report_count_their_work(tmp_path):
     assert counts["run"]["metrics.oracle_unique"] > 0
     assert counts["run"]["bench.records"] > 0
     assert counts["report"]["bench.records"] > 0
+    # `report` calls these through the report module; the tracer still sees
+    # each call under its bench.* name.
+    report_spans = spans_by_name["report"]
+    assert report_spans["bench.load_records_csv"] == 1
+    assert report_spans["bench.bundle_from_records"] == 1
     # Each tuned method is fitted once over the whole sweep; each myopic
     # variant derives one model per alpha from its base method's fits.
     run_spans = spans_by_name["run"]
