@@ -235,12 +235,17 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:
     """Run every dataset in turn. A DataError while running a loaded dataset
-    skips it with its reason recorded; a NumericError aborts the run."""
+    skips it with its reason recorded; a NumericError aborts the run. The
+    records key on dataset names, so a name loaded twice is a ConfigError."""
     tables: List[RecordTable] = []
     timelines: Dict[str, SampledTimeline] = {}
     skipped: List[Tuple[str, str]] = []
+    names = set()
     for position, entry in enumerate(config.datasets):
         dataset = _load_config_dataset(entry, position)
+        if dataset.name in names:
+            raise ConfigError(f"config datasets[{position}]: dataset name {dataset.name!r} repeats an earlier one")
+        names.add(dataset.name)
         try:
             table, timeline = run_dataset(dataset, config)
         except DataError as exc:

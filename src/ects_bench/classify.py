@@ -44,11 +44,11 @@ class ClassifierHyper:
             raise ConfigError(f"classifier needs l2 >= 0, iters >= 0 and lr > 0, got {self}")
 
 
-def default_timeline(length: int, count: int = 20) -> SampledTimeline:
-    """Evenly sampled decision timestamps (every 5% of T by default)."""
+def default_timeline(length: int) -> SampledTimeline:
+    """Evenly sampled decision timestamps: every 5% of T, 20 at most."""
     if length < 2:
         raise ValueError("length must be >= 2")
-    ts = sorted({min(max(int(round(i * length / count)), 1), length) for i in range(1, count + 1)})
+    ts = sorted({min(max(int(round(i * length / 20)), 1), length) for i in range(1, 21)})
     if ts[-1] != length:
         ts.append(length)
     return SampledTimeline(tuple(ts), length)
@@ -143,8 +143,9 @@ def fit_multinomial(
     return weights, intercepts, finite & np.isfinite(intercepts).all(axis=-1)
 
 
-def fit_platt(scores: np.ndarray, targets: np.ndarray, iters: int = 100) -> Tuple[float, float]:
-    """Fit p = 1 / (1 + exp(A * s + B)) by Newton steps on the log-loss.
+def fit_platt(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
+    """Fit p = 1 / (1 + exp(A * s + B)) by up to 100 Newton steps on the
+    log-loss.
 
     Uses Platt's smoothed targets to avoid saturation on separable scores.
     A non-finite Hessian determinant, A or B is a NumericError.
@@ -158,7 +159,7 @@ def fit_platt(scores: np.ndarray, targets: np.ndarray, iters: int = 100) -> Tupl
     b = math.log((n_neg + 1.0) / (n_pos + 1.0))
     reg = 1e-9
     with np.errstate(all="ignore"):
-        for _ in range(iters):
+        for _ in range(100):
             z = np.clip(a * scores + b, -500, 500)
             p = 1.0 / (1.0 + np.exp(z))
             # d logloss / dz with p = sigma(-z): p - t flips sign through z.
@@ -292,7 +293,7 @@ def _macro_ovr_auc(proba: np.ndarray, labels: np.ndarray, num_classes: int) -> f
     return float(np.mean(aucs))
 
 
-def information_gain_screen(dataset: Dataset, classifier_config=None, seed: int = 0):
+def information_gain_screen(dataset: Dataset, seed: int = 0):
     """Screen a dataset for information gain over time.
 
     Fits the per-timestamp classifier pipeline at the early / half / full
@@ -300,14 +301,13 @@ def information_gain_screen(dataset: Dataset, classifier_config=None, seed: int 
     the half-window and full-window gains over the early window are strictly
     positive. Returns (auc_gain_half, auc_gain_full, accepted).
     """
-    hyper = classifier_config or ClassifierHyper()
     T = dataset.length
     percents = sorted(set(SCREEN_EARLY) | set(SCREEN_HALF) | set(SCREEN_FULL))
     ts_of = {p: min(max(int(round(p / 100.0 * T)), 1), T) for p in percents}
     timestamps = sorted(set(ts_of.values()))
     timeline = SampledTimeline(tuple(timestamps), T)
     calib, fit_part = stratified_split(dataset.train, 0.3, seed)
-    collection = fit_collection(fit_part, timeline, hyper, calib)
+    collection = fit_collection(fit_part, timeline, ClassifierHyper(), calib)
     labels = dataset.train.labels
     traces = collection.prob_trace(dataset.train.values)
     auc_at = {

@@ -205,6 +205,18 @@ def weighted_costs(alpha: float, c_m, c_d):
     return alpha * c_m + (1.0 - alpha) * c_d
 
 
+def earliest_min(values: np.ndarray) -> np.ndarray:
+    """The tie rule: per row of an (n, C) array, the index of its least value
+    in a left-to-right scan where a later column must beat the running best
+    by more than 1e-15, so ties keep the earliest."""
+    best, index = values[:, 0], np.zeros(len(values), dtype=np.int64)
+    for i in range(1, values.shape[1]):
+        better = values[:, i] < best - 1e-15
+        best = np.where(better, values[:, i], best)
+        index[better] = i
+    return index
+
+
 def misclassification_cost(model: CostModel, predicted: int, true: int) -> float:
     k = model.num_classes
     if not (0 <= predicted < k and 0 <= true < k):

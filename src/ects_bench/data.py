@@ -31,6 +31,8 @@ class Dataset:
     length: int
 
     def __post_init__(self):
+        if any(c in self.name for c in ",\n\r"):
+            raise DataError(f"dataset {self.name!r}: a name cannot hold ',', '\\n' or '\\r'")
         if self.num_classes < 2:
             raise DataError(f"dataset {self.name!r}: need K >= 2 classes")
         for part_name, part in (("train", self.train), ("test", self.test)):
@@ -313,6 +315,8 @@ def dataset_from_manifest(manifest: object, where: str, base: str = "") -> Datas
         raise DataError(f"{where}: missing {' and '.join(missing)}")
     if not all(isinstance(manifest[key], str) for key in ("train_file", "test_file")):
         raise DataError(f"{where}: train_file and test_file must be strings")
+    if not isinstance(manifest.get("name", ""), str):
+        raise DataError(f"{where}: name must be a string")
     ds = load_dataset(
         os.path.join(base, manifest["train_file"]), os.path.join(base, manifest["test_file"]),
         manifest.get("name", ""),

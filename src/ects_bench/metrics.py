@@ -9,7 +9,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, RecordTable, SampledTimeline, delay_costs, weighted_costs
+from .core import CostModel, RecordTable, SampledTimeline, delay_costs, earliest_min, weighted_costs
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,13 @@ def optimal_time(
     traces: np.ndarray, labels: Sequence[int], cost: CostModel, timeline: SampledTimeline
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Loss-minimizing decision time of each series over the sampled timeline,
-    with full knowledge of its trace; traces is (n, L, K). One left-to-right
-    scan over the L columns: a later index must win by more than 1e-15, so
-    ties go to the earliest timestamp. Returns the times and the losses,
+    with full knowledge of its trace; traces is (n, L, K). Ties go to the
+    earliest timestamp (core.earliest_min). Returns the times and the losses,
     shape (n,) each."""
     mis = np.asarray(cost.mis_matrix)[traces.argmax(axis=2), np.asarray(labels)[:, None]]
     price = weighted_costs(cost.alpha, mis, delay_costs(cost, timeline))  # (n, L)
-    best, best_index = price[:, 0], np.zeros(len(price), dtype=int)
-    for i in range(1, price.shape[1]):
-        better = price[:, i] < best - 1e-15
-        best = np.where(better, price[:, i], best)
-        best_index[better] = i
-    return np.asarray(timeline.timestamps)[best_index], best
+    best_index = earliest_min(price)
+    return np.asarray(timeline.timestamps)[best_index], price[np.arange(len(price)), best_index]
 
 
 def price_records(

@@ -20,8 +20,10 @@ that differ in alpha alone. It returns one model per cost model, in order.
 The state that does not depend on alpha (every grid candidate's first
 halts, the Markov models with their expected misclassification paths,
 ecec's precisions, kernel factorizations) is a local of that one call, so a
-sweep builds it once. Each alpha then adds only the cost arithmetic and the
-tie-breaking scan.
+sweep builds it once. Each alpha then adds only the cost arithmetic; the
+oracle's tie rule (core.earliest_min) picks every alpha's parameters at once.
+Economy's halt table and calimera's targets share one horizon rule,
+backward_min_costs: the best later halt, or the next one if myopic.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_costs, weighted_costs
+from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, weighted_costs
 from .errors import DataError, NumericError
 
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
@@ -185,18 +187,6 @@ def _halt_outcomes(
     return np.asarray(cost.mis_matrix)[pred, train.labels], delay_costs(cost, train.timeline)[first]
 
 
-def _select(outcomes: Tuple[np.ndarray, np.ndarray], alpha: float) -> int:
-    """Index of the candidate with the least mean weighted cost; a later
-    candidate must win by more than 1e-15, so ties keep the earliest."""
-    weighted = weighted_costs(alpha, *outcomes)
-    best, best_cost = None, math.inf
-    # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
-    for idx, c in enumerate(weighted.mean(axis=1).tolist()):
-        if c < best_cost - 1e-15:
-            best, best_cost = idx, c
-    return best
-
-
 def _fit_grid(
     train: TriggerTrainSet, costs: Sequence[CostModel], grid: Sequence,
     make: Callable[[object], TriggerModel],
@@ -205,7 +195,9 @@ def _fit_grid(
     least empirical mean weighted cost on the train set; ties go to the
     earlier point. The candidates' outcomes are computed once per sweep."""
     outcomes = _halt_outcomes(train, _sweep_base(costs), (make(point).halts(train.stats) for point in grid))
-    return [make(grid[_select(outcomes, cost.alpha)]) for cost in costs]
+    # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
+    means = np.array([weighted_costs(cost.alpha, *outcomes).mean(axis=1) for cost in costs])
+    return [make(grid[i]) for i in earliest_min(means).tolist()]
 
 
 def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[ProbaThresholdTrigger]:
@@ -235,7 +227,7 @@ class EconomyTrigger(TriggerModel):
         timeline: SampledTimeline,
         cost: CostModel,
         k: int,
-        bin_edges: List[np.ndarray],
+        bin_edges: np.ndarray,
         transitions: np.ndarray,
         mis_paths: np.ndarray,
         myopic: bool = False,
@@ -243,7 +235,7 @@ class EconomyTrigger(TriggerModel):
         super().__init__(timeline)
         self.cost = cost
         self.k = k
-        self.bin_edges = bin_edges  # per timestamp, (k-1,) interior edges
+        self.bin_edges = bin_edges  # (L, k-1): interior edges per timestamp
         self.transitions = transitions  # (L-1, k, k), rows normalized
         self.mis_paths = mis_paths  # (L, k, L), see _expected_mis_paths
         self.myopic = myopic
@@ -285,33 +277,27 @@ def _expected_mis_paths(mis: np.ndarray, transitions: np.ndarray) -> np.ndarray:
     distribution along the transitions. Does not depend on alpha."""
     L, k = mis.shape
     out = np.zeros((L, k, L))
-    for j in range(L):
-        reach = np.eye(k)[:, None, :]  # (k, 1, k): one row per starting group
-        for tau in range(j, L):
-            # One product per row; a single GEMV or GEMM rounds differently.
-            out[j, :, tau] = np.matmul(reach, mis[tau][:, None])[:, 0, 0]
-            if tau < L - 1:
-                reach = np.matmul(reach, transitions[tau])
+    reach = np.broadcast_to(np.eye(k)[:, None, :], (L, k, 1, k))  # per start j, one row per group
+    for d in range(L):  # horizon distance: tau = j + d for every start j < L - d
+        j = np.arange(L - d)
+        # One product per row; a single GEMV or GEMM rounds differently.
+        out[j, :, j + d] = np.matmul(reach, mis[d:, None, :, None])[:, :, 0, 0]
+        reach = np.matmul(reach[: L - d - 1], transitions[d:, None])
     return out
 
 
-def _groups(bin_edges: List[np.ndarray], maxp: np.ndarray) -> np.ndarray:
+def _groups(bin_edges: np.ndarray, maxp: np.ndarray) -> np.ndarray:
     """(n, m) confidence group of each max probability: the number of its
-    timestamp's interior bin edges at or below it."""
-    columns = [np.searchsorted(bin_edges[j], maxp[:, j], side="right") for j in range(maxp.shape[1])]
-    return np.stack(columns, axis=1)
+    timestamp's interior bin edges (L, k-1) at or below it."""
+    return (bin_edges[None, : maxp.shape[1]] <= maxp[:, :, None]).sum(axis=2)
 
 
 def _economy_halt_table(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
     """(L, k) halt decisions from priced (L, k, L) costs: halt at index j in
     group g when halting now costs no more than the best later halt (the
-    next one, if myopic). The last index always halts."""
-    L = costs.shape[0]
-    table = np.ones(costs.shape[:2], dtype=bool)
-    for j in range(L - 1):
-        horizon = costs[j, :, j + 1 : j + 2] if myopic else costs[j, :, j + 1 :]
-        table[j] = costs[j, :, j] <= horizon.min(axis=1)
-    return table
+    next one, if myopic; backward_min_costs). The last index always halts."""
+    j = np.arange(costs.shape[0])
+    return costs[j, :, j] <= backward_min_costs(costs, myopic)[j, :, j]
 
 
 def _build_economy(
@@ -322,12 +308,14 @@ def _build_economy(
     P, pred, maxp = train.stats[:3]
     _, L, K = P.shape
     labels = train.labels
-    bin_edges = [np.quantile(maxp[:, j], [i / k for i in range(1, k)]) for j in range(L)]
+    bin_edges = np.quantile(maxp, [i / k for i in range(1, k)], axis=0).T  # (L, k-1)
     groups = _groups(bin_edges, maxp)
-    if any(len(np.unique(groups[:, j])) < k for j in range(L)):
+    j = np.arange(L)[None, :]
+    present = np.zeros((L, k), dtype=bool)
+    present[j, groups] = True
+    if not present.all():
         return None
     # Counts are whole numbers plus the smoothing, so the sums are exact.
-    j = np.arange(L)[None, :]
     counts = np.zeros((L - 1, k, k))
     np.add.at(counts, (j[:, :-1], groups[:, :-1], groups[:, 1:]), 1.0)
     counts += smoothing
@@ -357,13 +345,13 @@ def fit_economy(
     models = [m for m in (_build_economy(train, base, k, smoothing) for k in k_grid) if m is not None]
     if not models:
         raise DataError("no feasible k for the confidence partition")
-    fitted = []
+    candidates, means = [], []
     for cost in costs:
-        candidates = [EconomyTrigger(m.timeline, cost, m.k, m.bin_edges, m.transitions, m.mis_paths)
-                      for m in models]
-        outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in candidates))
-        fitted.append(candidates[_select(outcomes, cost.alpha)])
-    return fitted
+        row = [EconomyTrigger(m.timeline, cost, m.k, m.bin_edges, m.transitions, m.mis_paths) for m in models]
+        outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in row))
+        candidates.append(row)
+        means.append(weighted_costs(cost.alpha, *outcomes).mean(axis=1))
+    return [row[i] for row, i in zip(candidates, earliest_min(np.array(means)).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +405,13 @@ def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[EcecTri
 # ---------------------------------------------------------------------------
 
 
-def backward_min_costs(costs: np.ndarray) -> np.ndarray:
-    """b[..., tau] = min over tau' > tau of costs[..., tau']; +inf at the last
-    index. Works along the last axis."""
+def backward_min_costs(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
+    """The horizon rule: b[..., tau] = min over tau' > tau of costs[..., tau']
+    (the best later halt), or costs[..., tau + 1] if myopic (the next halt);
+    +inf at the last index in both cases. Works along the last axis."""
     costs = np.asarray(costs, dtype=float)
     out = np.full(costs.shape, math.inf)
-    out[..., :-1] = np.minimum.accumulate(costs[..., :0:-1], axis=-1)[..., ::-1]
+    out[..., :-1] = costs[..., 1:] if myopic else np.minimum.accumulate(costs[..., :0:-1], axis=-1)[..., ::-1]
     return out
 
 
@@ -488,17 +477,16 @@ class CalimeraTrigger(TriggerModel):
         return self.predicted_deltas(stats) <= 0.0
 
 
-def _calimera_factors(
-    train: TriggerTrainSet, ridge: float, rbf_bandwidth: Optional[float]
-) -> List[Tuple[np.ndarray, float, np.ndarray]]:
-    """Per non-final timestamp: the inputs X, the RBF bandwidth and the
-    Cholesky factor of gram + ridge * I. None of it depends on alpha."""
+def _calimera_factors(train: TriggerTrainSet, ridge: float) -> List[Tuple[np.ndarray, float, np.ndarray]]:
+    """Per non-final timestamp: the inputs X, the RBF bandwidth (the median
+    pairwise distance of X) and the Cholesky factor of gram + ridge * I.
+    None of it depends on alpha."""
     P = train.traces
     n, L, _ = P.shape
     factors = []
     for j in range(L - 1):
         X = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
-        bandwidth = rbf_bandwidth if rbf_bandwidth is not None else _median_pairwise_distance(X)
+        bandwidth = _median_pairwise_distance(X)
         gram = _rbf_kernel(X, X, bandwidth)
         system = gram + ridge * np.eye(n)
         try:
@@ -515,7 +503,6 @@ def fit_calimera(
     train: TriggerTrainSet,
     costs: Sequence[CostModel],
     ridge: float = 1e-2,
-    rbf_bandwidth: Optional[float] = None,
 ) -> List[CalimeraTrigger]:
     """Per non-final timestamp, regress the cost difference between halting
     now and the best realized future cost onto the probability vector plus
@@ -527,7 +514,7 @@ def fit_calimera(
     fitted alongside from the same factorization.
     """
     base = _sweep_base(costs)
-    factors = _calimera_factors(train, ridge, rbf_bandwidth)
+    factors = _calimera_factors(train, ridge)
     mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
     delays = delay_costs(base, train.timeline)
 
@@ -538,13 +525,9 @@ def fit_calimera(
     fitted = []
     for cost in costs:
         realized = weighted_costs(cost.alpha, mis, delays)  # (n, L)
-        later = backward_min_costs(realized)
+        full, myopic = (realized - backward_min_costs(realized, m) for m in (False, True))
         steps = [
-            _KrrStep(
-                X, bandwidth,
-                solve(chol, realized[:, j] - later[:, j]),
-                solve(chol, realized[:, j] - realized[:, j + 1]),
-            )
+            _KrrStep(X, bandwidth, solve(chol, full[:, j]), solve(chol, myopic[:, j]))
             for j, (X, bandwidth, chol) in enumerate(factors)
         ]
         fitted.append(CalimeraTrigger(train.timeline, steps))

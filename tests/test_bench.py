@@ -431,7 +431,15 @@ class TestCli:
     }
     # Manifest contents by case: None = no file, "dir" = a directory in its
     # place, str = raw text, dict = JSON object. A series file named bad.csv
-    # holds its case's BAD_SERIES_FILES bytes.
+    # holds its case's BAD_SERIES_FILES bytes. A BAD_NAMES case names a valid
+    # good.csv and a dataset name, with the text its error names (None: the
+    # manifest path).
+    BAD_NAMES = {
+        "name_number": (5, None),
+        "name_list": (["x"], None),
+        "name_comma": ("a,b", "'a,b'"),
+        "name_newline": ("a\nb", "'a\\nb'"),
+    }
     BAD_MANIFESTS = {
         "missing": None,
         "directory": "dir",
@@ -441,6 +449,8 @@ class TestCli:
         "no_test_file": {"train_file": "train.csv"},
         "missing_series_file": {"train_file": "absent.csv", "test_file": "absent.csv"},
         **{case: {"train_file": "bad.csv", "test_file": "bad.csv"} for case in BAD_SERIES_FILES},
+        **{case: {"train_file": "good.csv", "test_file": "good.csv", "name": name}
+           for case, (name, _) in BAD_NAMES.items()},
     }
 
     @staticmethod
@@ -520,6 +530,10 @@ class TestCli:
         named = "absent.csv" if case == "missing_series_file" else manifest
         if case in self.BAD_SERIES_FILES:
             _, named = self._bad_series_file(tmp_path, case)
+        if case in self.BAD_NAMES:
+            with open(os.path.join(str(tmp_path), "good.csv"), "w") as fh:
+                fh.write("0,1.0,2.0\n1,2.0,1.0\n")
+            named = self.BAD_NAMES[case][1] or manifest
         if content == "dir":
             os.mkdir(manifest)
         elif isinstance(content, str):
@@ -609,6 +623,9 @@ class TestCli:
             ({"test_file": files["test_file"]}, 2, "data error: config datasets[0]: missing train_file"),
             (dict(files, length=99), 2, "data error: config datasets[0]: says T=99"),
             (dict(files, num_classes=2), 2, "data error: config datasets[0]: says K=2"),
+            (dict(files, name=5), 2, "data error: config datasets[0]: name must be a string"),
+            (dict(files, name=["x"]), 2, "data error: config datasets[0]: name must be a string"),
+            (dict(files, name="a\rb"), 2, "data error: dataset 'a\\rb': a name cannot hold"),
             (dict(files, name="inline", num_classes=3, length=9), 0, None),
         ]
         for entry, code, message in cases:
@@ -619,6 +636,21 @@ class TestCli:
                 assert err == []
             else:
                 assert len(err) == 1 and err[0].startswith(message), err
+
+    def test_repeated_dataset_name_one_line_config_error(self, tmp_path, capsys):
+        # records.csv and timelines.json key on the name: two datasets under
+        # one name would be pooled in the summaries.
+        manifests = []
+        for length in (9, 12):
+            root = os.path.join(str(tmp_path), f"t{length}")
+            save_dataset(generate_synthetic(length, 10, 4, 0.3, seed=0, name="same"), root)
+            manifests.append(os.path.join(root, "manifest.json"))
+        out = os.path.join(str(tmp_path), "out")
+        config = _config_file(tmp_path, manifests[0], datasets=manifests, output_dir=out)
+        assert cli.main(["run", "--config", config]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: config datasets[1]: dataset name 'same' repeats an earlier one"], err
+        assert not os.path.exists(out)
 
     def test_data_error_skips_dataset_numeric_error_aborts_run(self, tmp_path, tiny_manifest):
         # A class with a single train member cannot be split: that dataset is

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ects_bench.core import (
     CostModel,
@@ -10,6 +12,7 @@ from ects_bench.core import (
     SeriesSet,
     anomaly_cost_model,
     delay_cost,
+    earliest_min,
     misclassification_cost,
     standard_cost_model,
 )
@@ -134,3 +137,30 @@ def test_timeline_validation():
         SampledTimeline((1, 2), 3)  # does not end at T
     with pytest.raises(ValueError):
         SampledTimeline((), 3)
+
+
+def scalar_earliest_min(row):
+    """The candidate selection scan earliest_min replaced: a later entry
+    must beat the running best by more than 1e-15."""
+    best, best_cost = None, math.inf
+    for idx, c in enumerate(row):
+        if c < best_cost - 1e-15:
+            best, best_cost = idx, c
+    return best
+
+
+# Few distinct bases, so exact ties are common, and offsets on both sides
+# of the 1e-15 margin (1e-16 apart rounds to one ulp at 0.5 and 1.0).
+TIE_VALUES = st.builds(
+    lambda base, offset: base + offset,
+    st.sampled_from((0.0, 0.25, 0.5, 1.0, 0.30000000000000004)),
+    st.sampled_from((0.0, 1e-16, -1e-16, 1e-15, -1e-15, -2e-15, -1e-14)),
+) | st.floats(0.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda c: st.lists(st.lists(TIE_VALUES, min_size=c, max_size=c), min_size=1, max_size=6)
+))
+def test_earliest_min_equals_scalar_scan(rows):
+    assert earliest_min(np.array(rows)).tolist() == [scalar_earliest_min(row) for row in rows]

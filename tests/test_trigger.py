@@ -17,6 +17,8 @@ from ects_bench.trigger import (
     TriggerTrainSet,
     _build_economy,
     _economy_halt_table,
+    _expected_mis_paths,
+    _groups,
     backward_min_costs,
     fit_calimera,
     fit_ecec,
@@ -275,6 +277,34 @@ class TestEconomy:
         assert a.k == b.k
         np.testing.assert_array_equal(a.transitions, b.transitions)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 25), k=st.integers(1, 20),
+           coarse=st.booleans())
+    def test_tables_equal_their_loops(self, seed, L, k, coarse):
+        """Each economy table is bit for bit the per-column or per-(j, tau)
+        loop it replaced."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        maxp = rng.integers(1, 5, size=(n, L)) / 4.0 if coarse else rng.random((n, L))
+        qs = [i / k for i in range(1, k)]
+        edges = np.quantile(maxp, qs, axis=0).T
+        loop_edges = [np.quantile(maxp[:, j], qs) for j in range(L)]
+        assert np.array_equal(edges, np.array(loop_edges).reshape(L, k - 1))
+        loop_groups = [np.searchsorted(loop_edges[j], maxp[:, j], side="right") for j in range(L)]
+        assert np.array_equal(_groups(edges, maxp), np.stack(loop_groups, axis=1))
+
+        mis = rng.random((L, k))
+        counts = rng.integers(0, 9, size=(L - 1, k, k)) + 1.0
+        transitions = counts / counts.sum(axis=2, keepdims=True)
+        loop_paths = np.zeros((L, k, L))
+        for j in range(L):
+            reach = np.eye(k)[:, None, :]
+            for tau in range(j, L):
+                loop_paths[j, :, tau] = np.matmul(reach, mis[tau][:, None])[:, 0, 0]
+                if tau < L - 1:
+                    reach = np.matmul(reach, transitions[tau])
+        assert np.array_equal(_expected_mis_paths(mis, transitions), loop_paths)
+
     @pytest.mark.parametrize("seed,K", [(30, 2), (31, 3)])
     def test_state_halt_table_equals_online_decision(self, seed, K):
         train = random_train_set(seed=seed, n=40, L=6, K=K)
@@ -405,11 +435,12 @@ class TestCalimera:
         for _ in range(200):
             L = int(rng.integers(1, 7))
             costs = rng.random(L)
-            out = backward_min_costs(costs)
-            for tau in range(L):
-                future = costs[tau + 1 :]
-                want = future.min() if future.size else np.inf
-                assert out[tau] == want
+            for myopic in (False, True):
+                out = backward_min_costs(costs, myopic)
+                for tau in range(L):
+                    future = costs[tau + 1 : tau + 2] if myopic else costs[tau + 1 :]
+                    want = future.min() if future.size else np.inf
+                    assert out[tau] == want
 
     def test_single_point_closed_form(self):
         timeline = SampledTimeline((1, 2), 2)
