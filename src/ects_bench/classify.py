@@ -31,6 +31,7 @@ from .stats import _rank_ascending
 
 NUM_FEATURES = 7
 _ROW_BLOCK = 64
+MAX_ITERS = 100_000  # descent steps per fit, so a config cannot run without end
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class ClassifierHyper:
     lr: float = 0.1
 
     def __post_init__(self):
-        if not (self.l2 >= 0.0 and self.iters >= 0 and self.lr > 0.0):  # NaN fails too
-            raise ConfigError(f"classifier needs l2 >= 0, iters >= 0 and lr > 0, got {self}")
+        if not (self.l2 >= 0.0 and 0 <= self.iters <= MAX_ITERS and self.lr > 0.0):  # NaN fails too
+            raise ConfigError(f"classifier needs l2 >= 0, 0 <= iters <= {MAX_ITERS} and lr > 0, got {self}")
 
 
 def default_timeline(length: int) -> SampledTimeline:
@@ -160,8 +161,7 @@ def fit_platt(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
     reg = 1e-9
     with np.errstate(all="ignore"):
         for _ in range(100):
-            z = np.clip(a * scores + b, -500, 500)
-            p = 1.0 / (1.0 + np.exp(z))
+            p = platt_apply(a, b, scores)
             # d logloss / dz with p = sigma(-z): p - t flips sign through z.
             dz = p - t
             w = p * (1.0 - p)

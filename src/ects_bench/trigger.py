@@ -18,7 +18,7 @@ policies have myopic (horizon-1) variants.
 Each tuned fit takes the trigger partition and an alpha sweep: cost models
 that differ in alpha alone. It returns one model per cost model, in order.
 The state that does not depend on alpha (every grid candidate's first
-halts, the Markov models with their expected misclassification paths,
+halts, economy's groups, transitions and expected misclassification paths,
 ecec's precisions, kernel factorizations) is a local of that one call, so a
 sweep builds it once. Each alpha then adds only the cost arithmetic; the
 oracle's tie rule (core.earliest_min) picks every alpha's parameters at once.
@@ -222,37 +222,28 @@ def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> Lis
 class EconomyTrigger(TriggerModel):
     variant = "economy"
 
-    def __init__(
-        self,
-        timeline: SampledTimeline,
-        cost: CostModel,
-        k: int,
-        bin_edges: np.ndarray,
-        transitions: np.ndarray,
-        mis_paths: np.ndarray,
-        myopic: bool = False,
-    ):
+    def __init__(self, timeline, k: int, bin_edges: np.ndarray, priced: np.ndarray, myopic: bool = False):
         super().__init__(timeline)
-        self.cost = cost
         self.k = k
         self.bin_edges = bin_edges  # (L, k-1): interior edges per timestamp
-        self.transitions = transitions  # (L-1, k, k), rows normalized
-        self.mis_paths = mis_paths  # (L, k, L), see _expected_mis_paths
+        self.priced = priced  # (L, k, L): expected weighted cost of halting at tau >= j from group g at j
         self.myopic = myopic
 
-    def priced_costs(self) -> np.ndarray:
-        """(L, k, L): expected weighted cost of halting at tau from group g at
-        index j, for tau >= j."""
-        return weighted_costs(self.cost.alpha, self.mis_paths, delay_costs(self.cost, self.timeline))
-
     def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
-        """Expected weighted cost for each tau = t_idx..last, starting from
-        the given group at t_idx."""
-        return self.priced_costs()[t_idx, group, t_idx:]
+        """Expected weighted cost of halting at each tau >= t_idx, from group at t_idx."""
+        return self.priced[t_idx, group, t_idx:]
 
     def _halts(self, stats):
-        groups = _groups(self.bin_edges, stats.maxp)
-        return _economy_halt_table(self.priced_costs(), self.myopic)[np.arange(groups.shape[1]), groups]
+        return _economy_halts(self.priced, _groups(self.bin_edges, stats.maxp), self.myopic)
+
+
+class _EconomyTables(NamedTuple):
+    """One k's alpha-free economy state on the trigger partition."""
+
+    bin_edges: np.ndarray  # (L, k-1): interior edges per timestamp
+    groups: np.ndarray  # (n, L): the partition's group per timestamp
+    transitions: np.ndarray  # (L-1, k, k), rows normalized
+    mis_paths: np.ndarray  # (L, k, L), see _expected_mis_paths
 
 
 def _expected_mis(cc: np.ndarray, conf: np.ndarray, cost: CostModel, s: float) -> np.ndarray:
@@ -288,26 +279,27 @@ def _expected_mis_paths(mis: np.ndarray, transitions: np.ndarray) -> np.ndarray:
 
 def _groups(bin_edges: np.ndarray, maxp: np.ndarray) -> np.ndarray:
     """(n, m) confidence group of each max probability: the number of its
-    timestamp's interior bin edges (L, k-1) at or below it."""
-    return (bin_edges[None, : maxp.shape[1]] <= maxp[:, :, None]).sum(axis=2)
+    timestamp's interior bin edges (L, k-1) at or below it, in the least
+    integer type that holds k - 1 (fit_economy keeps one per k)."""
+    below = bin_edges[None, : maxp.shape[1]] <= maxp[:, :, None]
+    return below.sum(axis=2, dtype=np.min_scalar_type(bin_edges.shape[1]))
 
 
-def _economy_halt_table(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
-    """(L, k) halt decisions from priced (L, k, L) costs: halt at index j in
-    group g when halting now costs no more than the best later halt (the
-    next one, if myopic; backward_min_costs). The last index always halts."""
-    j = np.arange(costs.shape[0])
-    return costs[j, :, j] <= backward_min_costs(costs, myopic)[j, :, j]
+def _economy_halts(priced: np.ndarray, groups: np.ndarray, myopic: bool = False) -> np.ndarray:
+    """(n, m) halts of series in groups (n, m) under priced (L, k, L) costs: a
+    series halts at index j in group g when halting now costs no more than the
+    best later halt (the next, if myopic; backward_min_costs), and always at the last index."""
+    j = np.arange(priced.shape[0])
+    table = priced[j, :, j] <= backward_min_costs(priced, myopic)[j, :, j]  # (L, k)
+    table[-1] = True
+    return table[np.arange(groups.shape[1]), groups]
 
 
-def _build_economy(
-    train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float
-) -> Optional[EconomyTrigger]:
-    """Build the k-bin model at cost; None if some bin is empty at some
-    timestamp."""
+def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float) -> Optional[_EconomyTables]:
+    """The k-bin tables, which depend on cost's matrix but not its alpha;
+    None if some bin is empty at some timestamp."""
     P, pred, maxp = train.stats[:3]
     _, L, K = P.shape
-    labels = train.labels
     bin_edges = np.quantile(maxp, [i / k for i in range(1, k)], axis=0).T  # (L, k-1)
     groups = _groups(bin_edges, maxp)
     j = np.arange(L)[None, :]
@@ -324,11 +316,11 @@ def _build_economy(
         return None
     transitions = counts / row_sums
     class_counts = np.zeros((L, k, K))
-    np.add.at(class_counts, (j, groups, labels[:, None]), 1.0)
+    np.add.at(class_counts, (j, groups, train.labels[:, None]), 1.0)
     confusion_counts = np.zeros((L, k, K, K))
-    np.add.at(confusion_counts, (j, groups, labels[:, None], pred), 1.0)
+    np.add.at(confusion_counts, (j, groups, train.labels[:, None], pred), 1.0)
     mis_paths = _expected_mis_paths(_expected_mis(class_counts, confusion_counts, cost, smoothing), transitions)
-    return EconomyTrigger(train.timeline, cost, k, bin_edges, transitions, mis_paths)
+    return _EconomyTables(bin_edges, groups, transitions, mis_paths)
 
 
 def fit_economy(
@@ -339,19 +331,23 @@ def fit_economy(
 ) -> List[EconomyTrigger]:
     """Per cost model, select k by empirical mean weighted cost of the
     induced policy on the trigger train set; infeasible k (empty bin) are
-    skipped; ties favor the smaller k. Each feasible k's model is built once
-    per sweep."""
+    skipped; ties favor the smaller k. Each feasible k's tables are built
+    once per sweep and priced once per alpha; only the winners are kept."""
     base = _sweep_base(costs)
-    models = [m for m in (_build_economy(train, base, k, smoothing) for k in k_grid) if m is not None]
-    if not models:
+    feasible = [(k, tables) for k in k_grid if (tables := _build_economy(train, base, k, smoothing)) is not None]
+    if not feasible:
         raise DataError("no feasible k for the confidence partition")
-    candidates, means = [], []
-    for cost in costs:
-        row = [EconomyTrigger(m.timeline, cost, m.k, m.bin_edges, m.transitions, m.mis_paths) for m in models]
-        outcomes = _halt_outcomes(train, cost, (model.halts(train.stats) for model in row))
-        candidates.append(row)
-        means.append(weighted_costs(cost.alpha, *outcomes).mean(axis=1))
-    return [row[i] for row, i in zip(candidates, earliest_min(np.array(means)).tolist())]
+    delays = delay_costs(base, train.timeline)
+    means = []
+    for cost in costs:  # each priced table lives only while its halts are read
+        halts = (_economy_halts(weighted_costs(cost.alpha, t.mis_paths, delays), t.groups) for _, t in feasible)
+        means.append(weighted_costs(cost.alpha, *_halt_outcomes(train, cost, halts)).mean(axis=1))
+    winners = [feasible[i] for i in earliest_min(np.array(means)).tolist()]
+    del feasible  # the other k's tables go before the winners are priced
+    return [
+        EconomyTrigger(train.timeline, k, t.bin_edges, weighted_costs(cost.alpha, t.mis_paths, delays))
+        for cost, (k, t) in zip(costs, winners)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +411,20 @@ def backward_min_costs(costs: np.ndarray, myopic: bool = False) -> np.ndarray:
     return out
 
 
-def _rbf_kernel(A: np.ndarray, B: np.ndarray, bandwidth: float) -> np.ndarray:
-    sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared Euclidean distances between the rows."""
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _rbf_kernel(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(-sq / (2.0 * bandwidth**2))
 
 
-def _median_pairwise_distance(X: np.ndarray) -> float:
-    n = X.shape[0]
+def _median_pairwise_distance(sq: np.ndarray) -> float:
+    """Median distance over the distinct pairs of squared distances sq (n, n); 1.0 if none or tiny."""
+    n = sq.shape[0]
     if n < 2:
         return 1.0
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     d = np.sqrt(sq[np.triu_indices(n, k=1)])
     med = float(np.median(d))
     return med if med > 1e-12 else 1.0
@@ -469,7 +469,7 @@ class CalimeraTrigger(TriggerModel):
         train_X, block = stats.kernels.get(j, (None, None))
         if train_X is not step.X:
             X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
-            block = _rbf_kernel(X, step.X, step.bandwidth)
+            block = _rbf_kernel(_sq_distances(X, step.X), step.bandwidth)
             stats.kernels[j] = (step.X, block)
         return block
 
@@ -486,9 +486,9 @@ def _calimera_factors(train: TriggerTrainSet, ridge: float) -> List[Tuple[np.nda
     factors = []
     for j in range(L - 1):
         X = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
-        bandwidth = _median_pairwise_distance(X)
-        gram = _rbf_kernel(X, X, bandwidth)
-        system = gram + ridge * np.eye(n)
+        sq = _sq_distances(X, X)
+        bandwidth = _median_pairwise_distance(sq)
+        system = _rbf_kernel(sq, bandwidth) + ridge * np.eye(n)
         try:
             chol = np.linalg.cholesky(system)
         except np.linalg.LinAlgError:

@@ -561,6 +561,7 @@ class TestCli:
         "alpha_grid_not_list": {"alpha_grid": 0.5},
         "iters_string": {"classifier": {"iters": "many"}},
         "iters_negative": {"classifier": {"iters": -1}},
+        "iters_over_cap": {"classifier": {"iters": 10**12}},
         "lr_zero": {"classifier": {"lr": 0}},
         "l2_negative": {"classifier": {"l2": -0.1}},
         "classifier_not_object": {"classifier": [1]},
@@ -579,6 +580,11 @@ class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_bad_config_one_line_config_error(self, tmp_path, tiny_manifest, monkeypatch, capsys, case):
         monkeypatch.chdir(tmp_path)  # where a misread output_dir would be written
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a bad config must be rejected before any classifier is fitted")
+
+        monkeypatch.setattr(bench.classify, "fit_multinomial", no_fit)
         path = _config_file(tmp_path, tiny_manifest, **self.BAD_CONFIGS[case])
         assert cli.main(["run", "--config", path]) == 1
         lines = capsys.readouterr().err.splitlines()

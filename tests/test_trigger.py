@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ects_bench.core import CostModel, DelayCurve, SampledTimeline, standard_cost_model
+from ects_bench import trigger as trigger_module
+from ects_bench.core import CostModel, DelayCurve, SampledTimeline, delay_costs, standard_cost_model, weighted_costs
 from ects_bench.errors import DataError
 from ects_bench.trigger import (
     AlapTrigger,
@@ -16,7 +17,7 @@ from ects_bench.trigger import (
     StoppingRuleTrigger,
     TriggerTrainSet,
     _build_economy,
-    _economy_halt_table,
+    _economy_halts,
     _expected_mis_paths,
     _groups,
     backward_min_costs,
@@ -230,15 +231,15 @@ class TestEconomy:
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
-        model = fit_economy(train, [standard_cost_model(3, 0.5)], k_grid=(3,))[0]
-        assert np.allclose(model.transitions.sum(axis=2), 1.0, atol=1e-9)
+        tables = _build_economy(train, standard_cost_model(3, 0.5), 3, 1.0)
+        assert np.allclose(tables.transitions.sum(axis=2), 1.0, atol=1e-9)
 
     def test_reach_vectors_stay_distributions(self):
         train = random_train_set(seed=10, n=30, L=5, K=2)
-        model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(2,))[0]
-        reach = np.zeros(model.k)
+        tables = _build_economy(train, standard_cost_model(2, 0.5), 2, 1.0)
+        reach = np.zeros(2)
         reach[1] = 1.0
-        for step in model.transitions:
+        for step in tables.transitions:
             reach = reach @ step
             assert np.all(reach >= -1e-12)
             assert reach.sum() == pytest.approx(1.0, abs=1e-9)
@@ -246,13 +247,15 @@ class TestEconomy:
     def test_first_entry_is_immediate_group_cost(self):
         train = random_train_set(seed=11, n=24, L=4, K=2)
         alpha = 0.5
-        model = fit_economy(train, [standard_cost_model(2, alpha)], k_grid=(2,))[0]
+        cost = standard_cost_model(2, alpha)
+        model = fit_economy(train, [cost], k_grid=(2,))[0]
+        mis_paths = _build_economy(train, cost, 2, 1.0).mis_paths
         d = train.timeline.timestamps
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
             for g in range(model.k):
                 first = model.expected_costs(g, j)[0]
-                immediate = alpha * model.mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
+                immediate = alpha * mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
 
     def test_zero_matrix_costs_increase_with_delay(self):
@@ -275,7 +278,42 @@ class TestEconomy:
         a = fit_economy(train, [cost])[0]
         b = fit_economy(train, [cost])[0]
         assert a.k == b.k
-        np.testing.assert_array_equal(a.transitions, b.transitions)
+        np.testing.assert_array_equal(a.bin_edges, b.bin_edges)
+        np.testing.assert_array_equal(a.priced, b.priced)
+
+    def test_model_is_its_winning_tables_priced(self):
+        train = random_train_set(seed=15, n=30, L=5, K=3)
+        costs = [standard_cost_model(3, alpha) for alpha in (0.0, 0.3, 1.0)]
+        delays = delay_costs(costs[0], train.timeline)
+        for cost, model in zip(costs, fit_economy(train, costs)):
+            tables = _build_economy(train, cost, model.k, 1.0)
+            assert sorted(vars(model)) == ["bin_edges", "k", "myopic", "priced", "timeline"]
+            assert not hasattr(model, "priced_costs")
+            np.testing.assert_array_equal(model.bin_edges, tables.bin_edges)
+            np.testing.assert_array_equal(model.priced, weighted_costs(cost.alpha, tables.mis_paths, delays))
+            np.testing.assert_array_equal(model.halts(train.stats), _economy_halts(model.priced, tables.groups))
+
+    def test_sweep_groups_train_once_per_k_and_builds_one_model_per_alpha(self, monkeypatch):
+        train = random_train_set(seed=16, n=60, L=6, K=3)
+        costs = [standard_cost_model(3, alpha / 10) for alpha in range(11)]
+        k_grid = tuple(range(1, 21))
+        assert all(_build_economy(train, costs[0], k, 1.0) is not None for k in k_grid)
+        train_groups, built = [], []
+
+        def groups_spy(bin_edges, maxp):
+            train_groups.append(maxp is train.stats.maxp)
+            return _groups(bin_edges, maxp)
+
+        class Counted(EconomyTrigger):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trigger_module, "_groups", groups_spy)
+        monkeypatch.setattr(trigger_module, "EconomyTrigger", Counted)
+        models = fit_economy(train, costs, k_grid=k_grid)
+        assert train_groups.count(True) == len(k_grid) == len(train_groups)
+        assert built == [model.k for model in models] and len(built) == len(costs)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 25), k=st.integers(1, 20),
@@ -312,17 +350,19 @@ class TestEconomy:
         for alpha in [round(0.1 * i, 1) for i in range(11)]:
             cost = standard_cost_model(K, alpha)
             for k in range(1, 6):
-                priced = _build_economy(train, cost, k, 1.0)
-                if priced is None:
+                tables = _build_economy(train, cost, k, 1.0)
+                if tables is None:
                     continue
-                full = _economy_halt_table(priced.priced_costs())
-                myopic = _economy_halt_table(priced.priced_costs(), myopic=True)
+                priced = weighted_costs(alpha, tables.mis_paths, delay_costs(cost, train.timeline))
+                every_group = np.tile(np.arange(k)[:, None], (1, L))  # row g: group g at every index
+                full = _economy_halts(priced, every_group)
+                myopic = _economy_halts(priced, every_group, myopic=True)
                 for j in range(L - 1):
-                    for g in range(priced.k):
-                        costs = priced.expected_costs(g, j)
-                        assert full[j, g] == (costs[0] <= costs[1:].min())
-                        assert myopic[j, g] == (costs[0] <= costs[1])
-                assert full[-1].all() and myopic[-1].all()
+                    for g in range(k):
+                        costs = priced[j, g, j:]
+                        assert full[g, j] == (costs[0] <= costs[1:].min())
+                        assert myopic[g, j] == (costs[0] <= costs[1])
+                assert full[:, -1].all() and myopic[:, -1].all()
 
 
 def test_train_set_checks_its_shapes():
@@ -514,12 +554,7 @@ class TestMyopic:
     def test_economy_rule_difference(self):
         train = random_train_set(seed=20, n=20, L=3)
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
-
-        class Fixed(EconomyTrigger):
-            def priced_costs(self):
-                return crafted_cost_paths([0.5, 0.6, 0.1], self.k)
-
-        fixed = Fixed(base.timeline, base.cost, base.k, base.bin_edges, base.transitions, base.mis_paths)
+        fixed = EconomyTrigger(base.timeline, base.k, base.bin_edges, crafted_cost_paths([0.5, 0.6, 0.1], base.k))
         myopic = make_myopic(fixed)
         prefix = train.traces[0][:1]
         assert fixed.decide(prefix, 0) is False  # future min 0.1 beats 0.5
@@ -528,15 +563,10 @@ class TestMyopic:
     def test_economy_decreasing_costs_both_wait(self):
         train = random_train_set(seed=21, n=20, L=3)
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
-
-        class Falling(EconomyTrigger):
-            def priced_costs(self):
-                return crafted_cost_paths([0.9, 0.5, 0.2], self.k)
-
-        args = (base.timeline, base.cost, base.k, base.bin_edges, base.transitions, base.mis_paths)
+        args = (base.timeline, base.k, base.bin_edges, crafted_cost_paths([0.9, 0.5, 0.2], base.k))
         prefix = train.traces[0][:1]
-        assert Falling(*args).decide(prefix, 0) is False
-        assert Falling(*args, myopic=True).decide(prefix, 0) is False
+        assert EconomyTrigger(*args).decide(prefix, 0) is False
+        assert EconomyTrigger(*args, myopic=True).decide(prefix, 0) is False
 
     def test_calimera_myopic_uses_next_step_target(self):
         timeline = SampledTimeline((1, 2, 3), 3)
