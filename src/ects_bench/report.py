@@ -52,6 +52,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
 
 
 PARSE_BLOCK_LINES = 4096
+FLOAT_FIELDS = tuple(name for name, kind in zip(RECORD_FIELDS, RECORD_TYPES) if kind is float)  # alpha first
 
 
 def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> RecordTable:
@@ -77,6 +78,13 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
             columns[name] = np.array(list(map(value.__getitem__, column)), dtype=COLUMN_DTYPE[kind])
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
+    floats = np.array([columns[name] for name in FLOAT_FIELDS])  # (fields, lines)
+    bad = ~np.isfinite(floats)
+    bad[0] = ~((floats[0] >= 0.0) & (floats[0] <= 1.0))  # also false for nan
+    if bad.any():
+        k = int(bad.any(axis=1).argmax())  # the first bad field
+        value = float(floats[k][bad[k]][0])
+        raise ValueError(f"{FLOAT_FIELDS[k]} {value!r} is " + ("not in [0, 1]" if k == 0 else "not finite"))
     for dataset in datasets:
         rows = columns["dataset"] == dataset
         for name in ("trigger_time", "oracle_time"):
@@ -90,8 +98,9 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
 def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> RecordTable:
     """The records write_reports wrote, each line kept as its row's text and
     parsed in blocks of PARSE_BLOCK_LINES. A row whose field count or field
-    types are wrong, whose dataset has no timeline, or whose trigger or oracle
-    time is not on that timeline is a DataError naming its path:line."""
+    types are wrong, whose float field is not finite or alpha not in [0, 1],
+    whose dataset has no timeline, or whose trigger or oracle time is not on
+    that timeline is a DataError naming its path:line."""
     blocks: List[RecordTable] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -47,14 +47,14 @@ STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 1
 class TraceStats(NamedTuple):
     """Stacked traces P (n, m, K) and what the policies read from them, per
     (series, timeline index): argmax class, max probability, top-2 margin.
-    ``kernels`` keeps calimera's kernel blocks against this stack, so an
-    alpha sweep over one stack builds each block once."""
+    ``kernels`` keeps calimera's kernel blocks against this stack, one entry
+    per sweep's train inputs, so an alpha sweep builds each block once."""
 
     P: np.ndarray
     pred: np.ndarray
     maxp: np.ndarray
     p2: np.ndarray
-    kernels: Dict[int, Tuple[np.ndarray, np.ndarray]]
+    kernels: Dict[int, Tuple[np.ndarray, Dict[int, np.ndarray]]]
 
 
 def trigger_stats(P: np.ndarray) -> TraceStats:
@@ -435,20 +435,14 @@ def _krr_inputs(P_j: np.ndarray, t: int, series_length: int) -> np.ndarray:
     return np.concatenate([P_j, np.full((P_j.shape[0], 1), t / series_length)], axis=1)
 
 
-@dataclass
-class _KrrStep:
-    X: np.ndarray
-    bandwidth: float
-    dual_full: np.ndarray
-    dual_myopic: np.ndarray
-
-
 class CalimeraTrigger(TriggerModel):
     variant = "calimera"
 
-    def __init__(self, timeline, steps: List[_KrrStep], myopic: bool = False):
+    def __init__(self, timeline, inputs, bandwidths, duals, myopic: bool = False):
         super().__init__(timeline)
-        self.steps = steps  # one per non-final timestamp
+        self.inputs = inputs  # (L-1, n, K+1): train inputs per non-final index, shared by the sweep
+        self.bandwidths = bandwidths  # (L-1,)
+        self.duals = duals  # (L-1, 2, n): dual weights of the full (row 0) and myopic (row 1) targets
         self.myopic = myopic
 
     def predicted_deltas(self, stats: TraceStats) -> np.ndarray:
@@ -456,47 +450,45 @@ class CalimeraTrigger(TriggerModel):
         later halt (the next one, if myopic); -inf at the last index, which
         has no later halt (as in backward_min_costs)."""
         out = np.full(stats.pred.shape, -math.inf)
-        for j in range(min(out.shape[1], len(self.steps))):
-            step = self.steps[j]
-            out[:, j] = self._kernel(stats, j) @ (step.dual_myopic if self.myopic else step.dual_full)
+        for j in range(min(out.shape[1], len(self.bandwidths))):
+            out[:, j] = self._kernel(stats, j) @ self.duals[j, int(self.myopic)]
         return out
 
     def _kernel(self, stats: TraceStats, j: int) -> np.ndarray:
-        """RBF block between the stack's inputs at index j and step j's train
-        inputs. It is kept on stats under j with those train inputs, which
-        every model of one fit_calimera sweep shares."""
-        step = self.steps[j]
-        train_X, block = stats.kernels.get(j, (None, None))
-        if train_X is not step.X:
+        """RBF block between the stack's inputs at index j and the train
+        inputs at j. The blocks are kept on stats under the train inputs,
+        which every model of one fit_calimera sweep shares; the entry holds
+        those inputs, so its id key cannot be reused while it lives."""
+        _, blocks = stats.kernels.setdefault(id(self.inputs), (self.inputs, {}))
+        if j not in blocks:
             X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
-            block = _rbf_kernel(_sq_distances(X, step.X), step.bandwidth)
-            stats.kernels[j] = (step.X, block)
-        return block
+            blocks[j] = _rbf_kernel(_sq_distances(X, self.inputs[j]), float(self.bandwidths[j]))
+        return blocks[j]
 
     def _halts(self, stats):
         return self.predicted_deltas(stats) <= 0.0
 
 
-def _calimera_factors(train: TriggerTrainSet, ridge: float) -> List[Tuple[np.ndarray, float, np.ndarray]]:
-    """Per non-final timestamp: the inputs X, the RBF bandwidth (the median
-    pairwise distance of X) and the Cholesky factor of gram + ridge * I.
-    None of it depends on alpha."""
+def _calimera_factors(train: TriggerTrainSet, ridge: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked over the non-final timestamps j: the inputs X (L-1, n, K+1),
+    the RBF bandwidths (L-1,) (the median pairwise distance of X[j]) and the
+    Cholesky factors (L-1, n, n) of gram + ridge * I. None of it depends on
+    alpha."""
     P = train.traces
-    n, L, _ = P.shape
-    factors = []
+    n, L, K = P.shape
+    inputs, bandwidths, chols = np.empty((L - 1, n, K + 1)), np.empty(L - 1), np.empty((L - 1, n, n))
     for j in range(L - 1):
-        X = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
-        sq = _sq_distances(X, X)
-        bandwidth = _median_pairwise_distance(sq)
+        inputs[j] = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
+        sq = _sq_distances(inputs[j], inputs[j])
+        bandwidth = bandwidths[j] = _median_pairwise_distance(sq)
         system = _rbf_kernel(sq, bandwidth) + ridge * np.eye(n)
         try:
-            chol = np.linalg.cholesky(system)
+            chols[j] = np.linalg.cholesky(system)
         except np.linalg.LinAlgError:
             raise NumericError(
                 f"kernel system not positive definite at timestamp {train.timeline.timestamps[j]}"
             ) from None
-        factors.append((X, bandwidth, chol))
-    return factors
+    return inputs, bandwidths, chols
 
 
 def fit_calimera(
@@ -507,31 +499,25 @@ def fit_calimera(
     """Per non-final timestamp, regress the cost difference between halting
     now and the best realized future cost onto the probability vector plus
     normalized time, with an RBF kernel-ridge solved by Cholesky. The
-    factorizations are built once per sweep; each cost model adds only its
-    targets and two triangular solves per timestamp.
+    factorizations are built once per sweep; the whole sweep's targets are
+    then solved in one pair of stacked calls.
 
     The myopic targets (next-step cost instead of the backward minimum) are
     fitted alongside from the same factorization.
     """
     base = _sweep_base(costs)
-    factors = _calimera_factors(train, ridge)
+    inputs, bandwidths, chols = _calimera_factors(train, ridge)
     mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
-    delays = delay_costs(base, train.timeline)
-
-    def solve(chol, rhs):
-        y = np.linalg.solve(chol, rhs)
-        return np.linalg.solve(chol.T, y)
-
-    fitted = []
-    for cost in costs:
-        realized = weighted_costs(cost.alpha, mis, delays)  # (n, L)
-        full, myopic = (realized - backward_min_costs(realized, m) for m in (False, True))
-        steps = [
-            _KrrStep(X, bandwidth, solve(chol, full[:, j]), solve(chol, myopic[:, j]))
-            for j, (X, bandwidth, chol) in enumerate(factors)
-        ]
-        fitted.append(CalimeraTrigger(train.timeline, steps))
-    return fitted
+    alphas = np.array([cost.alpha for cost in costs])[:, None, None]
+    realized = weighted_costs(alphas, mis, delay_costs(base, train.timeline))  # (alphas, n, L)
+    targets = np.stack([realized - backward_min_costs(realized, m) for m in (False, True)], axis=1)
+    rhs = np.ascontiguousarray(targets[..., :-1].transpose(0, 3, 1, 2))[..., None]  # (alphas, L-1, 2, n, 1)
+    # Each stack item is its own one-column system with its own LU, as a
+    # single-vector call, so the bits do not depend on the stacking. The
+    # duals take rhs's C layout, so each (timestamp, target) row is contiguous.
+    y = np.linalg.solve(chols[:, None], rhs)
+    duals = np.linalg.solve(chols.transpose(0, 2, 1)[:, None], y)[..., 0]  # (alphas, L-1, 2, n)
+    return [CalimeraTrigger(train.timeline, inputs, bandwidths, d) for d in duals]
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:

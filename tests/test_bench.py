@@ -196,6 +196,7 @@ class TestAlphaSweep:
         monkeypatch.setattr(trigger, "_build_economy", counting(
             "build_economy", trigger._build_economy, lambda train, cost, k, smoothing: k))
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         monkeypatch.setattr(trigger, "_rbf_kernel", counting("rbf_kernel", trigger._rbf_kernel))
         monkeypatch.setattr(metrics, "optimal_time", counting(
             "oracle", metrics.optimal_time,
@@ -206,6 +207,8 @@ class TestAlphaSweep:
         assert len(records) == 9 * 11 * len(sweep_dataset.test)
         assert calls["build_economy"] == list(range(1, 21))
         assert len(calls["cholesky"]) == len(timeline) - 1
+        # The whole sweep's duals: one stacked solve against the factors, one against their transposes.
+        assert len(calls["solve"]) == 2
         # Per non-final timestamp: one train gram and one test-kernel block.
         assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
         # One oracle call per alpha, each over the whole stack of test traces.
@@ -505,6 +508,19 @@ class TestCli:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("config error: cannot read config "), lines
 
+    def test_negative_seed_one_line_config_error(self, tmp_path):
+        # The files do not exist: the seed is checked before any file is read.
+        missing = os.path.join(str(tmp_path), "missing")
+        for args in (
+            ["screen", "--manifest", missing, "--seed", "-1"],
+            ["prepare", "--train", missing, "--test", missing, "--out", missing, "--imbalance", "0.2", "--seed", "-3"],
+        ):
+            proc = self._cli_subprocess(args)
+            lines = proc.stderr.splitlines()
+            assert proc.returncode == 1, proc.stderr
+            assert len(lines) == 1 and lines[0].startswith("config error: --seed must be >= 0"), proc.stderr
+            assert "Traceback" not in proc.stderr
+
     def _assert_one_line_data_error(self, args, named):
         proc = self._cli_subprocess(args)
         lines = proc.stderr.splitlines()
@@ -715,6 +731,9 @@ class TestCli:
         "unknown_dataset": ("records.csv", lambda f: ["ghost"] + f[1:]),
         "trigger_time_off_timeline": ("records.csv", lambda f: f[:6] + ["99"] + f[7:]),
         "oracle_time_off_timeline": ("records.csv", lambda f: f[:10] + ["99"] + f[11:]),
+        "alpha_nan": ("records.csv", lambda f: f[:2] + ["nan"] + f[3:]),
+        "alpha_above_one": ("records.csv", lambda f: f[:2] + ["1.5"] + f[3:]),
+        "weighted_cost_inf": ("records.csv", lambda f: f[:7] + ["inf"] + f[8:]),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),

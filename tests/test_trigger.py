@@ -17,6 +17,7 @@ from ects_bench.trigger import (
     StoppingRuleTrigger,
     TriggerTrainSet,
     _build_economy,
+    _calimera_factors,
     _economy_halts,
     _expected_mis_paths,
     _groups,
@@ -379,15 +380,6 @@ def test_train_set_checks_its_shapes():
 SWEEP_FITS = [fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
 
 
-def fit_params(model):
-    """Everything a model chose and halts by: its attributes, with
-    calimera's steps as their fields."""
-    params = dict(vars(model))
-    if "steps" in params:
-        params["steps"] = [vars(step) for step in params["steps"]]
-    return params
-
-
 class TestFitState:
     """A sweep builds its alpha-free state once and shares it across its
     alphas; each of its models must equal a one-alpha sweep's, whose state
@@ -402,7 +394,7 @@ class TestFitState:
         assert len(swept) == len(costs)
         for cost, model in zip(costs, swept):
             fresh = fit(train, [cost])[0]
-            np.testing.assert_equal(fit_params(model), fit_params(fresh))
+            np.testing.assert_equal(vars(model), vars(fresh))  # everything it chose and halts by
             assert np.array_equal(model.halts(trigger_stats(P)), fresh.halts(trigger_stats(P)))
 
     @pytest.mark.parametrize("fit", SWEEP_FITS)
@@ -503,7 +495,7 @@ class TestCalimera:
 
         class Stub(CalimeraTrigger):
             def __init__(self, base, delta):
-                super().__init__(base.timeline, base.steps)
+                super().__init__(base.timeline, base.inputs, base.bandwidths, base.duals)
                 self._delta = delta
 
             def predicted_deltas(self, stats):
@@ -535,9 +527,32 @@ class TestCalimera:
         cost = standard_cost_model(2, 0.5)
         a = fit_calimera(train, [cost])[0]
         b = fit_calimera(train, [cost])[0]
-        for sa, sb in zip(a.steps, b.steps):
-            np.testing.assert_array_equal(sa.dual_full, sb.dual_full)
-            np.testing.assert_array_equal(sa.dual_myopic, sb.dual_myopic)
+        for name in ("inputs", "bandwidths", "duals"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("L, alphas", [(1, (0.5,)), (2, (0.5,)), (2, (0.0, 1.0)), (5, (0.0, 0.3, 0.5, 0.9, 1.0))])
+    def test_duals_equal_per_vector_solves(self, L, alphas):
+        """The stacked solves give, bit for bit, each (alpha, timestamp,
+        target) system solved alone against its factor and its transpose."""
+        train = random_train_set(seed=25, n=12, L=L, K=3)
+        ridge = 1e-2
+        costs = [standard_cost_model(3, alpha) for alpha in alphas]
+        models = fit_calimera(train, costs, ridge=ridge)
+        _, _, chols = _calimera_factors(train, ridge)
+        mis = np.asarray(costs[0].mis_matrix)[train.stats.pred, train.labels[:, None]]
+        delays = delay_costs(costs[0], train.timeline)
+        assert len(models) == len(costs)
+        for cost, model in zip(costs, models):
+            assert sorted(vars(model)) == ["bandwidths", "duals", "inputs", "myopic", "timeline"]
+            assert model.inputs is models[0].inputs and model.bandwidths is models[0].bandwidths
+            assert model.duals.shape == (L - 1, 2, len(train.labels)) and model.duals.flags.c_contiguous
+            realized = weighted_costs(cost.alpha, mis, delays)
+            for row, myopic in enumerate((False, True)):
+                target = realized - backward_min_costs(realized, myopic)
+                for j in range(L - 1):
+                    y = np.linalg.solve(chols[j], target[:, j])
+                    want = np.linalg.solve(chols[j].T, y)
+                    assert np.array_equal(model.duals[j, row], want)
 
 
 def crafted_cost_paths(path, k):
@@ -585,7 +600,7 @@ class TestMyopic:
         # duals differ only where backward-min differs from the next cost;
         # at the second-to-last step they coincide by construction
         np.testing.assert_allclose(
-            model.steps[-1].dual_full, model.steps[-1].dual_myopic, atol=1e-12
+            model.duals[-1, 0], model.duals[-1, 1], atol=1e-12
         )
 
     def test_rejects_other_variants(self):
