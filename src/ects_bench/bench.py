@@ -32,17 +32,6 @@ from .report import ReportBundle, bundle_from_records, derive_seed
 # perfbench's tracer wraps these two by their bench.* names.
 from .report import load_records_csv, write_reports  # noqa: F401
 
-VALID_METHODS = (
-    "asap",
-    "alap",
-    "proba_threshold",
-    "stopping_rule",
-    "economy",
-    "ecec",
-    "calimera",
-    "economy_myopic",
-    "calimera_myopic",
-)
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 
@@ -59,8 +48,8 @@ class BenchConfig:
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in VALID_METHODS:
-                raise ConfigError(f"unknown method {m!r}; valid: {', '.join(VALID_METHODS)}")
+            if m not in trigger.METHODS:
+                raise ConfigError(f"unknown method {m!r}; valid: {', '.join(trigger.METHODS)}")
         if self.cost_setting not in ("standard", "anomaly"):
             raise ConfigError(f"unknown cost_setting {self.cost_setting!r}")
         for a in self.alpha_grid:
@@ -161,29 +150,6 @@ def _load_config_dataset(entry, position: int) -> Dataset:
     raise ConfigError(f"dataset entry must be a manifest path or object, got {type(entry).__name__}")
 
 
-def _fit_sweep(
-    method: str,
-    train_set: trigger.TriggerTrainSet,
-    costs: Sequence[CostModel],
-) -> List[trigger.TriggerModel]:
-    """One fitted model per cost model of the alpha sweep, in order."""
-    if method == "asap":
-        return [trigger.AsapTrigger(train_set.timeline)] * len(costs)
-    if method == "alap":
-        return [trigger.AlapTrigger(train_set.timeline)] * len(costs)
-    if method == "proba_threshold":
-        return trigger.fit_proba_threshold(train_set, costs)
-    if method == "stopping_rule":
-        return trigger.fit_stopping_rule(train_set, costs)
-    if method == "economy":
-        return trigger.fit_economy(train_set, costs)
-    if method == "ecec":
-        return trigger.fit_ecec(train_set, costs)
-    if method == "calimera":
-        return trigger.fit_calimera(train_set, costs)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def run_dataset(dataset: Dataset, config: BenchConfig) -> Tuple[RecordTable, SampledTimeline]:
     """All records for one dataset across methods and alphas. The blocks are
     joined once the fits behind them are freed."""
@@ -214,18 +180,14 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
     oracle_labels = tuple(test.labels.tolist())
 
     costs = [cost_model_for(config.cost_setting, dataset.num_classes, a) for a in config.alpha_grid]
-    # One sweep per base method, in method order; *_myopic variants share it.
-    bases = dict.fromkeys(method.removesuffix("_myopic") for method in config.methods)
-    fitted = {base: _fit_sweep(base, train_set, costs) for base in bases}
+    fitted = trigger.fit_methods(config.methods, train_set, costs)
 
     rows = np.arange(len(test))
     blocks: List[RecordTable] = []
     for i, cost in enumerate(costs):
         oracle = metrics.optimal_time(test_traces, oracle_labels, cost, timeline)
         for method in config.methods:
-            base = method.removesuffix("_myopic")
-            model = fitted[base][i] if base == method else trigger.make_myopic(fitted[base][i])
-            first = model.halts(test_stats).argmax(axis=1)
+            first = fitted[method][i].halts(test_stats).argmax(axis=1)
             blocks.append(metrics.price_records(
                 dataset.name, method, test.ids, test.labels, test_stats.pred[rows, first], first,
                 oracle, cost, timeline,

@@ -207,28 +207,31 @@ class ChronologicalClassifierCollection:
     def num_classes(self) -> int:
         return self.intercepts.shape[1]
 
-    def prob_trace(self, values: np.ndarray, calibrated: bool = True) -> np.ndarray:
-        """Probability vectors of each series over the whole timeline, shape
-        (n, L, K), from the (n, T) series values; row i depends on values[i]
-        alone."""
+    def prob_trace(self, values: np.ndarray) -> np.ndarray:
+        """Calibrated probability vectors of each series over the whole
+        timeline, shape (n, L, K), from the (n, T) series values; row i
+        depends on values[i] alone."""
         values = np.ascontiguousarray(values, dtype=float)
         T = self.timeline.series_length
         if values.ndim != 2 or values.shape[1] != T:
             raise DataError(f"series values of shape {values.shape}, expected (n, {T})")
-        K = self.num_classes
-        feats = _feature_stack(values, self.timeline.timestamps)
-        z = (feats - self.feature_mean[:, None, :]) / self.feature_std[:, None, :]
-        # One (1, d) @ (d, K) product per row; one GEMM over the rows rounds differently.
-        scores = np.matmul(z[:, :, None, :], self.weights[:, None])[:, :, 0, :]
-        scores += self.intercepts[:, None, :]
-        if calibrated:
-            per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
-            total = per_class.sum(axis=-1, keepdims=True)
-            usable = (total > 0) & np.isfinite(total)
-            probs = np.divide(per_class, total, out=np.full_like(per_class, 1.0 / K), where=usable)
-        else:
-            probs = softmax(scores)
+        scores = _scores(_feature_stack(values, self.timeline.timestamps), self)
+        per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
+        total = per_class.sum(axis=-1, keepdims=True)
+        usable = (total > 0) & np.isfinite(total)
+        probs = np.divide(per_class, total, out=np.full_like(per_class, 1.0 / self.num_classes), where=usable)
         return np.ascontiguousarray(probs.transpose(1, 0, 2))
+
+
+def _scores(features: np.ndarray, collection: ChronologicalClassifierCollection) -> np.ndarray:
+    """(L, n, K) raw linear scores of the (L, n, d) prefix features under each
+    timestamp's standardisation and model: the Platt sigmoids' inputs, whose
+    argmax is the uncalibrated prediction."""
+    z = (features - collection.feature_mean[:, None, :]) / collection.feature_std[:, None, :]
+    # One (1, d) @ (d, K) product per row; one GEMM over the rows rounds differently.
+    scores = np.matmul(z[:, :, None, :], collection.weights[:, None])[:, :, 0, :]
+    scores += collection.intercepts[:, None, :]
+    return scores
 
 
 def fit_collection(
@@ -258,16 +261,17 @@ def fit_collection(
     )
     if not finite.all():
         raise NumericError(f"timestamp {timestamps[int(np.argmin(finite))]}: multinomial fit diverged")
-    Xc = _feature_stack(calibration_set.values, timestamps)
-    calib_scores = np.matmul((Xc - mean[:, None, :]) / std[:, None, :], weights) + intercepts[:, None, :]
-    platt = np.empty((len(timestamps), num_classes, 2))
+    collection = ChronologicalClassifierCollection(
+        timeline, weights, intercepts, mean, std, np.empty((len(timestamps), num_classes, 2))
+    )
+    calib_scores = _scores(_feature_stack(calibration_set.values, timestamps), collection)
     for j, t in enumerate(timestamps):
         for c in range(num_classes):
             try:
-                platt[j, c] = fit_platt(calib_scores[j, :, c], (calib_labels == c).astype(float))
+                collection.platt[j, c] = fit_platt(calib_scores[j, :, c], (calib_labels == c).astype(float))
             except NumericError as exc:
                 raise NumericError(f"timestamp {t}: {exc}") from None
-    return ChronologicalClassifierCollection(timeline, weights, intercepts, mean, std, platt)
+    return collection
 
 
 # Prefix percentage windows for the information-gain screen.

@@ -111,6 +111,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "imbalance", None) is not None and not 0.0 < args.imbalance < 1.0:  # NaN fails too
+            raise ConfigError(f"--imbalance must be in (0, 1), got {args.imbalance}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

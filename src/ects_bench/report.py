@@ -28,7 +28,7 @@ from .errors import DataError, writing_to
 @dataclass
 class ReportBundle:
     records: RecordTable  # sorted by (dataset, method, alpha, series_id)
-    summaries: List[metrics.RunSummary]
+    summaries: List[metrics.RunSummary]  # one per (dataset, method, alpha) group, in that order
     timelines: Dict[str, SampledTimeline]
     skipped: List[Tuple[str, str]] = field(default_factory=list)  # (dataset, reason)
 
@@ -52,7 +52,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
 
 
 PARSE_BLOCK_LINES = 4096
-FLOAT_FIELDS = tuple(name for name, kind in zip(RECORD_FIELDS, RECORD_TYPES) if kind is float)  # alpha first
+# alpha, the four costs (weighted, misclassification, delay, oracle), regret
+FLOAT_FIELDS = tuple(name for name, kind in zip(RECORD_FIELDS, RECORD_TYPES) if kind is float)
 
 
 def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> RecordTable:
@@ -81,10 +82,13 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
     floats = np.array([columns[name] for name in FLOAT_FIELDS])  # (fields, lines)
     bad = ~np.isfinite(floats)
     bad[0] = ~((floats[0] >= 0.0) & (floats[0] <= 1.0))  # also false for nan
+    # A cost is never negative; regret may be, by earliest_min's 1e-15 tie margin.
+    bad[1:-1] |= floats[1:-1] < 0.0
     if bad.any():
         k = int(bad.any(axis=1).argmax())  # the first bad field
         value = float(floats[k][bad[k]][0])
-        raise ValueError(f"{FLOAT_FIELDS[k]} {value!r} is " + ("not in [0, 1]" if k == 0 else "not finite"))
+        why = "not in [0, 1]" if k == 0 else "not finite" if not np.isfinite(value) else "negative"
+        raise ValueError(f"{FLOAT_FIELDS[k]} {value!r} is {why}")
     for dataset in datasets:
         rows = columns["dataset"] == dataset
         for name in ("trigger_time", "oracle_time"):
@@ -98,9 +102,9 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
 def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> RecordTable:
     """The records write_reports wrote, each line kept as its row's text and
     parsed in blocks of PARSE_BLOCK_LINES. A row whose field count or field
-    types are wrong, whose float field is not finite or alpha not in [0, 1],
-    whose dataset has no timeline, or whose trigger or oracle time is not on
-    that timeline is a DataError naming its path:line."""
+    types are wrong, whose float field is not finite, alpha not in [0, 1] or
+    cost negative, whose dataset has no timeline, or whose trigger or oracle
+    time is not on that timeline is a DataError naming its path:line."""
     blocks: List[RecordTable] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -224,7 +228,7 @@ def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> L
         [
             (s.dataset, s.method, s.alpha, s.avg_cost, s.accuracy, s.earliness,
              s.mean_regret, s.mean_trigger_index)
-            for s in sorted(bundle.summaries, key=lambda s: (s.dataset, s.method, s.alpha))
+            for s in bundle.summaries
         ],
     )
     written.append(summaries_path)
@@ -274,11 +278,8 @@ def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> L
 
     # Pareto fronts per dataset over (earliness, accuracy) across (method, alpha).
     pareto_rows = []
-    by_dataset: Dict[str, List[metrics.RunSummary]] = {}
-    for s in bundle.summaries:
-        by_dataset.setdefault(s.dataset, []).append(s)
-    for dataset in sorted(by_dataset):
-        group = sorted(by_dataset[dataset], key=lambda s: (s.method, s.alpha))
+    for dataset, group in itertools.groupby(bundle.summaries, key=lambda s: s.dataset):
+        group = list(group)
         on_front = metrics.pareto_front([(s.earliness, s.accuracy) for s in group])
         for s, flag in zip(group, on_front):
             pareto_rows.append((dataset, s.method, s.alpha, s.earliness, s.accuracy, int(flag)))

@@ -13,14 +13,16 @@ Implemented policies: the Asap/Alap baselines, a max-probability threshold,
 a linear stopping rule over (p1, p2, t/T), an expected-cost Markov-chain
 model over equal-frequency confidence bins, a precision-sequence confidence
 rule, and a cost-difference kernel-ridge regressor. The two expected-cost
-policies have myopic (horizon-1) variants.
+policies have myopic (horizon-1) variants. METHODS names them all.
 
-Each tuned fit takes the trigger partition and an alpha sweep: cost models
-that differ in alpha alone. It returns one model per cost model, in order.
-The state that does not depend on alpha (every grid candidate's first
-halts, economy's groups, transitions and expected misclassification paths,
-ecec's precisions, kernel factorizations) is a local of that one call, so a
-sweep builds it once. Each alpha then adds only the cost arithmetic; the
+Each base method has one sweep fit, fit_<name>(train, costs), over the
+trigger partition and an alpha sweep: cost models that differ in alpha
+alone. It returns one model per cost model, in order; fit_methods runs the
+fits a method list needs and derives the myopic variants. In a tuned fit,
+the state that does not depend on alpha (every grid candidate's first halts,
+economy's groups, transitions and expected misclassification paths, ecec's
+precisions, kernel factorizations) is a local of that one call, so a sweep
+builds it once. Each alpha then adds only the cost arithmetic; the
 oracle's tie rule (core.earliest_min) picks every alpha's parameters at once.
 Economy's halt table and calimera's targets share one horizon rule,
 backward_min_costs: the best later halt, or the next one if myopic.
@@ -39,6 +41,11 @@ import numpy as np
 from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, weighted_costs
 from .errors import DataError, NumericError
 
+# Every method the harness runs; a *_myopic method is its base method's horizon-1 variant.
+METHODS = (
+    "asap", "alap", "proba_threshold", "stopping_rule", "economy", "ecec", "calimera",
+    "economy_myopic", "calimera_myopic",
+)
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
 STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
 STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
@@ -90,8 +97,6 @@ class TriggerTrainSet:
 class TriggerModel:
     """Base halting policy; subclasses define _halts."""
 
-    variant = "base"
-
     def __init__(self, timeline: SampledTimeline):
         self.timeline = timeline
 
@@ -125,22 +130,24 @@ def simulate_online(model: TriggerModel, trace: np.ndarray) -> Decision:
 
 
 class AsapTrigger(TriggerModel):
-    variant = "asap"
-
     def _halts(self, stats):
         return np.ones(stats.pred.shape, dtype=bool)
 
 
 class AlapTrigger(TriggerModel):
-    variant = "alap"
-
     def _halts(self, stats):
         return np.zeros(stats.pred.shape, dtype=bool)
 
 
-class ProbaThresholdTrigger(TriggerModel):
-    variant = "proba_threshold"
+def fit_asap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[AsapTrigger]:
+    return [AsapTrigger(train.timeline)] * len(costs)
 
+
+def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[AlapTrigger]:
+    return [AlapTrigger(train.timeline)] * len(costs)
+
+
+class ProbaThresholdTrigger(TriggerModel):
     def __init__(self, timeline, theta: float):
         super().__init__(timeline)
         if not 0.0 < theta <= 1.0:
@@ -152,8 +159,6 @@ class ProbaThresholdTrigger(TriggerModel):
 
 
 class StoppingRuleTrigger(TriggerModel):
-    variant = "stopping_rule"
-
     def __init__(self, timeline, gamma: Tuple[float, float, float]):
         super().__init__(timeline)
         self.gamma = tuple(float(g) for g in gamma)
@@ -220,8 +225,6 @@ def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> Lis
 
 
 class EconomyTrigger(TriggerModel):
-    variant = "economy"
-
     def __init__(self, timeline, k: int, bin_edges: np.ndarray, priced: np.ndarray, myopic: bool = False):
         super().__init__(timeline)
         self.k = k
@@ -356,8 +359,6 @@ def fit_economy(
 
 
 class EcecTrigger(TriggerModel):
-    variant = "ecec"
-
     def __init__(self, timeline, precisions: np.ndarray, gamma: float):
         super().__init__(timeline)
         if not 0.0 <= gamma <= 1.0:
@@ -436,8 +437,6 @@ def _krr_inputs(P_j: np.ndarray, t: int, series_length: int) -> np.ndarray:
 
 
 class CalimeraTrigger(TriggerModel):
-    variant = "calimera"
-
     def __init__(self, timeline, inputs, bandwidths, duals, myopic: bool = False):
         super().__init__(timeline)
         self.inputs = inputs  # (L-1, n, K+1): train inputs per non-final index, shared by the sweep
@@ -523,7 +522,23 @@ def fit_calimera(
 def make_myopic(model: TriggerModel) -> TriggerModel:
     """Horizon-1 variant of an anticipation-based model; shares its fit."""
     if not isinstance(model, (EconomyTrigger, CalimeraTrigger)):
-        raise ValueError(f"make_myopic only applies to economy/calimera, got {model.variant}")
+        raise ValueError(f"make_myopic only applies to economy/calimera, got {type(model).__name__}")
     myopic = copy.copy(model)
     myopic.myopic = True
     return myopic
+
+
+def fit_methods(
+    methods: Sequence[str], train: TriggerTrainSet, costs: Sequence[CostModel]
+) -> Dict[str, List[TriggerModel]]:
+    """One model per cost model of the sweep for each of METHODS named in
+    methods. Each base method is fitted once by its fit_<name>, in order of
+    first appearance, so the first error does not depend on the rest; each
+    *_myopic method is make_myopic of its base method's models. The fits are
+    looked up on the module when called, so a rebinding of fit_<name> is seen."""
+    bases = {method: method.removesuffix("_myopic") for method in methods}
+    fitted = {base: globals()[f"fit_{base}"](train, costs) for base in dict.fromkeys(bases.values())}
+    return {
+        method: fitted[base] if base == method else [make_myopic(model) for model in fitted[base]]
+        for method, base in bases.items()
+    }

@@ -178,7 +178,7 @@ def sweep_dataset():
 def _sweep_config(tmp_path):
     return bench.BenchConfig(
         datasets=("unused",),
-        methods=bench.VALID_METHODS,
+        methods=trigger.METHODS,
         output_dir=os.path.join(str(tmp_path), "o"),
     )
 
@@ -219,18 +219,18 @@ class TestAlphaSweep:
 
     def test_myopic_records_equal_fresh_myopic_fits(self, tmp_path, monkeypatch, sweep_dataset):
         seen = {}
-        fit_sweep = bench._fit_sweep
+        fit_methods = trigger.fit_methods
 
-        def spy(method, train_set, costs):
+        def spy(methods, train_set, costs):
             seen["train_set"] = train_set
-            return fit_sweep(method, train_set, costs)
+            return fit_methods(methods, train_set, costs)
 
         def spy_collection(*args, **kwargs):
             seen["collection"] = fit_collection(*args, **kwargs)
             return seen["collection"]
 
         fit_collection = bench.classify.fit_collection
-        monkeypatch.setattr(bench, "_fit_sweep", spy)
+        monkeypatch.setattr(trigger, "fit_methods", spy)
         monkeypatch.setattr(bench.classify, "fit_collection", spy_collection)
         config = _sweep_config(tmp_path)
         records, _ = bench.run_dataset(sweep_dataset, config)
@@ -241,9 +241,7 @@ class TestAlphaSweep:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
             for method in config.methods:
                 fresh = trigger.TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
-                model = fit_sweep(method.removesuffix("_myopic"), fresh, [cost])[0]
-                if method.endswith("_myopic"):
-                    model = trigger.make_myopic(model)
+                model = fit_methods((method,), fresh, [cost])[method][0]
                 rows = (records.method == method) & (records.alpha == alpha)
                 got = list(zip(records.predicted_label[rows].tolist(),
                                records.trigger_time[rows].tolist()))
@@ -521,6 +519,18 @@ class TestCli:
             assert len(lines) == 1 and lines[0].startswith("config error: --seed must be >= 0"), proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_imbalance_outside_unit_interval_one_line_config_error(self, tmp_path):
+        # The files do not exist: --imbalance is checked before any file is read.
+        missing = os.path.join(str(tmp_path), "missing")
+        for value in ("nan", "inf", "1.5", "0", "-0.2"):
+            proc = self._cli_subprocess(
+                ["prepare", "--train", missing, "--test", missing, "--out", missing, "--imbalance", value]
+            )
+            lines = proc.stderr.splitlines()
+            assert proc.returncode == 1, proc.stderr
+            assert len(lines) == 1 and lines[0].startswith("config error: --imbalance must be in (0, 1), got "), lines
+            assert "Traceback" not in proc.stderr
+
     def _assert_one_line_data_error(self, args, named):
         proc = self._cli_subprocess(args)
         lines = proc.stderr.splitlines()
@@ -734,6 +744,8 @@ class TestCli:
         "alpha_nan": ("records.csv", lambda f: f[:2] + ["nan"] + f[3:]),
         "alpha_above_one": ("records.csv", lambda f: f[:2] + ["1.5"] + f[3:]),
         "weighted_cost_inf": ("records.csv", lambda f: f[:7] + ["inf"] + f[8:]),
+        "misclassification_cost_negative": ("records.csv", lambda f: f[:8] + ["-3.0"] + f[9:]),
+        "oracle_cost_negative": ("records.csv", lambda f: f[:11] + ["-0.5"] + f[12:]),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),

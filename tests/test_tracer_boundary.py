@@ -10,17 +10,23 @@ import os
 import subprocess
 import sys
 
-from ects_bench.bench import VALID_METHODS
 from ects_bench.data import generate_synthetic, save_dataset
+from ects_bench.trigger import METHODS
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+GEN = os.path.join(ROOT, "perfbench", "gen.py")
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_boundary_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("perfbench_tracer", TRACER)
     missing = []
     for mod_name, attrs in tracer.BOUNDARY.items():
         module = importlib.import_module(f"ects_bench.{mod_name}")
@@ -33,12 +39,17 @@ def test_every_boundary_name_resolves():
     assert not missing, missing
 
 
+def test_generated_methods_are_the_method_table():
+    # The generator may not import ects_bench, so it keeps its own copy.
+    assert _load("perfbench_gen", GEN).METHODS == METHODS
+
+
 def test_traced_run_and_report_count_their_work(tmp_path):
     save_dataset(generate_synthetic(9, 6, 3, 0.3, seed=0, name="tiny"), str(tmp_path / "ds"))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "datasets": [str(tmp_path / "ds" / "manifest.json")],
-        "methods": list(VALID_METHODS),
+        "methods": list(METHODS),
         "alpha_grid": [0.0, 0.5, 1.0],
         "output_dir": str(tmp_path / "out"),
     }))

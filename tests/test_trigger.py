@@ -12,6 +12,7 @@ from ects_bench.trigger import (
     CalimeraTrigger,
     EconomyTrigger,
     EcecTrigger,
+    METHODS,
     PROBA_GRID,
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
@@ -25,6 +26,7 @@ from ects_bench.trigger import (
     fit_calimera,
     fit_ecec,
     fit_economy,
+    fit_methods,
     fit_proba_threshold,
     fit_stopping_rule,
     make_myopic,
@@ -605,20 +607,39 @@ class TestMyopic:
 
     def test_rejects_other_variants(self):
         train = random_train_set(seed=23)
-        with pytest.raises(ValueError, match="asap"):
+        with pytest.raises(ValueError, match="AsapTrigger"):
             make_myopic(AsapTrigger(train.timeline))
 
 
-FITS = {
-    "asap": lambda train, costs: [AsapTrigger(train.timeline)] * len(costs),
-    "alap": lambda train, costs: [AlapTrigger(train.timeline)] * len(costs),
-    "proba_threshold": fit_proba_threshold,
-    "stopping_rule": fit_stopping_rule,
-    "economy": fit_economy,
-    "ecec": fit_ecec,
-    "calimera": fit_calimera,
-}
-VARIANTS = tuple(FITS) + ("economy_myopic", "calimera_myopic")
+class TestFitMethods:
+    def test_each_base_fitted_once_and_myopic_derived(self, monkeypatch):
+        train = random_train_set(seed=24, n=20, L=5, K=3)
+        costs = [standard_cost_model(3, alpha) for alpha in (0.0, 0.4, 1.0)]
+        calls = []
+
+        def counted(base, fit):
+            def wrapped(train, costs):
+                calls.append(base)
+                return fit(train, costs)
+            return wrapped
+
+        # Rebinding the module attributes is seen, as perfbench's tracer needs.
+        for base in METHODS[:7]:  # the base methods
+            monkeypatch.setattr(trigger_module, f"fit_{base}", counted(base, getattr(trigger_module, f"fit_{base}")))
+        methods = ("calimera_myopic",) + METHODS
+        fitted = fit_methods(methods, train, costs)
+        assert list(fitted) == list(dict.fromkeys(methods))
+        assert calls == ["calimera", "asap", "alap", "proba_threshold", "stopping_rule", "economy", "ecec"]
+        assert all(len(models) == len(costs) for models in fitted.values())
+        for method, base in (("economy_myopic", "economy"), ("calimera_myopic", "calimera")):
+            for model, base_model in zip(fitted[method], fitted[base]):
+                np.testing.assert_equal(vars(model), vars(make_myopic(base_model)))
+                assert model.myopic and not base_model.myopic
+
+        calls.clear()
+        alone = fit_methods(("economy_myopic",), train, costs)
+        assert calls == ["economy"] and list(alone) == ["economy_myopic"]
+        assert all(model.myopic for model in alone["economy_myopic"])
 
 
 def random_traces(rng, n, L, K, coarse):
@@ -642,20 +663,17 @@ class TestOnlineContract:
         train = random_train_set(seed=seed, n=int(rng.integers(4, 17)), L=L, K=K)
         cost = standard_cost_model(K, alpha)
         P = random_traces(rng, 6, L, K, coarse)
-        for variant in VARIANTS:
-            model = FITS[variant.removesuffix("_myopic")](train, [cost])[0]
-            if variant.endswith("_myopic"):
-                model = make_myopic(model)
+        for method, (model,) in fit_methods(METHODS, train, [cost]).items():
             stats = trigger_stats(P)
             halts = model.halts(stats)
-            assert halts.shape == (6, L) and halts[:, -1].all(), variant
+            assert halts.shape == (6, L) and halts[:, -1].all(), method
             first = halts.argmax(axis=1)
             for row, trace in enumerate(P):
                 online = simulate_online(model, trace)
                 got = (int(stats.pred[row, first[row]]), train.timeline.timestamps[first[row]])
-                assert got == (online.predicted_label, online.trigger_time), (variant, row)
+                assert got == (online.predicted_label, online.trigger_time), (method, row)
             for i in range(L - 1):
                 future = P.copy()
                 future[:, i + 1 :] = random_traces(rng, 6, L - i - 1, K, coarse)
                 changed = model.halts(trigger_stats(future))
-                assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (variant, i)
+                assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (method, i)
