@@ -67,8 +67,9 @@ def _cmd_report(args) -> int:
     from . import report
 
     timelines = report.load_timelines_json(os.path.join(args.results, "timelines.json"))
-    records = report.load_records_csv(os.path.join(args.results, "records.csv"), timelines)
-    bundle = report.bundle_from_records(records, timelines)
+    # The bundle holds the only reference to the records while the reports are written.
+    bundle = report.bundle_from_records(
+        report.load_records_csv(os.path.join(args.results, "records.csv"), timelines), timelines)
     for path in report.write_reports(bundle, args.out, emit_svg=args.svg):
         print(path)
     return 0

@@ -4,8 +4,9 @@ extraction."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -68,28 +69,57 @@ def price_records(
 def pareto_front(points: Sequence[Tuple[float, float]]) -> List[bool]:
     """Per (earliness, accuracy) point, whether it is on the non-dominated
     front. A point dominates another with <= earliness and >= accuracy, at
-    least one strict; equal points are both on the front or both off it."""
+    least one strict; equal points are both on the front or both off it.
+    One (n, n) dominance matrix: entry [j, i] says whether j dominates i."""
     if not points:
         raise ValueError("empty point list")
-    return [
-        not any(e_j <= e_i and a_j >= a_i and (e_j < e_i or a_j > a_i) for e_j, a_j in points)
-        for e_i, a_i in points
-    ]
+    e, a = np.asarray(points, dtype=float).T
+    dominates = (e[:, None] <= e) & (a[:, None] >= a) & ((e[:, None] < e) | (a[:, None] > a))
+    return (~dominates.any(axis=0)).tolist()
 
 
 def summarize(records: RecordTable, timeline: SampledTimeline) -> RunSummary:
     """Summary of one (dataset, method, alpha) group, a table whose trigger
-    times lie on the timeline. Each mean is np.mean over a column of the
-    group, so contiguous columns give the same pairwise sums as a list."""
+    times lie on the timeline."""
     if not len(records):
         raise ValueError("empty record table")
-    return RunSummary(
-        dataset=records.dataset[0],
-        method=records.method[0],
-        alpha=float(records.alpha[0]),
-        avg_cost=float(np.mean(records.weighted_cost)),
-        accuracy=float(np.mean(records.predicted_label == records.true_label)),
-        earliness=float(np.mean(records.trigger_time)) / timeline.series_length,
-        mean_regret=float(np.mean(records.regret)),
-        mean_trigger_index=float(np.mean(np.searchsorted(timeline.timestamps, records.trigger_time))),
-    )
+    return summarize_groups(records, [0], {records.dataset[0]: timeline})[0]
+
+
+def summarize_groups(
+    records: RecordTable, starts: Sequence[int], timelines: Dict[str, SampledTimeline]
+) -> List[RunSummary]:
+    """One summary per group of a table whose (dataset, method, alpha)
+    groups are the contiguous row ranges that begin at starts (ascending,
+    from 0); each group's trigger times lie on its dataset's timeline.
+
+    Each mean is taken over an (groups, size) stack of the groups of one
+    size, row by row, so every group keeps the pairwise sum np.mean gives
+    its own contiguous column. Trigger indices come from one searchsorted
+    per run of groups of one dataset."""
+    starts = np.asarray(starts, dtype=np.int64)
+    bounds = np.append(starts, len(records))
+    datasets = records.dataset[starts].tolist()
+    index = np.empty(len(records), dtype=np.int64)
+    series_length = np.empty(len(starts), dtype=np.int64)
+    g = 0
+    for name, run in itertools.groupby(datasets):
+        lo, g = g, g + sum(1 for _ in run)
+        rows = slice(bounds[lo], bounds[g])
+        index[rows] = np.searchsorted(timelines[name].timestamps, records.trigger_time[rows])
+        series_length[lo:g] = timelines[name].series_length
+    sizes = np.diff(bounds)
+    columns = (records.weighted_cost, records.predicted_label == records.true_label,
+               records.trigger_time, records.regret, index)
+    means = np.empty((len(columns), len(starts)))
+    for size in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == size)
+        rows = starts[which, None] + np.arange(size)
+        for out, column in zip(means, columns):
+            out[which] = column[rows].mean(axis=1)
+    avg_cost, accuracy, trigger_time, mean_regret, mean_index = means
+    return list(map(
+        RunSummary, datasets, records.method[starts].tolist(), records.alpha[starts].tolist(),
+        avg_cost.tolist(), accuracy.tolist(), (trigger_time / series_length).tolist(),
+        mean_regret.tolist(), mean_index.tolist(),
+    ))

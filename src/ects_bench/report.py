@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import metrics, stats
-from .core import COLUMN_DTYPE, RECORD_FIELDS, RECORD_TYPES, RecordTable, SampledTimeline
+from .core import COLUMN_DTYPE, RECORD_FIELDS, RECORD_TYPES, RecordTable, SampledTimeline, weighted_costs
 from .errors import DataError, writing_to
 
 
@@ -38,17 +38,13 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+    """One line per row, formatted a column at a time: repr for a column of
+    floats and str for any other (each column holds values of one type)."""
+    columns = [map(repr if isinstance(column[0], float) else str, column) for column in zip(*rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 PARSE_BLOCK_LINES = 4096
@@ -89,6 +85,17 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
         value = float(floats[k][bad[k]][0])
         why = "not in [0, 1]" if k == 0 else "not finite" if not np.isfinite(value) else "negative"
         raise ValueError(f"{FLOAT_FIELDS[k]} {value!r} is {why}")
+    # The derived fields are their float64 formula, bit for bit, as `run` writes them.
+    weighted = columns["weighted_cost"]
+    for name, formula, expected in (
+        ("weighted_cost", "alpha * misclassification_cost + (1 - alpha) * delay_cost",
+         weighted_costs(columns["alpha"], columns["misclassification_cost"], columns["delay_cost"])),
+        ("regret", "weighted_cost - oracle_cost", weighted - columns["oracle_cost"]),
+    ):
+        off = columns[name] != expected
+        if off.any():
+            i = int(off.argmax())
+            raise ValueError(f"{name} {float(columns[name][i])!r} is not {formula} = {float(expected[i])!r}")
     for dataset in datasets:
         rows = columns["dataset"] == dataset
         for name in ("trigger_time", "oracle_time"):
@@ -245,29 +252,27 @@ def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> L
         if complete:
             complete_by_alpha[alpha] = complete
 
-    # Mean ranks per alpha with bootstrap CIs over per-dataset rank values.
+    # Per alpha: mean ranks with bootstrap CIs over per-dataset rank values,
+    # each method drawing from its own seed, and pairwise comparisons with
+    # Holm-adjusted Wilcoxon p-values.
     rank_rows: List[Tuple[float, str, float, float, float]] = []
+    pair_rows = []
+    first, second = np.triu_indices(len(methods), 1)  # each pair of methods, in order
+    pairs = [(methods[i], methods[j]) for i, j in zip(first.tolist(), second.tolist())]
     for alpha, complete in complete_by_alpha.items():
         ranks = stats.per_dataset_ranks(complete, methods)
-        for method in methods:
-            values = ranks[method]
-            lo, hi = stats.bootstrap_mean_ci(
-                values, seed=derive_seed(0, "rank-ci", alpha, method)
-            )
-            rank_rows.append((alpha, method, float(np.mean(values)), lo, hi))
+        values = np.array([ranks[m] for m in methods])  # (methods, datasets)
+        cis = stats.bootstrap_mean_cis(values, [derive_seed(0, "rank-ci", alpha, m) for m in methods])
+        rank_rows += zip(itertools.repeat(alpha), methods, values.mean(axis=1).tolist(), *cis.T.tolist())
+        costs = np.array([[row[m] for m in methods] for row in complete.values()])  # (datasets, methods)
+        raw = stats.pairwise_comparisons(costs[:, first], costs[:, second])
+        adjusted = stats.holm_adjust([r[3] for r in raw])
+        for (a, b), (wins, ties, losses, p), p_adj in zip(pairs, raw, adjusted):
+            pair_rows.append((alpha, a, b, wins, ties, losses, p, p_adj))
     ranks_path = os.path.join(out_dir, "ranks.csv")
     _write_csv(ranks_path, ("alpha", "method", "mean_rank", "ci_low", "ci_high"), rank_rows)
     written.append(ranks_path)
 
-    # Pairwise comparisons per alpha with Holm-adjusted Wilcoxon p-values.
-    pair_rows = []
-    pairs = [(a, b) for i, a in enumerate(methods) for b in methods[i + 1:]]
-    for alpha, costs in complete_by_alpha.items():
-        rows = list(costs.values())
-        raw = [stats.pairwise_comparison([r[a] for r in rows], [r[b] for r in rows]) for a, b in pairs]
-        adjusted = stats.holm_adjust([r[3] for r in raw])
-        for (a, b), (wins, ties, losses, p), p_adj in zip(pairs, raw, adjusted):
-            pair_rows.append((alpha, a, b, wins, ties, losses, p, p_adj))
     pairwise_path = os.path.join(out_dir, "pairwise.csv")
     _write_csv(
         pairwise_path,
@@ -333,17 +338,13 @@ def _str_order(column: np.ndarray) -> np.ndarray:
 
 def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeline]) -> ReportBundle:
     """Rebuild a full bundle from raw records: the rows sorted stably by
-    (dataset, method, alpha, series_id), and one summary per (dataset,
-    method, alpha) group, each over its contiguous slice."""
+    (dataset, method, alpha, series_id), the given table itself if it is
+    already in that order, and one summary per (dataset, method, alpha)
+    group, each over its contiguous slice."""
     dataset, method = _str_order(records.dataset), _str_order(records.method)
     order = np.lexsort((_str_order(records.series_id), records.alpha, method, dataset))
-    table = records.take(order)
+    table = records if np.array_equal(order, np.arange(len(order))) else records.take(order)
     dataset, method, alpha = dataset[order], method[order], table.alpha
     new_group = np.ones(len(table), dtype=bool)
     new_group[1:] = (dataset[1:] != dataset[:-1]) | (method[1:] != method[:-1]) | (alpha[1:] != alpha[:-1])
-    bounds = np.flatnonzero(new_group).tolist() + [len(table)]
-    summaries = [
-        metrics.summarize(table.take(slice(lo, hi)), timelines[table.dataset[lo]])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return ReportBundle(table, summaries, timelines)
+    return ReportBundle(table, metrics.summarize_groups(table, np.flatnonzero(new_group), timelines), timelines)

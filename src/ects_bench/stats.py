@@ -46,14 +46,26 @@ def bootstrap_mean_ci(
     """Percentile interval of resampled means; deterministic given the seed."""
     if not values:
         raise ValueError("empty value list")
+    lo, hi = bootstrap_mean_cis(np.asarray([values], dtype=float), [seed], level, resamples)[0].tolist()
+    return lo, hi
+
+
+def bootstrap_mean_cis(
+    rows: np.ndarray, seeds: Sequence[int], level: float = 0.9, resamples: int = 10000
+) -> np.ndarray:
+    """bootstrap_mean_ci of each row of an (m, n) array, row i drawn from
+    its own generator seeded with seeds[i]; returns (m, 2) (low, high). The
+    rows' resampled means are stacked and quantiled in one call."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    arr = np.asarray(values, dtype=float)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(arr), size=(resamples, len(arr)))
-    means = arr[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0]).tolist()
-    return lo, hi
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    n = rows.shape[1]
+    means = np.empty((len(rows), resamples))
+    for values, seed, out in zip(rows, seeds, means):
+        idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+        out[:] = values.take(idx).mean(axis=1)
+    return np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
 
 
 def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:
@@ -73,6 +85,14 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> Tuple[float, float]:
     numbers, so each rank r leaves the table as it is or shifts it by 2r.
     Entries are multiples of 2**-n, so p is exactly count / 2**n for n <= 53.
     """
+    return _wilcoxon(diffs, {})
+
+
+def _wilcoxon(diffs: Sequence[float], nulls: Dict[Tuple[int, ...], np.ndarray]) -> Tuple[float, float]:
+    """wilcoxon_signed_rank, reading and filling nulls, the null table of
+    each sorted doubled-rank tuple with n <= 53: for those n the table's
+    entries are exact, so the order the ranks are added in cannot change a
+    bit. A larger n builds its table in the ranks' own order."""
     ranks, signs = _signed_ranks(diffs)
     if not ranks:
         return 0.0, 1.0
@@ -80,13 +100,25 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> Tuple[float, float]:
     total = sum(ranks)
     w = min(w_pos, total - w_pos)
     doubled = [int(2 * r) for r in ranks]
+    if len(doubled) <= 53:
+        key = tuple(sorted(doubled))
+        dist = nulls.get(key)
+        if dist is None:
+            dist = nulls[key] = _null_distribution(key)
+    else:
+        dist = _null_distribution(doubled)
+    s_pos = np.arange(len(dist)) / 2.0
+    return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
+
+
+def _null_distribution(doubled: Sequence[int]) -> np.ndarray:
+    """P(doubled S+ = k) for k = 0 .. sum(doubled) under random signs."""
     dist = np.zeros(sum(doubled) + 1)
     dist[0] = 1.0
     for d in doubled:
         dist[d:] = 0.5 * (dist[d:] + dist[:-d])
         dist[:d] *= 0.5
-    s_pos = np.arange(len(dist)) / 2.0
-    return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
+    return dist
 
 
 def holm_adjust(p_values: Sequence[float]) -> List[float]:
@@ -107,9 +139,17 @@ def pairwise_comparison(
     """(wins, ties, losses, p): wins counts datasets where a is cheaper."""
     if len(costs_a) != len(costs_b):
         raise ValueError(f"misaligned lists: {len(costs_a)} vs {len(costs_b)}")
-    wins = sum(1 for a, b in zip(costs_a, costs_b) if a < b)
-    ties = sum(1 for a, b in zip(costs_a, costs_b) if a == b)
-    losses = len(costs_a) - wins - ties
-    diffs = [a - b for a, b in zip(costs_a, costs_b)]
-    _, p = wilcoxon_signed_rank(diffs)
-    return wins, ties, losses, p
+    return pairwise_comparisons(np.asarray(costs_a, dtype=float)[:, None],
+                                np.asarray(costs_b, dtype=float)[:, None])[0]
+
+
+def pairwise_comparisons(costs_a: np.ndarray, costs_b: np.ndarray) -> List[Tuple[int, int, int, float]]:
+    """pairwise_comparison of each column of two (datasets, pairs) cost
+    arrays of one shape. The columns share one cache of null tables."""
+    wins = (costs_a < costs_b).sum(axis=0).tolist()
+    ties = (costs_a == costs_b).sum(axis=0).tolist()
+    nulls: Dict[Tuple[int, ...], np.ndarray] = {}
+    return [
+        (w, t, len(costs_a) - w - t, _wilcoxon(diffs, nulls)[1])
+        for w, t, diffs in zip(wins, ties, (costs_a - costs_b).T.tolist())
+    ]

@@ -1,6 +1,7 @@
 import collections
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -342,9 +343,12 @@ def _records_lines(draw):
     cost = st.sampled_from(["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"])
     lines = []
     for dataset, method, alpha, series in keys:
+        c_m, c_d, oracle_cost = draw(cost), draw(cost), draw(cost)
+        # The derived fields are their float64 formula, as `run` writes them.
+        weighted = float(alpha) * float(c_m) + (1.0 - float(alpha)) * float(c_d)
         line = _line(dataset, method, alpha, series, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
-                     draw(st.sampled_from(TIMELINES[dataset]["timestamps"])), draw(cost), draw(cost),
-                     draw(cost), draw(cost), draw(cost))
+                     draw(st.sampled_from(TIMELINES[dataset]["timestamps"])), repr(weighted), c_m, c_d,
+                     oracle_cost, repr(weighted - float(oracle_cost)))
         lines += [line] * draw(st.integers(1, 3))
     return draw(st.permutations(lines))
 
@@ -375,12 +379,26 @@ class TestRecordTable:
             report.load_records_csv(path, timelines)
 
     def test_non_canonical_float_kept_as_read(self, tmp_path):
-        lines = [_line(series="s1", weighted="0.50"), _line(series="s2", weighted="1.0")]
+        lines = [_line(series="s1", weighted="0.50"), _line(series="s2", weighted="1.0", c_m="1.0", regret="0.75")]
         _write_results(str(tmp_path / "in"), lines)
         files = _report(str(tmp_path / "in"), str(tmp_path / "out"))
         assert files["records.csv"].decode().splitlines(keepends=True)[1:] == lines
         summary = files["summaries.csv"].decode().splitlines()[1].split(",")
         assert summary[:4] == ["a", "m", "0.5", "0.75"]
+
+    def test_sorted_and_shuffled_records_same_reports(self, tmp_path, tiny_run):
+        # `run` writes records.csv sorted, so `report` keeps its table as
+        # read; the shuffled copy is sorted first. Both give the same bytes.
+        report.write_reports(tiny_run[1], str(tmp_path / "sorted"))
+        with open(tmp_path / "sorted" / "records.csv") as fh:
+            header, *lines = fh.readlines()
+        np.random.default_rng(0).shuffle(lines)
+        os.makedirs(tmp_path / "shuffled")
+        with open(tmp_path / "shuffled" / "records.csv", "w", newline="\n") as fh:
+            fh.write(header + "".join(lines))
+        shutil.copy(tmp_path / "sorted" / "timelines.json", tmp_path / "shuffled")
+        first = _report(str(tmp_path / "sorted"), str(tmp_path / "out-sorted"))
+        assert _report(str(tmp_path / "shuffled"), str(tmp_path / "out-shuffled")) == first
 
 
 class TestCli:
@@ -746,6 +764,8 @@ class TestCli:
         "weighted_cost_inf": ("records.csv", lambda f: f[:7] + ["inf"] + f[8:]),
         "misclassification_cost_negative": ("records.csv", lambda f: f[:8] + ["-3.0"] + f[9:]),
         "oracle_cost_negative": ("records.csv", lambda f: f[:11] + ["-0.5"] + f[12:]),
+        "weighted_cost_off_formula": ("records.csv", lambda f: f[:7] + [repr(float(f[7]) + 0.25)] + f[8:]),
+        "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench.core import (
+    RECORD_FIELDS,
+    RecordTable,
     SampledTimeline,
     anomaly_cost_model,
     delay_cost,
@@ -15,6 +17,7 @@ from ects_bench.metrics import (
     pareto_front,
     price_records,
     summarize,
+    summarize_groups,
 )
 
 T = 20
@@ -79,6 +82,58 @@ class TestAverages:
         s = summarize(_records([(0, 0, 10), (0, 1, 10)]), TIMELINE)
         assert s.accuracy == 0.5
         assert s.earliness == 0.5
+
+
+class TestGroupedSummaries:
+    TIMELINES = {"a": SampledTimeline((1, 3, 5), 5), "b": SampledTimeline((2, 4, 6, 8), 8),
+                 "c": SampledTimeline(tuple(range(1, 21)), 20)}
+
+    def _table(self, sizes, datasets, seed=0):
+        """Contiguous groups of the given sizes, one dataset each; costs
+        span several magnitudes, so each group's sum depends on its order."""
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        dataset = np.array(datasets, dtype=object)[group]
+        times = np.array([rng.choice(self.TIMELINES[d].timestamps) for d in dataset.tolist()])
+        costs = rng.random((2, n)) * rng.choice([1e-3, 1.0, 1e5], size=(2, n))
+        columns = dict(
+            dataset=dataset, method=np.array(["m"] * n, dtype=object), alpha=group / len(sizes),
+            series_id=np.array([f"s{i}" for i in range(n)], dtype=object),
+            true_label=rng.integers(0, 2, n), predicted_label=rng.integers(0, 2, n),
+            trigger_time=times, weighted_cost=costs[0], misclassification_cost=np.zeros(n),
+            delay_cost=np.zeros(n), oracle_time=times, oracle_cost=np.zeros(n), regret=costs[1],
+        )
+        assert set(columns) == set(RECORD_FIELDS)
+        return RecordTable(**columns, text=np.empty(n, dtype=object)), np.cumsum([0] + sizes[:-1])
+
+    def test_grouped_equal_per_group_reference(self):
+        # Sizes 1-300 cross numpy's 128-element pairwise block; repeated
+        # sizes stack several groups in one (groups, size) mean; the
+        # datasets' groups are not contiguous runs.
+        rng = np.random.default_rng(1)
+        sizes = list(range(1, 301)) + [1, 7, 8, 9, 128, 129, 256, 257, 60, 60, 60]
+        sizes = rng.permutation(sizes).tolist()
+        datasets = rng.choice(sorted(self.TIMELINES), size=len(sizes)).tolist()
+        table, starts = self._table(sizes, datasets)
+        got = summarize_groups(table, starts, self.TIMELINES)
+        assert len(got) == len(sizes)
+        for s, lo, size, name in zip(got, starts.tolist(), sizes, datasets):
+            group = table.take(slice(lo, lo + size))
+            timeline = self.TIMELINES[name]
+            assert s == summarize(group, timeline)
+            # The one-group formulas, each np.mean over the group's own slice.
+            assert (s.dataset, s.method, s.alpha) == (name, "m", float(group.alpha[0]))
+            assert s.avg_cost == float(np.mean(group.weighted_cost))
+            assert s.accuracy == float(np.mean(group.predicted_label == group.true_label))
+            assert s.earliness == float(np.mean(group.trigger_time)) / timeline.series_length
+            assert s.mean_regret == float(np.mean(group.regret))
+            assert s.mean_trigger_index == float(
+                np.mean(np.searchsorted(timeline.timestamps, group.trigger_time)))
+
+    def test_no_groups(self):
+        table, _ = self._table([3], ["a"])
+        assert summarize_groups(table.take(slice(0, 0)), [], self.TIMELINES) == []
 
 
 def weighted_price(cost, predicted, true, t, length):
@@ -206,6 +261,17 @@ class TestParetoFront:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             pareto_front([])
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])),
+                    min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_matrix_equals_brute_force_with_ties(self, pts):
+        # A coarse grid gives duplicate points and ties on either axis.
+        want = [
+            not any(e_j <= e_i and a_j >= a_i and (e_j < e_i or a_j > a_i) for e_j, a_j in pts)
+            for e_i, a_i in pts
+        ]
+        assert pareto_front(pts) == want
 
     @given(
         st.lists(

@@ -5,8 +5,10 @@ import pytest
 
 from ects_bench.stats import (
     bootstrap_mean_ci,
+    bootstrap_mean_cis,
     holm_adjust,
     pairwise_comparison,
+    pairwise_comparisons,
     per_dataset_ranks,
     wilcoxon_signed_rank,
     _rank_ascending,
@@ -108,6 +110,26 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_mean_ci([1.0], level=1.0)
 
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_resamples_below_one(self, resamples):
+        with pytest.raises(ValueError, match="resamples must be >= 1"):
+            bootstrap_mean_ci([1.0, 2.0], resamples=resamples)
+
+    def test_rows_equal_one_row_calls(self):
+        # Rank-like rows (as ranks.csv takes them) and rows whose means
+        # depend on the order of their sums.
+        rng = np.random.default_rng(11)
+        rows = np.vstack([rng.integers(2, 19, size=(9, 12)) / 2.0,
+                          rng.random((4, 12)) * rng.choice([1e-3, 1.0, 1e5], size=(4, 12))])
+        seeds = rng.integers(0, 2**63, size=len(rows)).tolist()
+        got = bootstrap_mean_cis(rows, seeds, resamples=3000)
+        for row, seed, (lo, hi) in zip(rows, seeds, got.tolist()):
+            assert (lo, hi) == bootstrap_mean_ci(row.tolist(), seed=seed, resamples=3000)
+            # The one-row reference: the draws and quantile of one generator.
+            idx = np.random.default_rng(seed).integers(0, len(row), size=(3000, len(row)))
+            levels = [(1.0 - 0.9) / 2.0, (1.0 + 0.9) / 2.0]
+            assert [lo, hi] == np.quantile(row[idx].mean(axis=1), levels).tolist()
+
 
 class TestWilcoxon:
     def test_five_positive(self):
@@ -157,6 +179,26 @@ class TestWilcoxon:
         sym = [float(v) for v in range(1, 11)] + [-float(v) for v in range(1, 11)]
         _, p_sym = wilcoxon_signed_rank(sym)
         assert p_sym > 0.5
+
+
+    def test_cached_null_equals_enumeration(self):
+        # Columns with ties and zero differences; later columns repeat the
+        # sorted doubled ranks of earlier ones in another order and with
+        # other signs, so they read the null table an earlier column built.
+        diffs = np.array([
+            [0.5, -0.5, 1.0, 0.0, -2.0, 2.0, 0.5],
+            [1.0, 1.0, -1.0, 0.5, 1.0, -1.0, 0.0],
+            [-2.0, 0.5, 2.0, 1.0, 0.5, 0.5, 1.0],
+            [0.0, 2.0, 0.5, -2.0, 0.0, 1.0, -2.0],
+            [1.5, -1.5, 0.0, 1.5, -1.5, 0.0, 1.5],
+        ])
+        columns = np.hstack([diffs, diffs[::-1], -diffs, diffs[[2, 0, 4, 1, 3]]])
+        got = pairwise_comparisons(columns, np.zeros_like(columns))
+        for column, (wins, ties, losses, p) in zip(columns.T.tolist(), got):
+            assert (wins, ties, losses) == (sum(d < 0 for d in column), column.count(0.0),
+                                            sum(d > 0 for d in column))
+            assert p == wilcoxon_signed_rank(column)[1]
+            assert p == enumeration_wilcoxon(column)[1]
 
 
 class TestHolm:
