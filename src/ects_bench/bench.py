@@ -9,8 +9,9 @@ alpha sweep: its alpha-independent state is a local of that one fit, and
 each alpha only selects parameters by cost. A *_myopic variant reuses the
 same alpha's full fit. The test
 traces are stacked once; each (method, alpha) trigger halts every test series
-at the first True of its vectorised halts, priced against the oracle: one
-scan over the stacked test traces per alpha. Datasets that cannot satisfy
+at the first True of its vectorised halts, and the oracle takes one scan over
+the stacked test traces per alpha; the whole sweep's halts are then priced
+in one block. Datasets that cannot satisfy
 the split are skipped with a recorded reason. Seeds are derived by hashing (master seed,
 dataset, method, alpha) so results do not depend on scheduling order. The
 records are summarised and written by `report`.
@@ -151,16 +152,22 @@ def _load_config_dataset(entry, position: int) -> Dataset:
 
 
 def run_dataset(dataset: Dataset, config: BenchConfig) -> Tuple[RecordTable, SampledTimeline]:
-    """All records for one dataset across methods and alphas. The blocks are
-    joined once the fits behind them are freed."""
-    blocks, timeline = _record_blocks(dataset, config)
-    return RecordTable.concat(blocks), timeline
+    """All records for one dataset across methods and alphas, priced in one
+    block once the fits behind them are freed."""
+    first, predicted, oracles, costs, timeline = _first_halts(dataset, config)
+    test = dataset.test
+    table = metrics.price_records(
+        dataset.name, config.methods, test.ids, test.labels, predicted, first, oracles, costs, timeline
+    )
+    return table, timeline
 
 
-def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTable], SampledTimeline]:
-    """One block of records per (alpha, method), priced from the first halt
-    of each test series. Each base method is fitted once over the sweep, in
-    method order, so a dataset's first error does not depend on alpha."""
+def _first_halts(dataset: Dataset, config: BenchConfig):
+    """Each test series' first halt under every (alpha, method), as timeline
+    indices (A, M, n) with the labels predicted there, plus each alpha's
+    oracle (times, losses), the cost models and the timeline. Each base
+    method is fitted once over the sweep, in method order, so a dataset's
+    first error does not depend on alpha."""
     split_seed = derive_seed(config.seed, dataset.name, "split")
     clf_part, trig_part = stratified_split(
         dataset.train, config.split.classifier_fraction, split_seed
@@ -182,17 +189,13 @@ def _record_blocks(dataset: Dataset, config: BenchConfig) -> Tuple[List[RecordTa
     costs = [cost_model_for(config.cost_setting, dataset.num_classes, a) for a in config.alpha_grid]
     fitted = trigger.fit_methods(config.methods, train_set, costs)
 
-    rows = np.arange(len(test))
-    blocks: List[RecordTable] = []
+    first = np.empty((len(costs), len(config.methods), len(test)), dtype=np.int64)
+    oracles = []
     for i, cost in enumerate(costs):
-        oracle = metrics.optimal_time(test_traces, oracle_labels, cost, timeline)
-        for method in config.methods:
-            first = fitted[method][i].halts(test_stats).argmax(axis=1)
-            blocks.append(metrics.price_records(
-                dataset.name, method, test.ids, test.labels, test_stats.pred[rows, first], first,
-                oracle, cost, timeline,
-            ))
-    return blocks, timeline
+        oracles.append(metrics.optimal_time(test_traces, oracle_labels, cost, timeline))
+        for j, method in enumerate(config.methods):
+            first[i, j] = fitted[method][i].halts(test_stats).argmax(axis=1)
+    return first, test_stats.pred[np.arange(len(test)), first], oracles, costs, timeline
 
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:

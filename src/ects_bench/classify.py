@@ -61,21 +61,49 @@ def prefix_features(values: np.ndarray, t: int) -> np.ndarray:
     absolute first difference."""
     if not 1 <= t <= values.shape[1]:
         raise ValueError(f"t={t} outside [1, {values.shape[1]}]")
-    prefix = values[:, :t]
-    mean = prefix.mean(axis=1)
-    if t == 1:
-        slope = madiff = np.zeros(len(prefix))
-    else:
+    return _prefix_block(values, (t,))[0]
+
+
+def _prefix_block(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
+    """(L, n, 7) prefix features of the rows of values at the increasing
+    timestamps, each computed as np.mean, np.std, np.min, ... of its own
+    prefix would: the running min and max come from one reduceat over the
+    spans between timestamps and an accumulate (_running), |diff| is formed
+    once, and the std is taken from the centred prefix the slope uses,
+    which is the one np.std forms."""
+    ts = list(timestamps)
+    head = values[:, : ts[-1]]
+    out = np.empty((len(ts), len(values), NUM_FEATURES))
+    out[:, :, 3] = _running(np.minimum, head, ts)
+    out[:, :, 4] = _running(np.maximum, head, ts)
+    absdiff = np.abs(np.diff(head, axis=1))
+    for j, t in enumerate(ts):
+        prefix = head[:, :t]
+        mean = prefix.mean(axis=1)
+        centred = prefix - mean[:, None]
+        out[j, :, 0] = mean
+        out[j, :, 1] = np.sqrt(np.add.reduce(centred * centred, axis=1) / t)
+        out[j, :, 5] = prefix[:, -1]
+        if t == 1:
+            out[j, :, 2] = out[j, :, 6] = 0.0
+            continue
         x = np.arange(t, dtype=float)
         xc = x - x.mean()
-        centred = (prefix - mean[:, None])[:, None, :]
         # One dot per row; one GEMV over the rows rounds differently.
-        slope = np.matmul(centred, xc[:, None])[:, 0, 0] / (xc @ xc)
-        madiff = np.abs(np.diff(prefix, axis=1)).mean(axis=1)
-    return np.stack(
-        [mean, prefix.std(axis=1), slope, prefix.min(axis=1), prefix.max(axis=1), prefix[:, -1], madiff],
-        axis=1,
-    )
+        out[j, :, 2] = np.matmul(centred[:, None, :], xc[:, None])[:, 0, 0] / (xc @ xc)
+        out[j, :, 6] = absdiff[:, : t - 1].mean(axis=1)
+    return out
+
+
+def _running(op, head: np.ndarray, ts: Sequence[int]) -> np.ndarray:
+    """(L, n) op-reduction (np.minimum or np.maximum) of each row's prefix
+    head[:, :t] at every timestamp. A min or max is exact, but which of 0.0
+    and -0.0 it returns depends on numpy's reduction order, so a timestamp
+    whose result holds a zero is reduced over its whole prefix instead."""
+    run = op.accumulate(op.reduceat(head, [0] + ts[:-1], axis=1), axis=1)
+    for j in np.flatnonzero((run == 0.0).any(axis=0)).tolist():
+        run[:, j] = op.reduce(head[:, : ts[j]], axis=1)
+    return run.T
 
 
 def _feature_stack(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
@@ -83,15 +111,26 @@ def _feature_stack(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
     timestamp."""
     out = np.empty((len(timestamps), len(values), NUM_FEATURES))
     for lo in range(0, len(values), _ROW_BLOCK):
-        for j, t in enumerate(timestamps):
-            out[j, lo : lo + _ROW_BLOCK] = prefix_features(values[lo : lo + _ROW_BLOCK], t)
+        out[:, lo : lo + _ROW_BLOCK] = _prefix_block(values[lo : lo + _ROW_BLOCK], timestamps)
     return out
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Probabilities along the last (class) axis. The row max and sum run
+    over class slices, K-1 elementwise ops rather than one tiny reduction
+    per row, and keep its bits: a max is exact, and numpy's sum adds fewer
+    than 8 terms in sequence; from 8 classes on its pairwise sum is kept."""
+    e = np.exp(z - _class_fold(np.maximum, z)[..., None])
+    total = _class_fold(np.add, e) if e.shape[-1] < 8 else e.sum(axis=-1)
+    return e / total[..., None]
+
+
+def _class_fold(op, a: np.ndarray) -> np.ndarray:
+    """op folded left to right over the class slices a[..., k]."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = op(out, a[..., k])
+    return out
 
 
 def logloss_and_grad(
@@ -105,17 +144,20 @@ def logloss_and_grad(
     plus its analytic gradient. Leading axes of weights (..., d, K),
     intercepts (..., K) and X (..., n, d) stack independent problems over the
     same labels (n,); the loss then has the leading shape."""
-    n = X.shape[-2]
-    rows = np.arange(n)
+    return _loss_and_grad(weights, intercepts, X, np.swapaxes(X, -1, -2), np.arange(X.shape[-2]), labels, l2)
+
+
+def _loss_and_grad(weights, intercepts, X, Xt, rows, labels, l2):
+    """logloss_and_grad given X's transpose Xt and the row numbers rows,
+    which a descent forms once. Each mean is np.mean's sum and division
+    without its Python wrapper."""
+    n = len(rows)
     probs = softmax(np.matmul(X, weights) + intercepts[..., None, :])
-    picked = np.clip(probs[..., rows, labels], 1e-300, None)
-    value = -np.mean(np.log(picked), axis=-1) + 0.5 * l2 * np.sum(weights**2, axis=(-2, -1))
-    onehot = np.zeros_like(probs)
-    onehot[..., rows, labels] = 1.0
-    diff = probs - onehot
-    grad_w = np.matmul(np.swapaxes(X, -1, -2), diff) / n + l2 * weights
-    grad_b = diff.mean(axis=-2)
-    return value, grad_w, grad_b
+    picked = np.maximum(probs[..., rows, labels], 1e-300)
+    value = -(np.add.reduce(np.log(picked), axis=-1) / n) + 0.5 * l2 * np.add.reduce(weights**2, axis=(-2, -1))
+    probs[..., rows, labels] -= 1.0  # now probs minus the one-hot labels
+    grad_w = np.matmul(Xt, probs) / n + l2 * weights
+    return value, grad_w, np.add.reduce(probs, axis=-2) / n
 
 
 def fit_multinomial(
@@ -132,14 +174,15 @@ def fit_multinomial(
     weights = np.zeros(lead + (d, num_classes))
     intercepts = np.zeros(lead + (num_classes,))
     finite = np.ones(lead, dtype=bool)
+    step = (X, np.swapaxes(X, -1, -2), np.arange(X.shape[-2]), labels, hyper.l2)
     # A diverging fit is reported through `finite`, not by warnings.
     with np.errstate(all="ignore"):
         for _ in range(hyper.iters):
-            value, grad_w, grad_b = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
+            value, grad_w, grad_b = _loss_and_grad(weights, intercepts, *step)
             finite &= np.isfinite(value)
             weights -= hyper.lr * grad_w
             intercepts -= hyper.lr * grad_b
-        value = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)[0]
+        value = _loss_and_grad(weights, intercepts, *step)[0]
     finite &= np.isfinite(value) & np.isfinite(weights).all(axis=(-2, -1))
     return weights, intercepts, finite & np.isfinite(intercepts).all(axis=-1)
 

@@ -158,13 +158,12 @@ class RecordTable:
     @classmethod
     def from_columns(cls, **columns) -> "RecordTable":
         """A table from one sequence per field; the row text is formatted a
-        column at a time, repr for floats and str otherwise."""
+        column at a time, repr for floats and str otherwise (_column_text)."""
         cols = {
             name: np.asarray(columns[name], dtype=COLUMN_DTYPE[kind])
             for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)
         }
-        fields = [map(repr if kind is float else str, cols[name].tolist())
-                  for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)]
+        fields = [_column_text(cols[name], kind) for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)]
         text = [",".join(row) + "\n" for row in zip(*fields)]
         return cls(**cols, text=np.array(text, dtype=object))
 
@@ -182,6 +181,17 @@ class RecordTable:
     def take(self, index) -> "RecordTable":
         """The rows at index (a slice gives views) in a new table."""
         return RecordTable(**{name: getattr(self, name)[index] for name in RECORD_FIELDS + ("text",)})
+
+
+def _column_text(column: np.ndarray, kind: type) -> list:
+    """Each value of a record column as text: str of a str, and repr of a
+    float or str of an int formatted once per distinct value, a float keyed
+    by its bits (so -0.0 keeps its own repr)."""
+    if kind is str:
+        return list(map(str, column.tolist()))
+    distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(repr if kind is float else str, distinct.view(column.dtype).tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 def delay_cost(model: CostModel, t: int, length: int) -> float:
@@ -215,6 +225,28 @@ def earliest_min(values: np.ndarray) -> np.ndarray:
         best = np.where(better, values[:, i], best)
         index[better] = i
     return index
+
+
+def quantiles(values: np.ndarray, qs: Sequence[float], axis: int) -> np.ndarray:
+    """np.quantile(values, qs, axis=axis) of finite values, bit for bit, by
+    numpy's default linear method: at the virtual index (n - 1) * q, the
+    order statistics either side over one np.partition, blended as numpy's
+    _lerp blends them. np.quantile's first call imports numpy.ma."""
+    arr = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    n = arr.shape[0]
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    below = np.floor(virtual)
+    last = virtual >= n - 1
+    below[last] = -1
+    lo = below.astype(np.intp)
+    hi = np.where(last, -1, lo + 1)
+    part = np.partition(arr, sorted({0, *lo.tolist(), *hi.tolist()}), axis=0)
+    a, b = part[lo], part[hi]
+    t = (virtual - below).reshape(virtual.shape + (1,) * (arr.ndim - 1))
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 def misclassification_cost(model: CostModel, predicted: int, true: int) -> float:

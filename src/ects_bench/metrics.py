@@ -40,29 +40,35 @@ def optimal_time(
 
 def price_records(
     dataset: str,
-    method: str,
+    methods: Sequence[str],
     series_ids: Sequence[str],
     true: np.ndarray,
     predicted: np.ndarray,
     index: np.ndarray,
-    oracle: Tuple[np.ndarray, np.ndarray],
-    cost: CostModel,
+    oracles: Sequence[Tuple[np.ndarray, np.ndarray]],
+    costs: Sequence[CostModel],
     timeline: SampledTimeline,
 ) -> RecordTable:
-    """One (dataset, method, alpha) block of records: each series' decision
-    (predicted label at timeline index) priced elementwise as
-    alpha * C_m + (1 - alpha) * C_d, its regret against the oracle's
-    (times, losses)."""
-    n = len(series_ids)
-    c_m = np.asarray(cost.mis_matrix)[predicted, true]
-    c_d = delay_costs(cost, timeline)[index]
-    w = weighted_costs(cost.alpha, c_m, c_d)
-    oracle_times, oracle_costs = oracle
+    """The records of a dataset's (alpha, method) sweep in one table, one
+    block of its series per (alpha, method) in alpha-major order: each
+    series' decision (predicted (A, M, n) label at timeline index (A, M, n))
+    priced elementwise as alpha * C_m + (1 - alpha) * C_d under costs[a],
+    with its regret against that alpha's oracle (times, losses), oracles[a]."""
+    shape = A, M, n = np.shape(index)
+    a = np.arange(A)[:, None, None]
+    alpha = np.array([c.alpha for c in costs], dtype=float)[:, None, None]
+    c_m = np.array([c.mis_matrix for c in costs])[a, predicted, true]
+    c_d = np.array([delay_costs(c, timeline) for c in costs])[a, index]
+    w = weighted_costs(alpha, c_m, c_d)
+    oracle_times, oracle_costs = (np.array(part)[:, None, :] for part in zip(*oracles))  # (A, 1, n) each
     return RecordTable.from_columns(
-        dataset=[dataset] * n, method=[method] * n, alpha=np.full(n, cost.alpha), series_id=series_ids,
-        true_label=true, predicted_label=predicted, trigger_time=np.asarray(timeline.timestamps)[index],
-        weighted_cost=w, misclassification_cost=c_m, delay_cost=c_d, oracle_time=oracle_times,
-        oracle_cost=oracle_costs, regret=w - oracle_costs,
+        dataset=[dataset] * w.size, method=[m for m in methods for _ in range(n)] * A,
+        alpha=np.broadcast_to(alpha, shape).ravel(), series_id=list(series_ids) * (A * M),
+        true_label=np.broadcast_to(true, shape).ravel(), predicted_label=predicted.ravel(),
+        trigger_time=np.asarray(timeline.timestamps)[index].ravel(), weighted_cost=w.ravel(),
+        misclassification_cost=c_m.ravel(), delay_cost=c_d.ravel(),
+        oracle_time=np.broadcast_to(oracle_times, shape).ravel(),
+        oracle_cost=np.broadcast_to(oracle_costs, shape).ravel(), regret=(w - oracle_costs).ravel(),
     )
 
 
@@ -112,7 +118,7 @@ def summarize_groups(
     columns = (records.weighted_cost, records.predicted_label == records.true_label,
                records.trigger_time, records.regret, index)
     means = np.empty((len(columns), len(starts)))
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):
         which = np.flatnonzero(sizes == size)
         rows = starts[which, None] + np.arange(size)
         for out, column in zip(means, columns):

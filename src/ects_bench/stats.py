@@ -8,6 +8,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .core import quantiles
+
 
 def _rank_ascending(values: Sequence[float]) -> List[float]:
     """Ranks starting at 1, ties receive the average rank."""
@@ -65,7 +67,7 @@ def bootstrap_mean_cis(
     for values, seed, out in zip(rows, seeds, means):
         idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
         out[:] = values.take(idx).mean(axis=1)
-    return np.quantile(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
+    return quantiles(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
 
 
 def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, weighted_costs
+from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, quantiles, weighted_costs
 from .errors import DataError, NumericError
 
 # Every method the harness runs; a *_myopic method is its base method's horizon-1 variant.
@@ -303,7 +303,7 @@ def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: f
     None if some bin is empty at some timestamp."""
     P, pred, maxp = train.stats[:3]
     _, L, K = P.shape
-    bin_edges = np.quantile(maxp, [i / k for i in range(1, k)], axis=0).T  # (L, k-1)
+    bin_edges = quantiles(maxp, [i / k for i in range(1, k)], axis=0).T  # (L, k-1)
     groups = _groups(bin_edges, maxp)
     j = np.arange(L)[None, :]
     present = np.zeros((L, k), dtype=bool)
@@ -427,7 +427,11 @@ def _median_pairwise_distance(sq: np.ndarray) -> float:
     if n < 2:
         return 1.0
     d = np.sqrt(sq[np.triu_indices(n, k=1)])
-    med = float(np.median(d))
+    # np.median's arithmetic, the mean of the middle pair (one value twice if
+    # len(d) is odd), without the numpy.ma import np.median makes.
+    lo, hi = (len(d) - 1) // 2, len(d) // 2
+    part = np.partition(d, [lo, hi])
+    med = float(part[lo] + part[hi]) / 2
     return med if med > 1e-12 else 1.0
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench import bench, cli, metrics, report, trigger
-from ects_bench.core import RECORD_FIELDS, DelayCurve, SeriesSet
+from ects_bench.core import RECORD_FIELDS, DelayCurve, RecordTable, SeriesSet, delay_costs, weighted_costs
 from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
 from ects_bench.errors import ConfigError, DataError
 
@@ -146,12 +147,7 @@ class TestRunBenchmark:
         assert bundle.skipped and bundle.skipped[0][0] == "bad"
 
     def test_anomaly_setting_cost_components(self, tmp_path):
-        ds = generate_synthetic(9, 12, 3, 0.3, seed=1, name="bin3")
-        # collapse to binary: classes {0} vs {1, 2}
-        def to_binary(part, prefix):
-            ids = tuple(f"{prefix}-{i}" for i in range(len(part)))
-            return SeriesSet(ids, part.values, np.minimum(part.labels, 1))
-        binary = Dataset("bin", to_binary(ds.train, "train"), to_binary(ds.test, "test"), 2, 9)
+        binary = _binary(generate_synthetic(9, 12, 3, 0.3, seed=1, name="bin"))
         out = os.path.join(str(tmp_path), "bin")
         save_dataset(binary, out)
         config = bench.BenchConfig(
@@ -249,6 +245,51 @@ class TestAlphaSweep:
                 decisions = [trigger.simulate_online(model, trace) for trace in test_traces]
                 want = [(d.predicted_label, d.trigger_time) for d in decisions]
                 assert got == want, (method, alpha)
+
+
+def reference_price_block(dataset, method, series_ids, true, predicted, index, oracle, cost, timeline):
+    """One (dataset, method, alpha) block of records, priced on its own."""
+    n = len(series_ids)
+    c_m = np.asarray(cost.mis_matrix)[predicted, true]
+    c_d = delay_costs(cost, timeline)[index]
+    w = weighted_costs(cost.alpha, c_m, c_d)
+    oracle_times, oracle_costs = oracle
+    return RecordTable.from_columns(
+        dataset=[dataset] * n, method=[method] * n, alpha=np.full(n, cost.alpha), series_id=series_ids,
+        true_label=true, predicted_label=predicted, trigger_time=np.asarray(timeline.timestamps)[index],
+        weighted_cost=w, misclassification_cost=c_m, delay_cost=c_d, oracle_time=oracle_times,
+        oracle_cost=oracle_costs, regret=w - oracle_costs,
+    )
+
+
+def _binary(ds):
+    """ds with classes {1, 2} merged into class 1."""
+    def part(series, prefix):
+        ids = tuple(f"{prefix}-{i}" for i in range(len(series)))
+        return SeriesSet(ids, series.values, np.minimum(series.labels, 1))
+    return Dataset(ds.name, part(ds.train, "train"), part(ds.test, "test"), 2, ds.length)
+
+
+@pytest.mark.parametrize("setting", ["standard", "anomaly"])
+def test_one_priced_block_equals_per_alpha_method_blocks(tmp_path, monkeypatch, sweep_dataset, setting):
+    dataset = sweep_dataset if setting == "standard" else _binary(sweep_dataset)
+    seen = []
+    price_records = metrics.price_records
+
+    def spy(*args):
+        seen.append(args)
+        return price_records(*args)
+
+    monkeypatch.setattr(metrics, "price_records", spy)
+    config = dataclasses.replace(_sweep_config(tmp_path), cost_setting=setting)
+    records, _ = bench.run_dataset(dataset, config)
+
+    [(name, methods, ids, true, predicted, first, oracles, costs, timeline)] = seen
+    assert [c.alpha for c in costs] == list(config.alpha_grid) and tuple(methods) == config.methods
+    blocks = [reference_price_block(name, method, ids, true, predicted[i, j], first[i, j], oracles[i], cost,
+                                    timeline)
+              for i, cost in enumerate(costs) for j, method in enumerate(methods)]
+    assert_same_table(records, RecordTable.concat(blocks))
 
 
 class TestReports:
@@ -515,6 +556,23 @@ class TestCli:
         assert {m for m in loaded if m.startswith("ects_bench.")} == {f"ects_bench.{m}" for m in own_modules}
         if command == "help":
             assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_command_leaves_numpy_ma_unloaded(self, tmp_path, tiny_manifest, command):
+        # Every method, so economy's bin edges and calimera's bandwidth run:
+        # a first np.quantile or np.median imports numpy.ma.
+        config = _config_file(tmp_path, tiny_manifest, methods=list(trigger.METHODS))
+        results = os.path.join(str(tmp_path), "out")
+        args = ["run", "--config", config]
+        if command == "report":
+            assert cli.main(args) == 0
+            args = ["report", "--results", results, "--out", str(tmp_path / "rebuilt")]
+        proc = self._cli_subprocess(args, launcher=("-c", self.LOADED_MODULES))
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" in proc.stdout.splitlines()[-1].split()
+        assert "numpy.ma" not in proc.stdout.splitlines()[-1].split()
+        with open(os.path.join(results, "summaries.csv")) as fh:
+            assert {line.split(",")[1] for line in fh.readlines()[1:]} == set(trigger.METHODS)
 
     def test_unreadable_config_one_line_config_error(self, tmp_path, capsys):
         for content in (b'{"seed": ' + b"1" * 5000 + b"}", b'{"output_dir": "\xff"}'):

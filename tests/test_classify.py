@@ -83,6 +83,35 @@ class TestPrefixFeatures:
             np.testing.assert_array_equal(got, want)
 
 
+class TestFeatureStack:
+    """The block routine behind _feature_stack (running min and max, one
+    |diff| per block, the std from the slope's centred prefix) keeps the
+    bits of one prefix_features call per timestamp."""
+
+    @pytest.mark.parametrize("length", [2, 3, 9, 64, 65, 129, 300])
+    def test_equals_stacked_prefix_features(self, length):
+        rng = np.random.default_rng(length)
+        for n in (1, 63, 64, 65, 130):
+            values = np.ascontiguousarray(rng.normal(scale=30.0, size=(n, length)) + 5.0)
+            some = sorted(set(rng.integers(1, length + 1, size=5).tolist()) | {1, length})
+            for timestamps in (some, range(1, length + 1), default_timeline(length).timestamps):
+                want = np.stack([prefix_features(values, t) for t in timestamps])
+                got = _feature_stack(values, list(timestamps))
+                assert got.tobytes() == want.tobytes(), (n, length, list(timestamps)[:5])
+
+    def test_signed_zero_min_and_max_as_numpy_reduces_them(self):
+        # Which of 0.0 and -0.0 a min returns depends on numpy's reduction
+        # order; each prefix's min and max keep np.min's and np.max's bits.
+        rng = np.random.default_rng(12)
+        values = np.ascontiguousarray(rng.choice([0.0, -0.0, 1.0, -1.0], size=(70, 40)))
+        values[:, :3] = rng.choice([0.0, -0.0], size=(70, 3))
+        timestamps = list(range(1, 41))
+        got = _feature_stack(values, timestamps)
+        for j, t in enumerate(timestamps):
+            assert got[j, :, 3].tobytes() == values[:, :t].min(axis=1).tobytes()
+            assert got[j, :, 4].tobytes() == values[:, :t].max(axis=1).tobytes()
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -117,6 +146,92 @@ class TestGradient:
         labels = np.array([0, 1, 0, 1])
         value, _, _ = logloss_and_grad(np.zeros((3, 2)), np.zeros(2), X, labels, 0.0)
         assert value == pytest.approx(np.log(2.0))
+
+
+def reference_softmax(z):
+    """The descent's softmax as numpy reductions over the class axis."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_logloss_and_grad(weights, intercepts, X, labels, l2):
+    """logloss_and_grad with a one-hot array and per-call setup."""
+    n = X.shape[-2]
+    rows = np.arange(n)
+    probs = reference_softmax(np.matmul(X, weights) + intercepts[..., None, :])
+    picked = np.clip(probs[..., rows, labels], 1e-300, None)
+    value = -np.mean(np.log(picked), axis=-1) + 0.5 * l2 * np.sum(weights**2, axis=(-2, -1))
+    onehot = np.zeros_like(probs)
+    onehot[..., rows, labels] = 1.0
+    diff = probs - onehot
+    grad_w = np.matmul(np.swapaxes(X, -1, -2), diff) / n + l2 * weights
+    grad_b = diff.mean(axis=-2)
+    return value, grad_w, grad_b
+
+
+def reference_fit(X, labels, num_classes, hyper):
+    """fit_multinomial's descent on the reference step."""
+    lead, d = X.shape[:-2], X.shape[-1]
+    weights = np.zeros(lead + (d, num_classes))
+    intercepts = np.zeros(lead + (num_classes,))
+    finite = np.ones(lead, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(hyper.iters):
+            value, grad_w, grad_b = reference_logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
+            finite &= np.isfinite(value)
+            weights -= hyper.lr * grad_w
+            intercepts -= hyper.lr * grad_b
+        value = reference_logloss_and_grad(weights, intercepts, X, labels, hyper.l2)[0]
+    finite &= np.isfinite(value) & np.isfinite(weights).all(axis=(-2, -1))
+    return weights, intercepts, finite & np.isfinite(intercepts).all(axis=-1)
+
+
+class TestDescentStepBits:
+    """The class-slice softmax and the hoisted descent step keep the bits of
+    the reductions over the class axis, on both sides of numpy's switch
+    from a sequential to a pairwise sum at 8 terms."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_softmax_and_step_equal_reference(self, k):
+        rng = np.random.default_rng(k)
+        for lead in ((), (3,), (2, 2)):
+            z = rng.normal(scale=20.0, size=lead + (17, k))
+            assert softmax(z).tobytes() == reference_softmax(z).tobytes()
+            X = rng.normal(size=lead + (17, 5))
+            labels = rng.integers(0, k, size=17)
+            W = rng.normal(size=lead + (5, k))
+            b = rng.normal(size=lead + (k,))
+            for got, want in zip(logloss_and_grad(W, b, X, labels, 0.01),
+                                 reference_logloss_and_grad(W, b, X, labels, 0.01)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("iters", [0, 1, 50])
+    def test_fit_equals_reference(self, k, iters):
+        rng = np.random.default_rng(100 + k)
+        X = rng.normal(size=(4, 3 * k, 7))
+        labels = np.arange(3 * k) % k
+        for x in (X, X[0]):
+            got = fit_multinomial(x, labels, k, ClassifierHyper(iters=iters))
+            want = reference_fit(x, labels, k, ClassifierHyper(iters=iters))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 9])
+    @pytest.mark.parametrize("iters", [1, 50])
+    def test_divergence_flags_equal_reference(self, k, iters):
+        rng = np.random.default_rng(200 + k)
+        X = rng.normal(size=(3, 30, 4))
+        X[1] *= 1e3
+        labels = np.arange(30) % k
+        hyper = ClassifierHyper(lr=1e300, iters=iters)
+        got = fit_multinomial(X, labels, k, hyper)
+        want = reference_fit(X, labels, k, hyper)
+        assert got[2].tolist() == want[2].tolist() and not got[2].any()
+        # A diverged fit is a NumericError, so only its NaN payloads may differ.
+        for g, w in zip(got[:2], want[:2]):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestFitMultinomial:

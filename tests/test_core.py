@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench.core import (
+    RECORD_FIELDS,
+    RECORD_TYPES,
     CostModel,
     DelayCurve,
+    RecordTable,
     SampledTimeline,
     SeriesSet,
     anomaly_cost_model,
     delay_cost,
     earliest_min,
     misclassification_cost,
+    quantiles,
     standard_cost_model,
 )
 from ects_bench.metrics import price_records
@@ -69,8 +73,8 @@ def _unweighted_losses(model, predicted, true, t, length):
     """C_m + C_d of each decision, read from the records price_records makes."""
     timeline = SampledTimeline(tuple(range(1, length + 1)), length)
     n = len(predicted)
-    r = price_records("d", "m", [f"s{i}" for i in range(n)], np.array(true), np.array(predicted),
-                      np.array(t) - 1, (np.full(n, length), np.zeros(n)), model, timeline)
+    r = price_records("d", ["m"], [f"s{i}" for i in range(n)], np.array(true), np.array([[predicted]]),
+                      np.array([[t]]) - 1, [(np.full(n, length), np.zeros(n))], [model], timeline)
     return r.misclassification_cost + r.delay_cost, r.weighted_cost
 
 
@@ -164,3 +168,42 @@ TIE_VALUES = st.builds(
 ))
 def test_earliest_min_equals_scalar_scan(rows):
     assert earliest_min(np.array(rows)).tolist() == [scalar_earliest_min(row) for row in rows]
+
+
+def test_record_text_is_each_values_repr_or_str():
+    # Repeated values are formatted once; a float is keyed by its bits, so
+    # -0.0 and 0.0 keep their own text.
+    floats = [-0.0, 0.0, 5e-324, 0.1 + 0.2, 1e16, 0.3, 0.1 + 0.2, -0.0, 1e16, 0.0]
+    n = len(floats)
+    columns = {}
+    for k, (name, kind) in enumerate(zip(RECORD_FIELDS, RECORD_TYPES)):
+        if kind is float:
+            columns[name] = floats[k:] + floats[:k]
+        elif kind is int:
+            columns[name] = [(i * k) % 3 for i in range(n)]
+        else:
+            columns[name] = [f"{name}-{i % (k + 1)}" for i in range(n)]
+    table = RecordTable.from_columns(**columns)
+    want = [",".join(repr(columns[name][i]) if kind is float else str(columns[name][i])
+                     for name, kind in zip(RECORD_FIELDS, RECORD_TYPES)) + "\n" for i in range(n)]
+    assert table.text.tolist() == want
+
+
+def test_empty_record_table():
+    table = RecordTable.from_columns(**{name: () for name in RECORD_FIELDS})
+    assert len(table) == 0 and table.text.tolist() == []
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_quantiles_equal_numpy_quantile(axis):
+    rng = np.random.default_rng(axis)
+    for case in range(300):
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 5)))
+        values = rng.random(shape)
+        if case % 2:
+            values = np.round(values * 3.0) / 3.0  # ties
+        k = int(rng.integers(1, 12))
+        for qs in ([i / k for i in range(1, k)], [0.05, 0.95], [0.0, 0.5, 1.0]):
+            got = quantiles(values, qs, axis=axis)
+            want = np.quantile(values, qs, axis=axis)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -31,9 +31,9 @@ def _records(decisions, alpha=0.5, oracle_costs=None, timeline=TIMELINE):
     n = len(decisions)
     oracle = (np.full(n, timeline.timestamps[-1]),
               np.zeros(n) if oracle_costs is None else np.asarray(oracle_costs, dtype=float))
-    return price_records("d", "m", [f"s{i}" for i in range(n)], true, predicted,
-                         np.searchsorted(timeline.timestamps, times), oracle,
-                         standard_cost_model(2, alpha), timeline)
+    return price_records("d", ["m"], [f"s{i}" for i in range(n)], true, predicted[None, None],
+                         np.searchsorted(timeline.timestamps, times)[None, None], [oracle],
+                         [standard_cost_model(2, alpha)], timeline)
 
 
 class TestAverages:

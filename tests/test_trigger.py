@@ -677,3 +677,12 @@ class TestOnlineContract:
                 future[:, i + 1 :] = random_traces(rng, 6, L - i - 1, K, coarse)
                 changed = model.halts(trigger_stats(future))
                 assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (method, i)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_median_pairwise_distance_equals_numpy_median(n):
+    rng = np.random.default_rng(n)
+    points = np.round(rng.random((n, 3)) * 4.0) / 4.0  # repeated distances
+    sq = trigger_module._sq_distances(points, points)
+    want = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
+    assert trigger_module._median_pairwise_distance(sq) == (want if want > 1e-12 else 1.0)
