@@ -7,7 +7,8 @@ sigmoids fitted on a held-out calibration set. The information-gain dataset
 screen fits such a collection at a few prefix windows and compares their AUCs.
 
 Every step runs once over a whole stack: series enter as (n, T) value
-matrices, features form an (L, n, d) tensor and the L descents run as one. Each
+matrices, features form an (L, n, d) tensor, the L descents run as one and
+so do the L·K Platt fits. Each
 array form keeps the bits of the per-series, per-timestamp arithmetic: a
 score or a slope is one product per row (``np.matmul`` over a stack of rows;
 a single GEMM or GEMV over all rows rounds differently), and every summary
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,7 +158,10 @@ def _loss_and_grad(weights, intercepts, X, Xt, rows, labels, l2):
     value = -(np.add.reduce(np.log(picked), axis=-1) / n) + 0.5 * l2 * np.add.reduce(weights**2, axis=(-2, -1))
     probs[..., rows, labels] -= 1.0  # now probs minus the one-hot labels
     grad_w = np.matmul(Xt, probs) / n + l2 * weights
-    return value, grad_w, np.add.reduce(probs, axis=-2) / n
+    # numpy adds the rows of an axis -2 sum in sequence; a contiguous copy
+    # with that axis first adds them in the same order, all classes at once.
+    series_first = probs.transpose((probs.ndim - 2, *range(probs.ndim - 2), probs.ndim - 1)).copy()
+    return value, grad_w, np.add.reduce(series_first, axis=0) / n
 
 
 def fit_multinomial(
@@ -194,39 +198,63 @@ def fit_platt(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
     Uses Platt's smoothed targets to avoid saturation on separable scores.
     A non-finite Hessian determinant, A or B is a NumericError.
     """
-    n_pos = float(targets.sum())
-    n_neg = float(len(targets) - n_pos)
+    coefs, failure = _fit_platt_rows(np.asarray(scores, dtype=float)[None], np.asarray(targets)[None])
+    if failure is not None:
+        raise NumericError(failure[1])
+    a, b = coefs[0].tolist()
+    return a, b
+
+
+def _fit_platt_rows(scores: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, Optional[Tuple[int, str]]]:
+    """fit_platt of each row of the (P, n) scores and targets, in one Newton
+    loop over the rows still iterating: the (P, 2) coefficients (A, B) and
+    the lowest failed row with its error message, or None. Each row's sums
+    run along the contiguous last axis, numpy's pairwise sum of a single
+    row, and each row stops by its own tests, so a row's bits do not depend
+    on the others."""
+    n_pos = targets.sum(axis=1, dtype=float)
+    n_neg = targets.shape[1] - n_pos
     t_pos = (n_pos + 1.0) / (n_pos + 2.0)
     t_neg = 1.0 / (n_neg + 2.0)
-    t = np.where(targets > 0, t_pos, t_neg)
-    a = 0.0
-    b = math.log((n_neg + 1.0) / (n_pos + 1.0))
+    t = np.where(targets > 0, t_pos[:, None], t_neg[:, None])
+    a = np.zeros(len(scores))
+    b = np.array([math.log(x) for x in ((n_neg + 1.0) / (n_pos + 1.0)).tolist()])
+    failed = np.zeros(len(scores), dtype=bool)
+    rows = np.arange(len(scores))  # the rows still iterating
+    s = np.ascontiguousarray(scores)
     reg = 1e-9
     with np.errstate(all="ignore"):
         for _ in range(100):
-            p = platt_apply(a, b, scores)
+            ra, rb = a[rows], b[rows]
+            p = platt_apply(ra[:, None], rb[:, None], s)
             # d logloss / dz with p = sigma(-z): p - t flips sign through z.
             dz = p - t
             w = p * (1.0 - p)
-            ga = float(-(dz * scores).sum()) + reg * a
-            gb = float(-dz.sum()) + reg * b
-            haa = float((w * scores * scores).sum()) + reg
-            hbb = float(w.sum()) + reg
-            hab = float((w * scores).sum())
+            ga = -(dz * s).sum(axis=1) + reg * ra
+            gb = -dz.sum(axis=1) + reg * rb
+            haa = (w * s * s).sum(axis=1) + reg
+            hbb = w.sum(axis=1) + reg
+            hab = (w * s).sum(axis=1)
             det = haa * hbb - hab * hab
-            if not math.isfinite(det):
-                raise NumericError("non-finite Hessian in Platt calibration")
-            if det <= 1e-18:
-                break
+            bad = ~np.isfinite(det)
+            failed[rows[bad]] = True
+            step = ~bad & (det > 1e-18)
             da = (hbb * ga - hab * gb) / det
             db = (haa * gb - hab * ga) / det
-            a -= da
-            b -= db
-            if abs(da) < 1e-12 and abs(db) < 1e-12:
+            a[rows[step]] = ra[step] - da[step]
+            b[rows[step]] = rb[step] - db[step]
+            go = step & ~((np.abs(da) < 1e-12) & (np.abs(db) < 1e-12))
+            if go.all():
+                continue
+            rows, s, t = rows[go], s[go], t[go]
+            if not len(rows):
                 break
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NumericError("non-finite Platt coefficients")
-    return a, b
+    coefs = np.stack([a, b], axis=1)
+    bad = failed | ~np.isfinite(coefs).all(axis=1)
+    if not bad.any():
+        return coefs, None
+    first = int(np.argmax(bad))
+    return coefs, (first, "non-finite Hessian in Platt calibration" if failed[first] else "non-finite Platt coefficients")
 
 
 def platt_apply(a, b, scores: np.ndarray) -> np.ndarray:
@@ -308,12 +336,13 @@ def fit_collection(
         timeline, weights, intercepts, mean, std, np.empty((len(timestamps), num_classes, 2))
     )
     calib_scores = _scores(_feature_stack(calibration_set.values, timestamps), collection)
-    for j, t in enumerate(timestamps):
-        for c in range(num_classes):
-            try:
-                collection.platt[j, c] = fit_platt(calib_scores[j, :, c], (calib_labels == c).astype(float))
-            except NumericError as exc:
-                raise NumericError(f"timestamp {t}: {exc}") from None
+    # One row per (timestamp, class), in that order.
+    rows = np.ascontiguousarray(calib_scores.transpose(0, 2, 1)).reshape(-1, len(calib_labels))
+    targets = np.tile(calib_labels == np.arange(num_classes)[:, None], (len(timestamps), 1))
+    coefs, failure = _fit_platt_rows(rows, targets.astype(float))
+    if failure is not None:
+        raise NumericError(f"timestamp {timestamps[failure[0] // num_classes]}: {failure[1]}")
+    collection.platt[:] = coefs.reshape(collection.platt.shape)
     return collection
 
 

@@ -217,13 +217,27 @@ def weighted_costs(alpha: float, c_m, c_d):
 
 def earliest_min(values: np.ndarray) -> np.ndarray:
     """The tie rule: per row of an (n, C) array, the index of its least value
-    in a left-to-right scan where a later column must beat the running best
-    by more than 1e-15, so ties keep the earliest."""
-    best, index = values[:, 0], np.zeros(len(values), dtype=np.int64)
-    for i in range(1, values.shape[1]):
-        better = values[:, i] < best - 1e-15
-        best = np.where(better, values[:, i], best)
-        index[better] = i
+    in a left-to-right scan where a value must beat the running best (at
+    first +inf) by more than 1e-15, so ties keep the earliest. NaN never
+    wins; a row with no value below +inf gives index 0.
+
+    Every value scanned is at least the running best less 1e-15, so a value
+    not below all those before it (np.fmin skips NaN) cannot win: the scan
+    visits only each row's strict prefix minima, the r-th of every row at
+    once."""
+    before = np.full(values.shape, math.inf)  # the least non-NaN value before each column
+    before[:, 1:] = values[:, :-1]
+    np.fmin.accumulate(before, axis=1, out=before)
+    rows, cols = np.nonzero(values < before)  # row-major, so each row's columns in order
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)  # place among its row's minima
+    best, index = np.full(len(values), math.inf), np.zeros(len(values), dtype=np.int64)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        row, col = rows[at], cols[at]
+        value = values[row, col]
+        better = value < best[row] - 1e-15
+        best[row[better]] = value[better]
+        index[row[better]] = col[better]
     return index
 
 
@@ -231,18 +245,28 @@ def quantiles(values: np.ndarray, qs: Sequence[float], axis: int) -> np.ndarray:
     """np.quantile(values, qs, axis=axis) of finite values, bit for bit, by
     numpy's default linear method: at the virtual index (n - 1) * q, the
     order statistics either side over one np.partition, blended as numpy's
-    _lerp blends them. np.quantile's first call imports numpy.ma."""
+    _lerp blends them (lerp_quantiles). np.quantile's first call imports
+    numpy.ma."""
     arr = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-    n = arr.shape[0]
+    lo, hi, t = quantile_positions(arr.shape[0], qs)
+    part = np.partition(arr, sorted({0, *lo.tolist(), *hi.tolist()}), axis=0)
+    return lerp_quantiles(part[lo], part[hi], t.reshape(t.shape + (1,) * (arr.ndim - 1)))
+
+
+def quantile_positions(n: int, qs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For n sorted values and each q of qs, the order statistics (lo, hi)
+    either side of the virtual index (n - 1) * q and its weight t on hi,
+    as np.quantile's linear method finds them (an index of -1 is the last)."""
     virtual = (n - 1) * np.asarray(qs, dtype=float)
     below = np.floor(virtual)
     last = virtual >= n - 1
     below[last] = -1
     lo = below.astype(np.intp)
-    hi = np.where(last, -1, lo + 1)
-    part = np.partition(arr, sorted({0, *lo.tolist(), *hi.tolist()}), axis=0)
-    a, b = part[lo], part[hi]
-    t = (virtual - below).reshape(virtual.shape + (1,) * (arr.ndim - 1))
+    return lo, np.where(last, -1, lo + 1), virtual - below
+
+
+def lerp_quantiles(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """numpy's _lerp of order statistics a and b by weight t, bit for bit."""
     diff = b - a
     out = a + diff * t
     np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)

@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import quantiles
+from .core import lerp_quantiles, quantile_positions, quantiles
 
 
 def _rank_ascending(values: Sequence[float]) -> List[float]:
@@ -57,17 +57,23 @@ def bootstrap_mean_cis(
 ) -> np.ndarray:
     """bootstrap_mean_ci of each row of an (m, n) array, row i drawn from
     its own generator seeded with seeds[i]; returns (m, 2) (low, high). The
-    rows' resampled means are stacked and quantiled in one call."""
+    rows' resampled means are stacked and quantiled in one call. A row of
+    one value resamples to its own mean every time, so n == 1 draws nothing
+    and blends that mean with itself at the quantiles' positions."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     n = rows.shape[1]
+    qs = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
+    if n == 1:
+        mean = rows.mean(axis=1)
+        return lerp_quantiles(mean, mean, quantile_positions(resamples, qs)[2][:, None]).T
     means = np.empty((len(rows), resamples))
     for values, seed, out in zip(rows, seeds, means):
         idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
         out[:] = values.take(idx).mean(axis=1)
-    return quantiles(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
+    return quantiles(means, qs, axis=1).T
 
 
 def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:

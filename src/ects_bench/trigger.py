@@ -24,6 +24,12 @@ economy's groups, transitions and expected misclassification paths, ecec's
 precisions, kernel factorizations) is a local of that one call, so a sweep
 builds it once. Each alpha then adds only the cost arithmetic; the
 oracle's tie rule (core.earliest_min) picks every alpha's parameters at once.
+A grid's candidates are a stacked leading axis, not models: each grid rule
+(_threshold_halts, _stopping_rule_halts) takes an array of parameters, a
+model's _halts applies it to its one parameter, and _fit_grid reads every
+candidate's first halt from it in blocks of at most _BLOCK_ELEMENTS halts.
+The stopping rule forms each (g1, g2) term once for all its g3, ecec its
+confidences once, and economy prices every alpha of one k in one table.
 Economy's halt table and calimera's targets share one horizon rule,
 backward_min_costs: the best later halt, or the next one if myopic.
 """
@@ -34,7 +40,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +55,7 @@ METHODS = (
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
 STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
 STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
+_BLOCK_ELEMENTS = 1 << 16  # halts per block of grid candidates, which bounds the temporaries
 
 
 class TraceStats(NamedTuple):
@@ -147,6 +154,23 @@ def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[AlapTri
     return [AlapTrigger(train.timeline)] * len(costs)
 
 
+def _threshold_halts(values: np.ndarray, thresholds) -> np.ndarray:
+    """(C, n, m) halts of a score at or above each of the C thresholds, from
+    the scores values (n, m)."""
+    return values >= np.asarray(thresholds, dtype=float)[:, None, None]
+
+
+def _stopping_rule_halts(stats: TraceStats, timeline: SampledTimeline, g12, g3) -> np.ndarray:
+    """(P, Q, n, m) halts of the stopping rule g1 * maxp + g2 * p2 + g3 * t/T
+    > 0 at each (g1, g2) of g12 (P, 2) and each g3 of g3 (Q,), in that sum's
+    order; the (g1, g2) term is formed once for all its g3."""
+    m = stats.maxp.shape[1]
+    tt = np.array(timeline.timestamps[:m]) / timeline.series_length
+    g12 = np.asarray(g12, dtype=float)[:, :, None, None]
+    pair = g12[:, 0] * stats.maxp + g12[:, 1] * stats.p2  # (P, n, m)
+    return pair[:, None] + (np.asarray(g3, dtype=float)[:, None] * tt)[:, None, :] > 0.0
+
+
 class ProbaThresholdTrigger(TriggerModel):
     def __init__(self, timeline, theta: float):
         super().__init__(timeline)
@@ -155,7 +179,7 @@ class ProbaThresholdTrigger(TriggerModel):
         self.theta = theta
 
     def _halts(self, stats):
-        return stats.maxp >= self.theta
+        return _threshold_halts(stats.maxp, [self.theta])[0]
 
 
 class StoppingRuleTrigger(TriggerModel):
@@ -165,9 +189,7 @@ class StoppingRuleTrigger(TriggerModel):
 
     def _halts(self, stats):
         g1, g2, g3 = self.gamma
-        m = stats.maxp.shape[1]
-        tt = np.array(self.timeline.timestamps[:m]) / self.timeline.series_length
-        return g1 * stats.maxp + g2 * stats.p2 + g3 * tt > 0.0
+        return _stopping_rule_halts(stats, self.timeline, [(g1, g2)], [g3])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,39 +204,56 @@ def _sweep_base(costs: Sequence[CostModel]) -> CostModel:
     return costs[0]
 
 
-def _halt_outcomes(
-    train: TriggerTrainSet, cost: CostModel, candidate_halts: Iterable[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unweighted C_m and C_d of every series at its first halt, one row per
-    candidate's (n, L) halts."""
-    first = np.array([halts.argmax(axis=1) for halts in candidate_halts])  # (candidates, n)
+def _mean_costs(train: TriggerTrainSet, costs: Sequence[CostModel], first: np.ndarray) -> np.ndarray:
+    """(cost models, candidates) empirical mean weighted cost on the train
+    set of each candidate's first halts first: (candidates, n), one set for
+    the whole sweep, or (cost models, candidates, n)."""
+    base, shape = costs[0], (len(costs),) + first.shape[-2:]
     pred = train.stats.pred[np.arange(len(train.labels)), first]
-    return np.asarray(cost.mis_matrix)[pred, train.labels], delay_costs(cost, train.timeline)[first]
+    c_m = np.broadcast_to(np.asarray(base.mis_matrix)[pred, train.labels], shape)
+    c_d = np.broadcast_to(delay_costs(base, train.timeline)[first], shape)
+    # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
+    return np.array([weighted_costs(cost.alpha, m, d).mean(axis=1) for cost, m, d in zip(costs, c_m, c_d)])
 
 
 def _fit_grid(
-    train: TriggerTrainSet, costs: Sequence[CostModel], grid: Sequence,
-    make: Callable[[object], TriggerModel],
+    train: TriggerTrainSet, costs: Sequence[CostModel], grid: np.ndarray,
+    rule: Callable[[np.ndarray], np.ndarray], make: Callable[[int], TriggerModel], per_row: int = 1,
 ) -> List[TriggerModel]:
-    """Per cost model, make(point) for the grid point whose policy has the
+    """Per cost model, make(i) for the grid candidate i whose policy has the
     least empirical mean weighted cost on the train set; ties go to the
-    earlier point. The candidates' outcomes are computed once per sweep."""
-    outcomes = _halt_outcomes(train, _sweep_base(costs), (make(point).halts(train.stats) for point in grid))
-    # Row means along the contiguous last axis: each row's pairwise sum, as np.mean(row).
-    means = np.array([weighted_costs(cost.alpha, *outcomes).mean(axis=1) for cost in costs])
-    return [make(grid[i]) for i in earliest_min(means).tolist()]
+    earlier candidate. rule(grid[lo:hi]) gives the (hi - lo, ..., n, L)
+    halts of the per_row candidates of each of those grid rows, candidates
+    in C order; every candidate's first halts are read from it once per
+    sweep, without a model per candidate. A block of grid rows holds at most
+    _BLOCK_ELEMENTS halts, or one row."""
+    _sweep_base(costs)
+    n, L = train.stats.maxp.shape
+    step = max(1, _BLOCK_ELEMENTS // (per_row * n * L))
+    first = []
+    for lo in range(0, len(grid), step):
+        halts = rule(grid[lo : lo + step])
+        halts[..., -1] = True
+        first.append(halts.argmax(axis=-1).reshape(-1, n))
+    return [make(i) for i in earliest_min(_mean_costs(train, costs, np.concatenate(first))).tolist()]
 
 
 def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[ProbaThresholdTrigger]:
     """Pick theta from the 40-point grid; ties go to the smaller theta."""
-    return _fit_grid(train, costs, PROBA_GRID, lambda theta: ProbaThresholdTrigger(train.timeline, theta))
+    return _fit_grid(
+        train, costs, np.array(PROBA_GRID), lambda thetas: _threshold_halts(train.stats.maxp, thetas),
+        lambda i: ProbaThresholdTrigger(train.timeline, PROBA_GRID[i]),
+    )
 
 
 def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[StoppingRuleTrigger]:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
-    smallest vector."""
+    smallest vector. The grid's rows are its (g1, g2) pairs, each with every
+    g3 of the axis."""
     return _fit_grid(
-        train, costs, STOPPING_RULE_GRID, lambda gamma: StoppingRuleTrigger(train.timeline, gamma)
+        train, costs, np.array(STOPPING_RULE_GRID[:: len(STOPPING_RULE_AXIS)])[:, :2],
+        lambda pairs: _stopping_rule_halts(train.stats, train.timeline, pairs, STOPPING_RULE_AXIS),
+        lambda i: StoppingRuleTrigger(train.timeline, STOPPING_RULE_GRID[i]), len(STOPPING_RULE_AXIS),
     )
 
 
@@ -289,13 +328,14 @@ def _groups(bin_edges: np.ndarray, maxp: np.ndarray) -> np.ndarray:
 
 
 def _economy_halts(priced: np.ndarray, groups: np.ndarray, myopic: bool = False) -> np.ndarray:
-    """(n, m) halts of series in groups (n, m) under priced (L, k, L) costs: a
-    series halts at index j in group g when halting now costs no more than the
-    best later halt (the next, if myopic; backward_min_costs), and always at the last index."""
-    j = np.arange(priced.shape[0])
-    table = priced[j, :, j] <= backward_min_costs(priced, myopic)[j, :, j]  # (L, k)
-    table[-1] = True
-    return table[np.arange(groups.shape[1]), groups]
+    """(..., n, m) halts of series in groups (n, m) under priced (..., L, k, L)
+    costs: a series halts at index j in group g when halting now costs no
+    more than the best later halt (the next, if myopic; backward_min_costs),
+    and always at the last index."""
+    now = np.diagonal(priced, axis1=-3, axis2=-1)  # (..., k, L): priced[..., j, g, j]
+    table = (now <= np.diagonal(backward_min_costs(priced, myopic), axis1=-3, axis2=-1)).swapaxes(-1, -2)
+    table[..., -1, :] = True
+    return table[..., np.arange(groups.shape[1]), groups]
 
 
 def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float) -> Optional[_EconomyTables]:
@@ -305,23 +345,19 @@ def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: f
     _, L, K = P.shape
     bin_edges = quantiles(maxp, [i / k for i in range(1, k)], axis=0).T  # (L, k-1)
     groups = _groups(bin_edges, maxp)
-    j = np.arange(L)[None, :]
-    present = np.zeros((L, k), dtype=bool)
-    present[j, groups] = True
-    if not present.all():
+    cell = np.arange(L) * k + groups  # (n, L): each series' (timestamp, group) cell
+    # Counts are whole numbers plus the smoothing, so they and their sums are exact.
+    class_cell = cell * K + train.labels[:, None]
+    class_counts = np.bincount(class_cell.ravel(), minlength=L * k * K).reshape(L, k, K)
+    if not class_counts.any(axis=2).all():
         return None
-    # Counts are whole numbers plus the smoothing, so the sums are exact.
-    counts = np.zeros((L - 1, k, k))
-    np.add.at(counts, (j[:, :-1], groups[:, :-1], groups[:, 1:]), 1.0)
-    counts += smoothing
+    steps = (cell[:, :-1] * k + groups[:, 1:]).ravel()
+    counts = np.bincount(steps, minlength=(L - 1) * k * k).reshape(L - 1, k, k) + smoothing
     row_sums = counts.sum(axis=2, keepdims=True)
     if np.any(row_sums == 0):
         return None
     transitions = counts / row_sums
-    class_counts = np.zeros((L, k, K))
-    np.add.at(class_counts, (j, groups, train.labels[:, None]), 1.0)
-    confusion_counts = np.zeros((L, k, K, K))
-    np.add.at(confusion_counts, (j, groups, train.labels[:, None], pred), 1.0)
+    confusion_counts = np.bincount((class_cell * K + pred).ravel(), minlength=L * k * K * K).reshape(L, k, K, K)
     mis_paths = _expected_mis_paths(_expected_mis(class_counts, confusion_counts, cost, smoothing), transitions)
     return _EconomyTables(bin_edges, groups, transitions, mis_paths)
 
@@ -335,17 +371,21 @@ def fit_economy(
     """Per cost model, select k by empirical mean weighted cost of the
     induced policy on the trigger train set; infeasible k (empty bin) are
     skipped; ties favor the smaller k. Each feasible k's tables are built
-    once per sweep and priced once per alpha; only the winners are kept."""
+    once per sweep and priced for every alpha at once; only the winners are
+    kept."""
     base = _sweep_base(costs)
     feasible = [(k, tables) for k in k_grid if (tables := _build_economy(train, base, k, smoothing)) is not None]
     if not feasible:
         raise DataError("no feasible k for the confidence partition")
     delays = delay_costs(base, train.timeline)
-    means = []
-    for cost in costs:  # each priced table lives only while its halts are read
-        halts = (_economy_halts(weighted_costs(cost.alpha, t.mis_paths, delays), t.groups) for _, t in feasible)
-        means.append(weighted_costs(cost.alpha, *_halt_outcomes(train, cost, halts)).mean(axis=1))
-    winners = [feasible[i] for i in earliest_min(np.array(means)).tolist()]
+    alphas = np.array([cost.alpha for cost in costs])[:, None, None, None]
+    # Each k prices every alpha in one (alphas, L, k, L) table, kept only while its halts are read.
+    first = np.stack(
+        [_economy_halts(weighted_costs(alphas, t.mis_paths, delays), t.groups).argmax(axis=-1) for _, t in feasible],
+        axis=1,
+    )  # (alphas, feasible k, n)
+    means = _mean_costs(train, costs, first)
+    winners = [feasible[i] for i in earliest_min(means).tolist()]
     del feasible  # the other k's tables go before the winners are priced
     return [
         EconomyTrigger(train.timeline, k, t.bin_edges, weighted_costs(cost.alpha, t.mis_paths, delays))
@@ -367,20 +407,24 @@ class EcecTrigger(TriggerModel):
         self.gamma = gamma
 
     def confidences(self, stats: TraceStats) -> np.ndarray:
-        """(n, m): 1 - the product, over the steps so far that predicted the
-        current class, of (1 - that step's precision for it)."""
-        pred = stats.pred
-        prec = self.precisions[: pred.shape[1]]
-        conf = np.empty(pred.shape)
-        for c in range(prec.shape[1]):
-            agree = pred == c
-            # Sequential products; a factor of 1.0 on other classes is exact.
-            running = np.multiply.accumulate(np.where(agree, 1.0 - prec[:, c], 1.0), axis=1)
-            conf[agree] = 1.0 - running[agree]
-        return conf
+        return _ecec_confidences(self.precisions, stats.pred)
 
     def _halts(self, stats):
-        return self.confidences(stats) >= self.gamma
+        return _threshold_halts(self.confidences(stats), [self.gamma])[0]
+
+
+def _ecec_confidences(precisions: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """(n, m) from predictions pred (n, m) and precisions (L, K): 1 - the
+    product, over the steps so far that predicted the current class, of
+    (1 - that step's precision for it). Does not depend on gamma."""
+    prec = precisions[: pred.shape[1]]
+    conf = np.empty(pred.shape)
+    for c in range(prec.shape[1]):
+        agree = pred == c
+        # Sequential products; a factor of 1.0 on other classes is exact.
+        running = np.multiply.accumulate(np.where(agree, 1.0 - prec[:, c], 1.0), axis=1)
+        conf[agree] = 1.0 - running[agree]
+    return conf
 
 
 def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -392,9 +436,14 @@ def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> 
 
 def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[EcecTrigger]:
     """Tune the confidence threshold on the 40-point grid; ties go to the
-    smaller gamma."""
+    smaller gamma. The confidences do not depend on gamma and are formed
+    once."""
     prec = _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2])
-    return _fit_grid(train, costs, PROBA_GRID, lambda gamma: EcecTrigger(train.timeline, prec, gamma))
+    conf = _ecec_confidences(prec, train.stats.pred)
+    return _fit_grid(
+        train, costs, np.array(PROBA_GRID), lambda gammas: _threshold_halts(conf, gammas),
+        lambda i: EcecTrigger(train.timeline, prec, PROBA_GRID[i]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ects_bench import classify as classify_module
 from ects_bench.classify import (
     ClassifierHyper,
     _feature_stack,
+    _fit_platt_rows,
     _scores,
     default_timeline,
     fit_collection,
@@ -17,6 +21,7 @@ from ects_bench.classify import (
     prefix_features,
     softmax,
 )
+from ects_bench.core import SeriesSet
 from ects_bench.data import generate_synthetic, stratified_split
 from ects_bench.errors import DataError, NumericError
 
@@ -297,6 +302,122 @@ class TestPlatt:
         a, b = fit_platt(scores, targets)
         p = platt_apply(a, b, scores)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
+
+
+def reference_fit_platt(scores, targets, failed_at=None):
+    """fit_platt as one Newton loop per problem; failed_at, if given, gets
+    the step at which a non-finite Hessian stops it."""
+    n_pos = float(targets.sum())
+    n_neg = float(len(targets) - n_pos)
+    t_pos = (n_pos + 1.0) / (n_pos + 2.0)
+    t_neg = 1.0 / (n_neg + 2.0)
+    t = np.where(targets > 0, t_pos, t_neg)
+    a = 0.0
+    b = math.log((n_neg + 1.0) / (n_pos + 1.0))
+    reg = 1e-9
+    with np.errstate(all="ignore"):
+        for step in range(100):
+            p = platt_apply(a, b, scores)
+            dz = p - t
+            w = p * (1.0 - p)
+            ga = float(-(dz * scores).sum()) + reg * a
+            gb = float(-dz.sum()) + reg * b
+            haa = float((w * scores * scores).sum()) + reg
+            hbb = float(w.sum()) + reg
+            hab = float((w * scores).sum())
+            det = haa * hbb - hab * hab
+            if not math.isfinite(det):
+                if failed_at is not None:
+                    failed_at.append(step)
+                raise NumericError("non-finite Hessian in Platt calibration")
+            if det <= 1e-18:
+                break
+            da = (hbb * ga - hab * gb) / det
+            db = (haa * gb - hab * ga) / det
+            a -= da
+            b -= db
+            if abs(da) < 1e-12 and abs(db) < 1e-12:
+                break
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericError("non-finite Platt coefficients")
+    return a, b
+
+
+# Scores whose Hessian turns non-finite at the third Newton step, under
+# targets (1, 1, 1, 1, 0); scores near 1e300 fail at the first.
+LATE_FAILING_SCORES = [6.40243593e20, -1.06412462e37, 1.50337818e147, -2.17332704e11, 2.90817792e154]
+
+
+def platt_problems(rng, n):
+    """(scores, targets) rows of one length n: separable, constant,
+    one-sided, noisy and widely scaled scores."""
+    noisy = rng.normal(size=n)
+    targets = (noisy + rng.normal(scale=0.5, size=n) > 0).astype(float)
+    order = np.sign(noisy)
+    return [
+        (noisy, targets),
+        (order * 3.0, (order > 0).astype(float)),  # separable
+        (np.full(n, 0.7), targets),  # constant
+        (noisy, np.zeros(n)), (noisy, np.ones(n)),  # one-sided
+        (noisy * 1e6, targets), (noisy * 1e-9, targets),
+        (np.round(noisy), targets),
+    ]
+
+
+class TestStackedPlatt:
+    """Every (timestamp, class) Platt fit runs in one Newton loop; each
+    row keeps the bits of its own one-problem loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 200])
+    def test_rows_equal_per_problem_loop(self, n):
+        rng = np.random.default_rng(n)
+        problems = platt_problems(rng, n)
+        scores = np.array([s for s, _ in problems])
+        targets = np.array([t for _, t in problems])
+        coefs, failure = _fit_platt_rows(scores, targets)
+        assert failure is None
+        for (s, t), row in zip(problems, coefs):
+            want = reference_fit_platt(s, t)
+            assert row.tolist() == list(want)
+            assert fit_platt(s, t) == want
+
+    def test_collection_equals_per_problem_loop(self, fitted):
+        _, _, calib, timeline, coll = fitted
+        scores = _scores(_feature_stack(calib.values, timeline.timestamps), coll)
+        for j in range(len(timeline)):
+            for c in range(coll.num_classes):
+                want = reference_fit_platt(scores[j, :, c], (calib.labels == c).astype(float))
+                assert coll.platt[j, c].tolist() == list(want)
+
+    def test_one_problem_errors_as_before(self):
+        targets = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        late = np.array(LATE_FAILING_SCORES)
+        failed_at = []
+        with pytest.raises(NumericError, match="non-finite Hessian in Platt calibration"):
+            reference_fit_platt(late, targets, failed_at)
+        assert failed_at == [2]
+        with pytest.raises(NumericError, match="^non-finite Hessian in Platt calibration$"):
+            fit_platt(late, targets)
+
+    def test_failure_names_the_earliest_timestamp(self, monkeypatch):
+        """The lowest failing (timestamp, class) names the error, although
+        a later timestamp fails at an earlier Newton step."""
+        rng = np.random.default_rng(5)
+        timeline = default_timeline(12)
+        train = SeriesSet(tuple(f"f{i}" for i in range(12)), rng.normal(size=(12, 12)), np.arange(12) % 2)
+        calib = SeriesSet(tuple(f"c{i}" for i in range(5)), rng.normal(size=(5, 12)), np.array([0, 0, 0, 0, 1]))
+        early, late = 2, len(timeline) - 2
+        crafted = np.zeros((len(timeline), 5, 2))
+        crafted[early, :, 0] = LATE_FAILING_SCORES  # class 0's targets are (1, 1, 1, 1, 0)
+        crafted[late, :, 1] = [0.0, 0.0, 0.0, 0.0, 1e300]
+        failed_at = []
+        for j, c in ((early, 0), (late, 1)):
+            with pytest.raises(NumericError):
+                reference_fit_platt(crafted[j, :, c], (calib.labels == c).astype(float), failed_at)
+        assert failed_at == [2, 0]
+        monkeypatch.setattr(classify_module, "_scores", lambda features, collection: crafted)
+        with pytest.raises(NumericError, match=f"^timestamp {timeline.timestamps[early]}: non-finite Hessian"):
+            fit_collection(train, timeline, ClassifierHyper(iters=1), calib)
 
 
 @pytest.fixture(scope="module")

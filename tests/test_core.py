@@ -170,6 +170,51 @@ def test_earliest_min_equals_scalar_scan(rows):
     assert earliest_min(np.array(rows)).tolist() == [scalar_earliest_min(row) for row in rows]
 
 
+def column_scan_earliest_min(values):
+    """The column-by-column scan the prefix-minimum scan replaced; it starts
+    from the first column, so a row whose first value is NaN kept index 0."""
+    best, index = values[:, 0], np.zeros(len(values), dtype=np.int64)
+    for i in range(1, values.shape[1]):
+        better = values[:, i] < best - 1e-15
+        best = np.where(better, values[:, i], best)
+        index[better] = i
+    return index
+
+
+def long_tie_rows(rng, cols):
+    """Rows of up to 1,000 columns: plateaus and staircases within +-1e-15,
+    NaN at the first and later columns, and +-inf."""
+    bases = np.array([0.0, 0.25, 0.5, 1.0, 0.30000000000000004])
+    offsets = np.array([0.0, 1e-16, -1e-16, 5e-16, -5e-16, 1e-15, -1e-15, -2e-15, -1e-14])
+    plateau = rng.choice(bases, size=(4, cols)) + rng.choice(offsets, size=(4, cols))
+    staircase = 1.0 - np.cumsum(rng.choice(offsets[offsets >= 0], size=(3, cols)), axis=1)
+    uniform = rng.random((2, cols))
+    rows = np.vstack([plateau, staircase, uniform, plateau[:2] + uniform[:1] * 1e-14])
+    special = rng.random(rows.shape) < 0.03
+    rows[special] = rng.choice([math.nan, math.inf, -math.inf], size=int(special.sum()))
+    rows[::4, 0] = math.nan
+    rows[1::4, 0] = math.inf
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), cols=st.integers(1, 1000))
+def test_earliest_min_equals_scalar_scan_on_long_rows(seed, cols):
+    rows = long_tie_rows(np.random.default_rng(seed), cols)
+    want = [scalar_earliest_min(row) for row in rows.tolist()]
+    assert earliest_min(rows).tolist() == [0 if w is None else w for w in want]
+    # Where the first value is not NaN, the column scan it replaced agrees.
+    keep = ~np.isnan(rows[:, 0])
+    assert earliest_min(rows[keep]).tolist() == column_scan_earliest_min(rows[keep]).tolist()
+
+
+def test_earliest_min_nan_never_wins():
+    rows = np.array([[math.nan, 2.0, 1.0], [math.nan, math.nan, math.nan], [math.inf, math.inf, math.inf],
+                     [1.0, math.nan, 0.5], [math.nan, -math.inf, -math.inf]])
+    assert earliest_min(rows).tolist() == [2, 0, 0, 2, 1]
+    assert earliest_min(np.zeros((0, 4))).tolist() == [] and earliest_min(np.ones((2, 1))).tolist() == [0, 0]
+
+
 def test_record_text_is_each_values_repr_or_str():
     # Repeated values are formatted once; a float is keyed by its bits, so
     # -0.0 and 0.0 keep their own text.

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+
+from ects_bench.core import quantiles
 
 from ects_bench.stats import (
     bootstrap_mean_ci,
@@ -129,6 +132,44 @@ class TestBootstrap:
             idx = np.random.default_rng(seed).integers(0, len(row), size=(3000, len(row)))
             levels = [(1.0 - 0.9) / 2.0, (1.0 + 0.9) / 2.0]
             assert [lo, hi] == np.quantile(row[idx].mean(axis=1), levels).tolist()
+
+
+def drawing_bootstrap_mean_cis(rows, seeds, level=0.9, resamples=10000):
+    """bootstrap_mean_cis as it was before its one-value branch: every row
+    draws its resamples."""
+    n = rows.shape[1]
+    means = np.empty((len(rows), resamples))
+    for values, seed, out in zip(rows, seeds, means):
+        idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+        out[:] = values.take(idx).mean(axis=1)
+    return quantiles(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
+
+
+class TestOneValueRows:
+    """A row of one value resamples to its own mean every time; the branch
+    that skips the draws keeps the drawing path's bits, signed zeros and
+    NaN included."""
+
+    VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, 1.5, 6.5, 9.0]
+
+    @pytest.mark.parametrize("resamples", [1, 2, 3, 10000])
+    @pytest.mark.parametrize("level", [0.5, 0.9])
+    def test_equals_drawing_path(self, resamples, level):
+        rows = np.array(self.VALUES)[:, None]
+        seeds = list(range(len(rows)))
+        with np.errstate(invalid="ignore"):
+            got = bootstrap_mean_cis(rows, seeds, level, resamples)
+            want = drawing_bootstrap_mean_cis(rows, seeds, level, resamples)
+        assert got.tobytes() == want.tobytes()
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a one-value row drew resamples")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        lo, hi = bootstrap_mean_ci([-0.0])
+        assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == 1.0  # the lerp's +0.0, not the value's -0.0
+        assert bootstrap_mean_ci([2.5], level=0.5) == (2.5, 2.5)
 
 
 class TestWilcoxon:

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ects_bench import trigger as trigger_module
-from ects_bench.core import CostModel, DelayCurve, SampledTimeline, delay_costs, standard_cost_model, weighted_costs
+from ects_bench.core import (
+    CostModel, DelayCurve, SampledTimeline, delay_costs, earliest_min, quantiles, standard_cost_model,
+    weighted_costs,
+)
 from ects_bench.errors import DataError
 from ects_bench.trigger import (
     AlapTrigger,
@@ -15,13 +18,18 @@ from ects_bench.trigger import (
     METHODS,
     PROBA_GRID,
     ProbaThresholdTrigger,
+    STOPPING_RULE_AXIS,
+    STOPPING_RULE_GRID,
     StoppingRuleTrigger,
     TriggerTrainSet,
     _build_economy,
     _calimera_factors,
+    _ecec_precisions,
     _economy_halts,
+    _expected_mis,
     _expected_mis_paths,
     _groups,
+    _stopping_rule_halts,
     backward_min_costs,
     fit_calimera,
     fit_ecec,
@@ -366,6 +374,164 @@ class TestEconomy:
                         assert full[g, j] == (costs[0] <= costs[1:].min())
                         assert myopic[g, j] == (costs[0] <= costs[1])
                 assert full[:, -1].all() and myopic[:, -1].all()
+
+
+def reference_halt_outcomes(train, cost, candidate_halts):
+    """The grid fits' outcomes as they were: one (n, L) halts array per
+    candidate, read at its first halt."""
+    first = np.array([halts.argmax(axis=1) for halts in candidate_halts])
+    pred = train.stats.pred[np.arange(len(train.labels)), first]
+    return np.asarray(cost.mis_matrix)[pred, train.labels], delay_costs(cost, train.timeline)[first]
+
+
+def reference_grid_means(train, costs, models):
+    """The (alphas, candidates) mean matrix from one model per candidate."""
+    outcomes = reference_halt_outcomes(train, costs[0], (model.halts(train.stats) for model in models))
+    return np.array([weighted_costs(cost.alpha, *outcomes).mean(axis=1) for cost in costs])
+
+
+def capture_mean_costs(monkeypatch):
+    """Spy on the fits' (first halts, mean matrix) pairs."""
+    seen, mean_costs = [], trigger_module._mean_costs
+
+    def spy(train, costs, first):
+        seen.append((first, mean_costs(train, costs, first)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(trigger_module, "_mean_costs", spy)
+    return seen
+
+
+GRID_FITS = {
+    "proba_threshold": (fit_proba_threshold, PROBA_GRID, lambda train, point: ProbaThresholdTrigger(train.timeline, point)),
+    "stopping_rule": (fit_stopping_rule, STOPPING_RULE_GRID,
+                      lambda train, point: StoppingRuleTrigger(train.timeline, point)),
+    "ecec": (fit_ecec, PROBA_GRID, lambda train, point: EcecTrigger(
+        train.timeline, _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2]), point)),
+}
+
+
+class TestStackedGrids:
+    """A grid fit reads every candidate's first halts from one rule over a
+    stacked candidate axis, in bounded blocks; each candidate's first halts,
+    the mean matrix and the winners equal those of one model per candidate."""
+
+    @pytest.mark.parametrize("name", sorted(GRID_FITS))
+    @pytest.mark.parametrize("seed,n,L,K,block", [
+        (40, 37, 7, 3, 8000),  # 30 thresholds or 3 gamma pairs a block: neither grid a multiple
+        (41, 23, 9, 2, 1),  # one grid row a block
+        (42, 61, 12, 4, None),  # the default block
+    ])
+    def test_candidates_equal_per_candidate_models(self, monkeypatch, name, seed, n, L, K, block):
+        fit, grid, make = GRID_FITS[name]
+        if block is not None:
+            monkeypatch.setattr(trigger_module, "_BLOCK_ELEMENTS", block)
+        train = random_train_set(seed=seed, n=n, L=L, K=K, T=3 * L)
+        costs = [standard_cost_model(K, round(0.1 * i, 1)) for i in range(11)]
+        seen = capture_mean_costs(monkeypatch)
+        models = fit(train, costs)
+        (first, means), = seen
+        per_candidate = [make(train, point) for point in grid]
+        want_first = np.array([model.halts(train.stats).argmax(axis=1) for model in per_candidate])
+        assert first.shape == (len(grid), n) and np.array_equal(first, want_first)
+        assert means.tobytes() == reference_grid_means(train, costs, per_candidate).tobytes()
+        for model, i in zip(models, earliest_min(means).tolist()):
+            np.testing.assert_equal(vars(model), vars(per_candidate[i]))
+
+    def test_stopping_rule_pairs_then_time(self):
+        """The rule's (g1, g2) term is formed once per pair, as the one-gamma
+        sum g1 * maxp + g2 * p2 + g3 * t/T forms it."""
+        train = random_train_set(seed=43, n=19, L=6, K=3)
+        g12 = np.array(STOPPING_RULE_GRID[::10])[:, :2]
+        halts = _stopping_rule_halts(train.stats, train.timeline, g12, STOPPING_RULE_AXIS)
+        tt = np.array(train.timeline.timestamps) / train.timeline.series_length
+        for (g1, g2), row in zip(g12.tolist(), halts):
+            for g3, h in zip(STOPPING_RULE_AXIS, row):
+                assert np.array_equal(h, g1 * train.stats.maxp + g2 * train.stats.p2 + g3 * tt > 0.0)
+
+
+def reference_build_economy(train, cost, k, smoothing):
+    """_build_economy with its counts made by np.add.at."""
+    P, pred, maxp = train.stats[:3]
+    _, L, K = P.shape
+    bin_edges = quantiles(maxp, [i / k for i in range(1, k)], axis=0).T
+    groups = _groups(bin_edges, maxp)
+    j = np.arange(L)[None, :]
+    present = np.zeros((L, k), dtype=bool)
+    present[j, groups] = True
+    if not present.all():
+        return None
+    counts = np.zeros((L - 1, k, k))
+    np.add.at(counts, (j[:, :-1], groups[:, :-1], groups[:, 1:]), 1.0)
+    counts += smoothing
+    row_sums = counts.sum(axis=2, keepdims=True)
+    if np.any(row_sums == 0):
+        return None
+    transitions = counts / row_sums
+    class_counts = np.zeros((L, k, K))
+    np.add.at(class_counts, (j, groups, train.labels[:, None]), 1.0)
+    confusion_counts = np.zeros((L, k, K, K))
+    np.add.at(confusion_counts, (j, groups, train.labels[:, None], pred), 1.0)
+    mis_paths = _expected_mis_paths(_expected_mis(class_counts, confusion_counts, cost, smoothing), transitions)
+    return bin_edges, groups, transitions, mis_paths
+
+
+def reference_economy_halts(priced, groups, myopic=False):
+    """_economy_halts for one priced (L, k, L) table."""
+    j = np.arange(priced.shape[0])
+    table = priced[j, :, j] <= backward_min_costs(priced, myopic)[j, :, j]
+    table[-1] = True
+    return table[np.arange(groups.shape[1]), groups]
+
+
+class TestStackedEconomy:
+    """Economy prices every alpha of a k in one table and counts with
+    np.bincount; both keep the bits of the per-alpha and np.add.at forms."""
+
+    @pytest.mark.parametrize("seed,n,L,K,smoothing", [(50, 40, 6, 3, 1.0), (51, 90, 11, 2, 0.0), (52, 7, 1, 3, 1.0)])
+    def test_tables_equal_add_at_counts(self, seed, n, L, K, smoothing):
+        train = random_train_set(seed=seed, n=n, L=L, K=K, T=3 * L)
+        cost = standard_cost_model(K, 0.5)
+        for k in range(1, 9):
+            got, want = _build_economy(train, cost, k, smoothing), reference_build_economy(train, cost, k, smoothing)
+            assert (got is None) == (want is None)
+            if got is not None:
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("myopic", [False, True])
+    def test_stacked_halts_equal_per_alpha_halts(self, myopic):
+        train = random_train_set(seed=53, n=45, L=8, K=3)
+        costs = [standard_cost_model(3, round(0.1 * i, 1)) for i in range(11)]
+        delays = delay_costs(costs[0], train.timeline)
+        alphas = np.array([cost.alpha for cost in costs])[:, None, None, None]
+        tables = _build_economy(train, costs[0], 4, 1.0)
+        stacked = _economy_halts(weighted_costs(alphas, tables.mis_paths, delays), tables.groups, myopic)
+        for cost, got in zip(costs, stacked):
+            priced = weighted_costs(cost.alpha, tables.mis_paths, delays)
+            assert np.array_equal(got, reference_economy_halts(priced, tables.groups, myopic))
+            assert np.array_equal(got[:, :5], reference_economy_halts(priced, tables.groups[:, :5], myopic))
+
+    def test_means_equal_per_alpha_loop(self, monkeypatch):
+        train = random_train_set(seed=54, n=60, L=9, K=3)
+        costs = [standard_cost_model(3, round(0.1 * i, 1)) for i in range(11)]
+        seen = capture_mean_costs(monkeypatch)
+        models = fit_economy(train, costs)
+        (first, means), = seen
+        base = costs[0]
+        feasible = [t for k in range(1, 21) if (t := _build_economy(train, base, k, 1.0)) is not None]
+        delays = delay_costs(base, train.timeline)
+        want = []
+        for cost in costs:  # the loop it replaced: one priced table per (alpha, k)
+            halts = (reference_economy_halts(weighted_costs(cost.alpha, t.mis_paths, delays), t.groups)
+                     for t in feasible)
+            want.append(weighted_costs(cost.alpha, *reference_halt_outcomes(train, cost, halts)).mean(axis=1))
+        assert first.shape == (len(costs), len(feasible), 60)
+        assert means.tobytes() == np.array(want).tobytes()
+        assert [model.k for model in models] == [
+            [k for k in range(1, 21) if _build_economy(train, base, k, 1.0) is not None][i]
+            for i in earliest_min(np.array(want)).tolist()
+        ]
 
 
 def test_train_set_checks_its_shapes():
