@@ -4,17 +4,15 @@ score pipeline that turns it into a bundle of priced records.
 The pipeline per dataset: stratified split of the train set (40% classifier
 part, 60% trigger part; 30% of the classifier part held out for calibration),
 one classifier collection fitted once, trigger-train probability traces
-computed once. Each tuned trigger is fitted once per dataset over the whole
-alpha sweep: its alpha-independent state is a local of that one fit, and
-each alpha only selects parameters by cost. A *_myopic variant reuses the
-same alpha's full fit. The test
-traces are stacked once; each (method, alpha) trigger halts every test series
-at the first True of its vectorised halts, and the oracle takes one scan over
-the stacked test traces per alpha; the whole sweep's halts are then priced
-in one block. Datasets that cannot satisfy
-the split are skipped with a recorded reason. Seeds are derived by hashing (master seed,
-dataset, method, alpha) so results do not depend on scheduling order. The
-records are summarised and written by `report`.
+computed once. Each base method is fitted once per dataset, as one sweep
+over every alpha; a *_myopic method halts by its base method's sweep at the
+myopic horizon. Each sweep halts the stacked test traces once, for every
+alpha and every horizon its methods name, and a series' decision is its
+first halt. The oracle takes one scan of the test stack per alpha, and the
+whole sweep's halts are priced in one block. Datasets that cannot satisfy
+the split are skipped with a recorded reason. Seeds are derived by hashing
+(master seed, dataset, method, alpha) so results do not depend on
+scheduling order. The records are summarised and written by `report`.
 """
 
 from __future__ import annotations
@@ -152,22 +150,11 @@ def _load_config_dataset(entry, position: int) -> Dataset:
 
 
 def run_dataset(dataset: Dataset, config: BenchConfig) -> Tuple[RecordTable, SampledTimeline]:
-    """All records for one dataset across methods and alphas, priced in one
-    block once the fits behind them are freed."""
-    first, predicted, oracles, costs, timeline = _first_halts(dataset, config)
-    test = dataset.test
-    table = metrics.price_records(
-        dataset.name, config.methods, test.ids, test.labels, predicted, first, oracles, costs, timeline
-    )
-    return table, timeline
-
-
-def _first_halts(dataset: Dataset, config: BenchConfig):
-    """Each test series' first halt under every (alpha, method), as timeline
-    indices (A, M, n) with the labels predicted there, plus each alpha's
-    oracle (times, losses), the cost models and the timeline. Each base
+    """All records for one dataset across methods and alphas. Each base
     method is fitted once over the sweep, in method order, so a dataset's
-    first error does not depend on alpha."""
+    first error does not depend on alpha; the sweeps give each test series'
+    first halt under every (alpha, method), and are freed before the records
+    are priced in one block."""
     split_seed = derive_seed(config.seed, dataset.name, "split")
     clf_part, trig_part = stratified_split(
         dataset.train, config.split.classifier_fraction, split_seed
@@ -187,15 +174,14 @@ def _first_halts(dataset: Dataset, config: BenchConfig):
     oracle_labels = tuple(test.labels.tolist())
 
     costs = [cost_model_for(config.cost_setting, dataset.num_classes, a) for a in config.alpha_grid]
-    fitted = trigger.fit_methods(config.methods, train_set, costs)
-
-    first = np.empty((len(costs), len(config.methods), len(test)), dtype=np.int64)
-    oracles = []
-    for i, cost in enumerate(costs):
-        oracles.append(metrics.optimal_time(test_traces, oracle_labels, cost, timeline))
-        for j, method in enumerate(config.methods):
-            first[i, j] = fitted[method][i].halts(test_stats).argmax(axis=1)
-    return first, test_stats.pred[np.arange(len(test)), first], oracles, costs, timeline
+    first = trigger.first_halts(trigger.fit_methods(config.methods, train_set, costs), test_stats)
+    # One oracle call per alpha: perfbench's tracer reads each call's cost model.
+    oracles = [metrics.optimal_time(test_traces, oracle_labels, cost, timeline) for cost in costs]
+    predicted = test_stats.pred[np.arange(len(test)), first]
+    table = metrics.price_records(
+        dataset.name, config.methods, test.ids, test.labels, predicted, first, oracles, costs, timeline
+    )
+    return table, timeline
 
 
 def run_benchmark(config: BenchConfig) -> ReportBundle:

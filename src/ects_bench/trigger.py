@@ -17,16 +17,18 @@ policies have myopic (horizon-1) variants. METHODS names them all.
 
 Each base method has one sweep fit, fit_<name>(train, costs), over the
 trigger partition and an alpha sweep: cost models that differ in alpha
-alone. It returns one model per cost model, in order; fit_methods runs the
-fits a method list needs and derives the myopic variants. In a tuned fit,
-the state that does not depend on alpha (every grid candidate's first halts,
-economy's groups, transitions and expected misclassification paths, ecec's
-precisions, kernel factorizations) is a local of that one call, so a sweep
-builds it once. Each alpha then adds only the cost arithmetic; the
-oracle's tie rule (core.earliest_min) picks every alpha's parameters at once.
-A grid's candidates are a stacked leading axis, not models: each grid rule
+alone. It returns one model, the sweep: its per-alpha parameters have a
+leading alpha axis, and its halts answer every alpha, for each horizon
+asked, in one call. fit_methods runs the fits a method list needs, and
+first_halts asks each sweep once. In a tuned fit, the state that does not
+depend on alpha (every grid candidate's first halts, economy's groups,
+transitions and expected misclassification paths, ecec's precisions, kernel
+factorizations) is a local of that one call, so a sweep builds it once.
+Each alpha then adds only the cost arithmetic; the oracle's tie rule
+(core.earliest_min) picks every alpha's parameters at once. A grid's
+candidates are a stacked leading axis, not models: each grid rule
 (_threshold_halts, _stopping_rule_halts) takes an array of parameters, a
-model's _halts applies it to its one parameter, and _fit_grid reads every
+sweep applies it to its A parameters, and _fit_grid reads every
 candidate's first halt from it in blocks of at most _BLOCK_ELEMENTS halts.
 The stopping rule forms each (g1, g2) term once for all its g3, ecec its
 confidences once, and economy prices every alpha of one k in one table.
@@ -36,7 +38,6 @@ backward_min_costs: the best later halt, or the next one if myopic.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -60,21 +61,18 @@ _BLOCK_ELEMENTS = 1 << 16  # halts per block of grid candidates, which bounds th
 
 class TraceStats(NamedTuple):
     """Stacked traces P (n, m, K) and what the policies read from them, per
-    (series, timeline index): argmax class, max probability, top-2 margin.
-    ``kernels`` keeps calimera's kernel blocks against this stack, one entry
-    per sweep's train inputs, so an alpha sweep builds each block once."""
+    (series, timeline index): argmax class, max probability, top-2 margin."""
 
     P: np.ndarray
     pred: np.ndarray
     maxp: np.ndarray
     p2: np.ndarray
-    kernels: Dict[int, Tuple[np.ndarray, Dict[int, np.ndarray]]]
 
 
 def trigger_stats(P: np.ndarray) -> TraceStats:
     """The policies' inputs for a stack of traces P (n, m, K), m <= L."""
     top2 = -np.partition(-P, 1, axis=2)[:, :, :2]
-    return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1], {})
+    return TraceStats(P, P.argmax(axis=2), top2[:, :, 0], top2[:, :, 0] - top2[:, :, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,56 +100,79 @@ class TriggerTrainSet:
 
 
 class TriggerModel:
-    """Base halting policy; subclasses define _halts."""
+    """A fitted sweep: one halting policy per alpha, A in all, its parameters
+    stacked on a leading alpha axis. A policy without a horizon defines
+    _rule(stats), its (A, n, m) halts; economy and calimera define _halts."""
 
     def __init__(self, timeline: SampledTimeline):
         self.timeline = timeline
 
-    def halts(self, stats: TraceStats) -> np.ndarray:
-        """(n, m) bool: True = halt at timeline index j. Forced halt at the
+    def halts(self, stats: TraceStats, myopic: Sequence[bool] = (False,)) -> np.ndarray:
+        """(H, A, n, m) bool: for each horizon asked (True = the myopic one)
+        and each alpha, True = halt at timeline index j. Forced halt at the
         last timeline index."""
-        h = self._halts(stats)
-        if h.shape[1] == len(self.timeline):
-            h[:, -1] = True
+        h = self._halts(stats, tuple(myopic))
+        if h.shape[-1] == len(self.timeline):
+            h[..., -1] = True
         return h
 
-    def _halts(self, stats: TraceStats) -> np.ndarray:
-        """The policy as a new (n, m) array; column j reads columns 0..j only."""
-        raise NotImplementedError
+    def _halts(self, stats: TraceStats, myopic: Tuple[bool, ...]) -> np.ndarray:
+        """The policies as a new (H, A, n, m) array; column j reads columns
+        0..j only. A policy without a horizon has the full one alone."""
+        if any(myopic):
+            make_myopic(self)  # raises: this policy has no myopic horizon
+        return np.stack([self._rule(stats)] * len(myopic))
 
-    def decide(self, trace_prefix: np.ndarray, i: int) -> bool:
-        """True = halt now, judged from the trace up to index i alone."""
-        if i >= len(self.timeline):
-            raise ValueError(f"index {i} outside timeline")
-        return bool(self.halts(trigger_stats(np.asarray(trace_prefix)[None, : i + 1]))[0, i])
+    def decide(self, trace_prefix: np.ndarray, i: int, myopic: bool = False) -> np.ndarray:
+        """(A,) bool: True = halt now under that alpha, judged from the trace
+        up to index i alone."""
+        if not 0 <= i < min(len(self.timeline), len(trace_prefix)):
+            raise ValueError(f"index {i} outside the timeline or the prefix of {len(trace_prefix)}")
+        return self.halts(trigger_stats(np.asarray(trace_prefix)[None, : i + 1]), (myopic,))[0, :, 0, i]
 
 
-def simulate_online(model: TriggerModel, trace: np.ndarray) -> Decision:
-    """Replay the online process: scan indices in order, feed only the prefix,
-    return the first halt's (timestamp, argmax label)."""
+def simulate_online(model: TriggerModel, trace: np.ndarray, myopic: bool = False) -> List[Decision]:
+    """Replay the online process: decide at each index from its prefix alone,
+    and return each alpha's first halt's (timestamp, argmax label)."""
     timeline = model.timeline
-    for i in range(len(timeline)):
-        if model.decide(trace[: i + 1], i):
-            return Decision(int(np.argmax(trace[i])), timeline.timestamps[i])
-    raise AssertionError("unreachable: forced halt at last index")
+    halted = [model.decide(trace[: i + 1], i, myopic) for i in range(len(timeline))]
+    # The forced halt at the last index gives every alpha a first halt.
+    return [Decision(int(np.argmax(trace[i])), timeline.timestamps[i]) for i in np.argmax(halted, axis=0).tolist()]
+
+
+def _sweep_base(costs: Sequence[CostModel]) -> CostModel:
+    """The first of a sweep's cost models, which must differ in alpha alone."""
+    if len({(cost.mis_matrix, cost.delay) for cost in costs}) != 1:
+        raise ValueError("an alpha sweep needs one or more cost models that differ in alpha alone")
+    return costs[0]
 
 
 class AsapTrigger(TriggerModel):
-    def _halts(self, stats):
-        return np.ones(stats.pred.shape, dtype=bool)
+    """Halts at the first index under each of a sweep's size alphas."""
+
+    def __init__(self, timeline, size: int):
+        super().__init__(timeline)
+        self.size = size
+
+    def _rule(self, stats):
+        return np.ones((self.size,) + stats.pred.shape, dtype=bool)
 
 
-class AlapTrigger(TriggerModel):
-    def _halts(self, stats):
-        return np.zeros(stats.pred.shape, dtype=bool)
+class AlapTrigger(AsapTrigger):
+    """Waits for the last index under each of a sweep's size alphas."""
+
+    def _rule(self, stats):
+        return np.zeros((self.size,) + stats.pred.shape, dtype=bool)
 
 
-def fit_asap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[AsapTrigger]:
-    return [AsapTrigger(train.timeline)] * len(costs)
+def fit_asap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> AsapTrigger:
+    _sweep_base(costs)
+    return AsapTrigger(train.timeline, len(costs))
 
 
-def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[AlapTrigger]:
-    return [AlapTrigger(train.timeline)] * len(costs)
+def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> AlapTrigger:
+    _sweep_base(costs)
+    return AlapTrigger(train.timeline, len(costs))
 
 
 def _threshold_halts(values: np.ndarray, thresholds) -> np.ndarray:
@@ -162,8 +183,9 @@ def _threshold_halts(values: np.ndarray, thresholds) -> np.ndarray:
 
 def _stopping_rule_halts(stats: TraceStats, timeline: SampledTimeline, g12, g3) -> np.ndarray:
     """(P, Q, n, m) halts of the stopping rule g1 * maxp + g2 * p2 + g3 * t/T
-    > 0 at each (g1, g2) of g12 (P, 2) and each g3 of g3 (Q,), in that sum's
-    order; the (g1, g2) term is formed once for all its g3."""
+    > 0 at each (g1, g2) of g12 (P, 2) and each g3 of g3 (Q,), or with g3
+    (P, 1) one g3 per pair, in that sum's order; the (g1, g2) term is formed
+    once for all its g3."""
     m = stats.maxp.shape[1]
     tt = np.array(timeline.timestamps[:m]) / timeline.series_length
     g12 = np.asarray(g12, dtype=float)[:, :, None, None]
@@ -172,36 +194,29 @@ def _stopping_rule_halts(stats: TraceStats, timeline: SampledTimeline, g12, g3) 
 
 
 class ProbaThresholdTrigger(TriggerModel):
-    def __init__(self, timeline, theta: float):
+    def __init__(self, timeline, thetas):
         super().__init__(timeline)
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"theta must be in (0, 1], got {theta}")
-        self.theta = theta
+        thetas = np.asarray(thetas, dtype=float)
+        if not np.all((0.0 < thetas) & (thetas <= 1.0)):
+            raise ValueError(f"each theta must be in (0, 1], got {thetas.tolist()}")
+        self.thetas = thetas  # (A,)
 
-    def _halts(self, stats):
-        return _threshold_halts(stats.maxp, [self.theta])[0]
+    def _rule(self, stats):
+        return _threshold_halts(stats.maxp, self.thetas)
 
 
 class StoppingRuleTrigger(TriggerModel):
-    def __init__(self, timeline, gamma: Tuple[float, float, float]):
+    def __init__(self, timeline, gammas):
         super().__init__(timeline)
-        self.gamma = tuple(float(g) for g in gamma)
+        self.gammas = np.asarray(gammas, dtype=float)  # (A, 3): each alpha's (g1, g2, g3)
 
-    def _halts(self, stats):
-        g1, g2, g3 = self.gamma
-        return _stopping_rule_halts(stats, self.timeline, [(g1, g2)], [g3])[0, 0]
+    def _rule(self, stats):
+        return _stopping_rule_halts(stats, self.timeline, self.gammas[:, :2], self.gammas[:, 2:])[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # Policy simulation shared by the grid searches.
 # ---------------------------------------------------------------------------
-
-
-def _sweep_base(costs: Sequence[CostModel]) -> CostModel:
-    """The first of a sweep's cost models, which must differ in alpha alone."""
-    if len({(cost.mis_matrix, cost.delay) for cost in costs}) != 1:
-        raise ValueError("an alpha sweep needs one or more cost models that differ in alpha alone")
-    return costs[0]
 
 
 def _mean_costs(train: TriggerTrainSet, costs: Sequence[CostModel], first: np.ndarray) -> np.ndarray:
@@ -218,11 +233,11 @@ def _mean_costs(train: TriggerTrainSet, costs: Sequence[CostModel], first: np.nd
 
 def _fit_grid(
     train: TriggerTrainSet, costs: Sequence[CostModel], grid: np.ndarray,
-    rule: Callable[[np.ndarray], np.ndarray], make: Callable[[int], TriggerModel], per_row: int = 1,
-) -> List[TriggerModel]:
-    """Per cost model, make(i) for the grid candidate i whose policy has the
-    least empirical mean weighted cost on the train set; ties go to the
-    earlier candidate. rule(grid[lo:hi]) gives the (hi - lo, ..., n, L)
+    rule: Callable[[np.ndarray], np.ndarray], make: Callable[[np.ndarray], TriggerModel], per_row: int = 1,
+) -> TriggerModel:
+    """make(i) for the grid candidates i (A,): per cost model, the one whose
+    policy has the least empirical mean weighted cost on the train set; ties
+    go to the earlier candidate. rule(grid[lo:hi]) gives the (hi - lo, ..., n, L)
     halts of the per_row candidates of each of those grid rows, candidates
     in C order; every candidate's first halts are read from it once per
     sweep, without a model per candidate. A block of grid rows holds at most
@@ -235,25 +250,25 @@ def _fit_grid(
         halts = rule(grid[lo : lo + step])
         halts[..., -1] = True
         first.append(halts.argmax(axis=-1).reshape(-1, n))
-    return [make(i) for i in earliest_min(_mean_costs(train, costs, np.concatenate(first))).tolist()]
+    return make(earliest_min(_mean_costs(train, costs, np.concatenate(first))))
 
 
-def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[ProbaThresholdTrigger]:
+def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> ProbaThresholdTrigger:
     """Pick theta from the 40-point grid; ties go to the smaller theta."""
     return _fit_grid(
         train, costs, np.array(PROBA_GRID), lambda thetas: _threshold_halts(train.stats.maxp, thetas),
-        lambda i: ProbaThresholdTrigger(train.timeline, PROBA_GRID[i]),
+        lambda i: ProbaThresholdTrigger(train.timeline, np.take(PROBA_GRID, i)),
     )
 
 
-def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[StoppingRuleTrigger]:
+def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> StoppingRuleTrigger:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
     smallest vector. The grid's rows are its (g1, g2) pairs, each with every
     g3 of the axis."""
     return _fit_grid(
         train, costs, np.array(STOPPING_RULE_GRID[:: len(STOPPING_RULE_AXIS)])[:, :2],
         lambda pairs: _stopping_rule_halts(train.stats, train.timeline, pairs, STOPPING_RULE_AXIS),
-        lambda i: StoppingRuleTrigger(train.timeline, STOPPING_RULE_GRID[i]), len(STOPPING_RULE_AXIS),
+        lambda i: StoppingRuleTrigger(train.timeline, np.take(STOPPING_RULE_GRID, i, axis=0)), len(STOPPING_RULE_AXIS),
     )
 
 
@@ -264,19 +279,25 @@ def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> Lis
 
 
 class EconomyTrigger(TriggerModel):
-    def __init__(self, timeline, k: int, bin_edges: np.ndarray, priced: np.ndarray, myopic: bool = False):
+    def __init__(self, timeline, ks: Sequence[int], bin_edges: Sequence[np.ndarray], priced: Sequence[np.ndarray]):
         super().__init__(timeline)
-        self.k = k
-        self.bin_edges = bin_edges  # (L, k-1): interior edges per timestamp
-        self.priced = priced  # (L, k, L): expected weighted cost of halting at tau >= j from group g at j
-        self.myopic = myopic
+        # Per alpha: its k, its k's (L, k-1) interior edges per timestamp, and
+        # its (L, k, L) expected weighted cost of halting at tau >= j from group g at j.
+        self.ks = tuple(ks)
+        self.bin_edges = tuple(bin_edges)
+        self.priced = tuple(priced)
 
-    def expected_costs(self, group: int, t_idx: int) -> np.ndarray:
-        """Expected weighted cost of halting at each tau >= t_idx, from group at t_idx."""
-        return self.priced[t_idx, group, t_idx:]
+    def expected_costs(self, a: int, group: int, t_idx: int) -> np.ndarray:
+        """Expected weighted cost under alpha a of halting at each tau >= t_idx, from group at t_idx."""
+        return self.priced[a][t_idx, group, t_idx:]
 
-    def _halts(self, stats):
-        return _economy_halts(self.priced, _groups(self.bin_edges, stats.maxp), self.myopic)
+    def _halts(self, stats, myopic):
+        """The alphas that chose one k share its groups."""
+        groups = {k: _groups(edges, stats.maxp) for k, edges in dict(zip(self.ks, self.bin_edges)).items()}
+        return np.array([
+            [_economy_halts(priced, groups[k], horizon) for k, priced in zip(self.ks, self.priced)]
+            for horizon in myopic
+        ])
 
 
 class _EconomyTables(NamedTuple):
@@ -367,7 +388,7 @@ def fit_economy(
     costs: Sequence[CostModel],
     k_grid: Sequence[int] = tuple(range(1, 21)),
     smoothing: float = 1.0,
-) -> List[EconomyTrigger]:
+) -> EconomyTrigger:
     """Per cost model, select k by empirical mean weighted cost of the
     induced policy on the trigger train set; infeasible k (empty bin) are
     skipped; ties favor the smaller k. Each feasible k's tables are built
@@ -387,10 +408,10 @@ def fit_economy(
     means = _mean_costs(train, costs, first)
     winners = [feasible[i] for i in earliest_min(means).tolist()]
     del feasible  # the other k's tables go before the winners are priced
-    return [
-        EconomyTrigger(train.timeline, k, t.bin_edges, weighted_costs(cost.alpha, t.mis_paths, delays))
-        for cost, (k, t) in zip(costs, winners)
-    ]
+    return EconomyTrigger(
+        train.timeline, [k for k, _ in winners], [t.bin_edges for _, t in winners],
+        [weighted_costs(cost.alpha, t.mis_paths, delays) for cost, (_, t) in zip(costs, winners)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +420,16 @@ def fit_economy(
 
 
 class EcecTrigger(TriggerModel):
-    def __init__(self, timeline, precisions: np.ndarray, gamma: float):
+    def __init__(self, timeline, precisions: np.ndarray, gammas):
         super().__init__(timeline)
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-        self.precisions = precisions  # (L, K)
-        self.gamma = gamma
+        gammas = np.asarray(gammas, dtype=float)
+        if not np.all((0.0 <= gammas) & (gammas <= 1.0)):
+            raise ValueError(f"each gamma must be in [0, 1], got {gammas.tolist()}")
+        self.precisions = precisions  # (L, K), shared by every alpha
+        self.gammas = gammas  # (A,)
 
-    def confidences(self, stats: TraceStats) -> np.ndarray:
-        return _ecec_confidences(self.precisions, stats.pred)
-
-    def _halts(self, stats):
-        return _threshold_halts(self.confidences(stats), [self.gamma])[0]
+    def _rule(self, stats):
+        return _threshold_halts(_ecec_confidences(self.precisions, stats.pred), self.gammas)
 
 
 def _ecec_confidences(precisions: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -434,7 +453,7 @@ def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> 
     return (correct.sum(axis=0) + 1.0) / (predicted.sum(axis=0) + 2.0)
 
 
-def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[EcecTrigger]:
+def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> EcecTrigger:
     """Tune the confidence threshold on the 40-point grid; ties go to the
     smaller gamma. The confidences do not depend on gamma and are formed
     once."""
@@ -442,7 +461,7 @@ def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> List[EcecTri
     conf = _ecec_confidences(prec, train.stats.pred)
     return _fit_grid(
         train, costs, np.array(PROBA_GRID), lambda gammas: _threshold_halts(conf, gammas),
-        lambda i: EcecTrigger(train.timeline, prec, PROBA_GRID[i]),
+        lambda i: EcecTrigger(train.timeline, prec, np.take(PROBA_GRID, i)),
     )
 
 
@@ -490,35 +509,30 @@ def _krr_inputs(P_j: np.ndarray, t: int, series_length: int) -> np.ndarray:
 
 
 class CalimeraTrigger(TriggerModel):
-    def __init__(self, timeline, inputs, bandwidths, duals, myopic: bool = False):
+    def __init__(self, timeline, inputs, bandwidths, duals):
         super().__init__(timeline)
-        self.inputs = inputs  # (L-1, n, K+1): train inputs per non-final index, shared by the sweep
+        self.inputs = inputs  # (L-1, n, K+1): train inputs per non-final index
         self.bandwidths = bandwidths  # (L-1,)
-        self.duals = duals  # (L-1, 2, n): dual weights of the full (row 0) and myopic (row 1) targets
-        self.myopic = myopic
+        self.duals = duals  # (A, L-1, 2, n): dual weights of the full (row 0) and myopic (row 1) targets
 
-    def predicted_deltas(self, stats: TraceStats) -> np.ndarray:
-        """(n, m): the regressed cost of halting now minus that of the best
-        later halt (the next one, if myopic); -inf at the last index, which
-        has no later halt (as in backward_min_costs)."""
-        out = np.full(stats.pred.shape, -math.inf)
-        for j in range(min(out.shape[1], len(self.bandwidths))):
-            out[:, j] = self._kernel(stats, j) @ self.duals[j, int(self.myopic)]
+    def predicted_deltas(self, stats: TraceStats, myopic: Sequence[bool] = (False,)) -> np.ndarray:
+        """(H, A, n, m): per horizon asked and alpha, the regressed cost of
+        halting now minus that of the best later halt (the next one, if
+        myopic); -inf at the last index, which has no later halt (as in
+        backward_min_costs). Each index's kernel block is built once for
+        every (horizon, alpha)."""
+        rows = [int(horizon) for horizon in myopic]
+        out = np.full((len(rows), len(self.duals)) + stats.pred.shape, -math.inf)
+        for j in range(min(out.shape[-1], len(self.bandwidths))):
+            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
+            kernel = _rbf_kernel(_sq_distances(X, self.inputs[j]), float(self.bandwidths[j]))
+            # One stacked (n_test, n) @ (n, 1) product per (alpha, horizon) keeps each mat-vec's bits;
+            # a single product over every alpha's duals rounds differently.
+            out[..., j] = np.matmul(kernel, self.duals[:, j, rows, :, None])[..., 0].swapaxes(0, 1)
         return out
 
-    def _kernel(self, stats: TraceStats, j: int) -> np.ndarray:
-        """RBF block between the stack's inputs at index j and the train
-        inputs at j. The blocks are kept on stats under the train inputs,
-        which every model of one fit_calimera sweep shares; the entry holds
-        those inputs, so its id key cannot be reused while it lives."""
-        _, blocks = stats.kernels.setdefault(id(self.inputs), (self.inputs, {}))
-        if j not in blocks:
-            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
-            blocks[j] = _rbf_kernel(_sq_distances(X, self.inputs[j]), float(self.bandwidths[j]))
-        return blocks[j]
-
-    def _halts(self, stats):
-        return self.predicted_deltas(stats) <= 0.0
+    def _halts(self, stats, myopic):
+        return self.predicted_deltas(stats, myopic) <= 0.0
 
 
 def _calimera_factors(train: TriggerTrainSet, ridge: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -547,7 +561,7 @@ def fit_calimera(
     train: TriggerTrainSet,
     costs: Sequence[CostModel],
     ridge: float = 1e-2,
-) -> List[CalimeraTrigger]:
+) -> CalimeraTrigger:
     """Per non-final timestamp, regress the cost difference between halting
     now and the best realized future cost onto the probability vector plus
     normalized time, with an RBF kernel-ridge solved by Cholesky. The
@@ -569,29 +583,37 @@ def fit_calimera(
     # duals take rhs's C layout, so each (timestamp, target) row is contiguous.
     y = np.linalg.solve(chols[:, None], rhs)
     duals = np.linalg.solve(chols.transpose(0, 2, 1)[:, None], y)[..., 0]  # (alphas, L-1, 2, n)
-    return [CalimeraTrigger(train.timeline, inputs, bandwidths, d) for d in duals]
+    return CalimeraTrigger(train.timeline, inputs, bandwidths, duals)
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:
-    """Horizon-1 variant of an anticipation-based model; shares its fit."""
+    """The sweep a *_myopic method halts by: its base method's sweep itself,
+    asked for the horizon-1 halts (halts(stats, (True,))), so nothing is
+    copied. Only the anticipation-based sweeps have that horizon."""
     if not isinstance(model, (EconomyTrigger, CalimeraTrigger)):
         raise ValueError(f"make_myopic only applies to economy/calimera, got {type(model).__name__}")
-    myopic = copy.copy(model)
-    myopic.myopic = True
-    return myopic
+    return model
 
 
-def fit_methods(
-    methods: Sequence[str], train: TriggerTrainSet, costs: Sequence[CostModel]
-) -> Dict[str, List[TriggerModel]]:
-    """One model per cost model of the sweep for each of METHODS named in
-    methods. Each base method is fitted once by its fit_<name>, in order of
-    first appearance, so the first error does not depend on the rest; each
-    *_myopic method is make_myopic of its base method's models. The fits are
-    looked up on the module when called, so a rebinding of fit_<name> is seen."""
+def fit_methods(methods: Sequence[str], train: TriggerTrainSet, costs: Sequence[CostModel]) -> Dict[str, TriggerModel]:
+    """The sweep of each of METHODS named in methods. Each base method is
+    fitted once by its fit_<name>, in order of first appearance, so the
+    first error does not depend on the rest; each *_myopic method's sweep is
+    make_myopic of its base method's. The fits are looked up on the module
+    when called, so a rebinding of fit_<name> is seen."""
     bases = {method: method.removesuffix("_myopic") for method in methods}
     fitted = {base: globals()[f"fit_{base}"](train, costs) for base in dict.fromkeys(bases.values())}
-    return {
-        method: fitted[base] if base == method else [make_myopic(model) for model in fitted[base]]
-        for method, base in bases.items()
-    }
+    return {method: fitted[base] if base == method else make_myopic(fitted[base]) for method, base in bases.items()}
+
+
+def first_halts(fitted: Dict[str, TriggerModel], stats: TraceStats) -> np.ndarray:
+    """(A, M, n): the timeline index of each series' first halt on stats
+    under every (alpha, method) of fitted, methods in its order. Each base
+    method's sweep is asked once, for every horizon its methods name; a
+    *_myopic method takes the myopic one."""
+    first: Dict[str, np.ndarray] = {}
+    for sweep in dict.fromkeys(fitted.values()):  # a *_myopic method shares its base method's sweep
+        methods = [method for method, fit in fitted.items() if fit is sweep]
+        halts = sweep.halts(stats, [method.endswith("_myopic") for method in methods])
+        first.update(zip(methods, halts.argmax(axis=-1)))
+    return np.stack([first[method] for method in fitted], axis=1)

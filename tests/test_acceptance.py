@@ -102,20 +102,20 @@ def test_criterion_01_baseline_identities(synth_run):
 def test_criterion_02_trigger_equivalences():
     rng = np.random.default_rng(0)
     timeline = SampledTimeline(tuple(range(2, 21, 2)), 20)
-    asap = AsapTrigger(timeline)
-    alap = AlapTrigger(timeline)
-    low_theta = ProbaThresholdTrigger(timeline, 1.0 / 40.0)
-    time_up = StoppingRuleTrigger(timeline, (0.0, 0.0, 1.0))
-    time_down = StoppingRuleTrigger(timeline, (0.0, 0.0, -1.0))
+    asap = AsapTrigger(timeline, 1)
+    alap = AlapTrigger(timeline, 1)
+    low_theta = ProbaThresholdTrigger(timeline, [1.0 / 40.0])
+    time_up = StoppingRuleTrigger(timeline, [(0.0, 0.0, 1.0)])
+    time_down = StoppingRuleTrigger(timeline, [(0.0, 0.0, -1.0)])
     ok = True
     for _ in range(100):
         raw = rng.random((len(timeline), 2))
         trace = raw / raw.sum(axis=1, keepdims=True)
-        t_asap = simulate_online(asap, trace).trigger_time
-        t_alap = simulate_online(alap, trace).trigger_time
-        ok &= simulate_online(low_theta, trace).trigger_time == t_asap
-        ok &= simulate_online(time_up, trace).trigger_time == t_asap
-        ok &= simulate_online(time_down, trace).trigger_time == t_alap
+        t_asap, t_alap, t_low, t_up, t_down = (
+            [d.trigger_time for d in simulate_online(model, trace)]
+            for model in (asap, alap, low_theta, time_up, time_down)
+        )
+        ok &= t_low == t_asap and t_up == t_asap and t_down == t_alap
     record_acceptance(2, "threshold/stopping-rule baselines equal asap and alap", bool(ok))
     assert ok
 
@@ -168,8 +168,8 @@ def test_criterion_04_expected_cost_hand_computation():
         traces.append(np.stack([first, second]))
         labels.append(label)
     train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
-    model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,), smoothing=0.0)[0]
-    costs = model.expected_costs(0, 0)
+    model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,), smoothing=0.0)
+    costs = model.expected_costs(0, 0, 0)
     ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
     record_acceptance(
         4, "single-group expected costs equal hand counts", ok,
@@ -194,10 +194,10 @@ def test_criterion_05_cost_difference_targets():
     trace = np.array([[0.3, 0.7], [0.8, 0.2]])
     train = TriggerTrainSet(trace[None], np.array([0]), timeline)
     lam = 1e-2
-    model = fit_calimera(train, [standard_cost_model(2, 0.5)], ridge=lam)[0]
+    model = fit_calimera(train, [standard_cost_model(2, 0.5)], ridge=lam)
     # wrong at t=1, right at t=2 under alpha=0.5 linear delay
     target = (0.5 * 1.0 + 0.5 * 0.5) - (0.5 * 1.0)
-    predicted = model.predicted_deltas(trigger_stats(trace[None]))[0, 0]
+    predicted = model.predicted_deltas(trigger_stats(trace[None]))[0, 0, 0, 0]
     closed_form_ok = abs(predicted - target / (1.0 + lam)) < 1e-9
     ok = bool(backward_ok) and closed_form_ok
     record_acceptance(

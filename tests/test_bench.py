@@ -195,6 +195,16 @@ class TestAlphaSweep:
         monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         monkeypatch.setattr(trigger, "_rbf_kernel", counting("rbf_kernel", trigger._rbf_kernel))
+        monkeypatch.setattr(trigger, "_groups", counting("groups", trigger._groups, lambda edges, maxp: maxp))
+        monkeypatch.setattr(trigger.TriggerModel, "halts", counting("halts", trigger.TriggerModel.halts))
+        monkeypatch.setattr(trigger, "make_myopic", counting("make_myopic", trigger.make_myopic))
+        economy, fit_economy = {}, trigger.fit_economy
+
+        def economy_spy(train, costs):
+            economy["train"], economy["sweep"] = train, fit_economy(train, costs)
+            return economy["sweep"]
+
+        monkeypatch.setattr(trigger, "fit_economy", economy_spy)
         monkeypatch.setattr(metrics, "optimal_time", counting(
             "oracle", metrics.optimal_time,
             lambda traces, labels, cost, timeline: (id(traces), traces.shape[0], labels, cost.alpha)))
@@ -208,6 +218,17 @@ class TestAlphaSweep:
         assert len(calls["solve"]) == 2
         # Per non-final timestamp: one train gram and one test-kernel block.
         assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
+        # One halts call per base method answers every alpha and both horizons;
+        # each *_myopic method takes its base method's sweep once.
+        assert len(calls["halts"]) == 7
+        assert len(calls["make_myopic"]) == 2
+        # Economy groups the train partition once per k, and the test stack
+        # once per distinct winning k, for all the alphas that chose it.
+        train_maxp = economy["train"].stats.maxp
+        test_groups = [maxp for maxp in calls["groups"] if maxp is not train_maxp]
+        assert len(calls["groups"]) - len(test_groups) == 20
+        assert len(test_groups) == len(set(economy["sweep"].ks))
+        assert all(maxp is test_groups[0] and len(maxp) == len(sweep_dataset.test) for maxp in test_groups)
         # One oracle call per alpha, each over the whole stack of test traces.
         oracle = calls["oracle"]
         labels = tuple(sweep_dataset.test.labels.tolist())
@@ -238,11 +259,12 @@ class TestAlphaSweep:
             cost = bench.cost_model_for(config.cost_setting, sweep_dataset.num_classes, alpha)
             for method in config.methods:
                 fresh = trigger.TriggerTrainSet(shared.traces, shared.labels, shared.timeline)
-                model = fit_methods((method,), fresh, [cost])[method][0]
+                model = fit_methods((method,), fresh, [cost])[method]
                 rows = (records.method == method) & (records.alpha == alpha)
                 got = list(zip(records.predicted_label[rows].tolist(),
                                records.trigger_time[rows].tolist()))
-                decisions = [trigger.simulate_online(model, trace) for trace in test_traces]
+                myopic = method.endswith("_myopic")
+                decisions = [trigger.simulate_online(model, trace, myopic)[0] for trace in test_traces]
                 want = [(d.predicted_label, d.trigger_time) for d in decisions]
                 assert got == want, (method, alpha)
 

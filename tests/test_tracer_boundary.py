@@ -80,8 +80,8 @@ def test_traced_run_and_report_count_their_work(tmp_path):
     assert report_spans["bench.load_records_csv"] == 1
     assert report_spans["bench.bundle_from_records"] == 1
     # Each tuned method is fitted once over the whole sweep; each myopic
-    # variant derives one model per alpha from its base method's fits.
+    # method takes its base method's sweep once.
     run_spans = spans_by_name["run"]
     for method in ("proba_threshold", "stopping_rule", "economy", "ecec", "calimera"):
         assert run_spans[f"trigger.fit_{method}"] == 1, method
-    assert run_spans["trigger.make_myopic"] == 3 * 2
+    assert run_spans["trigger.make_myopic"] == 2

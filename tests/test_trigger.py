@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ects_bench import trigger as trigger_module
@@ -24,13 +26,20 @@ from ects_bench.trigger import (
     TriggerTrainSet,
     _build_economy,
     _calimera_factors,
+    _ecec_confidences,
     _ecec_precisions,
     _economy_halts,
     _expected_mis,
     _expected_mis_paths,
     _groups,
+    _krr_inputs,
+    _rbf_kernel,
+    _sq_distances,
     _stopping_rule_halts,
     backward_min_costs,
+    first_halts,
+    fit_alap,
+    fit_asap,
     fit_calimera,
     fit_ecec,
     fit_economy,
@@ -54,9 +63,14 @@ def random_train_set(seed=0, n=12, L=5, K=2, T=10):
 
 
 def first_step_halts(model, p_t):
-    """The model's decision at timeline index 0 for one probability vector:
-    halts on a stack of one series observed for one timestamp."""
-    return bool(model.halts(trigger_stats(np.array([[p_t]], dtype=float)))[0, 0])
+    """A one-alpha sweep's decision at timeline index 0 for one probability
+    vector: halts on a stack of one series observed for one timestamp."""
+    return bool(model.halts(trigger_stats(np.array([[p_t]], dtype=float)))[0, 0, 0, 0])
+
+
+def trigger_times(model, trace, myopic=False):
+    """Each alpha's trigger time in the online replay of one trace."""
+    return [d.trigger_time for d in simulate_online(model, trace, myopic)]
 
 
 def confident_correct_train_set(n=8, L=4, T=8):
@@ -75,34 +89,43 @@ def confident_correct_train_set(n=8, L=4, T=8):
 class TestBaselines:
     def test_asap_halts_immediately(self):
         train = random_train_set()
-        model = AsapTrigger(train.timeline)
+        model = AsapTrigger(train.timeline, 2)
         for trace in train.traces:
-            d = simulate_online(model, trace)
-            assert d.trigger_time == train.timeline.timestamps[0]
+            assert trigger_times(model, trace) == [train.timeline.timestamps[0]] * 2
 
     def test_alap_waits_until_deadline(self):
         train = random_train_set()
-        model = AlapTrigger(train.timeline)
+        model = AlapTrigger(train.timeline, 2)
         for trace in train.traces:
-            d = simulate_online(model, trace)
-            assert d.trigger_time == train.timeline.timestamps[-1]
-            assert d.predicted_label == int(np.argmax(trace[-1]))
+            for d in simulate_online(model, trace):
+                assert d.trigger_time == train.timeline.timestamps[-1]
+                assert d.predicted_label == int(np.argmax(trace[-1]))
 
     def test_forced_halt_at_last_index(self):
         train = random_train_set()
-        model = AlapTrigger(train.timeline)
-        assert model.decide(train.traces[0], len(train.timeline) - 1) is True
+        model = AlapTrigger(train.timeline, 1)
+        assert model.decide(train.traces[0], len(train.timeline) - 1).tolist() == [True]
 
     def test_index_out_of_range(self):
         train = random_train_set()
         with pytest.raises(ValueError):
-            AsapTrigger(train.timeline).decide(train.traces[0], len(train.timeline))
+            AsapTrigger(train.timeline, 1).decide(train.traces[0], len(train.timeline))
+
+    @pytest.mark.parametrize("i, prefix_length", [(-2, 5), (-1, 5), (5, 5), (6, 5), (2, 2), (0, 0)])
+    def test_decide_rejects_an_index_outside_the_timeline_or_prefix(self, i, prefix_length):
+        """A negative index would read from the end, and a short prefix
+        would answer another index: both are errors."""
+        model = ProbaThresholdTrigger(SampledTimeline((1, 2, 3, 4, 5), 5), [0.8])
+        trace = np.tile([0.9, 0.1], (5, 1))
+        with pytest.raises(ValueError, match="index"):
+            model.decide(trace[:prefix_length], i)
+        assert model.decide(trace, 4).tolist() == [True]
 
 
 class TestProbaThreshold:
     def test_decide_examples(self):
         def decide_proba_threshold(p_t, theta):
-            return first_step_halts(ProbaThresholdTrigger(SampledTimeline((1, 2), 2), theta), p_t)
+            return first_step_halts(ProbaThresholdTrigger(SampledTimeline((1, 2), 2), [theta]), p_t)
 
         assert decide_proba_threshold(np.array([0.8, 0.2]), 0.7) is True
         assert decide_proba_threshold(np.array([0.6, 0.4]), 0.7) is False
@@ -110,38 +133,37 @@ class TestProbaThreshold:
 
     def test_lowest_grid_point_equals_asap_binary(self):
         train = random_train_set(seed=1, K=2)
-        asap = AsapTrigger(train.timeline)
-        thin = ProbaThresholdTrigger(train.timeline, 1.0 / 40.0)
+        asap = AsapTrigger(train.timeline, 1)
+        thin = ProbaThresholdTrigger(train.timeline, [1.0 / 40.0])
         for trace in train.traces:
-            assert simulate_online(thin, trace).trigger_time == simulate_online(asap, trace).trigger_time
+            assert trigger_times(thin, trace) == trigger_times(asap, trace)
 
     def test_theta_one_equals_alap_without_certainty(self):
         train = random_train_set(seed=2, K=3)
-        full = ProbaThresholdTrigger(train.timeline, 1.0)
-        alap = AlapTrigger(train.timeline)
+        full = ProbaThresholdTrigger(train.timeline, [1.0])
+        alap = AlapTrigger(train.timeline, 1)
         for trace in train.traces:
             if np.max(trace) < 1.0:
-                assert simulate_online(full, trace).trigger_time == simulate_online(alap, trace).trigger_time
+                assert trigger_times(full, trace) == trigger_times(alap, trace)
 
     def test_theta_validation(self):
         train = random_train_set()
-        with pytest.raises(ValueError):
-            ProbaThresholdTrigger(train.timeline, 0.0)
-        with pytest.raises(ValueError):
-            ProbaThresholdTrigger(train.timeline, 1.5)
+        for thetas in ([0.0], [1.5], [0.5, 1.5]):
+            with pytest.raises(ValueError):
+                ProbaThresholdTrigger(train.timeline, thetas)
 
     def test_fit_halts_first_on_confident_traces(self):
         train = confident_correct_train_set()
         cost = standard_cost_model(2, 0.5)
-        model = fit_proba_threshold(train, [cost])[0]
+        model = fit_proba_threshold(train, [cost])
         for trace in train.traces:
-            assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
+            assert trigger_times(model, trace) == [train.timeline.timestamps[0]]
 
     def test_fit_pure_delay_prefers_earliest(self):
         train = random_train_set(seed=3, K=2)
-        model = fit_proba_threshold(train, [standard_cost_model(2, 0.0)])[0]
+        model = fit_proba_threshold(train, [standard_cost_model(2, 0.0)])
         for trace in train.traces:
-            assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
+            assert trigger_times(model, trace) == [train.timeline.timestamps[0]]
 
     def test_fit_tie_break_smallest_theta(self):
         # maximally confident traces: every theta halts immediately, equal cost
@@ -151,19 +173,19 @@ class TestProbaThreshold:
             train.labels,
             train.timeline,
         )
-        model = fit_proba_threshold(train, [standard_cost_model(2, 0.5)])[0]
-        assert model.theta == PROBA_GRID[0]
+        model = fit_proba_threshold(train, [standard_cost_model(2, 0.5)])
+        assert model.thetas.tolist() == [PROBA_GRID[0]]
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=4)
         cost = standard_cost_model(2, 0.4)
-        assert fit_proba_threshold(train, [cost])[0].theta == fit_proba_threshold(train, [cost])[0].theta
+        assert np.array_equal(fit_proba_threshold(train, [cost]).thetas, fit_proba_threshold(train, [cost]).thetas)
 
 
 class TestStoppingRule:
     def test_decide_examples(self):
         def decide_stopping_rule(p_t, t, length, gamma):
-            model = StoppingRuleTrigger(SampledTimeline((t, length), length), gamma)
+            model = StoppingRuleTrigger(SampledTimeline((t, length), length), [gamma])
             return first_step_halts(model, p_t)
 
         # p_t gives (p1, p2): (0.5, 0.1), (0.5, 0.1) and (0.5, 0.0).
@@ -173,32 +195,32 @@ class TestStoppingRule:
 
     def test_time_only_gammas_match_baselines(self):
         train = random_train_set(seed=5, K=3)
-        asap = AsapTrigger(train.timeline)
-        alap = AlapTrigger(train.timeline)
-        as_asap = StoppingRuleTrigger(train.timeline, (0.0, 0.0, 1.0))
-        as_alap = StoppingRuleTrigger(train.timeline, (0.0, 0.0, -1.0))
+        asap = AsapTrigger(train.timeline, 1)
+        alap = AlapTrigger(train.timeline, 1)
+        as_asap = StoppingRuleTrigger(train.timeline, [(0.0, 0.0, 1.0)])
+        as_alap = StoppingRuleTrigger(train.timeline, [(0.0, 0.0, -1.0)])
         for trace in train.traces:
-            assert simulate_online(as_asap, trace).trigger_time == simulate_online(asap, trace).trigger_time
-            assert simulate_online(as_alap, trace).trigger_time == simulate_online(alap, trace).trigger_time
+            assert trigger_times(as_asap, trace) == trigger_times(asap, trace)
+            assert trigger_times(as_alap, trace) == trigger_times(alap, trace)
 
     def test_fit_pure_delay_halts_first(self):
         train = random_train_set(seed=6)
-        model = fit_stopping_rule(train, [standard_cost_model(2, 0.0)])[0]
+        model = fit_stopping_rule(train, [standard_cost_model(2, 0.0)])
         for trace in train.traces:
-            assert simulate_online(model, trace).trigger_time == train.timeline.timestamps[0]
+            assert trigger_times(model, trace) == [train.timeline.timestamps[0]]
 
     def test_fit_tie_break_lexicographic(self):
         # single-timestamp timeline: every gamma is forced to the same decision
         timeline = SampledTimeline((5,), 5)
         traces = np.tile([0.7, 0.3], (4, 1, 1))
         train = TriggerTrainSet(traces, np.array([0, 0, 1, 1]), timeline)
-        model = fit_stopping_rule(train, [standard_cost_model(2, 0.5)])[0]
-        assert model.gamma == (-1.0, -1.0, -1.0)
+        model = fit_stopping_rule(train, [standard_cost_model(2, 0.5)])
+        assert model.gammas.tolist() == [[-1.0, -1.0, -1.0]]
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=7)
         cost = standard_cost_model(2, 0.6)
-        assert fit_stopping_rule(train, [cost])[0].gamma == fit_stopping_rule(train, [cost])[0].gamma
+        assert np.array_equal(fit_stopping_rule(train, [cost]).gammas, fit_stopping_rule(train, [cost]).gammas)
 
 
 def hand_economy_train_set():
@@ -222,23 +244,23 @@ class TestEconomy:
     def test_hand_counts_k1(self):
         train = hand_economy_train_set()
         cost = standard_cost_model(2, 0.5)
-        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)[0]
-        costs = model.expected_costs(0, 0)
+        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
+        costs = model.expected_costs(0, 0, 0)
         np.testing.assert_allclose(costs, [0.45, 0.55], atol=1e-9)
-        assert model.decide(train.traces[0][:1], 0) is True
+        assert model.decide(train.traces[0][:1], 0).tolist() == [True]
 
     def test_k1_reduces_to_empirical_error_rate(self):
         train = random_train_set(seed=8, n=20, L=4, K=2)
         alpha = 0.3
         cost = standard_cost_model(2, alpha)
-        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)[0]
+        model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
         P, labels = train.traces, train.labels
         pred = P.argmax(axis=2)
         T = train.timeline.series_length
         for j, t in enumerate(train.timeline.timestamps):
             err = float(np.mean(pred[:, j] != labels))
             expected = alpha * err + (1 - alpha) * (t / T)
-            assert model.expected_costs(0, j)[0] == pytest.approx(expected, abs=1e-9)
+            assert model.expected_costs(0, 0, j)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
@@ -259,21 +281,21 @@ class TestEconomy:
         train = random_train_set(seed=11, n=24, L=4, K=2)
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
-        model = fit_economy(train, [cost], k_grid=(2,))[0]
+        model = fit_economy(train, [cost], k_grid=(2,))
         mis_paths = _build_economy(train, cost, 2, 1.0).mis_paths
         d = train.timeline.timestamps
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
-            for g in range(model.k):
-                first = model.expected_costs(g, j)[0]
+            for g in range(model.ks[0]):
+                first = model.expected_costs(0, g, j)[0]
                 immediate = alpha * mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
 
     def test_zero_matrix_costs_increase_with_delay(self):
         train = random_train_set(seed=12, n=20, L=5, K=2)
         zero = CostModel(((0.0, 0.0), (0.0, 0.0)), DelayCurve.LINEAR, 0.5)
-        model = fit_economy(train, [zero], k_grid=(2,))[0]
-        costs = model.expected_costs(0, 0)
+        model = fit_economy(train, [zero], k_grid=(2,))
+        costs = model.expected_costs(0, 0, 0)
         assert all(b > a for a, b in zip(costs, costs[1:]))
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
         np.testing.assert_allclose(costs, 0.5 * d, atol=1e-12)
@@ -286,25 +308,28 @@ class TestEconomy:
     def test_fit_deterministic(self):
         train = random_train_set(seed=14, n=25)
         cost = standard_cost_model(2, 0.5)
-        a = fit_economy(train, [cost])[0]
-        b = fit_economy(train, [cost])[0]
-        assert a.k == b.k
-        np.testing.assert_array_equal(a.bin_edges, b.bin_edges)
-        np.testing.assert_array_equal(a.priced, b.priced)
+        a = fit_economy(train, [cost])
+        b = fit_economy(train, [cost])
+        assert a.ks == b.ks
+        np.testing.assert_array_equal(a.bin_edges[0], b.bin_edges[0])
+        np.testing.assert_array_equal(a.priced[0], b.priced[0])
 
     def test_model_is_its_winning_tables_priced(self):
         train = random_train_set(seed=15, n=30, L=5, K=3)
         costs = [standard_cost_model(3, alpha) for alpha in (0.0, 0.3, 1.0)]
         delays = delay_costs(costs[0], train.timeline)
-        for cost, model in zip(costs, fit_economy(train, costs)):
-            tables = _build_economy(train, cost, model.k, 1.0)
-            assert sorted(vars(model)) == ["bin_edges", "k", "myopic", "priced", "timeline"]
-            assert not hasattr(model, "priced_costs")
-            np.testing.assert_array_equal(model.bin_edges, tables.bin_edges)
-            np.testing.assert_array_equal(model.priced, weighted_costs(cost.alpha, tables.mis_paths, delays))
-            np.testing.assert_array_equal(model.halts(train.stats), _economy_halts(model.priced, tables.groups))
+        model = fit_economy(train, costs)
+        assert sorted(vars(model)) == ["bin_edges", "ks", "priced", "timeline"]
+        assert not hasattr(model, "priced_costs")
+        halts = model.halts(train.stats, (False, True))
+        for a, cost in enumerate(costs):
+            tables = _build_economy(train, cost, model.ks[a], 1.0)
+            np.testing.assert_array_equal(model.bin_edges[a], tables.bin_edges)
+            np.testing.assert_array_equal(model.priced[a], weighted_costs(cost.alpha, tables.mis_paths, delays))
+            for h, myopic in enumerate((False, True)):
+                np.testing.assert_array_equal(halts[h, a], _economy_halts(model.priced[a], tables.groups, myopic))
 
-    def test_sweep_groups_train_once_per_k_and_builds_one_model_per_alpha(self, monkeypatch):
+    def test_sweep_groups_train_once_per_k_and_builds_one_model(self, monkeypatch):
         train = random_train_set(seed=16, n=60, L=6, K=3)
         costs = [standard_cost_model(3, alpha / 10) for alpha in range(11)]
         k_grid = tuple(range(1, 21))
@@ -322,9 +347,9 @@ class TestEconomy:
 
         monkeypatch.setattr(trigger_module, "_groups", groups_spy)
         monkeypatch.setattr(trigger_module, "EconomyTrigger", Counted)
-        models = fit_economy(train, costs, k_grid=k_grid)
+        model = fit_economy(train, costs, k_grid=k_grid)
         assert train_groups.count(True) == len(k_grid) == len(train_groups)
-        assert built == [model.k for model in models] and len(built) == len(costs)
+        assert [tuple(ks) for ks in built] == [model.ks] and len(model.ks) == len(costs)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), L=st.integers(1, 25), k=st.integers(1, 20),
@@ -386,7 +411,7 @@ def reference_halt_outcomes(train, cost, candidate_halts):
 
 def reference_grid_means(train, costs, models):
     """The (alphas, candidates) mean matrix from one model per candidate."""
-    outcomes = reference_halt_outcomes(train, costs[0], (model.halts(train.stats) for model in models))
+    outcomes = reference_halt_outcomes(train, costs[0], (model.halts(train.stats)[0, 0] for model in models))
     return np.array([weighted_costs(cost.alpha, *outcomes).mean(axis=1) for cost in costs])
 
 
@@ -402,12 +427,13 @@ def capture_mean_costs(monkeypatch):
     return seen
 
 
-GRID_FITS = {
-    "proba_threshold": (fit_proba_threshold, PROBA_GRID, lambda train, point: ProbaThresholdTrigger(train.timeline, point)),
+GRID_FITS = {  # fit, grid, and the sweep of some grid points
+    "proba_threshold": (fit_proba_threshold, PROBA_GRID,
+                        lambda train, points: ProbaThresholdTrigger(train.timeline, points)),
     "stopping_rule": (fit_stopping_rule, STOPPING_RULE_GRID,
-                      lambda train, point: StoppingRuleTrigger(train.timeline, point)),
-    "ecec": (fit_ecec, PROBA_GRID, lambda train, point: EcecTrigger(
-        train.timeline, _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2]), point)),
+                      lambda train, points: StoppingRuleTrigger(train.timeline, points)),
+    "ecec": (fit_ecec, PROBA_GRID, lambda train, points: EcecTrigger(
+        train.timeline, _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2]), points)),
 }
 
 
@@ -429,14 +455,13 @@ class TestStackedGrids:
         train = random_train_set(seed=seed, n=n, L=L, K=K, T=3 * L)
         costs = [standard_cost_model(K, round(0.1 * i, 1)) for i in range(11)]
         seen = capture_mean_costs(monkeypatch)
-        models = fit(train, costs)
+        model = fit(train, costs)
         (first, means), = seen
-        per_candidate = [make(train, point) for point in grid]
-        want_first = np.array([model.halts(train.stats).argmax(axis=1) for model in per_candidate])
+        per_candidate = [make(train, [point]) for point in grid]
+        want_first = np.array([model.halts(train.stats)[0, 0].argmax(axis=1) for model in per_candidate])
         assert first.shape == (len(grid), n) and np.array_equal(first, want_first)
         assert means.tobytes() == reference_grid_means(train, costs, per_candidate).tobytes()
-        for model, i in zip(models, earliest_min(means).tolist()):
-            np.testing.assert_equal(vars(model), vars(per_candidate[i]))
+        np.testing.assert_equal(vars(model), vars(make(train, [grid[i] for i in earliest_min(means).tolist()])))
 
     def test_stopping_rule_pairs_then_time(self):
         """The rule's (g1, g2) term is formed once per pair, as the one-gamma
@@ -516,7 +541,7 @@ class TestStackedEconomy:
         train = random_train_set(seed=54, n=60, L=9, K=3)
         costs = [standard_cost_model(3, round(0.1 * i, 1)) for i in range(11)]
         seen = capture_mean_costs(monkeypatch)
-        models = fit_economy(train, costs)
+        model = fit_economy(train, costs)
         (first, means), = seen
         base = costs[0]
         feasible = [t for k in range(1, 21) if (t := _build_economy(train, base, k, 1.0)) is not None]
@@ -528,7 +553,7 @@ class TestStackedEconomy:
             want.append(weighted_costs(cost.alpha, *reference_halt_outcomes(train, cost, halts)).mean(axis=1))
         assert first.shape == (len(costs), len(feasible), 60)
         assert means.tobytes() == np.array(want).tobytes()
-        assert [model.k for model in models] == [
+        assert list(model.ks) == [
             [k for k in range(1, 21) if _build_economy(train, base, k, 1.0) is not None][i]
             for i in earliest_min(np.array(want)).tolist()
         ]
@@ -545,25 +570,46 @@ def test_train_set_checks_its_shapes():
         TriggerTrainSet(traces[:, :1], np.array([0, 1, 0]), timeline)
 
 
-SWEEP_FITS = [fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
+SWEEP_FITS = [fit_asap, fit_alap, fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
+PER_ALPHA = ("thetas", "gammas", "ks", "bin_edges", "priced", "duals")  # a sweep's attributes with an alpha axis
 
 
 class TestFitState:
     """A sweep builds its alpha-free state once and shares it across its
-    alphas; each of its models must equal a one-alpha sweep's, whose state
-    is built fresh."""
+    alphas; each alpha must answer as a one-alpha sweep, whose state is
+    built fresh, does."""
 
     @pytest.mark.parametrize("fit", SWEEP_FITS)
-    def test_shared_state_fits_equal_fresh_fits(self, fit):
-        train = random_train_set(seed=32, n=30, L=5, K=3)
-        P = random_traces(np.random.default_rng(33), 9, 5, 3, coarse=False)
-        costs = [standard_cost_model(3, round(0.1 * i, 1)) for i in range(11)]
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        L=st.integers(1, 6),
+        K=st.sampled_from((2, 3)),
+        alphas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
+        coarse=st.booleans(),
+    )
+    @example(seed=32, L=5, K=3, alphas=[round(0.1 * i, 1) for i in range(11)], coarse=False)
+    def test_shared_state_fits_equal_fresh_fits(self, fit, seed, L, K, alphas, coarse):
+        rng = np.random.default_rng(seed)
+        train = random_train_set(seed=seed, n=int(rng.integers(4, 25)), L=L, K=K)
+        stats = trigger_stats(random_traces(rng, 7, L, K, coarse))
+        costs = [standard_cost_model(K, alpha) for alpha in alphas]
+        horizons = (False, True) if fit in (fit_economy, fit_calimera) else (False,)
         swept = fit(train, costs)
-        assert len(swept) == len(costs)
-        for cost, model in zip(costs, swept):
-            fresh = fit(train, [cost])[0]
-            np.testing.assert_equal(vars(model), vars(fresh))  # everything it chose and halts by
-            assert np.array_equal(model.halts(trigger_stats(P)), fresh.halts(trigger_stats(P)))
+        halts = swept.halts(stats, horizons)
+        assert halts.shape == (len(horizons), len(costs), 7, L)
+        for a, cost in enumerate(costs):
+            fresh = fit(train, [cost])
+            for name, value in vars(swept).items():  # everything alpha a chose and halts by
+                want = getattr(fresh, name)
+                if name == "size":
+                    assert (value, want) == (len(costs), 1)
+                elif name in PER_ALPHA:
+                    np.testing.assert_equal(value[a], want[0])
+                else:
+                    np.testing.assert_equal(value, want)
+            for h, myopic in enumerate(horizons):
+                assert np.array_equal(halts[h, a], fresh.halts(stats, (myopic,))[0, 0]), (a, myopic)
 
     @pytest.mark.parametrize("fit", SWEEP_FITS)
     def test_sweep_must_differ_in_alpha_alone(self, fit):
@@ -579,13 +625,12 @@ class TestFitState:
 class TestEcec:
     def test_confidence_examples(self):
         prec = np.array([[0.9, 0.9], [0.8, 0.8]])
-        model = EcecTrigger(SampledTimeline((1, 2), 2), prec, 0.5)
         votes = {0: [0.9, 0.1], 1: [0.1, 0.9]}
 
         def confidence(pred_sequence):
             """Confidence at the last step of one trace with these argmaxes."""
             P = np.array([[votes[p] for p in pred_sequence]])
-            return model.confidences(trigger_stats(P))[0, -1]
+            return _ecec_confidences(prec, trigger_stats(P).pred)[0, -1]
 
         assert confidence([0]) == pytest.approx(0.9)
         assert confidence([1, 1]) == pytest.approx(0.98)
@@ -593,7 +638,7 @@ class TestEcec:
 
     def test_unseen_class_precision_half(self):
         train = confident_correct_train_set()
-        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])
         # fabricate a prediction column where class 1 never appears
         pred = np.zeros((6, 3), dtype=int)
         labels = np.zeros(6, dtype=int)
@@ -605,22 +650,22 @@ class TestEcec:
 
     def test_gamma_in_grid(self):
         train = random_train_set(seed=15, n=20)
-        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
-        assert model.gamma in PROBA_GRID
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])
+        assert model.gammas[0] in PROBA_GRID
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=16, n=20)
         cost = standard_cost_model(2, 0.5)
-        a = fit_ecec(train, [cost])[0]
-        b = fit_ecec(train, [cost])[0]
-        assert a.gamma == b.gamma
+        a = fit_ecec(train, [cost])
+        b = fit_ecec(train, [cost])
+        np.testing.assert_array_equal(a.gammas, b.gammas)
         np.testing.assert_array_equal(a.precisions, b.precisions)
 
     def test_policy_halts_on_confident_history(self):
         train = confident_correct_train_set()
-        model = fit_ecec(train, [standard_cost_model(2, 0.5)])[0]
+        model = fit_ecec(train, [standard_cost_model(2, 0.5)])
         for trace in train.traces:
-            d = simulate_online(model, trace)
+            [d] = simulate_online(model, trace)
             assert d.trigger_time in train.timeline.timestamps
 
 
@@ -649,52 +694,56 @@ class TestCalimera:
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
         lam = 1e-2
-        model = fit_calimera(train, [cost], ridge=lam)[0]
+        model = fit_calimera(train, [cost], ridge=lam)
         # realized costs: wrong at t=1 (pred 1), right at t=2 (pred 0)
         c0 = alpha * 1.0 + (1 - alpha) * 0.5
         c1 = alpha * 0.0 + (1 - alpha) * 1.0
         target = c0 - c1
-        got = model.predicted_deltas(trigger_stats(trace[None]))[0, 0]
+        got = model.predicted_deltas(trigger_stats(trace[None]))[0, 0, 0, 0]
         assert got == pytest.approx(target / (1.0 + lam), abs=1e-9)
 
     def test_decide_rule(self):
         train = random_train_set(seed=18, n=15, L=4)
-        model = fit_calimera(train, [standard_cost_model(2, 0.5)])[0]
+        model = fit_calimera(train, [standard_cost_model(2, 0.5)])
 
         class Stub(CalimeraTrigger):
             def __init__(self, base, delta):
                 super().__init__(base.timeline, base.inputs, base.bandwidths, base.duals)
                 self._delta = delta
 
-            def predicted_deltas(self, stats):
-                return np.full(stats.pred.shape, self._delta)
+            def predicted_deltas(self, stats, myopic=(False,)):
+                return np.full((len(myopic), 1) + stats.pred.shape, self._delta)
 
         waiting = Stub(model, 0.5)
         halting = Stub(model, -0.1)
         prefix = train.traces[0][:1]
-        assert waiting.decide(prefix, 0) is False
-        assert halting.decide(prefix, 0) is True
+        assert waiting.decide(prefix, 0).tolist() == [False]
+        assert halting.decide(prefix, 0).tolist() == [True]
         # forced at last index regardless of prediction
-        assert waiting.decide(train.traces[0], len(train.timeline) - 1) is True
+        assert waiting.decide(train.traces[0], len(train.timeline) - 1).tolist() == [True]
 
-    def test_kernel_blocks_shared_only_by_fits_of_one_state(self):
-        train = random_train_set(seed=23, n=15, L=4)
-        test = random_train_set(seed=24, n=9, L=4)
-        P = test.traces
-        costs = [standard_cost_model(2, alpha) for alpha in (0.2, 0.8)]
-        models = [model for ridge in (1e-2, 1.0) for model in fit_calimera(train, costs, ridge=ridge)]
-        shared = trigger_stats(P)
-        for model in models + models[::-1]:
-            for m in (model, make_myopic(model)):
-                np.testing.assert_array_equal(
-                    m.predicted_deltas(shared), m.predicted_deltas(trigger_stats(P))
-                )
+    def test_stacked_deltas_equal_per_alpha_mat_vecs(self):
+        """Each (horizon, alpha) block of the deltas is, bit for bit, its own
+        kernel mat-vec: the kernel block at each index is built once and
+        multiplied by every alpha's duals in one stacked product."""
+        costs = [standard_cost_model(2, alpha) for alpha in (0.0, 0.3, 0.8)]
+        for n_test, n, L in itertools.product((1, 2, 7), (1, 12), (1, 2, 5)):
+            train = random_train_set(seed=n_test + n + L, n=n, L=L)
+            model = fit_calimera(train, costs)
+            P = random_traces(np.random.default_rng(n_test), n_test, L, 2, coarse=False)
+            got = model.predicted_deltas(trigger_stats(P), (True, False))
+            assert got.shape == (2, len(costs), n_test, L) and (got[..., -1] == -np.inf).all()
+            for j in range(L - 1):
+                X = _krr_inputs(P[:, j], train.timeline.timestamps[j], train.timeline.series_length)
+                kernel = _rbf_kernel(_sq_distances(X, model.inputs[j]), float(model.bandwidths[j]))
+                for (h, row), a in itertools.product(enumerate((1, 0)), range(len(costs))):
+                    assert np.array_equal(got[h, a, :, j], kernel @ model.duals[a, j, row]), (n_test, n, L, j)
 
     def test_fit_deterministic(self):
         train = random_train_set(seed=19, n=15, L=4)
         cost = standard_cost_model(2, 0.5)
-        a = fit_calimera(train, [cost])[0]
-        b = fit_calimera(train, [cost])[0]
+        a = fit_calimera(train, [cost])
+        b = fit_calimera(train, [cost])
         for name in ("inputs", "bandwidths", "duals"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -705,22 +754,20 @@ class TestCalimera:
         train = random_train_set(seed=25, n=12, L=L, K=3)
         ridge = 1e-2
         costs = [standard_cost_model(3, alpha) for alpha in alphas]
-        models = fit_calimera(train, costs, ridge=ridge)
+        model = fit_calimera(train, costs, ridge=ridge)
         _, _, chols = _calimera_factors(train, ridge)
         mis = np.asarray(costs[0].mis_matrix)[train.stats.pred, train.labels[:, None]]
         delays = delay_costs(costs[0], train.timeline)
-        assert len(models) == len(costs)
-        for cost, model in zip(costs, models):
-            assert sorted(vars(model)) == ["bandwidths", "duals", "inputs", "myopic", "timeline"]
-            assert model.inputs is models[0].inputs and model.bandwidths is models[0].bandwidths
-            assert model.duals.shape == (L - 1, 2, len(train.labels)) and model.duals.flags.c_contiguous
+        assert sorted(vars(model)) == ["bandwidths", "duals", "inputs", "timeline"]
+        assert model.duals.shape == (len(costs), L - 1, 2, len(train.labels)) and model.duals.flags.c_contiguous
+        for a, cost in enumerate(costs):
             realized = weighted_costs(cost.alpha, mis, delays)
             for row, myopic in enumerate((False, True)):
                 target = realized - backward_min_costs(realized, myopic)
                 for j in range(L - 1):
                     y = np.linalg.solve(chols[j], target[:, j])
                     want = np.linalg.solve(chols[j].T, y)
-                    assert np.array_equal(model.duals[j, row], want)
+                    assert np.array_equal(model.duals[a, j, row], want)
 
 
 def crafted_cost_paths(path, k):
@@ -736,20 +783,20 @@ def crafted_cost_paths(path, k):
 class TestMyopic:
     def test_economy_rule_difference(self):
         train = random_train_set(seed=20, n=20, L=3)
-        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
-        fixed = EconomyTrigger(base.timeline, base.k, base.bin_edges, crafted_cost_paths([0.5, 0.6, 0.1], base.k))
-        myopic = make_myopic(fixed)
+        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
+        fixed = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.5, 0.6, 0.1], 1)])
+        assert make_myopic(fixed) is fixed
         prefix = train.traces[0][:1]
-        assert fixed.decide(prefix, 0) is False  # future min 0.1 beats 0.5
-        assert myopic.decide(prefix, 0) is True  # 0.5 <= 0.6
+        assert fixed.decide(prefix, 0).tolist() == [False]  # future min 0.1 beats 0.5
+        assert fixed.decide(prefix, 0, myopic=True).tolist() == [True]  # 0.5 <= 0.6
 
     def test_economy_decreasing_costs_both_wait(self):
         train = random_train_set(seed=21, n=20, L=3)
-        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))[0]
-        args = (base.timeline, base.k, base.bin_edges, crafted_cost_paths([0.9, 0.5, 0.2], base.k))
+        base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
+        model = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.9, 0.5, 0.2], 1)])
         prefix = train.traces[0][:1]
-        assert EconomyTrigger(*args).decide(prefix, 0) is False
-        assert EconomyTrigger(*args, myopic=True).decide(prefix, 0) is False
+        assert model.decide(prefix, 0).tolist() == [False]
+        assert model.decide(prefix, 0, myopic=True).tolist() == [False]
 
     def test_calimera_myopic_uses_next_step_target(self):
         timeline = SampledTimeline((1, 2, 3), 3)
@@ -762,19 +809,23 @@ class TestMyopic:
             labels.append(i % 2)
         train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
         cost = standard_cost_model(2, 0.5)
-        model = fit_calimera(train, [cost])[0]
-        myopic = make_myopic(model)
-        assert myopic.myopic is True
+        model = fit_calimera(train, [cost])
+        assert make_myopic(model) is model
         # duals differ only where backward-min differs from the next cost;
         # at the second-to-last step they coincide by construction
         np.testing.assert_allclose(
-            model.duals[-1, 0], model.duals[-1, 1], atol=1e-12
+            model.duals[0, -1, 0], model.duals[0, -1, 1], atol=1e-12
         )
 
     def test_rejects_other_variants(self):
         train = random_train_set(seed=23)
+        asap = AsapTrigger(train.timeline, 1)
         with pytest.raises(ValueError, match="AsapTrigger"):
-            make_myopic(AsapTrigger(train.timeline))
+            make_myopic(asap)
+        with pytest.raises(ValueError, match="AsapTrigger"):
+            asap.halts(train.stats, (False, True))
+        with pytest.raises(ValueError, match="ProbaThresholdTrigger"):
+            ProbaThresholdTrigger(train.timeline, [0.5]).decide(train.traces[0], 0, myopic=True)
 
 
 class TestFitMethods:
@@ -796,16 +847,16 @@ class TestFitMethods:
         fitted = fit_methods(methods, train, costs)
         assert list(fitted) == list(dict.fromkeys(methods))
         assert calls == ["calimera", "asap", "alap", "proba_threshold", "stopping_rule", "economy", "ecec"]
-        assert all(len(models) == len(costs) for models in fitted.values())
         for method, base in (("economy_myopic", "economy"), ("calimera_myopic", "calimera")):
-            for model, base_model in zip(fitted[method], fitted[base]):
-                np.testing.assert_equal(vars(model), vars(make_myopic(base_model)))
-                assert model.myopic and not base_model.myopic
+            assert fitted[method] is fitted[base]
 
         calls.clear()
         alone = fit_methods(("economy_myopic",), train, costs)
         assert calls == ["economy"] and list(alone) == ["economy_myopic"]
-        assert all(model.myopic for model in alone["economy_myopic"])
+        assert isinstance(alone["economy_myopic"], EconomyTrigger)
+        stats = trigger_stats(random_traces(np.random.default_rng(25), 4, 5, 3, coarse=True))
+        want = alone["economy_myopic"].halts(stats, (True,))[0].argmax(axis=-1)
+        assert np.array_equal(first_halts(alone, stats), want[:, None])
 
 
 def random_traces(rng, n, L, K, coarse):
@@ -821,28 +872,35 @@ class TestOnlineContract:
         seed=st.integers(0, 2**32 - 1),
         L=st.integers(1, 5),
         K=st.sampled_from((2, 3)),
-        alpha=st.floats(0.0, 1.0),
+        alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
         coarse=st.booleans(),
     )
-    def test_halts_match_online_replay_and_are_causal(self, seed, L, K, alpha, coarse):
+    def test_halts_match_online_replay_and_are_causal(self, seed, L, K, alphas, coarse):
+        """Every method's first halts, each alpha and the myopic methods'
+        horizon too, are the online replay's, and no halt reads a later
+        column."""
         rng = np.random.default_rng(seed)
         train = random_train_set(seed=seed, n=int(rng.integers(4, 17)), L=L, K=K)
-        cost = standard_cost_model(K, alpha)
+        costs = [standard_cost_model(K, alpha) for alpha in alphas]
         P = random_traces(rng, 6, L, K, coarse)
-        for method, (model,) in fit_methods(METHODS, train, [cost]).items():
-            stats = trigger_stats(P)
-            halts = model.halts(stats)
-            assert halts.shape == (6, L) and halts[:, -1].all(), method
-            first = halts.argmax(axis=1)
+        stats = trigger_stats(P)
+        fitted = fit_methods(METHODS, train, costs)
+        first = first_halts(fitted, stats)
+        assert first.shape == (len(costs), len(METHODS), 6)
+        for column, (method, model) in enumerate(fitted.items()):
+            myopic = method.endswith("_myopic")
+            halts = model.halts(stats, (myopic,))[0]
+            assert halts.shape == (len(costs), 6, L) and halts[..., -1].all(), method
+            assert np.array_equal(first[:, column], halts.argmax(axis=-1)), method
             for row, trace in enumerate(P):
-                online = simulate_online(model, trace)
-                got = (int(stats.pred[row, first[row]]), train.timeline.timestamps[first[row]])
-                assert got == (online.predicted_label, online.trigger_time), (method, row)
+                online = [(d.predicted_label, d.trigger_time) for d in simulate_online(model, trace, myopic)]
+                got = [(int(stats.pred[row, i]), train.timeline.timestamps[i]) for i in first[:, column, row]]
+                assert got == online, (method, row)
             for i in range(L - 1):
                 future = P.copy()
                 future[:, i + 1 :] = random_traces(rng, 6, L - i - 1, K, coarse)
-                changed = model.halts(trigger_stats(future))
-                assert np.array_equal(changed[:, : i + 1], halts[:, : i + 1]), (method, i)
+                changed = model.halts(trigger_stats(future), (myopic,))[0]
+                assert np.array_equal(changed[..., : i + 1], halts[..., : i + 1]), (method, i)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
