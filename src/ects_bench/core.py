@@ -209,6 +209,14 @@ def delay_costs(model: CostModel, timeline: SampledTimeline) -> np.ndarray:
     return np.array([delay_cost(model, t, timeline.series_length) for t in timeline.timestamps])
 
 
+def sweep_base(costs: Sequence[CostModel]) -> CostModel:
+    """The first of an alpha sweep's cost models, which must differ in alpha
+    alone: its misclassification matrix and delay curve are every alpha's."""
+    if len({(cost.mis_matrix, cost.delay) for cost in costs}) != 1:
+        raise ValueError("an alpha sweep needs one or more cost models that differ in alpha alone")
+    return costs[0]
+
+
 def weighted_costs(alpha: float, c_m, c_d):
     """alpha * C_m + (1 - alpha) * C_d elementwise: the weighted price of
     decisions from their unweighted misclassification and delay costs."""

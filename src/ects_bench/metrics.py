@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, RecordTable, SampledTimeline, delay_costs, earliest_min, weighted_costs
+from .core import CostModel, RecordTable, SampledTimeline, delay_costs, earliest_min, sweep_base, weighted_costs
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,14 @@ def price_records(
     block of its series per (alpha, method) in alpha-major order: each
     series' decision (predicted (A, M, n) label at timeline index (A, M, n))
     priced elementwise as alpha * C_m + (1 - alpha) * C_d under costs[a],
-    with its regret against that alpha's oracle (times, losses), oracles[a]."""
+    with its regret against that alpha's oracle (times, losses), oracles[a].
+    costs is an alpha sweep (core.sweep_base), so one misclassification
+    matrix and one delay curve price every alpha."""
     shape = A, M, n = np.shape(index)
-    a = np.arange(A)[:, None, None]
+    base = sweep_base(costs)
     alpha = np.array([c.alpha for c in costs], dtype=float)[:, None, None]
-    c_m = np.array([c.mis_matrix for c in costs])[a, predicted, true]
-    c_d = np.array([delay_costs(c, timeline) for c in costs])[a, index]
+    c_m = np.asarray(base.mis_matrix)[predicted, true]
+    c_d = delay_costs(base, timeline)[index]
     w = weighted_costs(alpha, c_m, c_d)
     oracle_times, oracle_costs = (np.array(part)[:, None, :] for part in zip(*oracles))  # (A, 1, n) each
     return RecordTable.from_columns(

@@ -4,8 +4,10 @@ the byte-deterministic report files (records, summaries, ranks, pairwise
 tests, Pareto fronts and an optional rank chart).
 
 `run` writes its priced records through this module; `report` reads them
-back and rebuilds every derived file. This module imports no fitting or
-ingestion code, so `report` loads none.
+back and rebuilds every derived file. write_reports first derives each CSV
+as a (name, header, rows) table from the bundle's summaries, then writes the
+timelines, the records' own row text and the tables. This module imports no
+fitting or ingestion code, so `report` loads none.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,16 +36,25 @@ class ReportBundle:
     skipped: List[Tuple[str, str]] = field(default_factory=list)  # (dataset, reason)
 
 
+SUMMARY_FIELDS = tuple(f.name for f in fields(metrics.RunSummary))
+
+
 def derive_seed(master: int, *parts: object) -> int:
     digest = hashlib.sha256(repr((master,) + parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") % (2**63)
+
+
+def _open_text(path: str):
+    """path opened for writing as UTF-8 with "\n" line ends on any platform,
+    so every report file is byte-deterministic."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     """One line per row, formatted a column at a time: repr for a column of
     floats and str for any other (each column holds values of one type)."""
     columns = [map(repr if isinstance(column[0], float) else str, column) for column in zip(*rows)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_text(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
@@ -195,118 +207,88 @@ def check_output_dir(out_dir: str) -> None:
             path = os.path.dirname(path)
 
 
-def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) -> List[str]:
-    """Emit records/summaries/ranks/pairwise/pareto CSVs (plus an optional
-    rank chart); byte-deterministic for a given bundle. An output directory
-    that cannot be made or written is a ConfigError naming it."""
-    with writing_to("reports", out_dir):
-        return _write_report_files(bundle, out_dir, emit_svg)
-
-
-def _write_report_files(bundle: ReportBundle, out_dir: str, emit_svg: bool) -> List[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written: List[str] = []
-
-    timelines_path = os.path.join(out_dir, "timelines.json")
-    with open(timelines_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {
-                name: {"timestamps": list(tl.timestamps), "series_length": tl.series_length}
-                for name, tl in sorted(bundle.timelines.items())
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    written.append(timelines_path)
-
-    records_path = os.path.join(out_dir, "records.csv")
-    with open(records_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        fh.writelines(bundle.records.text)
-    written.append(records_path)
-
-    summaries_path = os.path.join(out_dir, "summaries.csv")
-    _write_csv(
-        summaries_path,
-        ("dataset", "method", "alpha", "avg_cost", "accuracy", "earliness",
-         "mean_regret", "mean_trigger_index"),
-        [
-            (s.dataset, s.method, s.alpha, s.avg_cost, s.accuracy, s.earliness,
-             s.mean_regret, s.mean_trigger_index)
-            for s in bundle.summaries
-        ],
-    )
-    written.append(summaries_path)
-
-    # Ranks and pairwise tests read, per alpha, the costs of the datasets that
-    # have every method, in dataset order.
-    by_alpha: Dict[float, Dict[str, Dict[str, float]]] = {}
-    methods = sorted({s.method for s in bundle.summaries})
-    for s in bundle.summaries:
-        by_alpha.setdefault(s.alpha, {}).setdefault(s.dataset, {})[s.method] = s.avg_cost
-    complete_by_alpha: Dict[float, Dict[str, Dict[str, float]]] = {}
-    for alpha, costs in sorted(by_alpha.items()):
-        complete = {d: row for d, row in sorted(costs.items()) if all(m in row for m in methods)}
-        if complete:
-            complete_by_alpha[alpha] = complete
-
-    # Per alpha: mean ranks with bootstrap CIs over per-dataset rank values,
-    # each method drawing from its own seed, and pairwise comparisons with
-    # Holm-adjusted Wilcoxon p-values.
+def _rank_and_pair_rows(summaries: Sequence[metrics.RunSummary]) -> Tuple[List[str], list, list]:
+    """The methods, and per alpha the rank and pairwise rows over the
+    datasets that have every method, in dataset order: mean ranks with
+    bootstrap CIs over per-dataset rank values, each method drawing from its
+    own seed, and pairwise comparisons with Holm-adjusted Wilcoxon p-values."""
+    methods = sorted({s.method for s in summaries})
+    datasets = sorted({s.dataset for s in summaries})
+    avg_cost = {(s.alpha, s.dataset, s.method): s.avg_cost for s in summaries}
+    first, second = np.triu_indices(len(methods), 1)  # each pair of methods, in order
     rank_rows: List[Tuple[float, str, float, float, float]] = []
     pair_rows = []
-    first, second = np.triu_indices(len(methods), 1)  # each pair of methods, in order
-    pairs = [(methods[i], methods[j]) for i, j in zip(first.tolist(), second.tolist())]
-    for alpha, complete in complete_by_alpha.items():
-        ranks = stats.per_dataset_ranks(complete, methods)
-        values = np.array([ranks[m] for m in methods])  # (methods, datasets)
-        cis = stats.bootstrap_mean_cis(values, [derive_seed(0, "rank-ci", alpha, m) for m in methods])
-        rank_rows += zip(itertools.repeat(alpha), methods, values.mean(axis=1).tolist(), *cis.T.tolist())
-        costs = np.array([[row[m] for m in methods] for row in complete.values()])  # (datasets, methods)
+    for alpha in sorted({s.alpha for s in summaries}):
+        complete = [d for d in datasets if all((alpha, d, m) in avg_cost for m in methods)]
+        if not complete:
+            continue
+        costs = np.array([[avg_cost[alpha, d, m] for m in methods] for d in complete])  # (datasets, methods)
+        ranks = stats.per_dataset_ranks(costs).T  # (methods, datasets)
+        cis = stats.bootstrap_mean_cis(ranks, [derive_seed(0, "rank-ci", alpha, m) for m in methods])
+        rank_rows += zip(itertools.repeat(alpha), methods, ranks.mean(axis=1).tolist(), *cis.T.tolist())
         raw = stats.pairwise_comparisons(costs[:, first], costs[:, second])
         adjusted = stats.holm_adjust([r[3] for r in raw])
-        for (a, b), (wins, ties, losses, p), p_adj in zip(pairs, raw, adjusted):
-            pair_rows.append((alpha, a, b, wins, ties, losses, p, p_adj))
-    ranks_path = os.path.join(out_dir, "ranks.csv")
-    _write_csv(ranks_path, ("alpha", "method", "mean_rank", "ci_low", "ci_high"), rank_rows)
-    written.append(ranks_path)
+        pair_rows += [(alpha, methods[i], methods[j], *r, p)
+                      for i, j, r, p in zip(first.tolist(), second.tolist(), raw, adjusted)]
+    return methods, rank_rows, pair_rows
 
-    pairwise_path = os.path.join(out_dir, "pairwise.csv")
-    _write_csv(
-        pairwise_path,
-        ("alpha", "method_a", "method_b", "wins", "ties", "losses", "p_value", "p_holm"),
-        pair_rows,
-    )
-    written.append(pairwise_path)
 
-    # Pareto fronts per dataset over (earliness, accuracy) across (method, alpha).
-    pareto_rows = []
-    for dataset, group in itertools.groupby(bundle.summaries, key=lambda s: s.dataset):
+def _pareto_rows(summaries: Sequence[metrics.RunSummary]) -> list:
+    """Each dataset's Pareto front over (earliness, accuracy) across its
+    (method, alpha) summaries."""
+    rows = []
+    for dataset, group in itertools.groupby(summaries, key=attrgetter("dataset")):
         group = list(group)
         on_front = metrics.pareto_front([(s.earliness, s.accuracy) for s in group])
-        for s, flag in zip(group, on_front):
-            pareto_rows.append((dataset, s.method, s.alpha, s.earliness, s.accuracy, int(flag)))
-    pareto_path = os.path.join(out_dir, "pareto.csv")
-    _write_csv(
-        pareto_path,
-        ("dataset", "method", "alpha", "earliness", "accuracy", "on_front"),
-        pareto_rows,
-    )
-    written.append(pareto_path)
+        rows += [(dataset, s.method, s.alpha, s.earliness, s.accuracy, int(flag))
+                 for s, flag in zip(group, on_front)]
+    return rows
 
+
+def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) -> List[str]:
+    """Write timelines.json, records.csv, the summaries/ranks/pairwise/pareto
+    CSVs (plus skipped.csv if any dataset was skipped) and an optional rank
+    chart, and return their paths in that order; byte-deterministic for a
+    given bundle. Every CSV but the records is a (name, header, rows) table.
+    An output directory that cannot be made or written is a ConfigError
+    naming it."""
+    methods, rank_rows, pair_rows = _rank_and_pair_rows(bundle.summaries)
+    tables = [
+        ("summaries.csv", SUMMARY_FIELDS, list(map(attrgetter(*SUMMARY_FIELDS), bundle.summaries))),
+        ("ranks.csv", ("alpha", "method", "mean_rank", "ci_low", "ci_high"), rank_rows),
+        ("pairwise.csv", ("alpha", "method_a", "method_b", "wins", "ties", "losses", "p_value", "p_holm"),
+         pair_rows),
+        ("pareto.csv", ("dataset", "method", "alpha", "earliness", "accuracy", "on_front"),
+         _pareto_rows(bundle.summaries)),
+    ]
     if bundle.skipped:
-        skipped_path = os.path.join(out_dir, "skipped.csv")
-        _write_csv(skipped_path, ("dataset", "reason"), sorted(bundle.skipped))
-        written.append(skipped_path)
-
+        tables.append(("skipped.csv", ("dataset", "reason"), sorted(bundle.skipped)))
+    names = ["timelines.json", "records.csv"] + [name for name, _, _ in tables]
     if emit_svg:
-        svg_path = os.path.join(out_dir, "ranks.svg")
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_ranks_svg(rank_rows, methods))
-        written.append(svg_path)
-    return written
+        names.append("ranks.svg")
+    paths = [os.path.join(out_dir, name) for name in names]
+    with writing_to("reports", out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        with _open_text(paths[0]) as fh:
+            json.dump(
+                {
+                    name: {"timestamps": list(tl.timestamps), "series_length": tl.series_length}
+                    for name, tl in sorted(bundle.timelines.items())
+                },
+                fh,
+                indent=2,
+                sort_keys=True,
+            )
+            fh.write("\n")
+        with _open_text(paths[1]) as fh:
+            fh.write(",".join(RECORD_FIELDS) + "\n")
+            fh.writelines(bundle.records.text)
+        for path, (_, header, rows) in zip(paths[2:], tables):
+            _write_csv(path, header, rows)
+        if emit_svg:
+            with _open_text(paths[-1]) as fh:
+                fh.write(_ranks_svg(rank_rows, methods))
+    return paths
 
 
 def load_timelines_json(path: str) -> Dict[str, SampledTimeline]:
@@ -340,11 +322,18 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
     """Rebuild a full bundle from raw records: the rows sorted stably by
     (dataset, method, alpha, series_id), the given table itself if it is
     already in that order, and one summary per (dataset, method, alpha)
-    group, each over its contiguous slice."""
+    group, each over its contiguous slice. Two rows with one (dataset,
+    method, alpha value, series_id) key are a DataError naming the key."""
     dataset, method = _str_order(records.dataset), _str_order(records.method)
-    order = np.lexsort((_str_order(records.series_id), records.alpha, method, dataset))
+    series = _str_order(records.series_id)
+    order = np.lexsort((series, records.alpha, method, dataset))
     table = records if np.array_equal(order, np.arange(len(order))) else records.take(order)
-    dataset, method, alpha = dataset[order], method[order], table.alpha
+    dataset, method, series, alpha = dataset[order], method[order], series[order], table.alpha
     new_group = np.ones(len(table), dtype=bool)
     new_group[1:] = (dataset[1:] != dataset[:-1]) | (method[1:] != method[:-1]) | (alpha[1:] != alpha[:-1])
+    repeated = np.flatnonzero(~new_group[1:] & (series[1:] == series[:-1]))
+    if len(repeated):
+        i = int(repeated[0])
+        key = (table.dataset[i], table.method[i], float(table.alpha[i]), table.series_id[i])
+        raise DataError(f"records repeat the (dataset, method, alpha, series_id) key {key!r}")
     return ReportBundle(table, metrics.summarize_groups(table, np.flatnonzero(new_group), timelines), timelines)

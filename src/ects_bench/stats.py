@@ -27,19 +27,11 @@ def _rank_ascending(values: Sequence[float]) -> List[float]:
     return ranks
 
 
-def per_dataset_ranks(costs: Dict[str, Dict[str, float]], methods: Sequence[str]) -> Dict[str, List[float]]:
-    """Rank vectors per method across datasets in dataset order;
-    costs[dataset][method], lower is better (rank 1)."""
-    out: Dict[str, List[float]] = {m: [] for m in methods}
-    for dataset in sorted(costs):
-        row = costs[dataset]
-        missing = [m for m in methods if m not in row]
-        if missing:
-            raise ValueError(f"missing cost for {missing[0]!r} on dataset {dataset!r}")
-        ranks = _rank_ascending([row[m] for m in methods])
-        for m, r in zip(methods, ranks):
-            out[m].append(r)
-    return out
+def per_dataset_ranks(costs: np.ndarray) -> np.ndarray:
+    """The ranks of each row of a (datasets, methods) cost array: the lowest
+    cost ranks 1, and tied costs share their average rank."""
+    ranks = [_rank_ascending(row) for row in np.asarray(costs, dtype=float).tolist()]
+    return np.array(ranks, dtype=float).reshape(np.shape(costs))
 
 
 def bootstrap_mean_ci(

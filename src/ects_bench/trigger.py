@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, quantiles, weighted_costs
+from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, quantiles, sweep_base, weighted_costs
 from .errors import DataError, NumericError
 
 # Every method the harness runs; a *_myopic method is its base method's horizon-1 variant.
@@ -140,13 +140,6 @@ def simulate_online(model: TriggerModel, trace: np.ndarray, myopic: bool = False
     return [Decision(int(np.argmax(trace[i])), timeline.timestamps[i]) for i in np.argmax(halted, axis=0).tolist()]
 
 
-def _sweep_base(costs: Sequence[CostModel]) -> CostModel:
-    """The first of a sweep's cost models, which must differ in alpha alone."""
-    if len({(cost.mis_matrix, cost.delay) for cost in costs}) != 1:
-        raise ValueError("an alpha sweep needs one or more cost models that differ in alpha alone")
-    return costs[0]
-
-
 class AsapTrigger(TriggerModel):
     """Halts at the first index under each of a sweep's size alphas."""
 
@@ -166,12 +159,12 @@ class AlapTrigger(AsapTrigger):
 
 
 def fit_asap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> AsapTrigger:
-    _sweep_base(costs)
+    sweep_base(costs)
     return AsapTrigger(train.timeline, len(costs))
 
 
 def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> AlapTrigger:
-    _sweep_base(costs)
+    sweep_base(costs)
     return AlapTrigger(train.timeline, len(costs))
 
 
@@ -242,7 +235,7 @@ def _fit_grid(
     in C order; every candidate's first halts are read from it once per
     sweep, without a model per candidate. A block of grid rows holds at most
     _BLOCK_ELEMENTS halts, or one row."""
-    _sweep_base(costs)
+    sweep_base(costs)
     n, L = train.stats.maxp.shape
     step = max(1, _BLOCK_ELEMENTS // (per_row * n * L))
     first = []
@@ -394,7 +387,7 @@ def fit_economy(
     skipped; ties favor the smaller k. Each feasible k's tables are built
     once per sweep and priced for every alpha at once; only the winners are
     kept."""
-    base = _sweep_base(costs)
+    base = sweep_base(costs)
     feasible = [(k, tables) for k in k_grid if (tables := _build_economy(train, base, k, smoothing)) is not None]
     if not feasible:
         raise DataError("no feasible k for the confidence partition")
@@ -571,7 +564,7 @@ def fit_calimera(
     The myopic targets (next-step cost instead of the backward minimum) are
     fitted alongside from the same factorization.
     """
-    base = _sweep_base(costs)
+    base = sweep_base(costs)
     inputs, bandwidths, chols = _calimera_factors(train, ridge)
     mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
     alphas = np.array([cost.alpha for cost in costs])[:, None, None]

@@ -319,13 +319,18 @@ class TestReports:
         config, bundle = tiny_run
         out = os.path.join(str(tmp_path), "reports")
         written = report.write_reports(bundle, out)
-        names = {os.path.basename(p) for p in written}
-        assert {"records.csv", "summaries.csv", "ranks.csv", "pairwise.csv",
-                "pareto.csv", "timelines.json"} <= names
-        assert "ranks.svg" not in names
+        names = ["timelines.json", "records.csv", "summaries.csv", "ranks.csv", "pairwise.csv", "pareto.csv"]
+        assert written == [os.path.join(out, name) for name in names]
         with open(os.path.join(out, "summaries.csv")) as fh:
             rows = fh.read().splitlines()
         assert len(rows) - 1 == len(config.methods) * len(config.alpha_grid)
+        skipped = dataclasses.replace(bundle, skipped=[("ghost", "no series")])
+        for case, emit_svg, more in ((bundle, True, ["ranks.svg"]), (skipped, False, ["skipped.csv"]),
+                                     (skipped, True, ["skipped.csv", "ranks.svg"])):
+            out = str(tmp_path / "+".join(more))
+            written = report.write_reports(case, out, emit_svg)
+            assert written == [os.path.join(out, name) for name in names + more]
+            assert all(map(os.path.isfile, written))
 
     def test_svg_emitted_on_request(self, tmp_path, tiny_run):
         _, bundle = tiny_run
@@ -348,6 +353,34 @@ class TestReports:
             with open(os.path.join(out_b, name), "rb") as fh:
                 b = fh.read()
             assert a == b, name
+
+    def test_incomplete_dataset_drops_out_of_its_alpha_only(self, tmp_path):
+        # Per alpha, the methods each dataset has: b lacks m2 at alpha 0.7,
+        # and no dataset has both methods at alpha 0.5.
+        cells = {("0.3", "a"): ("m1", "m2"), ("0.3", "b"): ("m1", "m2"), ("0.7", "a"): ("m1", "m2"),
+                 ("0.7", "b"): ("m1",), ("0.5", "a"): ("m1",), ("0.5", "b"): ("m2",)}
+        lines = {}
+        for k, ((alpha, dataset), methods) in enumerate(cells.items()):
+            for method in methods:  # m1 is cheaper on even cells, m2 on odd ones
+                c_m, c_d = float(k % 2), (k + 3 * ((method == "m2") == (k % 2 == 0))) / 10.0
+                weighted = repr(float(alpha) * c_m + (1.0 - float(alpha)) * c_d)
+                lines[alpha, dataset, method] = _line(dataset, method, alpha, weighted=weighted, c_m=repr(c_m),
+                                                      c_d=repr(c_d), oracle_cost="0.0", regret=weighted)
+
+        def report_rows(keep):
+            """The ranks.csv and pairwise.csv rows of a report over the lines whose key keep accepts."""
+            results = tempfile.mkdtemp(dir=tmp_path)
+            _write_results(results, [line for key, line in lines.items() if keep(*key)])
+            files = _report(results, os.path.join(results, "out"))
+            return [files[name].decode().splitlines()[1:] for name in ("ranks.csv", "pairwise.csv")]
+
+        ranks, pairs = report_rows(lambda alpha, dataset, method: True)
+        ranks_03, pairs_03 = report_rows(lambda alpha, dataset, method: alpha == "0.3")
+        ranks_07, pairs_07 = report_rows(lambda alpha, dataset, method: alpha == "0.7" and dataset == "a")
+        assert ranks == ranks_03 + ranks_07 and len(ranks_03) == len(ranks_07) == 2
+        assert pairs == pairs_03 + pairs_07
+        # wins + ties + losses counts the complete datasets: 2 at alpha 0.3, 1 at 0.7
+        assert [(row.split(",")[0], sum(map(int, row.split(",")[3:6]))) for row in pairs] == [("0.3", 2), ("0.7", 1)]
 
     def test_records_round_trip(self, tmp_path, tiny_run):
         _, bundle = tiny_run
@@ -395,8 +428,7 @@ def _line(dataset="a", method="m", alpha="0.5", series="s1", true=0, predicted=0
 @st.composite
 def _records_lines(draw):
     """records.csv lines with distinct (dataset, method, alpha value,
-    series_id) keys, some repeated verbatim: rows whose keys tie are then
-    identical, so their order cannot show in a sorted file."""
+    series_id) keys (a repeated key is a data error)."""
     keys = draw(st.lists(st.tuples(
         st.sampled_from(sorted(TIMELINES)),
         st.sampled_from(["m1", "m10"]),
@@ -412,7 +444,7 @@ def _records_lines(draw):
         line = _line(dataset, method, alpha, series, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
                      draw(st.sampled_from(TIMELINES[dataset]["timestamps"])), repr(weighted), c_m, c_d,
                      oracle_cost, repr(weighted - float(oracle_cost)))
-        lines += [line] * draw(st.integers(1, 3))
+        lines.append(line)
     return draw(st.permutations(lines))
 
 
@@ -827,9 +859,10 @@ class TestCli:
         assert not os.path.exists(out)
 
     # Damage to a results directory by case: the file, and None to delete it,
-    # an edit of the fields of line 3 of records.csv, or an edit of the "tiny"
-    # entry of timelines.json. `report` must end with one data error line that
-    # names the file (and line, or dataset).
+    # an edit of the fields of line 3 of records.csv (repeated_row follows it
+    # with a copy of itself), or an edit of the "tiny" entry of timelines.json.
+    # `report` must end with one data error line that names the file (and
+    # line, or dataset), or for a repeated row its key.
     BAD_RESULTS = {
         "missing_records": ("records.csv", None),
         "missing_timelines": ("timelines.json", None),
@@ -846,6 +879,7 @@ class TestCli:
         "oracle_cost_negative": ("records.csv", lambda f: f[:11] + ["-0.5"] + f[12:]),
         "weighted_cost_off_formula": ("records.csv", lambda f: f[:7] + [repr(float(f[7]) + 0.25)] + f[8:]),
         "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
+        "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),
@@ -871,10 +905,13 @@ class TestCli:
         else:
             with open(path) as fh:
                 lines = fh.read().splitlines()
-            lines[2] = ",".join(edit(lines[2].split(",")))
+            fields = lines[2].split(",")
+            lines[2] = ",".join(edit(fields))
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             named = f"{path}:3:"
+            if case == "repeated_row":  # found once the rows are sorted: the error names the key
+                named = f"key ({fields[0]!r}, {fields[1]!r}, {fields[2]}, {fields[3]!r})"
         out = str(tmp_path / "rebuilt")
         self._assert_one_line_data_error(["report", "--results", results, "--out", out], named)
 

@@ -37,51 +37,41 @@ def enumeration_wilcoxon(diffs):
     return w, count / 2**n
 
 
-def mean_ranks(costs, methods):
-    """Per-method mean rank across datasets, as write_reports takes it."""
-    return {m: float(np.mean(r)) for m, r in per_dataset_ranks(costs, methods).items()}
+def mean_ranks(costs):
+    """Per-method mean rank across the datasets (rows of a (datasets,
+    methods) cost array), as write_reports takes it."""
+    return per_dataset_ranks(np.array(costs)).mean(axis=0).tolist()
 
 
 class TestMeanRanks:
     def test_consistent_ordering(self):
-        costs = {
-            "d1": {"A": 0.1, "B": 0.2, "C": 0.3},
-            "d2": {"A": 0.1, "B": 0.2, "C": 0.3},
-        }
-        out = mean_ranks(costs, ["A", "B", "C"])
-        assert out == {"A": 1.0, "B": 2.0, "C": 3.0}
+        costs = [
+            [0.1, 0.2, 0.3],
+            [0.1, 0.2, 0.3],
+        ]
+        assert mean_ranks(costs) == [1.0, 2.0, 3.0]
 
     def test_tie_average(self):
-        costs = {"d1": {"A": 0.1, "B": 0.1, "C": 0.3}}
-        out = mean_ranks(costs, ["A", "B", "C"])
-        assert out["A"] == out["B"] == 1.5
-        assert out["C"] == 3.0
+        out = mean_ranks([[0.1, 0.1, 0.3]])
+        assert out[0] == out[1] == 1.5
+        assert out[2] == 3.0
 
     def test_single_dataset(self):
-        costs = {"d1": {"A": 0.5, "B": 0.2}}
-        assert mean_ranks(costs, ["A", "B"]) == {"A": 2.0, "B": 1.0}
-
-    def test_missing_cell_named(self):
-        with pytest.raises(ValueError, match="'B'.*'d1'"):
-            per_dataset_ranks({"d1": {"A": 0.5}}, ["A", "B"])
+        assert mean_ranks([[0.5, 0.2]]) == [2.0, 1.0]
 
     def test_ranks_sum_invariant(self):
         rng = np.random.default_rng(4)
-        methods = ["A", "B", "C", "D"]
-        costs = {f"d{i}": {m: float(rng.random()) for m in methods} for i in range(6)}
-        ranks = per_dataset_ranks(costs, methods)
-        m = len(methods)
-        for i in range(6):
-            assert sum(ranks[meth][i] for meth in methods) == pytest.approx(m * (m + 1) / 2)
+        m = 4
+        ranks = per_dataset_ranks(rng.random((6, m)))
+        assert ranks.shape == (6, m)
+        for row in ranks.tolist():
+            assert sum(row) == pytest.approx(m * (m + 1) / 2)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
-        methods = ["A", "B", "C"]
-        costs = {f"d{i}": {m: float(rng.random()) for m in methods} for i in range(5)}
-        transformed = {
-            d: {m: np.exp(3.0 * v) + 1.0 for m, v in row.items()} for d, row in costs.items()
-        }
-        assert per_dataset_ranks(costs, methods) == per_dataset_ranks(transformed, methods)
+        costs = rng.random((5, 3))
+        transformed = np.exp(3.0 * costs) + 1.0
+        assert np.array_equal(per_dataset_ranks(costs), per_dataset_ranks(transformed))
 
 
 class TestBootstrap:
