@@ -46,6 +46,8 @@ class BenchConfig:
     output_dir: str = "bench-out"
 
     def __post_init__(self):
+        # + 0.0 turns -0.0 into 0.0, so every file writes one alpha as one text.
+        object.__setattr__(self, "alpha_grid", tuple(a + 0.0 for a in self.alpha_grid))
         for m in self.methods:
             if m not in trigger.METHODS:
                 raise ConfigError(f"unknown method {m!r}; valid: {', '.join(trigger.METHODS)}")

@@ -6,9 +6,10 @@ features of the observed prefix, then calibrated one-vs-rest with Platt
 sigmoids fitted on a held-out calibration set. The information-gain dataset
 screen fits such a collection at a few prefix windows and compares their AUCs.
 
-Every step runs once over a whole stack: series enter as (n, T) value
-matrices, features form an (L, n, d) tensor, the L descents run as one and
-so do the L·K Platt fits. Each
+Every step runs once over a whole stack, and its public function is the
+stacked form: series enter as (n, T) value matrices, prefix_features forms
+an (L, n, d) tensor, logloss_and_grad steps the L descents as one and
+fit_platt runs the L·K Platt fits as one. Each
 array form keeps the bits of the per-series, per-timestamp arithmetic: a
 score or a slope is one product per row (``np.matmul`` over a stack of rows;
 a single GEMM or GEMV over all rows rounds differently), and every summary
@@ -56,13 +57,17 @@ def default_timeline(length: int) -> SampledTimeline:
     return SampledTimeline(tuple(ts), length)
 
 
-def prefix_features(values: np.ndarray, t: int) -> np.ndarray:
-    """Summary features of each row's prefix values[:, :t], shape (n, 7):
-    mean, population std, least-squares slope, min, max, last value, mean
+def prefix_features(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
+    """(L, n, 7) summary features of the prefix values[:, :t] of each row
+    of the (n, T) values at each of the increasing timestamps t: mean,
+    population std, least-squares slope, min, max, last value, mean
     absolute first difference."""
-    if not 1 <= t <= values.shape[1]:
-        raise ValueError(f"t={t} outside [1, {values.shape[1]}]")
-    return _prefix_block(values, (t,))[0]
+    if not 1 <= timestamps[0] <= timestamps[-1] <= values.shape[1]:
+        raise ValueError(f"timestamps {list(timestamps)} outside [1, {values.shape[1]}]")
+    out = np.empty((len(timestamps), len(values), NUM_FEATURES))
+    for lo in range(0, len(values), _ROW_BLOCK):
+        out[:, lo : lo + _ROW_BLOCK] = _prefix_block(values[lo : lo + _ROW_BLOCK], timestamps)
+    return out
 
 
 def _prefix_block(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
@@ -107,15 +112,6 @@ def _running(op, head: np.ndarray, ts: Sequence[int]) -> np.ndarray:
     return run.T
 
 
-def _feature_stack(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
-    """(L, n, d) prefix features of every row of the (n, T) values at every
-    timestamp."""
-    out = np.empty((len(timestamps), len(values), NUM_FEATURES))
-    for lo in range(0, len(values), _ROW_BLOCK):
-        out[:, lo : lo + _ROW_BLOCK] = _prefix_block(values[lo : lo + _ROW_BLOCK], timestamps)
-    return out
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Probabilities along the last (class) axis. The row max and sum run
     over class slices, K-1 elementwise ops rather than one tiny reduction
@@ -144,20 +140,15 @@ def logloss_and_grad(
     """Mean multinomial log-loss with L2 on the weights (not the intercepts),
     plus its analytic gradient. Leading axes of weights (..., d, K),
     intercepts (..., K) and X (..., n, d) stack independent problems over the
-    same labels (n,); the loss then has the leading shape."""
-    return _loss_and_grad(weights, intercepts, X, np.swapaxes(X, -1, -2), np.arange(X.shape[-2]), labels, l2)
-
-
-def _loss_and_grad(weights, intercepts, X, Xt, rows, labels, l2):
-    """logloss_and_grad given X's transpose Xt and the row numbers rows,
-    which a descent forms once. Each mean is np.mean's sum and division
-    without its Python wrapper."""
-    n = len(rows)
+    same labels (n,); the loss then has the leading shape. Each mean is
+    np.mean's sum and division without its Python wrapper."""
+    n = X.shape[-2]
+    rows = np.arange(n)
     probs = softmax(np.matmul(X, weights) + intercepts[..., None, :])
     picked = np.maximum(probs[..., rows, labels], 1e-300)
     value = -(np.add.reduce(np.log(picked), axis=-1) / n) + 0.5 * l2 * np.add.reduce(weights**2, axis=(-2, -1))
     probs[..., rows, labels] -= 1.0  # now probs minus the one-hot labels
-    grad_w = np.matmul(Xt, probs) / n + l2 * weights
+    grad_w = np.matmul(np.swapaxes(X, -1, -2), probs) / n + l2 * weights
     # numpy adds the rows of an axis -2 sum in sequence; a contiguous copy
     # with that axis first adds them in the same order, all classes at once.
     series_first = probs.transpose((probs.ndim - 2, *range(probs.ndim - 2), probs.ndim - 1)).copy()
@@ -178,40 +169,29 @@ def fit_multinomial(
     weights = np.zeros(lead + (d, num_classes))
     intercepts = np.zeros(lead + (num_classes,))
     finite = np.ones(lead, dtype=bool)
-    step = (X, np.swapaxes(X, -1, -2), np.arange(X.shape[-2]), labels, hyper.l2)
     # A diverging fit is reported through `finite`, not by warnings.
     with np.errstate(all="ignore"):
         for _ in range(hyper.iters):
-            value, grad_w, grad_b = _loss_and_grad(weights, intercepts, *step)
+            value, grad_w, grad_b = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)
             finite &= np.isfinite(value)
             weights -= hyper.lr * grad_w
             intercepts -= hyper.lr * grad_b
-        value = _loss_and_grad(weights, intercepts, *step)[0]
+        value = logloss_and_grad(weights, intercepts, X, labels, hyper.l2)[0]
     finite &= np.isfinite(value) & np.isfinite(weights).all(axis=(-2, -1))
     return weights, intercepts, finite & np.isfinite(intercepts).all(axis=-1)
 
 
-def fit_platt(scores: np.ndarray, targets: np.ndarray) -> Tuple[float, float]:
-    """Fit p = 1 / (1 + exp(A * s + B)) by up to 100 Newton steps on the
-    log-loss.
+def fit_platt(scores: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, Optional[Tuple[int, str]]]:
+    """Fit p = 1 / (1 + exp(A * s + B)) to each row of the (P, n) scores and
+    0/1 targets by up to 100 Newton steps on the log-loss, with Platt's
+    smoothed targets to avoid saturation on separable scores. Returns the
+    (P, 2) coefficients (A, B) and the lowest failed row with its error
+    message (a non-finite Hessian determinant, A or B), or None.
 
-    Uses Platt's smoothed targets to avoid saturation on separable scores.
-    A non-finite Hessian determinant, A or B is a NumericError.
-    """
-    coefs, failure = _fit_platt_rows(np.asarray(scores, dtype=float)[None], np.asarray(targets)[None])
-    if failure is not None:
-        raise NumericError(failure[1])
-    a, b = coefs[0].tolist()
-    return a, b
-
-
-def _fit_platt_rows(scores: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, Optional[Tuple[int, str]]]:
-    """fit_platt of each row of the (P, n) scores and targets, in one Newton
-    loop over the rows still iterating: the (P, 2) coefficients (A, B) and
-    the lowest failed row with its error message, or None. Each row's sums
-    run along the contiguous last axis, numpy's pairwise sum of a single
-    row, and each row stops by its own tests, so a row's bits do not depend
-    on the others."""
+    One Newton loop runs over the rows still iterating. Each row's sums run
+    along the contiguous last axis, numpy's pairwise sum of a single row,
+    and each row stops by its own tests, so a row's bits do not depend on
+    the others."""
     n_pos = targets.sum(axis=1, dtype=float)
     n_neg = targets.shape[1] - n_pos
     t_pos = (n_pos + 1.0) / (n_pos + 2.0)
@@ -286,7 +266,7 @@ class ChronologicalClassifierCollection:
         T = self.timeline.series_length
         if values.ndim != 2 or values.shape[1] != T:
             raise DataError(f"series values of shape {values.shape}, expected (n, {T})")
-        scores = _scores(_feature_stack(values, self.timeline.timestamps), self)
+        scores = _scores(prefix_features(values, self.timeline.timestamps), self)
         per_class = platt_apply(self.platt[:, None, :, 0], self.platt[:, None, :, 1], scores)
         total = per_class.sum(axis=-1, keepdims=True)
         usable = (total > 0) & np.isfinite(total)
@@ -323,7 +303,7 @@ def fit_collection(
             raise DataError(f"classes {missing} absent from the {part} set")
 
     timestamps = timeline.timestamps
-    X = _feature_stack(train.values, timestamps)
+    X = prefix_features(train.values, timestamps)
     mean = X.mean(axis=1)
     std = X.std(axis=1)
     std = np.where(std < 1e-12, 1.0, std)
@@ -335,11 +315,11 @@ def fit_collection(
     collection = ChronologicalClassifierCollection(
         timeline, weights, intercepts, mean, std, np.empty((len(timestamps), num_classes, 2))
     )
-    calib_scores = _scores(_feature_stack(calibration_set.values, timestamps), collection)
+    calib_scores = _scores(prefix_features(calibration_set.values, timestamps), collection)
     # One row per (timestamp, class), in that order.
     rows = np.ascontiguousarray(calib_scores.transpose(0, 2, 1)).reshape(-1, len(calib_labels))
     targets = np.tile(calib_labels == np.arange(num_classes)[:, None], (len(timestamps), 1))
-    coefs, failure = _fit_platt_rows(rows, targets.astype(float))
+    coefs, failure = fit_platt(rows, targets.astype(float))
     if failure is not None:
         raise NumericError(f"timestamp {timestamps[failure[0] // num_classes]}: {failure[1]}")
     collection.platt[:] = coefs.reshape(collection.platt.shape)

@@ -116,14 +116,6 @@ class CostModel:
         return len(self.mis_matrix)
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a halting policy: the predicted label and the trigger time."""
-
-    predicted_label: int
-    trigger_time: int
-
-
 RECORD_FIELDS = (
     "dataset", "method", "alpha", "series_id", "true_label", "predicted_label",
     "trigger_time", "weighted_cost", "misclassification_cost", "delay_cost",

@@ -323,7 +323,9 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
     (dataset, method, alpha, series_id), the given table itself if it is
     already in that order, and one summary per (dataset, method, alpha)
     group, each over its contiguous slice. Two rows with one (dataset,
-    method, alpha value, series_id) key are a DataError naming the key."""
+    method, alpha value, series_id) key are a DataError naming the key, and
+    so is a group whose series ids are not its dataset's first group's
+    (_check_same_series); a dataset may lack a whole group."""
     dataset, method = _str_order(records.dataset), _str_order(records.method)
     series = _str_order(records.series_id)
     order = np.lexsort((series, records.alpha, method, dataset))
@@ -336,4 +338,28 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
         i = int(repeated[0])
         key = (table.dataset[i], table.method[i], float(table.alpha[i]), table.series_id[i])
         raise DataError(f"records repeat the (dataset, method, alpha, series_id) key {key!r}")
-    return ReportBundle(table, metrics.summarize_groups(table, np.flatnonzero(new_group), timelines), timelines)
+    starts = np.flatnonzero(new_group)
+    _check_same_series(table, series, dataset[starts], np.append(starts, len(table)))
+    return ReportBundle(table, metrics.summarize_groups(table, starts, timelines), timelines)
+
+
+def _check_same_series(table: RecordTable, series: np.ndarray, dataset: np.ndarray, bounds: np.ndarray) -> None:
+    """Every (method, alpha) group of a dataset holds the series ids of the
+    dataset's first group, else a DataError names a group and one id that it
+    lacks and another group holds. Group g is the rows bounds[g]:bounds[g + 1]
+    of the sorted table, dataset[g] is its dataset's rank and series holds
+    the rows' series ranks, sorted within each group: per dataset, one
+    (groups, size) comparison with the first group."""
+    firsts = np.flatnonzero(dataset != np.append(-1, dataset[:-1])).tolist()
+    for lo, hi in zip(firsts, firsts[1:] + [len(dataset)]):
+        sizes = np.diff(bounds[lo : hi + 1])
+        block = series[bounds[lo] : bounds[hi]]
+        if (sizes == sizes[0]).all() and (block.reshape(hi - lo, sizes[0]) == block[: sizes[0]]).all():
+            continue
+        ids = [set(table.series_id[bounds[g] : bounds[g + 1]].tolist()) for g in range(lo, hi)]
+        g = next(g for g in range(1, len(ids)) if ids[g] != ids[0])
+        short, full = (0, g) if ids[g] - ids[0] else (g, 0)
+        rows = bounds[[lo + short, lo + full]].tolist()
+        key = [(table.dataset[i], table.method[i], float(table.alpha[i])) for i in rows]
+        raise DataError(f"records of (dataset, method, alpha) {key[0]!r} lack series_id "
+                        f"{min(ids[full] - ids[short])!r}, which {key[1]!r} holds")

@@ -4,7 +4,8 @@ correction, and pairwise win/tie/loss comparisons."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import functools
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,16 +84,11 @@ def wilcoxon_signed_rank(diffs: Sequence[float]) -> Tuple[float, float]:
     P(min(S+, S-) <= W) under random signs, from the null distribution of S+
     counted over the doubled rank sums: tie-averaged ranks are whole or half
     numbers, so each rank r leaves the table as it is or shifts it by 2r.
-    Entries are multiples of 2**-n, so p is exactly count / 2**n for n <= 53.
+    Entries are multiples of 2**-n, so p is exactly count / 2**n for n <= 53;
+    for those n the order the ranks are added in cannot change a bit, and
+    every call shares one table per sorted doubled-rank tuple (_null_table).
+    A larger n builds its table in the ranks' own order.
     """
-    return _wilcoxon(diffs, {})
-
-
-def _wilcoxon(diffs: Sequence[float], nulls: Dict[Tuple[int, ...], np.ndarray]) -> Tuple[float, float]:
-    """wilcoxon_signed_rank, reading and filling nulls, the null table of
-    each sorted doubled-rank tuple with n <= 53: for those n the table's
-    entries are exact, so the order the ranks are added in cannot change a
-    bit. A larger n builds its table in the ranks' own order."""
     ranks, signs = _signed_ranks(diffs)
     if not ranks:
         return 0.0, 1.0
@@ -100,15 +96,18 @@ def _wilcoxon(diffs: Sequence[float], nulls: Dict[Tuple[int, ...], np.ndarray]) 
     total = sum(ranks)
     w = min(w_pos, total - w_pos)
     doubled = [int(2 * r) for r in ranks]
-    if len(doubled) <= 53:
-        key = tuple(sorted(doubled))
-        dist = nulls.get(key)
-        if dist is None:
-            dist = nulls[key] = _null_distribution(key)
-    else:
-        dist = _null_distribution(doubled)
+    dist = _null_table(tuple(sorted(doubled))) if len(doubled) <= 53 else _null_distribution(doubled)
     s_pos = np.arange(len(dist)) / 2.0
     return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
+
+
+@functools.lru_cache(maxsize=1024)
+def _null_table(doubled: Tuple[int, ...]) -> np.ndarray:
+    """_null_distribution of sorted doubled ranks, read-only, as every call
+    shares it."""
+    dist = _null_distribution(doubled)
+    dist.flags.writeable = False
+    return dist
 
 
 def _null_distribution(doubled: Sequence[int]) -> np.ndarray:
@@ -145,11 +144,10 @@ def pairwise_comparison(
 
 def pairwise_comparisons(costs_a: np.ndarray, costs_b: np.ndarray) -> List[Tuple[int, int, int, float]]:
     """pairwise_comparison of each column of two (datasets, pairs) cost
-    arrays of one shape. The columns share one cache of null tables."""
+    arrays of one shape."""
     wins = (costs_a < costs_b).sum(axis=0).tolist()
     ties = (costs_a == costs_b).sum(axis=0).tolist()
-    nulls: Dict[Tuple[int, ...], np.ndarray] = {}
     return [
-        (w, t, len(costs_a) - w - t, _wilcoxon(diffs, nulls)[1])
+        (w, t, len(costs_a) - w - t, wilcoxon_signed_rank(diffs)[1])
         for w, t, diffs in zip(wins, ties, (costs_a - costs_b).T.tolist())
     ]

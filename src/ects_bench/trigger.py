@@ -6,8 +6,9 @@ stack of n traces observed up to m <= L timestamps (``trigger_stats``):
 column j is the halt-or-wait answer at timeline index j, it reads nothing
 after column j, and every model halts at the final index. A series'
 decision is the first halt in its row, read at that index's argmax label.
-``decide`` and ``simulate_online`` replay the same definition one prefix at a
-time; they are the reference the tests hold the stacked decisions to.
+``simulate_online`` replays the same definition one prefix at a time, as
+the online process would; it is the reference the tests hold the stacked
+decisions to.
 
 Implemented policies: the Asap/Alap baselines, a max-probability threshold,
 a linear stopping rule over (p1, p2, t/T), an expected-cost Markov-chain
@@ -45,7 +46,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, Decision, SampledTimeline, delay_costs, earliest_min, quantiles, sweep_base, weighted_costs
+from .core import CostModel, SampledTimeline, delay_costs, earliest_min, quantiles, sweep_base, weighted_costs
 from .errors import DataError, NumericError
 
 # Every method the harness runs; a *_myopic method is its base method's horizon-1 variant.
@@ -123,21 +124,17 @@ class TriggerModel:
             make_myopic(self)  # raises: this policy has no myopic horizon
         return np.stack([self._rule(stats)] * len(myopic))
 
-    def decide(self, trace_prefix: np.ndarray, i: int, myopic: bool = False) -> np.ndarray:
-        """(A,) bool: True = halt now under that alpha, judged from the trace
-        up to index i alone."""
-        if not 0 <= i < min(len(self.timeline), len(trace_prefix)):
-            raise ValueError(f"index {i} outside the timeline or the prefix of {len(trace_prefix)}")
-        return self.halts(trigger_stats(np.asarray(trace_prefix)[None, : i + 1]), (myopic,))[0, :, 0, i]
 
-
-def simulate_online(model: TriggerModel, trace: np.ndarray, myopic: bool = False) -> List[Decision]:
-    """Replay the online process: decide at each index from its prefix alone,
-    and return each alpha's first halt's (timestamp, argmax label)."""
+def simulate_online(model: TriggerModel, trace: np.ndarray, myopic: bool = False) -> List[Tuple[int, int]]:
+    """Replay the online process on one (L, K) trace: at each index, the
+    halts of the trace's prefix up to it alone, and return each alpha's
+    first halt's (argmax label, timestamp)."""
     timeline = model.timeline
-    halted = [model.decide(trace[: i + 1], i, myopic) for i in range(len(timeline))]
+    if len(trace) != len(timeline):
+        raise ValueError(f"a trace of {len(trace)} steps on a timeline of {len(timeline)}")
+    halted = [model.halts(trigger_stats(trace[None, : i + 1]), (myopic,))[0, :, 0, i] for i in range(len(timeline))]
     # The forced halt at the last index gives every alpha a first halt.
-    return [Decision(int(np.argmax(trace[i])), timeline.timestamps[i]) for i in np.argmax(halted, axis=0).tolist()]
+    return [(int(np.argmax(trace[i])), timeline.timestamps[i]) for i in np.argmax(halted, axis=0).tolist()]
 
 
 class AsapTrigger(TriggerModel):
@@ -279,10 +276,6 @@ class EconomyTrigger(TriggerModel):
         self.ks = tuple(ks)
         self.bin_edges = tuple(bin_edges)
         self.priced = tuple(priced)
-
-    def expected_costs(self, a: int, group: int, t_idx: int) -> np.ndarray:
-        """Expected weighted cost under alpha a of halting at each tau >= t_idx, from group at t_idx."""
-        return self.priced[a][t_idx, group, t_idx:]
 
     def _halts(self, stats, myopic):
         """The alphas that chose one k share its groups."""

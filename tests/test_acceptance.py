@@ -112,7 +112,7 @@ def test_criterion_02_trigger_equivalences():
         raw = rng.random((len(timeline), 2))
         trace = raw / raw.sum(axis=1, keepdims=True)
         t_asap, t_alap, t_low, t_up, t_down = (
-            [d.trigger_time for d in simulate_online(model, trace)]
+            [time for _, time in simulate_online(model, trace)]
             for model in (asap, alap, low_theta, time_up, time_down)
         )
         ok &= t_low == t_asap and t_up == t_asap and t_down == t_alap
@@ -169,7 +169,7 @@ def test_criterion_04_expected_cost_hand_computation():
         labels.append(label)
     train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
     model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,), smoothing=0.0)
-    costs = model.expected_costs(0, 0, 0)
+    costs = model.priced[0][0, 0, 0:]
     ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
     record_acceptance(
         4, "single-group expected costs equal hand counts", ok,

@@ -264,8 +264,7 @@ class TestAlphaSweep:
                 got = list(zip(records.predicted_label[rows].tolist(),
                                records.trigger_time[rows].tolist()))
                 myopic = method.endswith("_myopic")
-                decisions = [trigger.simulate_online(model, trace, myopic)[0] for trace in test_traces]
-                want = [(d.predicted_label, d.trigger_time) for d in decisions]
+                want = [trigger.simulate_online(model, trace, myopic)[0] for trace in test_traces]
                 assert got == want, (method, alpha)
 
 
@@ -428,13 +427,17 @@ def _line(dataset="a", method="m", alpha="0.5", series="s1", true=0, predicted=0
 @st.composite
 def _records_lines(draw):
     """records.csv lines with distinct (dataset, method, alpha value,
-    series_id) keys (a repeated key is a data error)."""
-    keys = draw(st.lists(st.tuples(
+    series_id) keys (a repeated key is a data error), in whole groups: each
+    drawn (dataset, method, alpha) group holds its dataset's one drawn
+    series set (a group that lacks one of them is a data error too)."""
+    series_sets = {dataset: draw(st.lists(st.sampled_from(["s9", "s10", "s1", "s1\x00"]), min_size=1, unique=True))
+                   for dataset in sorted(TIMELINES)}
+    groups = draw(st.lists(st.tuples(
         st.sampled_from(sorted(TIMELINES)),
         st.sampled_from(["m1", "m10"]),
         st.sampled_from(["0.3", "0.30000000000000004", "0.10"]),
-        st.sampled_from(["s9", "s10", "s1", "s1\x00"]),
-    ), min_size=1, max_size=30, unique_by=lambda k: (k[0], k[1], float(k[2]), k[3])))
+    ), min_size=1, max_size=12, unique_by=lambda g: (g[0], g[1], float(g[2]))))
+    keys = [group + (sid,) for group in groups for sid in series_sets[group[0]]]
     cost = st.sampled_from(["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"])
     lines = []
     for dataset, method, alpha, series in keys:
@@ -520,6 +523,19 @@ class TestCli:
         report_dir = os.path.join(str(tmp_path), "rep")
         assert cli.main(["report", "--results", out_dir, "--out", report_dir]) == 0
         assert os.path.exists(os.path.join(report_dir, "summaries.csv"))
+
+    def test_negative_zero_alpha_written_as_zero(self, tmp_path, tiny_manifest):
+        files = {}
+        for name, zero in (("negative", -0.0), ("positive", 0.0)):
+            out = os.path.join(str(tmp_path), name)
+            config_path = _config_file(tmp_path, tiny_manifest, alpha_grid=[zero, 0.5], output_dir=out)
+            assert cli.main(["run", "--config", config_path]) == 0
+            files[name] = {}
+            for report_file in sorted(os.listdir(out)):
+                with open(os.path.join(out, report_file), "rb") as fh:
+                    files[name][report_file] = fh.read()
+        assert files["negative"] == files["positive"]
+        assert b",-0.0," not in files["negative"]["records.csv"]
 
     def test_config_error_exit_code(self, tmp_path, tiny_manifest):
         config_path = _config_file(tmp_path, tiny_manifest, methods=["teaser"])
@@ -860,9 +876,10 @@ class TestCli:
 
     # Damage to a results directory by case: the file, and None to delete it,
     # an edit of the fields of line 3 of records.csv (repeated_row follows it
-    # with a copy of itself), or an edit of the "tiny" entry of timelines.json.
-    # `report` must end with one data error line that names the file (and
-    # line, or dataset), or for a repeated row its key.
+    # with a copy of itself, and missing_series deletes it), or an edit of the
+    # "tiny" entry of timelines.json. `report` must end with one data error
+    # line that names the file (and line, or dataset), for a repeated row its
+    # key, and for a missing row its group and series id.
     BAD_RESULTS = {
         "missing_records": ("records.csv", None),
         "missing_timelines": ("timelines.json", None),
@@ -880,6 +897,7 @@ class TestCli:
         "weighted_cost_off_formula": ("records.csv", lambda f: f[:7] + [repr(float(f[7]) + 0.25)] + f[8:]),
         "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
         "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
+        "missing_series": ("records.csv", lambda f: None),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),
@@ -906,12 +924,19 @@ class TestCli:
             with open(path) as fh:
                 lines = fh.read().splitlines()
             fields = lines[2].split(",")
-            lines[2] = ",".join(edit(fields))
+            edited = edit(fields)
+            if edited is None:
+                del lines[2]
+            else:
+                lines[2] = ",".join(edited)
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             named = f"{path}:3:"
-            if case == "repeated_row":  # found once the rows are sorted: the error names the key
+            # Found once the rows are sorted: the error names the key, or the group and series.
+            if case == "repeated_row":
                 named = f"key ({fields[0]!r}, {fields[1]!r}, {fields[2]}, {fields[3]!r})"
+            if case == "missing_series":
+                named = f"({fields[0]!r}, {fields[1]!r}, {fields[2]}) lack series_id {fields[3]!r}, which"
         out = str(tmp_path / "rebuilt")
         self._assert_one_line_data_error(["report", "--results", results, "--out", out], named)
 

@@ -1,0 +1,60 @@
+"""One form per computation: every public function, class and method in
+src/ects_bench is loaded by name somewhere in src/, so the library offers
+only what its commands run. The exceptions are the names perfbench's tracer
+wraps, the per-method fits fit_methods looks up by name, and two entry
+points that only tests and callers outside src/ reach."""
+
+import ast
+import glob
+import importlib.util
+import os
+
+from ects_bench.trigger import METHODS
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src", "ects_bench")
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
+# data.generate_synthetic makes the test and benchmark datasets, and
+# core.misclassification_cost is the scalar formula the tests price against.
+ENTRY_POINTS = {("data", "generate_synthetic"), ("core", "misclassification_cost")}
+
+
+def _tracer_boundary():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {(mod_name, attr) for mod_name, attrs in module.BOUNDARY.items() for attr in attrs}
+
+
+def _public(name):
+    return not name.startswith("_")
+
+
+def unreached_names(src_dir, boundary):
+    """The (module, name) of each public module-level function or class and
+    each public method ("Class.method") of src_dir's modules that no module
+    there loads by name, less the exceptions."""
+    defined, loaded = [], set()
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node.name):
+                defined.append((module, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and _public(item.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    by_name = {("trigger", f"fit_{method}") for method in METHODS if not method.endswith("_myopic")}
+    exempt = boundary | by_name | ENTRY_POINTS
+    return [f"{module}.{qualified}" for module, qualified, name in defined
+            if name not in loaded and (module, qualified) not in exempt]
+
+
+def test_every_public_name_has_a_caller_in_src():
+    assert unreached_names(SRC, _tracer_boundary()) == []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ects_bench import stats as stats_module
 from ects_bench.core import quantiles
 
 from ects_bench.stats import (
@@ -230,6 +231,23 @@ class TestWilcoxon:
                                             sum(d > 0 for d in column))
             assert p == wilcoxon_signed_rank(column)[1]
             assert p == enumeration_wilcoxon(column)[1]
+
+    def test_shared_null_tables_cold_and_warm(self):
+        # Costs whose columns share tie patterns, compared in both orders:
+        # from a cold cache and from one the other order filled, every p is
+        # the enumeration's.
+        rng = np.random.default_rng(11)
+        costs_a = np.round(rng.random((8, 12)) * 4.0) / 4.0
+        costs_b = np.round(rng.random((8, 12)) * 4.0) / 4.0
+        costs_b[:, 6:] = costs_b[:, :6][::-1]  # tie patterns repeat across columns
+        want = {order: [enumeration_wilcoxon(column)[1] for column in (a - b).T.tolist()]
+                for order, (a, b) in (("ab", (costs_a, costs_b)), ("ba", (costs_b, costs_a)))}
+        for orders in (("ab", "ba"), ("ba", "ab")):
+            stats_module._null_table.cache_clear()
+            for order in orders:  # cold, then warm
+                a, b = (costs_a, costs_b) if order == "ab" else (costs_b, costs_a)
+                assert [r[3] for r in pairwise_comparisons(a, b)] == want[order], order
+            assert stats_module._null_table.cache_info().hits > 0
 
 
 class TestHolm:

@@ -70,7 +70,7 @@ def first_step_halts(model, p_t):
 
 def trigger_times(model, trace, myopic=False):
     """Each alpha's trigger time in the online replay of one trace."""
-    return [d.trigger_time for d in simulate_online(model, trace, myopic)]
+    return [time for _, time in simulate_online(model, trace, myopic)]
 
 
 def confident_correct_train_set(n=8, L=4, T=8):
@@ -97,29 +97,25 @@ class TestBaselines:
         train = random_train_set()
         model = AlapTrigger(train.timeline, 2)
         for trace in train.traces:
-            for d in simulate_online(model, trace):
-                assert d.trigger_time == train.timeline.timestamps[-1]
-                assert d.predicted_label == int(np.argmax(trace[-1]))
+            for label, time in simulate_online(model, trace):
+                assert time == train.timeline.timestamps[-1]
+                assert label == int(np.argmax(trace[-1]))
 
     def test_forced_halt_at_last_index(self):
         train = random_train_set()
         model = AlapTrigger(train.timeline, 1)
-        assert model.decide(train.traces[0], len(train.timeline) - 1).tolist() == [True]
+        assert model.halts(trigger_stats(train.traces[:1]))[0, :, 0, -1].tolist() == [True]
 
     def test_index_out_of_range(self):
+        """A trace shorter than the timeline would leave its last indices
+        unanswered, and a longer one is not on it: both are errors."""
         train = random_train_set()
-        with pytest.raises(ValueError):
-            AsapTrigger(train.timeline, 1).decide(train.traces[0], len(train.timeline))
-
-    @pytest.mark.parametrize("i, prefix_length", [(-2, 5), (-1, 5), (5, 5), (6, 5), (2, 2), (0, 0)])
-    def test_decide_rejects_an_index_outside_the_timeline_or_prefix(self, i, prefix_length):
-        """A negative index would read from the end, and a short prefix
-        would answer another index: both are errors."""
-        model = ProbaThresholdTrigger(SampledTimeline((1, 2, 3, 4, 5), 5), [0.8])
-        trace = np.tile([0.9, 0.1], (5, 1))
-        with pytest.raises(ValueError, match="index"):
-            model.decide(trace[:prefix_length], i)
-        assert model.decide(trace, 4).tolist() == [True]
+        model = AsapTrigger(train.timeline, 1)
+        trace = train.traces[0]
+        for off_timeline in (trace[:-1], trace[:0], np.vstack([trace, trace[-1:]])):
+            with pytest.raises(ValueError, match="a trace of"):
+                simulate_online(model, off_timeline)
+        assert simulate_online(model, trace) == [(int(np.argmax(trace[0])), train.timeline.timestamps[0])]
 
 
 class TestProbaThreshold:
@@ -245,9 +241,9 @@ class TestEconomy:
         train = hand_economy_train_set()
         cost = standard_cost_model(2, 0.5)
         model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
-        costs = model.expected_costs(0, 0, 0)
+        costs = model.priced[0][0, 0, 0:]
         np.testing.assert_allclose(costs, [0.45, 0.55], atol=1e-9)
-        assert model.decide(train.traces[0][:1], 0).tolist() == [True]
+        assert first_step_halts(model, train.traces[0][0]) is True
 
     def test_k1_reduces_to_empirical_error_rate(self):
         train = random_train_set(seed=8, n=20, L=4, K=2)
@@ -260,7 +256,7 @@ class TestEconomy:
         for j, t in enumerate(train.timeline.timestamps):
             err = float(np.mean(pred[:, j] != labels))
             expected = alpha * err + (1 - alpha) * (t / T)
-            assert model.expected_costs(0, 0, j)[0] == pytest.approx(expected, abs=1e-9)
+            assert model.priced[0][j, 0, j:][0] == pytest.approx(expected, abs=1e-9)
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
@@ -287,7 +283,7 @@ class TestEconomy:
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
             for g in range(model.ks[0]):
-                first = model.expected_costs(0, g, j)[0]
+                first = model.priced[0][j, g, j:][0]
                 immediate = alpha * mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
 
@@ -295,7 +291,7 @@ class TestEconomy:
         train = random_train_set(seed=12, n=20, L=5, K=2)
         zero = CostModel(((0.0, 0.0), (0.0, 0.0)), DelayCurve.LINEAR, 0.5)
         model = fit_economy(train, [zero], k_grid=(2,))
-        costs = model.expected_costs(0, 0, 0)
+        costs = model.priced[0][0, 0, 0:]
         assert all(b > a for a, b in zip(costs, costs[1:]))
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
         np.testing.assert_allclose(costs, 0.5 * d, atol=1e-12)
@@ -665,8 +661,8 @@ class TestEcec:
         train = confident_correct_train_set()
         model = fit_ecec(train, [standard_cost_model(2, 0.5)])
         for trace in train.traces:
-            [d] = simulate_online(model, trace)
-            assert d.trigger_time in train.timeline.timestamps
+            [(_, time)] = simulate_online(model, trace)
+            assert time in train.timeline.timestamps
 
 
 class TestCalimera:
@@ -716,11 +712,10 @@ class TestCalimera:
 
         waiting = Stub(model, 0.5)
         halting = Stub(model, -0.1)
-        prefix = train.traces[0][:1]
-        assert waiting.decide(prefix, 0).tolist() == [False]
-        assert halting.decide(prefix, 0).tolist() == [True]
+        assert first_step_halts(waiting, train.traces[0][0]) is False
+        assert first_step_halts(halting, train.traces[0][0]) is True
         # forced at last index regardless of prediction
-        assert waiting.decide(train.traces[0], len(train.timeline) - 1).tolist() == [True]
+        assert waiting.halts(trigger_stats(train.traces[:1]))[0, :, 0, -1].tolist() == [True]
 
     def test_stacked_deltas_equal_per_alpha_mat_vecs(self):
         """Each (horizon, alpha) block of the deltas is, bit for bit, its own
@@ -786,17 +781,17 @@ class TestMyopic:
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
         fixed = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.5, 0.6, 0.1], 1)])
         assert make_myopic(fixed) is fixed
-        prefix = train.traces[0][:1]
-        assert fixed.decide(prefix, 0).tolist() == [False]  # future min 0.1 beats 0.5
-        assert fixed.decide(prefix, 0, myopic=True).tolist() == [True]  # 0.5 <= 0.6
+        stats = trigger_stats(train.traces[:1, :1])
+        assert fixed.halts(stats, (False,))[0, :, 0, 0].tolist() == [False]  # future min 0.1 beats 0.5
+        assert fixed.halts(stats, (True,))[0, :, 0, 0].tolist() == [True]  # 0.5 <= 0.6
 
     def test_economy_decreasing_costs_both_wait(self):
         train = random_train_set(seed=21, n=20, L=3)
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
         model = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.9, 0.5, 0.2], 1)])
-        prefix = train.traces[0][:1]
-        assert model.decide(prefix, 0).tolist() == [False]
-        assert model.decide(prefix, 0, myopic=True).tolist() == [False]
+        stats = trigger_stats(train.traces[:1, :1])
+        assert model.halts(stats, (False,))[0, :, 0, 0].tolist() == [False]
+        assert model.halts(stats, (True,))[0, :, 0, 0].tolist() == [False]
 
     def test_calimera_myopic_uses_next_step_target(self):
         timeline = SampledTimeline((1, 2, 3), 3)
@@ -825,7 +820,7 @@ class TestMyopic:
         with pytest.raises(ValueError, match="AsapTrigger"):
             asap.halts(train.stats, (False, True))
         with pytest.raises(ValueError, match="ProbaThresholdTrigger"):
-            ProbaThresholdTrigger(train.timeline, [0.5]).decide(train.traces[0], 0, myopic=True)
+            simulate_online(ProbaThresholdTrigger(train.timeline, [0.5]), train.traces[0], myopic=True)
 
 
 class TestFitMethods:
@@ -893,7 +888,7 @@ class TestOnlineContract:
             assert halts.shape == (len(costs), 6, L) and halts[..., -1].all(), method
             assert np.array_equal(first[:, column], halts.argmax(axis=-1)), method
             for row, trace in enumerate(P):
-                online = [(d.predicted_label, d.trigger_time) for d in simulate_online(model, trace, myopic)]
+                online = simulate_online(model, trace, myopic)
                 got = [(int(stats.pred[row, i]), train.timeline.timestamps[i]) for i in first[:, column, row]]
                 assert got == online, (method, row)
             for i in range(L - 1):
