@@ -79,7 +79,7 @@ def pareto_front(points: Sequence[Tuple[float, float]]) -> List[bool]:
     front. A point dominates another with <= earliness and >= accuracy, at
     least one strict; equal points are both on the front or both off it.
     One (n, n) dominance matrix: entry [j, i] says whether j dominates i."""
-    if not points:
+    if len(points) == 0:
         raise ValueError("empty point list")
     e, a = np.asarray(points, dtype=float).T
     dominates = (e[:, None] <= e) & (a[:, None] >= a) & ((e[:, None] < e) | (a[:, None] > a))

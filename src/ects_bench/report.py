@@ -325,7 +325,9 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
     group, each over its contiguous slice. Two rows with one (dataset,
     method, alpha value, series_id) key are a DataError naming the key, and
     so is a group whose series ids are not its dataset's first group's
-    (_check_same_series); a dataset may lack a whole group."""
+    (_check_same_series) or that gives a series another true label or, at
+    one alpha, another oracle time or cost; a dataset may lack a whole
+    group."""
     dataset, method = _str_order(records.dataset), _str_order(records.method)
     series = _str_order(records.series_id)
     order = np.lexsort((series, records.alpha, method, dataset))
@@ -349,12 +351,14 @@ def _check_same_series(table: RecordTable, series: np.ndarray, dataset: np.ndarr
     lacks and another group holds. Group g is the rows bounds[g]:bounds[g + 1]
     of the sorted table, dataset[g] is its dataset's rank and series holds
     the rows' series ranks, sorted within each group: per dataset, one
-    (groups, size) comparison with the first group."""
+    (groups, size) comparison with the first group. A dataset that passes
+    has its groups' shared fields checked (_check_shared_fields)."""
     firsts = np.flatnonzero(dataset != np.append(-1, dataset[:-1])).tolist()
     for lo, hi in zip(firsts, firsts[1:] + [len(dataset)]):
         sizes = np.diff(bounds[lo : hi + 1])
         block = series[bounds[lo] : bounds[hi]]
         if (sizes == sizes[0]).all() and (block.reshape(hi - lo, sizes[0]) == block[: sizes[0]]).all():
+            _check_shared_fields(table, bounds[lo : hi + 1])
             continue
         ids = [set(table.series_id[bounds[g] : bounds[g + 1]].tolist()) for g in range(lo, hi)]
         g = next(g for g in range(1, len(ids)) if ids[g] != ids[0])
@@ -363,3 +367,27 @@ def _check_same_series(table: RecordTable, series: np.ndarray, dataset: np.ndarr
         key = [(table.dataset[i], table.method[i], float(table.alpha[i])) for i in rows]
         raise DataError(f"records of (dataset, method, alpha) {key[0]!r} lack series_id "
                         f"{min(ids[full] - ids[short])!r}, which {key[1]!r} holds")
+
+
+def _check_shared_fields(table: RecordTable, bounds: np.ndarray) -> None:
+    """`run` writes one true label per (dataset, series) and one oracle time
+    and cost per (dataset, alpha, series). One dataset's groups are the rows
+    bounds[g]:bounds[g + 1] of the sorted table, each holding the same series
+    in the same order: a group that gives a series another true label than
+    the first group does, or another oracle field than the first group of
+    its alpha does, is a DataError naming the series and both groups. One
+    (groups, size) comparison per field with the reference groups."""
+    groups, size = len(bounds) - 1, bounds[1] - bounds[0]
+    _, first_of_alpha, alpha = np.unique(table.alpha[bounds[:-1]], return_index=True, return_inverse=True)
+    for name, reference in (("true_label", np.zeros(groups, dtype=np.int64)),
+                            ("oracle_time", first_of_alpha[alpha]), ("oracle_cost", first_of_alpha[alpha])):
+        column = getattr(table, name)
+        block = column[bounds[0] : bounds[-1]].reshape(groups, size)
+        off = block != block[reference]
+        if off.any():
+            g, i = np.argwhere(off)[0].tolist()
+            pair = (bounds[g] + i, bounds[reference[g]] + i)
+            key, value = zip(*[((table.dataset[r], table.method[r], float(table.alpha[r])), column[r].item())
+                               for r in pair])
+            raise DataError(f"records of (dataset, method, alpha) {key[0]!r} and {key[1]!r} give series_id "
+                            f"{table.series_id[pair[0]]!r} {name} {value[0]!r} and {value[1]!r}")

@@ -39,7 +39,7 @@ def bootstrap_mean_ci(
     values: Sequence[float], level: float = 0.9, resamples: int = 10000, seed: int = 0
 ) -> Tuple[float, float]:
     """Percentile interval of resampled means; deterministic given the seed."""
-    if not values:
+    if len(values) == 0:
         raise ValueError("empty value list")
     lo, hi = bootstrap_mean_cis(np.asarray([values], dtype=float), [seed], level, resamples)[0].tolist()
     return lo, hi

@@ -24,7 +24,7 @@ asked, in one call. fit_methods runs the fits a method list needs, and
 first_halts asks each sweep once. In a tuned fit, the state that does not
 depend on alpha (every grid candidate's first halts, economy's groups,
 transitions and expected misclassification paths, ecec's precisions, kernel
-factorizations) is a local of that one call, so a sweep builds it once.
+systems) is a local of that one call, so a sweep builds it once.
 Each alpha then adds only the cost arithmetic; the oracle's tie rule
 (core.earliest_min) picks every alpha's parameters at once. A grid's
 candidates are a stacked leading axis, not models: each grid rule
@@ -521,26 +521,26 @@ class CalimeraTrigger(TriggerModel):
         return self.predicted_deltas(stats, myopic) <= 0.0
 
 
-def _calimera_factors(train: TriggerTrainSet, ridge: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _calimera_systems(train: TriggerTrainSet, ridge: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked over the non-final timestamps j: the inputs X (L-1, n, K+1),
     the RBF bandwidths (L-1,) (the median pairwise distance of X[j]) and the
-    Cholesky factors (L-1, n, n) of gram + ridge * I. None of it depends on
-    alpha."""
+    kernel systems (L-1, n, n) gram + ridge * I, each checked positive
+    definite by its Cholesky factorization. None of it depends on alpha."""
     P = train.traces
     n, L, K = P.shape
-    inputs, bandwidths, chols = np.empty((L - 1, n, K + 1)), np.empty(L - 1), np.empty((L - 1, n, n))
+    inputs, bandwidths, systems = np.empty((L - 1, n, K + 1)), np.empty(L - 1), np.empty((L - 1, n, n))
     for j in range(L - 1):
         inputs[j] = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
         sq = _sq_distances(inputs[j], inputs[j])
         bandwidth = bandwidths[j] = _median_pairwise_distance(sq)
-        system = _rbf_kernel(sq, bandwidth) + ridge * np.eye(n)
+        systems[j] = _rbf_kernel(sq, bandwidth) + ridge * np.eye(n)
         try:
-            chols[j] = np.linalg.cholesky(system)
+            np.linalg.cholesky(systems[j])
         except np.linalg.LinAlgError:
             raise NumericError(
                 f"kernel system not positive definite at timestamp {train.timeline.timestamps[j]}"
             ) from None
-    return inputs, bandwidths, chols
+    return inputs, bandwidths, systems
 
 
 def fit_calimera(
@@ -550,26 +550,24 @@ def fit_calimera(
 ) -> CalimeraTrigger:
     """Per non-final timestamp, regress the cost difference between halting
     now and the best realized future cost onto the probability vector plus
-    normalized time, with an RBF kernel-ridge solved by Cholesky. The
-    factorizations are built once per sweep; the whole sweep's targets are
-    then solved in one pair of stacked calls.
+    normalized time, with an RBF kernel ridge. The kernel systems are built
+    once per sweep; one stacked solve then solves each (alpha, timestamp)
+    system once, against that alpha's full and myopic targets as two columns.
 
     The myopic targets (next-step cost instead of the backward minimum) are
-    fitted alongside from the same factorization.
+    the second column of the same system.
     """
     base = sweep_base(costs)
-    inputs, bandwidths, chols = _calimera_factors(train, ridge)
+    inputs, bandwidths, systems = _calimera_systems(train, ridge)
     mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
     alphas = np.array([cost.alpha for cost in costs])[:, None, None]
     realized = weighted_costs(alphas, mis, delay_costs(base, train.timeline))  # (alphas, n, L)
-    targets = np.stack([realized - backward_min_costs(realized, m) for m in (False, True)], axis=1)
-    rhs = np.ascontiguousarray(targets[..., :-1].transpose(0, 3, 1, 2))[..., None]  # (alphas, L-1, 2, n, 1)
-    # Each stack item is its own one-column system with its own LU, as a
-    # single-vector call, so the bits do not depend on the stacking. The
-    # duals take rhs's C layout, so each (timestamp, target) row is contiguous.
-    y = np.linalg.solve(chols[:, None], rhs)
-    duals = np.linalg.solve(chols.transpose(0, 2, 1)[:, None], y)[..., 0]  # (alphas, L-1, 2, n)
-    return CalimeraTrigger(train.timeline, inputs, bandwidths, duals)
+    targets = np.stack([realized - backward_min_costs(realized, m) for m in (False, True)], axis=-1)
+    # One LU per (alpha, timestamp), as a one-alpha sweep's, so each alpha's
+    # bits do not depend on the others; one (n, 2A) solve per timestamp would.
+    duals = np.linalg.solve(systems, targets[:, :, :-1].swapaxes(1, 2))  # (alphas, L-1, n, 2)
+    # Each (alpha, timestamp, target) row of the duals is contiguous.
+    return CalimeraTrigger(train.timeline, inputs, bandwidths, np.ascontiguousarray(duals.swapaxes(-1, -2)))
 
 
 def make_myopic(model: TriggerModel) -> TriggerModel:

@@ -214,8 +214,8 @@ class TestAlphaSweep:
         assert len(records) == 9 * 11 * len(sweep_dataset.test)
         assert calls["build_economy"] == list(range(1, 21))
         assert len(calls["cholesky"]) == len(timeline) - 1
-        # The whole sweep's duals: one stacked solve against the factors, one against their transposes.
-        assert len(calls["solve"]) == 2
+        # The whole sweep's duals: one stacked solve of every (alpha, timestamp) system.
+        assert len(calls["solve"]) == 1
         # Per non-final timestamp: one train gram and one test-kernel block.
         assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
         # One halts call per base method answers every alpha and both horizons;
@@ -419,9 +419,11 @@ def _report(results, out):
 
 
 def _line(dataset="a", method="m", alpha="0.5", series="s1", true=0, predicted=0, t=None,
-          weighted="0.5", c_m="0.0", c_d="1.0", oracle_cost="0.25", regret="0.25"):
-    t = TIMELINES[dataset]["timestamps"][-1] if t is None else t
-    return f"{dataset},{method},{alpha},{series},{true},{predicted},{t},{weighted},{c_m},{c_d},{t},{oracle_cost},{regret}\n"
+          weighted="0.5", c_m="0.0", c_d="1.0", oracle_t=None, oracle_cost="0.25", regret="0.25"):
+    last = TIMELINES[dataset]["timestamps"][-1]
+    t, oracle_t = (last if value is None else value for value in (t, oracle_t))
+    return (f"{dataset},{method},{alpha},{series},{true},{predicted},{t},{weighted},{c_m},{c_d},"
+            f"{oracle_t},{oracle_cost},{regret}\n")
 
 
 @st.composite
@@ -429,7 +431,9 @@ def _records_lines(draw):
     """records.csv lines with distinct (dataset, method, alpha value,
     series_id) keys (a repeated key is a data error), in whole groups: each
     drawn (dataset, method, alpha) group holds its dataset's one drawn
-    series set (a group that lacks one of them is a data error too)."""
+    series set (a group that lacks one of them is a data error too). As
+    `run` writes them, a series has one true label, and one oracle time and
+    cost per alpha value (else a data error as well)."""
     series_sets = {dataset: draw(st.lists(st.sampled_from(["s9", "s10", "s1", "s1\x00"]), min_size=1, unique=True))
                    for dataset in sorted(TIMELINES)}
     groups = draw(st.lists(st.tuples(
@@ -439,14 +443,21 @@ def _records_lines(draw):
     ), min_size=1, max_size=12, unique_by=lambda g: (g[0], g[1], float(g[2]))))
     keys = [group + (sid,) for group in groups for sid in series_sets[group[0]]]
     cost = st.sampled_from(["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"])
+    times = {dataset: st.sampled_from(entry["timestamps"]) for dataset, entry in TIMELINES.items()}
+    true, oracle = {}, {}  # per (dataset, series), and per (dataset, alpha value, series)
     lines = []
     for dataset, method, alpha, series in keys:
-        c_m, c_d, oracle_cost = draw(cost), draw(cost), draw(cost)
+        if (dataset, series) not in true:
+            true[dataset, series] = draw(st.integers(0, 2))
+        if (dataset, float(alpha), series) not in oracle:
+            oracle[dataset, float(alpha), series] = draw(times[dataset]), draw(cost)
+        oracle_t, oracle_cost = oracle[dataset, float(alpha), series]
+        c_m, c_d = draw(cost), draw(cost)
         # The derived fields are their float64 formula, as `run` writes them.
         weighted = float(alpha) * float(c_m) + (1.0 - float(alpha)) * float(c_d)
-        line = _line(dataset, method, alpha, series, draw(st.integers(0, 2)), draw(st.integers(0, 2)),
-                     draw(st.sampled_from(TIMELINES[dataset]["timestamps"])), repr(weighted), c_m, c_d,
-                     oracle_cost, repr(weighted - float(oracle_cost)))
+        line = _line(dataset, method, alpha, series, true[dataset, series], draw(st.integers(0, 2)),
+                     draw(times[dataset]), repr(weighted), c_m, c_d, oracle_t, oracle_cost,
+                     repr(weighted - float(oracle_cost)))
         lines.append(line)
     return draw(st.permutations(lines))
 
@@ -879,7 +890,9 @@ class TestCli:
     # with a copy of itself, and missing_series deletes it), or an edit of the
     # "tiny" entry of timelines.json. `report` must end with one data error
     # line that names the file (and line, or dataset), for a repeated row its
-    # key, and for a missing row its group and series id.
+    # key, for a missing row its group and series id, and for a row whose
+    # true label or oracle field differs from another group's its group and
+    # series id.
     BAD_RESULTS = {
         "missing_records": ("records.csv", None),
         "missing_timelines": ("timelines.json", None),
@@ -898,6 +911,11 @@ class TestCli:
         "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
         "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
         "missing_series": ("records.csv", lambda f: None),
+        # Line 3 predicts a wrong label: swapping the two keeps its costs consistent.
+        "true_label_differs": ("records.csv", lambda f: f[:4] + [f[5], f[4]] + f[6:]),
+        "oracle_time_differs": ("records.csv", lambda f: f[:10] + [str(int(f[10]) + 1)] + f[11:]),
+        "oracle_cost_differs": ("records.csv", lambda f: f[:11] + [repr(float(f[11]) + 0.25),
+                                                                   repr(float(f[7]) - (float(f[11]) + 0.25))]),
         "timestamp_float": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, 1.5)),
         "timestamp_string": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, "1")),
         "timestamp_true": ("timelines.json", lambda e: e["timestamps"].__setitem__(0, True)),
@@ -937,6 +955,8 @@ class TestCli:
                 named = f"key ({fields[0]!r}, {fields[1]!r}, {fields[2]}, {fields[3]!r})"
             if case == "missing_series":
                 named = f"({fields[0]!r}, {fields[1]!r}, {fields[2]}) lack series_id {fields[3]!r}, which"
+            if case.endswith("_differs"):
+                named = f"({fields[0]!r}, {fields[1]!r}, {fields[2]}) give series_id {fields[3]!r} {case[:-8]}"
         out = str(tmp_path / "rebuilt")
         self._assert_one_line_data_error(["report", "--results", results, "--out", out], named)
 

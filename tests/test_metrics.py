@@ -262,6 +262,14 @@ class TestParetoFront:
         with pytest.raises(ValueError):
             pareto_front([])
 
+    @pytest.mark.parametrize("pts", [[(0.2, 0.9)], [(0.2, 0.9), (0.3, 0.8), (0.1, 0.95)], [(0.2, 0.9), (0.2, 0.9)]])
+    def test_array_equals_list(self, pts):
+        assert pareto_front(np.array(pts)) == pareto_front(pts)
+
+    def test_empty_array_is_an_empty_list(self):
+        with pytest.raises(ValueError, match="empty point list"):
+            pareto_front(np.empty((0, 2)))
+
     @given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])),
                     min_size=1, max_size=40))
     @settings(max_examples=80, deadline=None)

@@ -104,6 +104,14 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_mean_ci([1.0], level=1.0)
 
+    @pytest.mark.parametrize("values", [[0.3], [1.0, 2.0], [0.1, 0.4, 0.4, 0.9, 2.5]])
+    def test_array_equals_list(self, values):
+        assert bootstrap_mean_ci(np.array(values), seed=3) == bootstrap_mean_ci(values, seed=3)
+
+    def test_empty_array_is_an_empty_list(self):
+        with pytest.raises(ValueError, match="empty value list"):
+            bootstrap_mean_ci(np.array([]))
+
     @pytest.mark.parametrize("resamples", [0, -1])
     def test_resamples_below_one(self, resamples):
         with pytest.raises(ValueError, match="resamples must be >= 1"):

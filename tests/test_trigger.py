@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from ects_bench.trigger import (
     StoppingRuleTrigger,
     TriggerTrainSet,
     _build_economy,
-    _calimera_factors,
+    _calimera_systems,
     _ecec_confidences,
     _ecec_precisions,
     _economy_halts,
@@ -50,6 +53,8 @@ from ects_bench.trigger import (
     simulate_online,
     trigger_stats,
 )
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def random_train_set(seed=0, n=12, L=5, K=2, T=10):
@@ -743,26 +748,67 @@ class TestCalimera:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("L, alphas", [(1, (0.5,)), (2, (0.5,)), (2, (0.0, 1.0)), (5, (0.0, 0.3, 0.5, 0.9, 1.0))])
-    def test_duals_equal_per_vector_solves(self, L, alphas):
-        """The stacked solves give, bit for bit, each (alpha, timestamp,
-        target) system solved alone against its factor and its transpose."""
+    def test_duals_equal_one_solve_per_system(self, L, alphas):
+        """The stacked solve gives, bit for bit, each (alpha, timestamp)
+        system gram + ridge * I solved alone against that alpha's full and
+        myopic targets as two columns, and the duals solve it."""
         train = random_train_set(seed=25, n=12, L=L, K=3)
         ridge = 1e-2
         costs = [standard_cost_model(3, alpha) for alpha in alphas]
         model = fit_calimera(train, costs, ridge=ridge)
-        _, _, chols = _calimera_factors(train, ridge)
+        inputs, bandwidths, systems = _calimera_systems(train, ridge)
         mis = np.asarray(costs[0].mis_matrix)[train.stats.pred, train.labels[:, None]]
         delays = delay_costs(costs[0], train.timeline)
         assert sorted(vars(model)) == ["bandwidths", "duals", "inputs", "timeline"]
         assert model.duals.shape == (len(costs), L - 1, 2, len(train.labels)) and model.duals.flags.c_contiguous
+        for j in range(L - 1):
+            kernel = _rbf_kernel(_sq_distances(inputs[j], inputs[j]), float(bandwidths[j]))
+            assert np.array_equal(systems[j], kernel + ridge * np.eye(len(train.labels)))
         for a, cost in enumerate(costs):
             realized = weighted_costs(cost.alpha, mis, delays)
-            for row, myopic in enumerate((False, True)):
-                target = realized - backward_min_costs(realized, myopic)
-                for j in range(L - 1):
-                    y = np.linalg.solve(chols[j], target[:, j])
-                    want = np.linalg.solve(chols[j].T, y)
-                    assert np.array_equal(model.duals[a, j, row], want)
+            targets = np.stack([realized - backward_min_costs(realized, myopic) for myopic in (False, True)], axis=-1)
+            for j in range(L - 1):
+                want = np.linalg.solve(systems[j], targets[:, j])  # (n, 2): full and myopic columns
+                assert np.array_equal(model.duals[a, j], want.T), (a, j)
+                np.testing.assert_allclose(systems[j] @ model.duals[a, j].T, targets[:, j], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("blas_threads", [None, "1"], ids=["default-blas-threads", "one-blas-thread"])
+    def test_sweep_equals_one_alpha_fits_at_realistic_size(self, blas_threads):
+        """At n = 540 (a 300-per-class dataset's trigger partition) each alpha
+        of an 11-alpha sweep keeps a one-alpha fit's duals, deltas and halts
+        bit for bit, so a sweep's output does not depend on its alpha grid.
+        Also with single-threaded BLAS, as perfbench runs it: there one
+        (n, 2A) solve per timestamp moves the duals' bits, which it need not
+        do with more BLAS threads."""
+        if blas_threads is None:
+            assert one_alpha_mismatches() == []
+            return
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+        script = f"import sys; sys.path.insert(0, {TESTS!r}); import test_trigger as t; print(t.one_alpha_mismatches())"
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def one_alpha_mismatches():
+    """The (alpha index, array) pairs at which an 11-alpha calimera sweep at
+    n = 540, L = 4 and K = 3 differs from a one-alpha fit in its duals, its
+    predicted deltas or its halts, at both horizons."""
+    train = random_train_set(seed=26, n=540, L=4, K=3)
+    costs = [standard_cost_model(3, alpha / 10) for alpha in range(11)]
+    stats = trigger_stats(random_traces(np.random.default_rng(27), 60, 4, 3, coarse=False))
+    swept = fit_calimera(train, costs)
+    deltas, halts = swept.predicted_deltas(stats, (False, True)), swept.halts(stats, (False, True))
+    mismatches = []
+    for a, cost in enumerate(costs):
+        fresh = fit_calimera(train, [cost])
+        for name, got, want in (
+            ("duals", swept.duals[a], fresh.duals[0]),
+            ("deltas", deltas[:, a], fresh.predicted_deltas(stats, (False, True))[:, 0]),
+            ("halts", halts[:, a], fresh.halts(stats, (False, True))[:, 0]),
+        ):
+            if not np.array_equal(got, want):
+                mismatches.append((a, name))
+    return mismatches
 
 
 def crafted_cost_paths(path, k):
