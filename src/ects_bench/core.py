@@ -215,14 +215,17 @@ def weighted_costs(alpha: float, c_m, c_d):
     return alpha * c_m + (1.0 - alpha) * c_d
 
 
+TIE_MARGIN = 1e-15  # how far a value must beat the running best in earliest_min
+
+
 def earliest_min(values: np.ndarray) -> np.ndarray:
     """The tie rule: per row of an (n, C) array, the index of its least value
     in a left-to-right scan where a value must beat the running best (at
-    first +inf) by more than 1e-15, so ties keep the earliest. NaN never
-    wins; a row with no value below +inf gives index 0.
+    first +inf) by more than TIE_MARGIN, so ties keep the earliest. NaN
+    never wins; a row with no value below +inf gives index 0.
 
-    Every value scanned is at least the running best less 1e-15, so a value
-    not below all those before it (np.fmin skips NaN) cannot win: the scan
+    Every value scanned is at least the running best less TIE_MARGIN, so a
+    value not below all those before it (np.fmin skips NaN) cannot win: the scan
     visits only each row's strict prefix minima, the r-th of every row at
     once."""
     before = np.full(values.shape, math.inf)  # the least non-NaN value before each column
@@ -235,7 +238,7 @@ def earliest_min(values: np.ndarray) -> np.ndarray:
         at = rank == r
         row, col = rows[at], cols[at]
         value = values[row, col]
-        better = value < best[row] - 1e-15
+        better = value < best[row] - TIE_MARGIN
         best[row[better]] = value[better]
         index[row[better]] = col[better]
     return index

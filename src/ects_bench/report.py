@@ -24,7 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import metrics, stats
-from .core import COLUMN_DTYPE, RECORD_FIELDS, RECORD_TYPES, RecordTable, SampledTimeline, weighted_costs
+from .core import (COLUMN_DTYPE, RECORD_FIELDS, RECORD_TYPES, TIE_MARGIN, RecordTable, SampledTimeline,
+                   weighted_costs)
 from .errors import DataError, writing_to
 
 
@@ -80,17 +81,17 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
     columns = {}
     for k, (name, kind) in enumerate(zip(RECORD_FIELDS, RECORD_TYPES)):
         column = tokens[k::width]
-        # Each distinct token is converted once, and a str column shares one
-        # object per distinct value.
+        # Each distinct token is converted once (the dataset column's are the
+        # set checked above), and a str column shares one object per value.
         try:
-            value = {token: kind(token) for token in set(column)}
-            columns[name] = np.array(list(map(value.__getitem__, column)), dtype=COLUMN_DTYPE[kind])
+            value = {token: kind(token) for token in (datasets if k == 0 else set(column))}
+            columns[name] = np.fromiter(map(value.__getitem__, column), dtype=COLUMN_DTYPE[kind], count=len(lines))
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     floats = np.array([columns[name] for name in FLOAT_FIELDS])  # (fields, lines)
     bad = ~np.isfinite(floats)
     bad[0] = ~((floats[0] >= 0.0) & (floats[0] <= 1.0))  # also false for nan
-    # A cost is never negative; regret may be, by earliest_min's 1e-15 tie margin.
+    # A cost is never negative; regret may be, by earliest_min's tie margin.
     bad[1:-1] |= floats[1:-1] < 0.0
     if bad.any():
         k = int(bad.any(axis=1).argmax())  # the first bad field
@@ -108,6 +109,13 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
         if off.any():
             i = int(off.argmax())
             raise ValueError(f"{name} {float(columns[name][i])!r} is not {formula} = {float(expected[i])!r}")
+    # The oracle's cost is the least weighted cost on the series' own decision
+    # path, by core.earliest_min's tie test, so no decision on it costs less.
+    above = weighted < columns["oracle_cost"] - TIE_MARGIN
+    if above.any():
+        i = int(above.argmax())
+        raise ValueError(f"oracle_cost {float(columns['oracle_cost'][i])!r} is above "
+                         f"weighted_cost {float(weighted[i])!r}")
     for dataset in datasets:
         rows = columns["dataset"] == dataset
         for name in ("trigger_time", "oracle_time"):
@@ -122,8 +130,10 @@ def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> Record
     """The records write_reports wrote, each line kept as its row's text and
     parsed in blocks of PARSE_BLOCK_LINES. A row whose field count or field
     types are wrong, whose float field is not finite, alpha not in [0, 1] or
-    cost negative, whose dataset has no timeline, or whose trigger or oracle
-    time is not on that timeline is a DataError naming its path:line."""
+    cost negative, whose derived field is not its formula, whose oracle cost
+    is above its weighted cost, whose dataset has no timeline, or whose
+    trigger or oracle time is not on that timeline is a DataError naming its
+    path:line."""
     blocks: List[RecordTable] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:

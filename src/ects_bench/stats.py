@@ -45,28 +45,67 @@ def bootstrap_mean_ci(
     return lo, hi
 
 
+# A row of positive multiples of 1/2 whose doubled values sum to at most this
+# is counted (bootstrap_mean_cis, rule 2): its count table has at most this
+# many entries past zero, and every partial sum is exact.
+COUNTED_SUM_LIMIT = 1 << 16
+
+
 def bootstrap_mean_cis(
     rows: np.ndarray, seeds: Sequence[int], level: float = 0.9, resamples: int = 10000
 ) -> np.ndarray:
     """bootstrap_mean_ci of each row of an (m, n) array, row i drawn from
-    its own generator seeded with seeds[i]; returns (m, 2) (low, high). The
-    rows' resampled means are stacked and quantiled in one call. A row of
-    one value resamples to its own mean every time, so n == 1 draws nothing
-    and blends that mean with itself at the quantiles' positions."""
+    its own generator seeded with seeds[i]; returns (m, 2) (low, high), the
+    bits of drawing every row and quantiling its resample means
+    (core.quantiles). Each row takes one of three rules:
+
+    1. A row whose values are bitwise equal draws nothing: every resample is
+       the row itself, so its interval is the row's mean blended with itself
+       at the quantiles' positions (a row of one value is such a row). Bits,
+       not ==, decide, so a row mixing -0.0 and 0.0 is drawn: the sign of a
+       zero mean is the reduction's to give, not this rule's.
+    2. A row of positive multiples of 1/2 (every rank row) whose doubled
+       values sum to at most COUNTED_SUM_LIMIT draws its indices as rule 3
+       does and sums its doubled values. They are whole numbers, so every
+       partial sum is exact, here and in rule 3's sum of halves, and the
+       order of the additions cannot move a bit. One bincount, cumsum and
+       searchsorted over the sums find the order statistics each quantile
+       reads (core.quantile_positions' last index -1 taken modulo
+       resamples), and each mean is the exact sum * 0.5 / n, the division
+       np.mean makes.
+    3. Any other row takes the mean of each drawn resample, and the rows'
+       means are quantiled in one call."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
+    rows = np.ascontiguousarray(rows, dtype=float)  # C order: a row's mean sums as a resample's does
     n = rows.shape[1]
     qs = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
-    if n == 1:
-        mean = rows.mean(axis=1)
-        return lerp_quantiles(mean, mean, quantile_positions(resamples, qs)[2][:, None]).T
-    means = np.empty((len(rows), resamples))
-    for values, seed, out in zip(rows, seeds, means):
-        idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
-        out[:] = values.take(idx).mean(axis=1)
-    return quantiles(means, qs, axis=1).T
+    lo, hi, t = quantile_positions(resamples, qs)
+    bits = rows.view(np.int64)
+    constant = (bits == bits[:, :1]).all(axis=1)
+    with np.errstate(over="ignore"):  # a double past 2**1023 doubles to inf, which no count admits
+        doubled = 2.0 * rows
+    counted = ((rows > 0.0) & (doubled == np.floor(doubled))).all(axis=1) & (
+        doubled.max(axis=1, initial=0.0) * n <= COUNTED_SUM_LIMIT)
+    out = np.empty((len(rows), 2))
+    mean = rows[constant].mean(axis=1)
+    out[constant] = lerp_quantiles(mean, mean, t[:, None]).T
+    order = np.concatenate([lo, hi]) % resamples  # the order statistics to read, lo's then hi's
+    drawn, means = [], []
+    for i in np.flatnonzero(~constant).tolist():
+        idx = np.random.default_rng(seeds[i]).integers(0, n, size=(resamples, n))
+        if counted[i]:
+            sums = np.einsum("ij->i", doubled[i].astype(np.int64).take(idx))  # each resample's sum, exact
+            picked = np.searchsorted(np.cumsum(np.bincount(sums)), order, side="right") * 0.5 / n
+            out[i] = lerp_quantiles(picked[: len(qs)], picked[len(qs) :], t)
+        else:
+            drawn.append(i)
+            means.append(rows[i].take(idx).mean(axis=1))
+    if drawn:
+        out[drawn] = quantiles(np.array(means), qs, axis=1).T
+    return out
 
 
 def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:

@@ -433,7 +433,8 @@ def _records_lines(draw):
     drawn (dataset, method, alpha) group holds its dataset's one drawn
     series set (a group that lacks one of them is a data error too). As
     `run` writes them, a series has one true label, and one oracle time and
-    cost per alpha value (else a data error as well)."""
+    cost per alpha value (else a data error as well), and that oracle cost
+    is no more than any method's weighted cost there (else a data error)."""
     series_sets = {dataset: draw(st.lists(st.sampled_from(["s9", "s10", "s1", "s1\x00"]), min_size=1, unique=True))
                    for dataset in sorted(TIMELINES)}
     groups = draw(st.lists(st.tuples(
@@ -442,23 +443,28 @@ def _records_lines(draw):
         st.sampled_from(["0.3", "0.30000000000000004", "0.10"]),
     ), min_size=1, max_size=12, unique_by=lambda g: (g[0], g[1], float(g[2]))))
     keys = [group + (sid,) for group in groups for sid in series_sets[group[0]]]
-    cost = st.sampled_from(["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"])
+    costs = ["0.0", "0.5", "0.50", "1.0", "0.1", "1e-300", "0.30000000000000004"]
     times = {dataset: st.sampled_from(entry["timestamps"]) for dataset, entry in TIMELINES.items()}
-    true, oracle = {}, {}  # per (dataset, series), and per (dataset, alpha value, series)
-    lines = []
+    true, least = {}, {}  # per (dataset, series), and per (dataset, alpha value, series)
+    decisions = []
     for dataset, method, alpha, series in keys:
         if (dataset, series) not in true:
             true[dataset, series] = draw(st.integers(0, 2))
-        if (dataset, float(alpha), series) not in oracle:
-            oracle[dataset, float(alpha), series] = draw(times[dataset]), draw(cost)
-        oracle_t, oracle_cost = oracle[dataset, float(alpha), series]
-        c_m, c_d = draw(cost), draw(cost)
+        c_m, c_d = draw(st.sampled_from(costs)), draw(st.sampled_from(costs))
         # The derived fields are their float64 formula, as `run` writes them.
         weighted = float(alpha) * float(c_m) + (1.0 - float(alpha)) * float(c_d)
-        line = _line(dataset, method, alpha, series, true[dataset, series], draw(st.integers(0, 2)),
-                     draw(times[dataset]), repr(weighted), c_m, c_d, oracle_t, oracle_cost,
-                     repr(weighted - float(oracle_cost)))
-        lines.append(line)
+        oracle_key = (dataset, float(alpha), series)
+        least[oracle_key] = min(least.get(oracle_key, weighted), weighted)
+        decisions.append((dataset, method, alpha, series, draw(st.integers(0, 2)), draw(times[dataset]),
+                          repr(weighted), c_m, c_d))
+    # The oracle costs no more than any method's decision on its series.
+    oracle = {key: (draw(times[key[0]]), draw(st.sampled_from([c for c in costs if float(c) <= weighted])))
+              for key, weighted in least.items()}
+    lines = []
+    for dataset, method, alpha, series, predicted, t, weighted, c_m, c_d in decisions:
+        oracle_t, oracle_cost = oracle[dataset, float(alpha), series]
+        lines.append(_line(dataset, method, alpha, series, true[dataset, series], predicted, t, weighted,
+                           c_m, c_d, oracle_t, oracle_cost, repr(float(weighted) - float(oracle_cost))))
     return draw(st.permutations(lines))
 
 
@@ -485,6 +491,14 @@ class TestRecordTable:
         path = os.path.join(str(tmp_path), "records.csv")
         timelines = report.load_timelines_json(os.path.join(str(tmp_path), "timelines.json"))
         with pytest.raises(DataError, match=f"^{path}:{lineno}: true_label: invalid literal"):
+            report.load_records_csv(path, timelines)
+
+    def test_unknown_dataset_named_before_a_bad_float(self, tmp_path):
+        lines = [_line(series="s1"), "ghost" + _line(series="s2", weighted="x")[len("a"):]]
+        _write_results(str(tmp_path), lines)
+        path = os.path.join(str(tmp_path), "records.csv")
+        timelines = report.load_timelines_json(os.path.join(str(tmp_path), "timelines.json"))
+        with pytest.raises(DataError, match=f"^{path}:3: dataset 'ghost' has no timeline$"):
             report.load_records_csv(path, timelines)
 
     def test_non_canonical_float_kept_as_read(self, tmp_path):
@@ -909,6 +923,8 @@ class TestCli:
         "oracle_cost_negative": ("records.csv", lambda f: f[:11] + ["-0.5"] + f[12:]),
         "weighted_cost_off_formula": ("records.csv", lambda f: f[:7] + [repr(float(f[7]) + 0.25)] + f[8:]),
         "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
+        "oracle_cost_above_weighted_cost": ("records.csv", lambda f: f[:11] + [
+            repr(float(f[7]) + 0.25), repr(float(f[7]) - (float(f[7]) + 0.25))]),
         "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
         "missing_series": ("records.csv", lambda f: None),
         # Line 3 predicts a wrong label: swapping the two keeps its costs consistent.

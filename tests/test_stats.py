@@ -134,8 +134,8 @@ class TestBootstrap:
 
 
 def drawing_bootstrap_mean_cis(rows, seeds, level=0.9, resamples=10000):
-    """bootstrap_mean_cis as it was before its one-value branch: every row
-    draws its resamples."""
+    """bootstrap_mean_cis as it was before its per-row rules: every row
+    draws its resamples and quantiles their means."""
     n = rows.shape[1]
     means = np.empty((len(rows), resamples))
     for values, seed, out in zip(rows, seeds, means):
@@ -144,22 +144,52 @@ def drawing_bootstrap_mean_cis(rows, seeds, level=0.9, resamples=10000):
     return quantiles(means, [(1.0 - level) / 2.0, (1.0 + level) / 2.0], axis=1).T
 
 
+def _mixed_stacks():
+    """Stacks of rows of one length that take each of bootstrap_mean_cis'
+    three rules: bitwise-constant rows (rule 1), rank rows of positive
+    halves (rule 2) and everything else (rule 3), in one stack."""
+    rng = np.random.default_rng(12)
+    ranks = rng.integers(2, 19, size=(3, 12)) / 2.0
+    inf, nan = np.inf, np.nan
+    twelve = np.vstack([
+        np.full((10, 12), [[3.0], [1.5], [0.1], [-0.0], [0.0], [nan], [inf], [-inf], [1e308], [5e-324]]),
+        ranks,
+        [0.0, -0.0] * 6,  # equal under ==, not bitwise, and can draw a -0.0 mean
+        [-0.0] * 11 + [0.0],
+        [inf] + [1.0] * 11,
+        [inf, -inf] + [2.5] * 10,
+        [nan] + [1.5] * 11,
+        [0.0] + list(ranks[0, 1:]),  # halves with a zero
+        [-1.5] + list(ranks[1, 1:]),  # halves with a negative
+        [1e4] + list(ranks[2, 1:]),  # halves whose doubled sum passes the limit
+        rng.random(12) * rng.choice([1e-3, 1.0, 1e5], size=12),
+    ])
+    # 2048 * 2 * 16 is COUNTED_SUM_LIMIT: the first row is counted, the second drawn.
+    limit = np.vstack([[2048.0] + [0.5] * 15, [2048.5] + [0.5] * 15, [2048.0] * 16])
+    pairs = np.array([[1e308, 1e308], [1e308, 5e307], [1e308, -1e308], [1e308, 0.5], [0.5, 1.0]])
+    wide = np.vstack([np.full(200, 0.1), rng.integers(2, 19, size=200) / 2.0, np.full(200, 4.5)])
+    return [twelve, limit, pairs, wide]
+
+
 class TestOneValueRows:
-    """A row of one value resamples to its own mean every time; the branch
-    that skips the draws keeps the drawing path's bits, signed zeros and
-    NaN included."""
+    """A row of one value, and any row of bitwise-equal values, resamples to
+    its own mean every time; the branch that skips its draws keeps the
+    drawing path's bits, signed zeros and NaN included. So do the counted
+    rank rows and the drawn rows beside it in one stack."""
 
     VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308, 1.0, 1.5, 6.5, 9.0]
 
     @pytest.mark.parametrize("resamples", [1, 2, 3, 10000])
     @pytest.mark.parametrize("level", [0.5, 0.9])
     def test_equals_drawing_path(self, resamples, level):
-        rows = np.array(self.VALUES)[:, None]
-        seeds = list(range(len(rows)))
-        with np.errstate(invalid="ignore"):
-            got = bootstrap_mean_cis(rows, seeds, level, resamples)
-            want = drawing_bootstrap_mean_cis(rows, seeds, level, resamples)
-        assert got.tobytes() == want.tobytes()
+        stacks = [np.array(self.VALUES)[:, None]] + _mixed_stacks()
+        # ranks.csv passes its ranks transposed, in Fortran order.
+        for rows in stacks + [np.asfortranarray(rows) for rows in stacks]:
+            seeds = list(range(len(rows)))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = bootstrap_mean_cis(rows, seeds, level, resamples)
+                want = drawing_bootstrap_mean_cis(rows, seeds, level, resamples)
+            assert got.tobytes() == want.tobytes()
 
     def test_draws_nothing(self, monkeypatch):
         def no_draws(seed):
@@ -169,6 +199,23 @@ class TestOneValueRows:
         lo, hi = bootstrap_mean_ci([-0.0])
         assert math.copysign(1.0, lo) == math.copysign(1.0, hi) == 1.0  # the lerp's +0.0, not the value's -0.0
         assert bootstrap_mean_ci([2.5], level=0.5) == (2.5, 2.5)
+
+    def test_draws_once_per_varying_row(self, monkeypatch):
+        drawn = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            drawn.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        for rows in _mixed_stacks():
+            bits = rows.view(np.int64)
+            varying = np.flatnonzero((bits != bits[:, :1]).any(axis=1)).tolist()
+            drawn.clear()
+            with np.errstate(invalid="ignore", over="ignore"):
+                bootstrap_mean_cis(rows, list(range(100, 100 + len(rows))), resamples=50)
+            assert drawn == [100 + i for i in varying]
 
 
 class TestWilcoxon:
