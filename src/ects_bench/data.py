@@ -1,12 +1,14 @@
 """Dataset ingestion: series files and manifests, splitting, normalization,
 imbalancing and the synthetic generator. Nothing here fits a model.
 
-Series files are headerless ASCII text, one series per line:
-``label,v1,...,vT`` with finite values and '\n' or '\r\n' line endings;
-whitespace may surround a line but not appear inside it. Each value is read
-as float() reads it, and the writer writes each value as its repr, with '\n'
-endings, so a written file reads back bit for bit. A dataset manifest is a
-JSON object {name, train_file, test_file, num_classes, length}.
+A series file whose path ends in '.npy' is one float64 (n, 1 + T) matrix in
+numpy's .npy format, T >= 2, with finite values and each row's integer label
+in column 0; `prepare` writes its dataset parts so, with np.save, whose bytes
+are deterministic. Any other series file is headerless ASCII text, one series
+per line: ``label,v1,...,vT`` with finite values and '\n' or '\r\n' line
+endings; whitespace may surround a line but not appear inside it, and each
+value is read as float() reads it. A dataset manifest is a JSON object
+{name, train_file, test_file, num_classes, length}.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from tokenize import TokenError
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,8 +74,11 @@ _OUTSIDE_FORMAT = bytes(range(33)) + b"_" + bytes(range(128, 256))
 
 
 def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
-    """The raw labels and the (n, T) value matrix of a series file; a bad
-    line is a DataError naming its path:line."""
+    """The raw labels and the (n, T) value matrix of a series file: a .npy
+    matrix if the path ends in '.npy', text otherwise. A bad file is a
+    DataError naming its path, and a bad text line its path:line."""
+    if path.endswith(".npy"):
+        return _read_series_matrix(path)
     try:
         with open(path, "rb") as fh:
             lines = fh.read().split(b"\n")
@@ -80,6 +86,40 @@ def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
         raise DataError(f"cannot read series file {path}: {exc.strerror or exc}") from None
     parsed = _parse_series_bulk(lines)
     return parsed if parsed is not None else _parse_series_lines(path, lines)
+
+
+def _read_series_matrix(path: str) -> Tuple[List[int], np.ndarray]:
+    """The raw labels and value matrix of a .npy series file. The header's
+    shape is checked against the file's size before any data is read, so a
+    header that declares more data than the file holds allocates nothing."""
+    fmt = np.lib.format
+    try:
+        with open(path, "rb") as fh:
+            try:
+                version = fmt.read_magic(fh)  # a zip, pickle or text body fails here
+                read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+                shape, fortran_order, dtype = read_header(fh)
+            # numpy's header parser, ast.literal_eval on at most 10,000 bytes of
+            # text, lets each of these through for some malformed header.
+            except (ValueError, TypeError, MemoryError, RecursionError, TokenError) as exc:
+                raise DataError(f"{path}: not a .npy file ({str(exc) or type(exc).__name__})") from None
+            if dtype != np.float64 or len(shape) != 2 or shape[1] < 3:
+                raise DataError(f"{path}: expected a float64 (n, 1 + T) matrix with T >= 2, "
+                                f"found {dtype.str} values of shape {shape}")
+            data_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+            if shape[0] * shape[1] * 8 != data_bytes:
+                raise DataError(f"{path}: header declares shape {shape}, but the file holds "
+                                f"{data_bytes} data bytes")
+            matrix = np.fromfile(fh, np.float64).reshape(shape, order="F" if fortran_order else "C")
+    except OSError as exc:
+        raise DataError(f"cannot read series file {path}: {exc.strerror or exc}") from None
+    if not len(matrix):
+        raise DataError(f"{path}: no series")
+    for bad, what in ((~np.isfinite(matrix).all(axis=1), "a non-finite value"),
+                      (matrix[:, 0] != np.floor(matrix[:, 0]), "a label that is not an integer")):
+        if bad.any():
+            raise DataError(f"{path}: row {int(np.argmax(bad))} holds {what}")
+    return list(map(int, matrix[:, 0].tolist())), matrix[:, 1:]
 
 
 def _parse_series_bulk(lines: List[bytes]) -> Optional[Tuple[List[int], np.ndarray]]:
@@ -169,122 +209,22 @@ def load_dataset(train_path: str, test_path: str, name: str = "") -> Dataset:
                    len(raw_labels), train_values.shape[1])
 
 
-def save_series_file(series: SeriesSet, path: str) -> None:
-    """Write a series file: each row as ``label,v1,...,vT``, each value as its
-    repr, so that it reads back bit for bit."""
-    tables = _digit_tables()
-    rows = max(1, _BLOCK_VALUES // series.length)
-    with open(path, "wb") as fh:
-        for start in range(0, len(series), rows):
-            fh.write(_format_rows(series.labels[start:start + rows], series.values[start:start + rows], tables))
-
-
-# The writer formats short decimals as arrays and everything else with repr.
-# repr writes a finite double in fixed point, with at least one fraction
-# digit, when 1e-4 <= |x| < 1e16, using the fewest significant digits that
-# read back to x. If m / 10**f reads back to x for an integer m < 10**15 (the
-# division is exact and correctly rounded), that decimal is the only one of
-# at most 15 significant digits that does, so it is repr's digits.
-_BLOCK_VALUES = 1 << 16  # values formatted at a time
-_POW10 = 10.0 ** np.arange(19)
-
-
-def _digit_tables() -> Tuple[np.ndarray, np.ndarray]:
-    """For every n < 10**4: its four ASCII digits as one uint32, and the
-    count of trailing zeros among those digits."""
-    n = np.arange(10000)
-    quads = (n[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
-    trailing = (n[:, None] % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1, dtype=np.int8)
-    return quads.view(np.uint32).ravel(), trailing
-
-
-def _format_rows(labels: np.ndarray, values: np.ndarray, tables: Tuple[np.ndarray, np.ndarray]) -> bytes:
-    """The text of series file rows: the same bytes as joining each row's
-    label and value reprs with ',' and ending it with '\\n'."""
-    r, T = values.shape
-    # One slot per field, the label's first; slot text is kept from column
-    # start to the separator's column stop.
-    x = np.hstack([np.zeros((r, 1)), values]).ravel()
-    a = np.abs(x)
-    fixed = (a >= 1e-4) & (a < 1e14) | (a == 0.0)
-    # 14 - floor(log10 |x|) fraction digits give 15 significant digits; any
-    # f in [1, 18] keeps the text in the columns below.
-    f = np.clip(14.0 - np.floor(np.log10(np.where(fixed & (a != 0.0), a, 1.0))), 1, 18).astype(np.intp)
-    p = _POW10[f]
-    m = np.rint(np.where(fixed, a, 0.0) * p)
-    short = fixed & (m < 1e15) & (m / p == a)
-    short[::T + 1] = False
-    if 2 * np.count_nonzero(short) < values.size:  # mostly full precision: repr alone is cheaper
-        return "".join(",".join([str(label)] + list(map(repr, row))) + "\n"
-                       for label, row in zip(labels.tolist(), values.tolist())).encode()
-    m[~short] = 0.0
-    unit = (18 - f).astype(np.int8)  # the units digit's column in D
-    # D[j] is the ASCII digit of m for 10**(18 - j), from four 4-digit groups.
-    quads, trailing = tables
-    hi = np.floor(m / 1e8)
-    lo = m - hi * 1e8
-    groups = np.empty((4, x.size), np.intp)
-    groups[0] = np.floor(hi / 1e4)
-    groups[1] = hi - groups[0] * 1e4
-    groups[2] = np.floor(lo / 1e4)
-    groups[3] = lo - groups[2] * 1e4
-    digits = quads[groups].view(np.uint8)
-    D = np.empty((19, x.size), np.uint8)
-    D[:3] = 48
-    last = np.full(x.size, 2, np.int8)  # the last non-zero column
-    for k in range(4):
-        for i in range(4):
-            D[3 + 4 * k + i] = digits[k, i::4]
-        np.copyto(last, 6 + 4 * k - trailing[groups[k]], where=groups[k] != 0)
-    first = (19 - np.searchsorted(_POW10[:16], m, side="right")).astype(np.int8)
-    # Text columns: a sign's room, D[0..unit], the point, the rest of D.
-    lead = np.minimum(first, unit)
-    start = lead + 1 - np.signbit(x)
-    stop = unit + 3 + np.maximum(last - unit, 1)
-    # Labels and the other values are their own text, from the block's first
-    # used column.
-    longs = np.flatnonzero(~short)
-    strings = list(map(repr, x[longs].tolist()))
-    for i, label in zip(np.flatnonzero(longs % (T + 1) == 0).tolist(), labels.tolist()):
-        strings[i] = str(label)
-    chars = np.array(strings, dtype="S")
-    chars = chars.view(np.uint8).reshape(len(strings), chars.itemsize)
-    left = int(start[short].min())
-    start[longs] = left
-    stop[longs] = left + np.count_nonzero(chars, axis=1)
-    right = int(stop.max())
-    text = np.empty((right + 1 - left, x.size), np.uint8)  # columns left..right
-    for t in range(max(left, 1), min(right, 20) + 1):
-        text[t - left] = D[18] if t == 20 else np.where(unit >= t - 1, D[t - 1], D[t - 2])
-    shorts = np.flatnonzero(short)
-    text[unit[shorts] + 2 - left, shorts] = ord(".")
-    negative = shorts[np.signbit(x[shorts])]
-    text[lead[negative] - left, negative] = ord("-")
-    text[:chars.shape[1], longs] = chars.T
-    separators = np.full((r, T + 1), ord(","), np.uint8)
-    separators[:, T] = ord("\n")
-    text[stop - left, np.arange(x.size)] = separators.ravel()
-    keep = np.empty(text.shape, bool)
-    for t in range(left, right + 1):
-        np.logical_and(start <= t, stop >= t, out=keep[t - left])
-    return text.T[keep.T].tobytes()
-
-
 def save_dataset(dataset: Dataset, out_dir: str) -> Dict[str, object]:
-    """Write train/test files plus a manifest that names them relative to its
-    own directory; returns the manifest object. An output directory that
-    cannot be made or written is a ConfigError naming it."""
+    """Write train.npy and test.npy plus a manifest that names them relative
+    to its own directory; returns the manifest object. An output directory
+    that cannot be made or written is a ConfigError naming it."""
     manifest = {
         "name": dataset.name,
-        "train_file": "train.csv",
-        "test_file": "test.csv",
+        "train_file": "train.npy",
+        "test_file": "test.npy",
         "num_classes": dataset.num_classes,
         "length": dataset.length,
     }
     with writing_to("dataset", out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        save_series_file(dataset.train, os.path.join(out_dir, "train.csv"))
-        save_series_file(dataset.test, os.path.join(out_dir, "test.csv"))
+        for part, series in (("train", dataset.train), ("test", dataset.test)):
+            np.save(os.path.join(out_dir, manifest[f"{part}_file"]),
+                    np.hstack([series.labels[:, None], series.values]))
         with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -14,8 +16,10 @@ from hypothesis import strategies as st
 
 from ects_bench import bench, cli, metrics, report, trigger
 from ects_bench.core import RECORD_FIELDS, DelayCurve, RecordTable, SeriesSet, delay_costs, weighted_costs
-from ects_bench.data import Dataset, generate_synthetic, save_dataset, save_series_file
+from ects_bench.data import Dataset, generate_synthetic, save_dataset
 from ects_bench.errors import ConfigError, DataError
+
+from conftest import write_series_text
 
 
 def assert_same_table(a, b):
@@ -29,6 +33,33 @@ def tiny_manifest(tmp_path_factory):
     ds = generate_synthetic(9, 10, 4, 0.3, seed=0, name="tiny")
     save_dataset(ds, str(root))
     return os.path.join(str(root), "manifest.json")
+
+
+@pytest.fixture(scope="module")
+def tiny_text(tmp_path_factory):
+    """The tiny dataset's parts as series text files: {"train": path, "test": path}."""
+    root = str(tmp_path_factory.mktemp("tiny_text"))
+    ds = generate_synthetic(9, 10, 4, 0.3, seed=0, name="tiny")
+    return {part: write_series_text(os.path.join(root, f"{part}.csv"), series.labels, series.values)
+            for part, series in (("train", ds.train), ("test", ds.test))}
+
+
+def _npy_bytes(array, header=None):
+    """The bytes np.save writes for array, or, given a header dict, that
+    header followed by the array's data bytes."""
+    buffer = io.BytesIO()
+    if header is None:
+        np.save(buffer, array, allow_pickle=True)
+    else:
+        np.lib.format.write_array_header_1_0(buffer, header)
+        buffer.write(array.tobytes())
+    return buffer.getvalue()
+
+
+def _npz_bytes(array):
+    buffer = io.BytesIO()
+    np.savez(buffer, train=array)
+    return buffer.getvalue()
 
 
 def _config_file(tmp_path, manifest, **overrides):
@@ -527,10 +558,8 @@ class TestRecordTable:
 class TestCli:
     def test_prepare_and_screen(self, tmp_path, monkeypatch, capsys):
         ds = generate_synthetic(12, 12, 3, 0.1, seed=2)
-        train = os.path.join(str(tmp_path), "train.csv")
-        test = os.path.join(str(tmp_path), "test.csv")
-        save_series_file(ds.train, train)
-        save_series_file(ds.test, test)
+        train = write_series_text(os.path.join(str(tmp_path), "train.csv"), ds.train.labels, ds.train.values)
+        test = write_series_text(os.path.join(str(tmp_path), "test.csv"), ds.test.labels, ds.test.values)
         monkeypatch.chdir(tmp_path)
         out = os.path.join("rel", "ds")  # relative to the working directory
         assert cli.main(["prepare", "--train", train, "--test", test, "--out", out]) == 0
@@ -584,9 +613,29 @@ class TestCli:
         "inner_space": (b"0,1.0, 2.0\n1,1.0,2.0\n", 1),
         "non_ascii_digit": ("0,1.0,2.0\n\u0661,1.0,2.0\n".encode(), 2),
     }
+    # .npy series file bytes by case; each error names the file. Every case
+    # but the zip, pickle and text bodies starts with a .npy magic string.
+    GOOD_MATRIX = np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 1.0]])
+    BAD_MATRIX_FILES = {
+        "npy_truncated": _npy_bytes(GOOD_MATRIX)[:-8],
+        # 10**13 x 4 float64 values would take 291 TiB.
+        "npy_huge_header": _npy_bytes(np.zeros(12), {"descr": "<f8", "fortran_order": False,
+                                                     "shape": (10**13, 4)}),
+        "npy_zip": _npz_bytes(GOOD_MATRIX),
+        "npy_pickle_body": pickle.dumps(GOOD_MATRIX),
+        "npy_object_array": _npy_bytes(GOOD_MATRIX.astype(object)),
+        "npy_text_body": b"0,1.0,2.0\n1,2.0,1.0\n",
+        "npy_int64": _npy_bytes(GOOD_MATRIX.astype(np.int64)),
+        "npy_one_dimensional": _npy_bytes(GOOD_MATRIX.ravel()),
+        "npy_length_one": _npy_bytes(GOOD_MATRIX[:, :2]),
+        "npy_no_rows": _npy_bytes(GOOD_MATRIX[:0]),
+        "npy_nan": _npy_bytes(np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0]])),
+        "npy_label_not_integral": _npy_bytes(np.array([[0.5, 1.0, 2.0], [1.0, 2.0, 1.0]])),
+    }
     # Manifest contents by case: None = no file, "dir" = a directory in its
     # place, str = raw text, dict = JSON object. A series file named bad.csv
-    # holds its case's BAD_SERIES_FILES bytes. A BAD_NAMES case names a valid
+    # holds its case's BAD_SERIES_FILES bytes, and one named bad.npy its
+    # BAD_MATRIX_FILES bytes. A BAD_NAMES case names a valid
     # good.csv and a dataset name, with the text its error names (None: the
     # manifest path).
     BAD_NAMES = {
@@ -604,6 +653,7 @@ class TestCli:
         "no_test_file": {"train_file": "train.csv"},
         "missing_series_file": {"train_file": "absent.csv", "test_file": "absent.csv"},
         **{case: {"train_file": "bad.csv", "test_file": "bad.csv"} for case in BAD_SERIES_FILES},
+        **{case: {"train_file": "bad.npy", "test_file": "bad.npy"} for case in BAD_MATRIX_FILES},
         **{case: {"train_file": "good.csv", "test_file": "good.csv", "name": name}
            for case, (name, _) in BAD_NAMES.items()},
     }
@@ -635,14 +685,13 @@ class TestCli:
         ("prepare", {"cli", "core", "data", "errors"}),
         ("report", {"cli", "core", "errors", "metrics", "report", "stats"}),
     ])
-    def test_command_loads_only_its_modules(self, tmp_path, tiny_run, command, own_modules):
-        root = os.path.dirname(tiny_run[0].datasets[0])
+    def test_command_loads_only_its_modules(self, tmp_path, tiny_run, tiny_text, command, own_modules):
         results = str(tmp_path / "results")
         report.write_reports(tiny_run[1], results)
         args = {
             "help": ["--help"],
-            "prepare": ["prepare", "--train", os.path.join(root, "train.csv"),
-                        "--test", os.path.join(root, "test.csv"), "--out", str(tmp_path / "prepared")],
+            "prepare": ["prepare", "--train", tiny_text["train"], "--test", tiny_text["test"],
+                        "--out", str(tmp_path / "prepared")],
             "report": ["report", "--results", results, "--out", str(tmp_path / "rebuilt")],
         }[command]
         proc = self._cli_subprocess(args, launcher=("-c", self.LOADED_MODULES))
@@ -727,6 +776,10 @@ class TestCli:
         named = "absent.csv" if case == "missing_series_file" else manifest
         if case in self.BAD_SERIES_FILES:
             _, named = self._bad_series_file(tmp_path, case)
+        if case in self.BAD_MATRIX_FILES:
+            named = str(tmp_path / "bad.npy")
+            with open(named, "wb") as fh:
+                fh.write(self.BAD_MATRIX_FILES[case])
         if case in self.BAD_NAMES:
             with open(os.path.join(str(tmp_path), "good.csv"), "w") as fh:
                 fh.write("0,1.0,2.0\n1,2.0,1.0\n")
@@ -790,8 +843,8 @@ class TestCli:
     @pytest.mark.parametrize("case", ["run_empty_dir", "run_file_as_dir", "run_under_file",
                                       "report_file_as_dir", "prepare_empty_dir",
                                       "prepare_file_as_dir", "prepare_under_file"])
-    def test_unusable_output_directory_one_line_config_error(self, tmp_path, tiny_run, monkeypatch,
-                                                             capsys, case):
+    def test_unusable_output_directory_one_line_config_error(self, tmp_path, tiny_run, tiny_text,
+                                                             monkeypatch, capsys, case):
         a_file = str(tmp_path / "a_file")
         with open(a_file, "w") as fh:
             fh.write("kept\n")
@@ -809,9 +862,7 @@ class TestCli:
             report.write_reports(tiny_run[1], results)
             args = ["report", "--results", results, "--out", out]
         else:
-            root = os.path.dirname(tiny_run[0].datasets[0])
-            args = ["prepare", "--train", os.path.join(root, "train.csv"),
-                    "--test", os.path.join(root, "test.csv"), "--out", out]
+            args = ["prepare", "--train", tiny_text["train"], "--test", tiny_text["test"], "--out", out]
             what = "dataset"
         assert cli.main(args) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -819,9 +870,8 @@ class TestCli:
         with open(a_file) as fh:
             assert fh.read() == "kept\n"
 
-    def test_inline_dataset_validated_like_a_manifest(self, tmp_path, tiny_manifest, capsys):
-        root = os.path.dirname(tiny_manifest)
-        files = {"train_file": os.path.join(root, "train.csv"), "test_file": os.path.join(root, "test.csv")}
+    def test_inline_dataset_validated_like_a_manifest(self, tmp_path, tiny_text, capsys):
+        files = {"train_file": tiny_text["train"], "test_file": tiny_text["test"]}
         cases = [
             ({"test_file": files["test_file"]}, 2, "data error: config datasets[0]: missing train_file"),
             (dict(files, length=99), 2, "data error: config datasets[0]: says T=99"),
@@ -927,8 +977,9 @@ class TestCli:
             repr(float(f[7]) + 0.25), repr(float(f[7]) - (float(f[7]) + 0.25))]),
         "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
         "missing_series": ("records.csv", lambda f: None),
-        # Line 3 predicts a wrong label: swapping the two keeps its costs consistent.
-        "true_label_differs": ("records.csv", lambda f: f[:4] + [f[5], f[4]] + f[6:]),
+        # A class that is neither line 3's true nor its predicted label (tiny has K = 3).
+        "true_label_differs": ("records.csv", lambda f: f[:4] + [str(min({0, 1, 2} - {int(f[4]), int(f[5])}))]
+                               + f[5:]),
         "oracle_time_differs": ("records.csv", lambda f: f[:10] + [str(int(f[10]) + 1)] + f[11:]),
         "oracle_cost_differs": ("records.csv", lambda f: f[:11] + [repr(float(f[11]) + 0.25),
                                                                    repr(float(f[7]) - (float(f[11]) + 0.25))]),
@@ -980,10 +1031,8 @@ class TestCli:
         rng = np.random.default_rng(3)
         values = np.array([rng.normal(loc=float(c), size=6) for c in range(2) for i in range(20)])
         labels = np.repeat([0, 1], 20)
-        train = os.path.join(str(tmp_path), "train.csv")
-        test = os.path.join(str(tmp_path), "test.csv")
-        save_series_file(SeriesSet(tuple(f"tr-{i}" for i in range(40)), values, labels), train)
-        save_series_file(SeriesSet(tuple(f"te-{i}" for i in range(40)), values + 0.1, labels), test)
+        train = write_series_text(os.path.join(str(tmp_path), "train.csv"), labels, values)
+        test = write_series_text(os.path.join(str(tmp_path), "test.csv"), labels, values + 0.1)
         out = os.path.join(str(tmp_path), "imb")
         code = cli.main([
             "prepare", "--train", train, "--test", test, "--out", out,

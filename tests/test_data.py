@@ -16,7 +16,6 @@ from ects_bench.data import (
     load_manifest,
     make_imbalanced,
     save_dataset,
-    save_series_file,
     stratified_split,
     znormalize,
     znormalize_dataset,
@@ -87,7 +86,7 @@ class TestLoadDataset:
         ds2 = load_manifest(os.path.join(out1, "manifest.json"))
         out2 = os.path.join(tmp_path, "d2")
         save_dataset(ds2, out2)
-        for fname in ("train.csv", "test.csv"):
+        for fname in ("train.npy", "test.npy"):
             with open(os.path.join(out1, fname), "rb") as fh:
                 a = fh.read()
             with open(os.path.join(out2, fname), "rb") as fh:
@@ -106,48 +105,34 @@ class TestLoadDataset:
         assert back.train.values.tobytes() == values.tobytes()
         assert back.test.values.tobytes() == values[-1:].tobytes()
 
-
-def _repr_rows(labels, values):
-    """Series file text as each value's repr, joined: the writer's contract."""
-    return "".join(",".join([str(label)] + list(map(repr, row))) + "\n"
-                   for label, row in zip(labels, values.tolist())).encode()
-
-
-def _saved_bytes(labels, values):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "s.csv")
-        save_series_file(SeriesSet(tuple(map(str, range(len(labels)))), values, labels), path)
-        with open(path, "rb") as fh:
-            return fh.read()
+    def test_npy_matrix_in_either_order_loads_like_its_text(self, tmp_path):
+        text = "7,0.1,-2.5,3.0\n3,1.0,2.0,-0.0\n7,5e-324,1e300,4.0\n"
+        matrix = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()])
+        paths = [_write(tmp_path, "s.csv", text)]
+        for order in "CF":
+            paths.append(os.path.join(tmp_path, f"s{order}.npy"))
+            np.save(paths[-1], np.asarray(matrix, order=order))
+        loaded = [load_dataset(path, path, "s") for path in paths]
+        for ds in loaded[1:]:
+            assert ds.train.labels.tolist() == loaded[0].train.labels.tolist() == [1, 0, 1]
+            assert ds.train.values.tobytes() == loaded[0].train.values.tobytes()
 
 
-# Where repr changes between fixed and exponent notation (1e-4, 1e16) and
-# where 15 significant digits stop fitting below 10**15 (1e14, 1e15).
-_EDGES = [float(v) for edge in (1e-4, 1e14, 1e15, 1e16)
-          for v in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))]
-
-
-def _decimal(digits, k, negative):
-    """The decimal with the given significant digits whose first digit is at
-    10**k."""
-    return float(f"{'-' if negative else ''}{digits}e{k - len(str(digits)) + 1}")
-
-
-_SERIES_VALUES = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),  # with subnormals and -0.0
-    st.sampled_from([0.0, -0.0]),
-    st.builds(_decimal, st.integers(1, 17).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1)),
-              st.integers(-8, 17), st.booleans()),
-    st.tuples(st.sampled_from(_EDGES), st.booleans()).map(lambda t: -t[0] if t[1] else t[0]),
-)
-
-
-@st.composite
-def _series_rows(draw):
-    n, length = draw(st.integers(1, 4)), draw(st.integers(2, 12))
-    values = draw(st.lists(_SERIES_VALUES, min_size=n * length, max_size=n * length))
-    labels = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n))
-    return labels, np.array(values).reshape(n, length)
+@pytest.mark.parametrize("header", [
+    "{[1]: 2}",  # ast.literal_eval raises TypeError
+    "(" * 500,  # numpy's header filter raises tokenize.TokenError
+    "-" * 9000 + "1",  # the parser's stack overflows
+    "{'descr': 5, 'fortran_order': False, 'shape': (2, 3), }",
+    "{'descr': '<f8', 'fortran_order': False, 'shape': (2, 3), 'extra': 1}",
+], ids=["unhashable_key", "unclosed_parentheses", "deep_unary_minus", "bad_descr", "extra_key"])
+def test_malformed_npy_header_is_a_data_error(tmp_path, header):
+    text = (header + "\n").encode("ascii")
+    path = os.path.join(tmp_path, "bad.npy")
+    with open(path, "wb") as fh:
+        fh.write(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + bytes(48))
+    with pytest.raises(DataError) as info:
+        load_dataset(path, path)
+    assert str(info.value).startswith(f"{path}: not a .npy file")
 
 
 # Series file bytes: digits, number syntax, the separator, words float()
@@ -175,24 +160,6 @@ def _series_file_bytes(draw):
 
 
 class TestSeriesFileText:
-    @given(_series_rows())
-    @settings(max_examples=200, deadline=None)
-    @example(([0], np.array([[1e-4, -9.5e-05, 0.1 + 0.2, 150.0, 1e14, 99999999999999.0, -0.0, 5e-324]])))
-    def test_written_bytes_equal_the_repr_join(self, rows):
-        labels, values = rows
-        assert _saved_bytes(labels, values) == _repr_rows(labels, values)
-
-    def test_written_bytes_equal_the_repr_join_across_blocks(self):
-        # 65 rows of 1,000 values fit in a block; the first block mixes
-        # fixed-point decimals with values only repr writes, and the second
-        # holds full-precision rows.
-        rng = np.random.default_rng(3)
-        values = np.round(rng.normal(size=(70, 1000)) * 10.0 ** rng.integers(-5, 15, (70, 1)), 6)
-        values[:65:7, ::13] = rng.normal(size=(10, 77)) * 1e-6
-        values[65:] = rng.normal(size=(5, 1000))
-        labels = rng.integers(0, 1000, 70).tolist()
-        assert _saved_bytes(labels, values) == _repr_rows(labels, values)
-
     @given(_series_file_bytes())
     @settings(max_examples=200, deadline=None)
     @example(b"0,1.0,2.0\n1,nan,2.0\n")
@@ -439,16 +406,6 @@ def test_split_spec_validates_fractions():
         SplitSpec(classifier_fraction=0.0)
     with pytest.raises(ConfigError):
         SplitSpec(calibration_fraction_of_classifier_part=1.0)
-
-
-def test_save_series_file_round_trip(tmp_path):
-    series = SeriesSet(("a", "b"), [(0.1, -2.5, 3.0), (1.0, 2.0, 3.0)], [1, 0])
-    path = os.path.join(tmp_path, "s.csv")
-    save_series_file(series, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "1,0.1,-2.5,3.0"
-    assert lines[1] == "0,1.0,2.0,3.0"
 
 
 def test_dataset_validation_errors():
