@@ -29,7 +29,7 @@ import numpy as np
 from .core import SampledTimeline, SeriesSet
 from .data import Dataset, stratified_split
 from .errors import ConfigError, DataError, NumericError
-from .stats import _rank_ascending
+from .stats import per_dataset_ranks
 
 NUM_FEATURES = 7
 _ROW_BLOCK = 64
@@ -334,6 +334,7 @@ SCREEN_FULL = (75, 80, 85, 90, 95, 100)
 
 def _macro_ovr_auc(proba: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
     """Macro one-vs-rest AUC from probability scores, rank-based with ties."""
+    ranks = per_dataset_ranks(proba.T)  # (K, n): each class's scores ranked over the series
     aucs = []
     for c in range(num_classes):
         pos = labels == c
@@ -341,9 +342,7 @@ def _macro_ovr_auc(proba: np.ndarray, labels: np.ndarray, num_classes: int) -> f
         n_neg = len(labels) - n_pos
         if n_pos == 0 or n_neg == 0:
             continue
-        ranks = np.array(_rank_ascending(proba[:, c].tolist()))
-        rank_sum = ranks[pos].sum()
-        aucs.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        aucs.append((ranks[c, pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
     if not aucs:
         raise DataError("no class with both positives and negatives")
     return float(np.mean(aucs))

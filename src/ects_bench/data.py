@@ -7,14 +7,15 @@ in column 0; `prepare` writes its dataset parts so, with np.save, whose bytes
 are deterministic. Any other series file is headerless ASCII text, one series
 per line: ``label,v1,...,vT`` with finite values and '\n' or '\r\n' line
 endings; whitespace may surround a line but not appear inside it, and each
-value is read as float() reads it. A dataset manifest is a JSON object
-{name, train_file, test_file, num_classes, length}.
+value is read as float() reads it. A dataset manifest is a JSON object with
+no keys but {name, train_file, test_file, num_classes, length}.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from tokenize import TokenError
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -98,7 +99,9 @@ def _read_series_matrix(path: str) -> Tuple[List[int], np.ndarray]:
             try:
                 version = fmt.read_magic(fh)  # a zip, pickle or text body fails here
                 read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
-                shape, fortran_order, dtype = read_header(fh)
+                with warnings.catch_warnings():  # numpy reads a Python 2 header ('shape': (2L, 3L)) with a warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    shape, fortran_order, dtype = read_header(fh)
             # numpy's header parser, ast.literal_eval on at most 10,000 bytes of
             # text, lets each of these through for some malformed header.
             except (ValueError, TypeError, MemoryError, RecursionError, TokenError) as exc:
@@ -250,21 +253,22 @@ def dataset_from_manifest(manifest: object, where: str, base: str = "") -> Datas
     its files, is a DataError that starts with where."""
     if not isinstance(manifest, dict):
         raise DataError(f"{where}: root must be a JSON object")
+    for key, value in manifest.items():
+        kind = {"name": str, "train_file": str, "test_file": str, "num_classes": int, "length": int}.get(key)
+        if kind is None:
+            raise DataError(f"{where}: unknown key {key!r}")
+        if type(value) is not kind:  # a boolean is not an integer
+            raise DataError(f"{where}: {key} must be {'a string' if kind is str else 'an integer'}")
     missing = [key for key in ("train_file", "test_file") if key not in manifest]
     if missing:
         raise DataError(f"{where}: missing {' and '.join(missing)}")
-    if not all(isinstance(manifest[key], str) for key in ("train_file", "test_file")):
-        raise DataError(f"{where}: train_file and test_file must be strings")
-    if not isinstance(manifest.get("name", ""), str):
-        raise DataError(f"{where}: name must be a string")
     ds = load_dataset(
         os.path.join(base, manifest["train_file"]), os.path.join(base, manifest["test_file"]),
         manifest.get("name", ""),
     )
-    if "num_classes" in manifest and manifest["num_classes"] != ds.num_classes:
-        raise DataError(f"{where}: says K={manifest['num_classes']}, files have K={ds.num_classes}")
-    if "length" in manifest and manifest["length"] != ds.length:
-        raise DataError(f"{where}: says T={manifest['length']}, files have T={ds.length}")
+    for key, symbol, value in (("num_classes", "K", ds.num_classes), ("length", "T", ds.length)):
+        if manifest.get(key, value) != value:
+            raise DataError(f"{where}: says {symbol}={manifest[key]}, files have {symbol}={value}")
     return ds
 
 

@@ -32,9 +32,10 @@ candidates are a stacked leading axis, not models: each grid rule
 sweep applies it to its A parameters, and _fit_grid reads every
 candidate's first halt from it in blocks of at most _BLOCK_ELEMENTS halts.
 The stopping rule forms each (g1, g2) term once for all its g3, ecec its
-confidences once, and economy prices every alpha of one k in one table.
-Economy's halt table and calimera's targets share one horizon rule,
-backward_min_costs: the best later halt, or the next one if myopic.
+confidences once, and economy prices every alpha of one k in one table, from
+which it reads each alpha's (horizon, timestamp, group) halt table once; its
+halts look it up. Economy's halt tables and calimera's targets share one
+horizon rule, backward_min_costs: the best later halt, or the next if myopic.
 """
 
 from __future__ import annotations
@@ -269,21 +270,19 @@ def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> Sto
 
 
 class EconomyTrigger(TriggerModel):
-    def __init__(self, timeline, ks: Sequence[int], bin_edges: Sequence[np.ndarray], priced: Sequence[np.ndarray]):
+    def __init__(self, timeline, ks: Sequence[int], bin_edges: Sequence[np.ndarray], tables: Sequence[np.ndarray]):
         super().__init__(timeline)
         # Per alpha: its k, its k's (L, k-1) interior edges per timestamp, and
-        # its (L, k, L) expected weighted cost of halting at tau >= j from group g at j.
+        # its (2, L, k) full (row 0) and myopic (row 1) halt tables (_halt_tables).
         self.ks = tuple(ks)
         self.bin_edges = tuple(bin_edges)
-        self.priced = tuple(priced)
+        self.tables = tuple(tables)
 
     def _halts(self, stats, myopic):
-        """The alphas that chose one k share its groups."""
+        """A series halts as its alpha's table does at its group; the alphas that chose one k share its groups."""
         groups = {k: _groups(edges, stats.maxp) for k, edges in dict(zip(self.ks, self.bin_edges)).items()}
-        return np.array([
-            [_economy_halts(priced, groups[k], horizon) for k, priced in zip(self.ks, self.priced)]
-            for horizon in myopic
-        ])
+        j = np.arange(stats.maxp.shape[1])
+        return np.array([[table[int(h)][j, groups[k]] for k, table in zip(self.ks, self.tables)] for h in myopic])
 
 
 class _EconomyTables(NamedTuple):
@@ -329,20 +328,21 @@ def _expected_mis_paths(mis: np.ndarray, transitions: np.ndarray) -> np.ndarray:
 def _groups(bin_edges: np.ndarray, maxp: np.ndarray) -> np.ndarray:
     """(n, m) confidence group of each max probability: the number of its
     timestamp's interior bin edges (L, k-1) at or below it, in the least
-    integer type that holds k - 1 (fit_economy keeps one per k)."""
+    integer type that holds k - 1 (fit_economy makes one per k)."""
     below = bin_edges[None, : maxp.shape[1]] <= maxp[:, :, None]
     return below.sum(axis=2, dtype=np.min_scalar_type(bin_edges.shape[1]))
 
 
-def _economy_halts(priced: np.ndarray, groups: np.ndarray, myopic: bool = False) -> np.ndarray:
-    """(..., n, m) halts of series in groups (n, m) under priced (..., L, k, L)
-    costs: a series halts at index j in group g when halting now costs no
-    more than the best later halt (the next, if myopic; backward_min_costs),
-    and always at the last index."""
+def _halt_tables(priced: np.ndarray) -> np.ndarray:
+    """(..., 2, L, k) halt tables of priced (..., L, k, L) costs: True at
+    [h, j, g] when halting at index j from group g costs no more than the
+    best later halt (h = 0) or the next one (h = 1, myopic), both by
+    backward_min_costs; and always at the last index."""
     now = np.diagonal(priced, axis1=-3, axis2=-1)  # (..., k, L): priced[..., j, g, j]
-    table = (now <= np.diagonal(backward_min_costs(priced, myopic), axis1=-3, axis2=-1)).swapaxes(-1, -2)
+    table = np.stack([now <= np.diagonal(backward_min_costs(priced, myopic), axis1=-3, axis2=-1)
+                      for myopic in (False, True)], axis=-3).swapaxes(-1, -2)
     table[..., -1, :] = True
-    return table[..., np.arange(groups.shape[1]), groups]
+    return table
 
 
 def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float) -> Optional[_EconomyTables]:
@@ -378,26 +378,21 @@ def fit_economy(
     """Per cost model, select k by empirical mean weighted cost of the
     induced policy on the trigger train set; infeasible k (empty bin) are
     skipped; ties favor the smaller k. Each feasible k's tables are built
-    once per sweep and priced for every alpha at once; only the winners are
-    kept."""
+    once per sweep and priced for every alpha at once into its halt tables;
+    only each alpha's winning k, edges and halt tables are kept."""
     base = sweep_base(costs)
-    feasible = [(k, tables) for k in k_grid if (tables := _build_economy(train, base, k, smoothing)) is not None]
-    if not feasible:
-        raise DataError("no feasible k for the confidence partition")
     delays = delay_costs(base, train.timeline)
     alphas = np.array([cost.alpha for cost in costs])[:, None, None, None]
-    # Each k prices every alpha in one (alphas, L, k, L) table, kept only while its halts are read.
-    first = np.stack(
-        [_economy_halts(weighted_costs(alphas, t.mis_paths, delays), t.groups).argmax(axis=-1) for _, t in feasible],
-        axis=1,
-    )  # (alphas, feasible k, n)
-    means = _mean_costs(train, costs, first)
-    winners = [feasible[i] for i in earliest_min(means).tolist()]
-    del feasible  # the other k's tables go before the winners are priced
-    return EconomyTrigger(
-        train.timeline, [k for k, _ in winners], [t.bin_edges for _, t in winners],
-        [weighted_costs(cost.alpha, t.mis_paths, delays) for cost, (_, t) in zip(costs, winners)],
-    )
+    # Per feasible k: k, edges, every alpha's (2, L, k) halt tables, and the train partition's groups.
+    feasible = [(k, t.bin_edges, _halt_tables(weighted_costs(alphas, t.mis_paths, delays)), t.groups)
+                for k in k_grid if (t := _build_economy(train, base, k, smoothing)) is not None]
+    if not feasible:
+        raise DataError("no feasible k for the confidence partition")
+    j = np.arange(len(train.timeline))
+    first = np.stack([tables[:, 0, j, groups].argmax(axis=-1) for _, _, tables, groups in feasible], axis=1)
+    winners = earliest_min(_mean_costs(train, costs, first)).tolist()
+    ks, edges, tables, _ = zip(*(feasible[i] for i in winners))
+    return EconomyTrigger(train.timeline, ks, edges, [table[a] for a, table in enumerate(tables)])
 
 
 # ---------------------------------------------------------------------------

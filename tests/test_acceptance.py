@@ -19,8 +19,10 @@ from ects_bench.classify import logloss_and_grad
 from ects_bench.core import (
     SampledTimeline,
     delay_cost,
+    delay_costs,
     misclassification_cost,
     standard_cost_model,
+    weighted_costs,
 )
 from ects_bench.data import generate_synthetic, save_dataset
 from ects_bench.metrics import optimal_time
@@ -36,6 +38,7 @@ from ects_bench.trigger import (
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
     TriggerTrainSet,
+    _build_economy,
     backward_min_costs,
     fit_calimera,
     fit_economy,
@@ -168,9 +171,11 @@ def test_criterion_04_expected_cost_hand_computation():
         traces.append(np.stack([first, second]))
         labels.append(label)
     train = TriggerTrainSet(np.array(traces), np.array(labels), timeline)
-    model = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,), smoothing=0.0)
-    costs = model.priced[0][0, 0, 0:]
-    ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9))
+    cost = standard_cost_model(2, 0.5)
+    model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
+    costs = weighted_costs(0.5, _build_economy(train, cost, 1, 0.0).mis_paths, delay_costs(cost, timeline))[0, 0, 0:]
+    # One group: every series halts at once at both horizons, as 0.45 <= 0.55.
+    ok = bool(np.allclose(costs, [0.45, 0.55], atol=1e-9)) and bool(model.halts(train.stats, (False, True))[..., 0].all())
     record_acceptance(
         4, "single-group expected costs equal hand counts", ok,
         f"costs=({costs[0]:.6f}, {costs[1]:.6f})",

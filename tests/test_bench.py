@@ -56,6 +56,15 @@ def _npy_bytes(array, header=None):
     return buffer.getvalue()
 
 
+def _legacy_npy_bytes(array):
+    """array's version 1.0 .npy bytes with the header Python 2's numpy
+    wrote: each integer of its shape carries an 'L' suffix, (2L, 3L)."""
+    shape = ", ".join(f"{n}L" for n in array.shape)
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({shape}), }}"
+    text = header + " " * (-(len(header) + 11) % 64) + "\n"  # magic, length and header: 64-byte aligned
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("ascii") + array.tobytes()
+
+
 def _npz_bytes(array):
     buffer = io.BytesIO()
     np.savez(buffer, train=array)
@@ -631,18 +640,26 @@ class TestCli:
         "npy_no_rows": _npy_bytes(GOOD_MATRIX[:0]),
         "npy_nan": _npy_bytes(np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0]])),
         "npy_label_not_integral": _npy_bytes(np.array([[0.5, 1.0, 2.0], [1.0, 2.0, 1.0]])),
+        "npy_legacy_header_nan": _legacy_npy_bytes(np.array([[0.0, 1.0, np.nan], [1.0, 2.0, 1.0]])),
     }
     # Manifest contents by case: None = no file, "dir" = a directory in its
     # place, str = raw text, dict = JSON object. A series file named bad.csv
     # holds its case's BAD_SERIES_FILES bytes, and one named bad.npy its
     # BAD_MATRIX_FILES bytes. A BAD_NAMES case names a valid
     # good.csv and a dataset name, with the text its error names (None: the
-    # manifest path).
+    # manifest path). A BAD_KEYS case names good.csv and adds its entries,
+    # with the text its error names.
     BAD_NAMES = {
         "name_number": (5, None),
         "name_list": (["x"], None),
         "name_comma": ("a,b", "'a,b'"),
         "name_newline": ("a\nb", "'a\\nb'"),
+    }
+    BAD_KEYS = {
+        "unknown_key": ({"num_clases": 5}, "unknown key 'num_clases'"),
+        "length_float": ({"length": 2.0}, "length must be an integer"),
+        "num_classes_bool": ({"num_classes": True}, "num_classes must be an integer"),
+        "num_classes_string": ({"num_classes": "2"}, "num_classes must be an integer"),
     }
     BAD_MANIFESTS = {
         "missing": None,
@@ -656,6 +673,8 @@ class TestCli:
         **{case: {"train_file": "bad.npy", "test_file": "bad.npy"} for case in BAD_MATRIX_FILES},
         **{case: {"train_file": "good.csv", "test_file": "good.csv", "name": name}
            for case, (name, _) in BAD_NAMES.items()},
+        **{case: {"train_file": "good.csv", "test_file": "good.csv", **entries}
+           for case, (entries, _) in BAD_KEYS.items()},
     }
 
     @staticmethod
@@ -780,10 +799,10 @@ class TestCli:
             named = str(tmp_path / "bad.npy")
             with open(named, "wb") as fh:
                 fh.write(self.BAD_MATRIX_FILES[case])
-        if case in self.BAD_NAMES:
+        if case in self.BAD_NAMES or case in self.BAD_KEYS:
             with open(os.path.join(str(tmp_path), "good.csv"), "w") as fh:
                 fh.write("0,1.0,2.0\n1,2.0,1.0\n")
-            named = self.BAD_NAMES[case][1] or manifest
+            named = (self.BAD_NAMES.get(case) or self.BAD_KEYS[case])[1] or manifest
         if content == "dir":
             os.mkdir(manifest)
         elif isinstance(content, str):
@@ -796,6 +815,29 @@ class TestCli:
         if command == "run":
             args = ["--config", _config_file(tmp_path, manifest)]
         self._assert_one_line_data_error([command, *args], named)
+
+    @pytest.mark.parametrize("command", ["screen", "run"])
+    def test_legacy_npy_header_loads_silently(self, tmp_path, tiny_manifest, command):
+        """Series files whose .npy headers Python 2's numpy wrote load as
+        their np.save twins do, with nothing on stderr."""
+        root = os.path.dirname(tiny_manifest)
+        for part in ("train", "test"):
+            (tmp_path / f"{part}.npy").write_bytes(_legacy_npy_bytes(np.load(os.path.join(root, f"{part}.npy"))))
+        legacy = tmp_path / "manifest.json"
+        legacy.write_text(json.dumps({"name": "tiny", "train_file": "train.npy", "test_file": "test.npy"}))
+        outputs = []
+        for i, manifest in enumerate((tiny_manifest, str(legacy))):
+            out = str(tmp_path / f"out{i}")
+            args = ["--manifest", manifest] if command == "screen" else ["--config", _config_file(
+                tmp_path, manifest, output_dir=out)]
+            proc = self._cli_subprocess([command, *args])
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            if command == "screen":
+                outputs.append(proc.stdout)
+            else:
+                with open(os.path.join(out, "records.csv"), "rb") as fh:
+                    outputs.append(fh.read())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("case", sorted(BAD_SERIES_FILES))
     def test_bad_series_file_prepare_one_line_data_error(self, tmp_path, case):
@@ -878,6 +920,9 @@ class TestCli:
             (dict(files, num_classes=2), 2, "data error: config datasets[0]: says K=2"),
             (dict(files, name=5), 2, "data error: config datasets[0]: name must be a string"),
             (dict(files, name=["x"]), 2, "data error: config datasets[0]: name must be a string"),
+            (dict(files, num_clases=3), 2, "data error: config datasets[0]: unknown key 'num_clases'"),
+            (dict(files, length=9.0), 2, "data error: config datasets[0]: length must be an integer"),
+            (dict(files, num_classes=True), 2, "data error: config datasets[0]: num_classes must be an integer"),
             (dict(files, name="a\rb"), 2, "data error: dataset 'a\\rb': a name cannot hold"),
             (dict(files, name="inline", num_classes=3, length=9), 0, None),
         ]

@@ -31,10 +31,10 @@ from ects_bench.trigger import (
     _calimera_systems,
     _ecec_confidences,
     _ecec_precisions,
-    _economy_halts,
     _expected_mis,
     _expected_mis_paths,
     _groups,
+    _halt_tables,
     _krr_inputs,
     _rbf_kernel,
     _sq_distances,
@@ -241,27 +241,48 @@ def hand_economy_train_set():
     return TriggerTrainSet(np.array(traces), np.array(labels), timeline)
 
 
+def economy_priced(train, cost, k, smoothing=1.0):
+    """The (L, k, L) expected weighted cost, under cost's alpha, of halting
+    at tau >= j from group g at j, that a k-bin economy model halts by."""
+    return weighted_costs(cost.alpha, _build_economy(train, cost, k, smoothing).mis_paths,
+                          delay_costs(cost, train.timeline))
+
+
+def assert_economy_halts_are_reference(model, train, costs, stats, smoothing=1.0):
+    """Each alpha's halts, at both horizons, are reference_economy_halts of
+    its k's priced table."""
+    halts = model.halts(stats, (False, True))
+    for a, cost in enumerate(costs):
+        priced = economy_priced(train, cost, model.ks[a], smoothing)
+        groups = _groups(model.bin_edges[a], stats.maxp)
+        for h, myopic in enumerate((False, True)):
+            assert np.array_equal(halts[h, a], reference_economy_halts(priced, groups, myopic)), (a, myopic)
+
+
 class TestEconomy:
     def test_hand_counts_k1(self):
         train = hand_economy_train_set()
         cost = standard_cost_model(2, 0.5)
         model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
-        costs = model.priced[0][0, 0, 0:]
+        costs = economy_priced(train, cost, 1, smoothing=0.0)[0, 0, 0:]
         np.testing.assert_allclose(costs, [0.45, 0.55], atol=1e-9)
         assert first_step_halts(model, train.traces[0][0]) is True
+        assert_economy_halts_are_reference(model, train, [cost], train.stats, smoothing=0.0)
 
     def test_k1_reduces_to_empirical_error_rate(self):
         train = random_train_set(seed=8, n=20, L=4, K=2)
         alpha = 0.3
         cost = standard_cost_model(2, alpha)
         model = fit_economy(train, [cost], k_grid=(1,), smoothing=0.0)
+        priced = economy_priced(train, cost, 1, smoothing=0.0)
         P, labels = train.traces, train.labels
         pred = P.argmax(axis=2)
         T = train.timeline.series_length
         for j, t in enumerate(train.timeline.timestamps):
             err = float(np.mean(pred[:, j] != labels))
             expected = alpha * err + (1 - alpha) * (t / T)
-            assert model.priced[0][j, 0, j:][0] == pytest.approx(expected, abs=1e-9)
+            assert priced[j, 0, j:][0] == pytest.approx(expected, abs=1e-9)
+        assert_economy_halts_are_reference(model, train, [cost], train.stats, smoothing=0.0)
 
     def test_transition_rows_sum_to_one(self):
         train = random_train_set(seed=9, n=30, L=5, K=3)
@@ -283,23 +304,26 @@ class TestEconomy:
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
         model = fit_economy(train, [cost], k_grid=(2,))
+        priced = economy_priced(train, cost, 2)
         mis_paths = _build_economy(train, cost, 2, 1.0).mis_paths
         d = train.timeline.timestamps
         T = train.timeline.series_length
         for j in range(len(train.timeline)):
             for g in range(model.ks[0]):
-                first = model.priced[0][j, g, j:][0]
+                first = priced[j, g, j:][0]
                 immediate = alpha * mis_paths[j, g, j] + (1 - alpha) * (d[j] / T)
                 assert first == pytest.approx(immediate, abs=1e-12)
+        assert_economy_halts_are_reference(model, train, [cost], train.stats)
 
     def test_zero_matrix_costs_increase_with_delay(self):
         train = random_train_set(seed=12, n=20, L=5, K=2)
         zero = CostModel(((0.0, 0.0), (0.0, 0.0)), DelayCurve.LINEAR, 0.5)
         model = fit_economy(train, [zero], k_grid=(2,))
-        costs = model.priced[0][0, 0, 0:]
+        costs = economy_priced(train, zero, 2)[0, 0, 0:]
         assert all(b > a for a, b in zip(costs, costs[1:]))
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
         np.testing.assert_allclose(costs, 0.5 * d, atol=1e-12)
+        assert_economy_halts_are_reference(model, train, [zero], train.stats)
 
     def test_all_infeasible_k_errors(self):
         train = random_train_set(seed=13, n=6, L=3, K=2)
@@ -313,33 +337,45 @@ class TestEconomy:
         b = fit_economy(train, [cost])
         assert a.ks == b.ks
         np.testing.assert_array_equal(a.bin_edges[0], b.bin_edges[0])
-        np.testing.assert_array_equal(a.priced[0], b.priced[0])
+        np.testing.assert_array_equal(a.tables[0], b.tables[0])
+        assert_economy_halts_are_reference(a, train, [cost], train.stats)
 
-    def test_model_is_its_winning_tables_priced(self):
+    def test_model_is_its_halt_tables(self, monkeypatch):
+        """A fitted sweep keeps each alpha's k, edges and halt tables alone,
+        and its halts price nothing: they only look the tables up."""
         train = random_train_set(seed=15, n=30, L=5, K=3)
         costs = [standard_cost_model(3, alpha) for alpha in (0.0, 0.3, 1.0)]
-        delays = delay_costs(costs[0], train.timeline)
         model = fit_economy(train, costs)
-        assert sorted(vars(model)) == ["bin_edges", "ks", "priced", "timeline"]
-        assert not hasattr(model, "priced_costs")
-        halts = model.halts(train.stats, (False, True))
+        assert sorted(vars(model)) == ["bin_edges", "ks", "tables", "timeline"]
         for a, cost in enumerate(costs):
-            tables = _build_economy(train, cost, model.ks[a], 1.0)
-            np.testing.assert_array_equal(model.bin_edges[a], tables.bin_edges)
-            np.testing.assert_array_equal(model.priced[a], weighted_costs(cost.alpha, tables.mis_paths, delays))
-            for h, myopic in enumerate((False, True)):
-                np.testing.assert_array_equal(halts[h, a], _economy_halts(model.priced[a], tables.groups, myopic))
+            np.testing.assert_array_equal(model.bin_edges[a], _build_economy(train, cost, model.ks[a], 1.0).bin_edges)
+            assert model.tables[a].shape == (2, len(train.timeline), model.ks[a])
+
+        want = [[reference_economy_halts(economy_priced(train, cost, model.ks[a]),
+                                         _groups(model.bin_edges[a], train.stats.maxp), myopic)
+                 for a, cost in enumerate(costs)] for myopic in (False, True)]
+
+        def priced(*args, **kwargs):
+            raise AssertionError("halts priced a cost")
+
+        for name in ("weighted_costs", "backward_min_costs", "delay_costs"):
+            monkeypatch.setattr(trigger_module, name, priced)
+        assert np.array_equal(model.halts(train.stats, (False, True)), np.array(want))
 
     def test_sweep_groups_train_once_per_k_and_builds_one_model(self, monkeypatch):
         train = random_train_set(seed=16, n=60, L=6, K=3)
         costs = [standard_cost_model(3, alpha / 10) for alpha in range(11)]
         k_grid = tuple(range(1, 21))
         assert all(_build_economy(train, costs[0], k, 1.0) is not None for k in k_grid)
-        train_groups, built = [], []
+        train_groups, built, priced_alphas = [], [], []
 
         def groups_spy(bin_edges, maxp):
             train_groups.append(maxp is train.stats.maxp)
             return _groups(bin_edges, maxp)
+
+        def tables_spy(priced):
+            priced_alphas.append(len(priced))
+            return _halt_tables(priced)
 
         class Counted(EconomyTrigger):
             def __init__(self, *args, **kwargs):
@@ -348,8 +384,12 @@ class TestEconomy:
 
         monkeypatch.setattr(trigger_module, "_groups", groups_spy)
         monkeypatch.setattr(trigger_module, "EconomyTrigger", Counted)
+        monkeypatch.setattr(trigger_module, "_halt_tables", tables_spy)
         model = fit_economy(train, costs, k_grid=k_grid)
         assert train_groups.count(True) == len(k_grid) == len(train_groups)
+        assert priced_alphas == [len(costs)] * len(k_grid)  # each k's halt tables, every alpha's, derived once
+        model.halts(train.stats, (False, True))
+        assert len(priced_alphas) == len(k_grid) and len(train_groups) == len(k_grid) + len(set(model.ks))
         assert [tuple(ks) for ks in built] == [model.ks] and len(model.ks) == len(costs)
 
     @settings(max_examples=60, deadline=None)
@@ -392,8 +432,9 @@ class TestEconomy:
                     continue
                 priced = weighted_costs(alpha, tables.mis_paths, delay_costs(cost, train.timeline))
                 every_group = np.tile(np.arange(k)[:, None], (1, L))  # row g: group g at every index
-                full = _economy_halts(priced, every_group)
-                myopic = _economy_halts(priced, every_group, myopic=True)
+                full, myopic = _halt_tables(priced).swapaxes(-1, -2)  # each (k, L)
+                for m, table in ((False, full), (True, myopic)):
+                    assert np.array_equal(table, reference_economy_halts(priced, every_group, m))
                 for j in range(L - 1):
                     for g in range(k):
                         costs = priced[j, g, j:]
@@ -503,7 +544,9 @@ def reference_build_economy(train, cost, k, smoothing):
 
 
 def reference_economy_halts(priced, groups, myopic=False):
-    """_economy_halts for one priced (L, k, L) table."""
+    """The (n, m) halts of series in groups (n, m) under one priced (L, k, L)
+    table: halt at index j in group g when halting now costs no more than
+    the best later halt (the next, if myopic), and always at the last index."""
     j = np.arange(priced.shape[0])
     table = priced[j, :, j] <= backward_min_costs(priced, myopic)[j, :, j]
     table[-1] = True
@@ -511,8 +554,9 @@ def reference_economy_halts(priced, groups, myopic=False):
 
 
 class TestStackedEconomy:
-    """Economy prices every alpha of a k in one table and counts with
-    np.bincount; both keep the bits of the per-alpha and np.add.at forms."""
+    """Economy prices every alpha of a k in one table, reads its halt tables
+    from it, and counts with np.bincount; each keeps the bits of the
+    per-alpha and np.add.at forms."""
 
     @pytest.mark.parametrize("seed,n,L,K,smoothing", [(50, 40, 6, 3, 1.0), (51, 90, 11, 2, 0.0), (52, 7, 1, 3, 1.0)])
     def test_tables_equal_add_at_counts(self, seed, n, L, K, smoothing):
@@ -532,9 +576,11 @@ class TestStackedEconomy:
         delays = delay_costs(costs[0], train.timeline)
         alphas = np.array([cost.alpha for cost in costs])[:, None, None, None]
         tables = _build_economy(train, costs[0], 4, 1.0)
-        stacked = _economy_halts(weighted_costs(alphas, tables.mis_paths, delays), tables.groups, myopic)
-        for cost, got in zip(costs, stacked):
+        stacked = _halt_tables(weighted_costs(alphas, tables.mis_paths, delays))[:, int(myopic)]  # (alphas, L, k)
+        j = np.arange(len(train.timeline))
+        for cost, table in zip(costs, stacked):
             priced = weighted_costs(cost.alpha, tables.mis_paths, delays)
+            got = table[j, tables.groups]
             assert np.array_equal(got, reference_economy_halts(priced, tables.groups, myopic))
             assert np.array_equal(got[:, :5], reference_economy_halts(priced, tables.groups[:, :5], myopic))
 
@@ -572,7 +618,7 @@ def test_train_set_checks_its_shapes():
 
 
 SWEEP_FITS = [fit_asap, fit_alap, fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
-PER_ALPHA = ("thetas", "gammas", "ks", "bin_edges", "priced", "duals")  # a sweep's attributes with an alpha axis
+PER_ALPHA = ("thetas", "gammas", "ks", "bin_edges", "tables", "duals")  # a sweep's attributes with an alpha axis
 
 
 class TestFitState:
@@ -821,23 +867,35 @@ def crafted_cost_paths(path, k):
     return costs
 
 
+def assert_crafted_halts_are_reference(model, priced, stats):
+    """A one-alpha model built from priced's halt tables halts, at both
+    horizons, as reference_economy_halts of priced."""
+    groups = _groups(model.bin_edges[0], stats.maxp)
+    for h, myopic in enumerate((False, True)):
+        assert np.array_equal(model.halts(stats, (myopic,))[0, 0], reference_economy_halts(priced, groups, myopic))
+
+
 class TestMyopic:
     def test_economy_rule_difference(self):
         train = random_train_set(seed=20, n=20, L=3)
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
-        fixed = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.5, 0.6, 0.1], 1)])
+        priced = crafted_cost_paths([0.5, 0.6, 0.1], 1)
+        fixed = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [_halt_tables(priced)])
         assert make_myopic(fixed) is fixed
         stats = trigger_stats(train.traces[:1, :1])
         assert fixed.halts(stats, (False,))[0, :, 0, 0].tolist() == [False]  # future min 0.1 beats 0.5
         assert fixed.halts(stats, (True,))[0, :, 0, 0].tolist() == [True]  # 0.5 <= 0.6
+        assert_crafted_halts_are_reference(fixed, priced, train.stats)
 
     def test_economy_decreasing_costs_both_wait(self):
         train = random_train_set(seed=21, n=20, L=3)
         base = fit_economy(train, [standard_cost_model(2, 0.5)], k_grid=(1,))
-        model = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [crafted_cost_paths([0.9, 0.5, 0.2], 1)])
+        priced = crafted_cost_paths([0.9, 0.5, 0.2], 1)
+        model = EconomyTrigger(base.timeline, base.ks, base.bin_edges, [_halt_tables(priced)])
         stats = trigger_stats(train.traces[:1, :1])
         assert model.halts(stats, (False,))[0, :, 0, 0].tolist() == [False]
         assert model.halts(stats, (True,))[0, :, 0, 0].tolist() == [False]
+        assert_crafted_halts_are_reference(model, priced, train.stats)
 
     def test_calimera_myopic_uses_next_step_target(self):
         timeline = SampledTimeline((1, 2, 3), 3)
