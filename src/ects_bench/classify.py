@@ -43,8 +43,9 @@ class ClassifierHyper:
     lr: float = 0.1
 
     def __post_init__(self):
-        if not (self.l2 >= 0.0 and 0 <= self.iters <= MAX_ITERS and self.lr > 0.0):  # NaN fails too
-            raise ConfigError(f"classifier needs l2 >= 0, 0 <= iters <= {MAX_ITERS} and lr > 0, got {self}")
+        # NaN and +inf fail too: json reads the literals NaN and Infinity.
+        if not (0.0 <= self.l2 < math.inf and 0 <= self.iters <= MAX_ITERS and 0.0 < self.lr < math.inf):
+            raise ConfigError(f"classifier needs finite l2 >= 0 and lr > 0, and 0 <= iters <= {MAX_ITERS}, got {self}")
 
 
 def default_timeline(length: int) -> SampledTimeline:

@@ -106,8 +106,8 @@ class CostModel:
         for i, row in enumerate(matrix):
             if row[i] != 0.0:
                 raise ValueError(f"mis_matrix diagonal entry [{i}][{i}] must be 0")
-            if any(c < 0 for c in row):
-                raise ValueError("mis_matrix entries must be nonnegative")
+            if not all(0.0 <= c < math.inf for c in row):  # NaN fails too
+                raise ValueError("mis_matrix entries must be finite and nonnegative")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 

@@ -24,7 +24,7 @@ class SplitError(DataError):
 
 
 class NumericError(EctsBenchError):
-    """A numeric procedure diverged or a linear system could not be solved."""
+    """A numeric procedure diverged."""
 
 
 @contextmanager

@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import CostModel, SampledTimeline, delay_costs, earliest_min, quantiles, sweep_base, weighted_costs
-from .errors import DataError, NumericError
+from .errors import DataError
 
 # Every method the harness runs; a *_myopic method is its base method's horizon-1 variant.
 METHODS = (
@@ -59,6 +59,7 @@ PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
 STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
 STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
 _BLOCK_ELEMENTS = 1 << 16  # halts per block of grid candidates, which bounds the temporaries
+CALIMERA_RIDGE = 1e-2  # calimera's kernel systems are gram + CALIMERA_RIDGE * I
 
 
 class TraceStats(NamedTuple):
@@ -96,6 +97,9 @@ class TriggerTrainSet:
             raise DataError("empty trigger train set")
         if traces.shape[1] != len(self.timeline):
             raise DataError("trace length differs from timeline length")
+        finite = np.isfinite(traces).all(axis=(1, 2))
+        if not finite.all():
+            raise DataError(f"trigger train series {int(np.argmin(finite))} has a non-finite probability")
         object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stats", trigger_stats(traces))
@@ -484,15 +488,10 @@ def _median_pairwise_distance(sq: np.ndarray) -> float:
     return med if med > 1e-12 else 1.0
 
 
-def _krr_inputs(P_j: np.ndarray, t: int, series_length: int) -> np.ndarray:
-    """Regression inputs at one timestamp: each probability vector plus t/T."""
-    return np.concatenate([P_j, np.full((P_j.shape[0], 1), t / series_length)], axis=1)
-
-
 class CalimeraTrigger(TriggerModel):
     def __init__(self, timeline, inputs, bandwidths, duals):
         super().__init__(timeline)
-        self.inputs = inputs  # (L-1, n, K+1): train inputs per non-final index
+        self.inputs = inputs  # (L-1, n, K): the train probability vectors per non-final index, a view of the traces
         self.bandwidths = bandwidths  # (L-1,)
         self.duals = duals  # (A, L-1, 2, n): dual weights of the full (row 0) and myopic (row 1) targets
 
@@ -505,8 +504,7 @@ class CalimeraTrigger(TriggerModel):
         rows = [int(horizon) for horizon in myopic]
         out = np.full((len(rows), len(self.duals)) + stats.pred.shape, -math.inf)
         for j in range(min(out.shape[-1], len(self.bandwidths))):
-            X = _krr_inputs(stats.P[:, j, :], self.timeline.timestamps[j], self.timeline.series_length)
-            kernel = _rbf_kernel(_sq_distances(X, self.inputs[j]), float(self.bandwidths[j]))
+            kernel = _rbf_kernel(_sq_distances(stats.P[:, j], self.inputs[j]), float(self.bandwidths[j]))
             # One stacked (n_test, n) @ (n, 1) product per (alpha, horizon) keeps each mat-vec's bits;
             # a single product over every alpha's duals rounds differently.
             out[..., j] = np.matmul(kernel, self.duals[:, j, rows, :, None])[..., 0].swapaxes(0, 1)
@@ -516,44 +514,33 @@ class CalimeraTrigger(TriggerModel):
         return self.predicted_deltas(stats, myopic) <= 0.0
 
 
-def _calimera_systems(train: TriggerTrainSet, ridge: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked over the non-final timestamps j: the inputs X (L-1, n, K+1),
-    the RBF bandwidths (L-1,) (the median pairwise distance of X[j]) and the
-    kernel systems (L-1, n, n) gram + ridge * I, each checked positive
-    definite by its Cholesky factorization. None of it depends on alpha."""
-    P = train.traces
-    n, L, K = P.shape
-    inputs, bandwidths, systems = np.empty((L - 1, n, K + 1)), np.empty(L - 1), np.empty((L - 1, n, n))
-    for j in range(L - 1):
-        inputs[j] = _krr_inputs(P[:, j, :], train.timeline.timestamps[j], train.timeline.series_length)
-        sq = _sq_distances(inputs[j], inputs[j])
+def _calimera_systems(train: TriggerTrainSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked over the non-final timestamps j: the inputs X (L-1, n, K), a
+    view of the probability vectors P[:, j], the RBF bandwidths (L-1,) (the
+    median pairwise distance of X[j]) and the kernel systems (L-1, n, n)
+    gram + CALIMERA_RIDGE * I. None of it depends on alpha."""
+    inputs = train.traces[:, :-1].swapaxes(0, 1)
+    n = inputs.shape[1]
+    bandwidths, systems = np.empty(len(inputs)), np.empty((len(inputs), n, n))
+    for j, X in enumerate(inputs):
+        sq = _sq_distances(X, X)
         bandwidth = bandwidths[j] = _median_pairwise_distance(sq)
-        systems[j] = _rbf_kernel(sq, bandwidth) + ridge * np.eye(n)
-        try:
-            np.linalg.cholesky(systems[j])
-        except np.linalg.LinAlgError:
-            raise NumericError(
-                f"kernel system not positive definite at timestamp {train.timeline.timestamps[j]}"
-            ) from None
+        systems[j] = _rbf_kernel(sq, bandwidth) + CALIMERA_RIDGE * np.eye(n)
     return inputs, bandwidths, systems
 
 
-def fit_calimera(
-    train: TriggerTrainSet,
-    costs: Sequence[CostModel],
-    ridge: float = 1e-2,
-) -> CalimeraTrigger:
+def fit_calimera(train: TriggerTrainSet, costs: Sequence[CostModel]) -> CalimeraTrigger:
     """Per non-final timestamp, regress the cost difference between halting
-    now and the best realized future cost onto the probability vector plus
-    normalized time, with an RBF kernel ridge. The kernel systems are built
-    once per sweep; one stacked solve then solves each (alpha, timestamp)
-    system once, against that alpha's full and myopic targets as two columns.
+    now and the best realized future cost onto the probability vector, with
+    an RBF kernel ridge. The kernel systems are built once per sweep; one
+    stacked solve then solves each (alpha, timestamp) system once, against
+    that alpha's full and myopic targets as two columns.
 
     The myopic targets (next-step cost instead of the backward minimum) are
     the second column of the same system.
     """
     base = sweep_base(costs)
-    inputs, bandwidths, systems = _calimera_systems(train, ridge)
+    inputs, bandwidths, systems = _calimera_systems(train)
     mis = np.asarray(base.mis_matrix)[train.stats.pred, train.labels[:, None]]
     alphas = np.array([cost.alpha for cost in costs])[:, None, None]
     realized = weighted_costs(alphas, mis, delay_costs(base, train.timeline))  # (alphas, n, L)

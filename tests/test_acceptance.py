@@ -35,6 +35,7 @@ from ects_bench.stats import (
 from ects_bench.trigger import (
     AlapTrigger,
     AsapTrigger,
+    CALIMERA_RIDGE,
     ProbaThresholdTrigger,
     StoppingRuleTrigger,
     TriggerTrainSet,
@@ -198,8 +199,8 @@ def test_criterion_05_cost_difference_targets():
     timeline = SampledTimeline((1, 2), 2)
     trace = np.array([[0.3, 0.7], [0.8, 0.2]])
     train = TriggerTrainSet(trace[None], np.array([0]), timeline)
-    lam = 1e-2
-    model = fit_calimera(train, [standard_cost_model(2, 0.5)], ridge=lam)
+    lam = CALIMERA_RIDGE
+    model = fit_calimera(train, [standard_cost_model(2, 0.5)])
     # wrong at t=1, right at t=2 under alpha=0.5 linear delay
     target = (0.5 * 1.0 + 0.5 * 0.5) - (0.5 * 1.0)
     predicted = model.predicted_deltas(trigger_stats(trace[None]))[0, 0, 0, 0]

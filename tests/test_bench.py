@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import io
 import json
+import math
 import os
 import pickle
 import shutil
@@ -253,7 +254,7 @@ class TestAlphaSweep:
 
         assert len(records) == 9 * 11 * len(sweep_dataset.test)
         assert calls["build_economy"] == list(range(1, 21))
-        assert len(calls["cholesky"]) == len(timeline) - 1
+        assert calls["cholesky"] == []  # calimera's kernel systems are positive definite by construction
         # The whole sweep's duals: one stacked solve of every (alpha, timestamp) system.
         assert len(calls["solve"]) == 1
         # Per non-final timestamp: one train gram and one test-kernel block.
@@ -867,6 +868,8 @@ class TestCli:
         "alpha_huge_int": {"alpha_grid": [10**400]},
         "l2_huge_int": {"classifier": {"l2": 10**400}},
         "lr_huge_int": {"classifier": {"lr": 10**400}},
+        "l2_inf": {"classifier": {"l2": math.inf}},  # json writes and reads the literal Infinity
+        "lr_inf": {"classifier": {"lr": math.inf}},
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -118,6 +118,9 @@ def test_cost_model_validation():
         CostModel(((0.0, -1.0), (1.0, 0.0)), DelayCurve.LINEAR, 0.5)
     with pytest.raises(ValueError):
         CostModel(((0.0, 1.0), (1.0, 0.0)), DelayCurve.LINEAR, 1.5)
+    for entry in (float("nan"), float("inf")):  # economy would price 0 * inf as NaN
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            CostModel(((0.0, entry), (1.0, 0.0)), DelayCurve.LINEAR, 0.5)
 
 
 def test_series_set_validation():

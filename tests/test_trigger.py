@@ -17,6 +17,7 @@ from ects_bench.errors import DataError
 from ects_bench.trigger import (
     AlapTrigger,
     AsapTrigger,
+    CALIMERA_RIDGE,
     CalimeraTrigger,
     EconomyTrigger,
     EcecTrigger,
@@ -35,7 +36,7 @@ from ects_bench.trigger import (
     _expected_mis_paths,
     _groups,
     _halt_tables,
-    _krr_inputs,
+    _median_pairwise_distance,
     _rbf_kernel,
     _sq_distances,
     _stopping_rule_halts,
@@ -615,6 +616,11 @@ def test_train_set_checks_its_shapes():
         TriggerTrainSet(traces[:0], np.array([], dtype=int), timeline)
     with pytest.raises(DataError, match="trace length differs"):
         TriggerTrainSet(traces[:, :1], np.array([0, 1, 0]), timeline)
+    for value in (np.nan, np.inf):
+        bad = traces.copy()
+        bad[1:, 1, 0] = value
+        with pytest.raises(DataError, match="^trigger train series 1 has a non-finite probability$"):
+            TriggerTrainSet(bad, np.array([0, 1, 0]), timeline)
 
 
 SWEEP_FITS = [fit_asap, fit_alap, fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
@@ -740,8 +746,8 @@ class TestCalimera:
         train = TriggerTrainSet(trace[None], np.array([0]), timeline)
         alpha = 0.5
         cost = standard_cost_model(2, alpha)
-        lam = 1e-2
-        model = fit_calimera(train, [cost], ridge=lam)
+        lam = CALIMERA_RIDGE
+        model = fit_calimera(train, [cost])
         # realized costs: wrong at t=1 (pred 1), right at t=2 (pred 0)
         c0 = alpha * 1.0 + (1 - alpha) * 0.5
         c1 = alpha * 0.0 + (1 - alpha) * 1.0
@@ -780,8 +786,7 @@ class TestCalimera:
             got = model.predicted_deltas(trigger_stats(P), (True, False))
             assert got.shape == (2, len(costs), n_test, L) and (got[..., -1] == -np.inf).all()
             for j in range(L - 1):
-                X = _krr_inputs(P[:, j], train.timeline.timestamps[j], train.timeline.series_length)
-                kernel = _rbf_kernel(_sq_distances(X, model.inputs[j]), float(model.bandwidths[j]))
+                kernel = _rbf_kernel(_sq_distances(P[:, j], model.inputs[j]), float(model.bandwidths[j]))
                 for (h, row), a in itertools.product(enumerate((1, 0)), range(len(costs))):
                     assert np.array_equal(got[h, a, :, j], kernel @ model.duals[a, j, row]), (n_test, n, L, j)
 
@@ -796,13 +801,13 @@ class TestCalimera:
     @pytest.mark.parametrize("L, alphas", [(1, (0.5,)), (2, (0.5,)), (2, (0.0, 1.0)), (5, (0.0, 0.3, 0.5, 0.9, 1.0))])
     def test_duals_equal_one_solve_per_system(self, L, alphas):
         """The stacked solve gives, bit for bit, each (alpha, timestamp)
-        system gram + ridge * I solved alone against that alpha's full and
-        myopic targets as two columns, and the duals solve it."""
+        system gram + CALIMERA_RIDGE * I solved alone against that alpha's
+        full and myopic targets as two columns, and the duals solve it."""
         train = random_train_set(seed=25, n=12, L=L, K=3)
-        ridge = 1e-2
+        ridge = CALIMERA_RIDGE
         costs = [standard_cost_model(3, alpha) for alpha in alphas]
-        model = fit_calimera(train, costs, ridge=ridge)
-        inputs, bandwidths, systems = _calimera_systems(train, ridge)
+        model = fit_calimera(train, costs)
+        inputs, bandwidths, systems = _calimera_systems(train)
         mis = np.asarray(costs[0].mis_matrix)[train.stats.pred, train.labels[:, None]]
         delays = delay_costs(costs[0], train.timeline)
         assert sorted(vars(model)) == ["bandwidths", "duals", "inputs", "timeline"]
@@ -817,6 +822,40 @@ class TestCalimera:
                 want = np.linalg.solve(systems[j], targets[:, j])  # (n, 2): full and myopic columns
                 assert np.array_equal(model.duals[a, j], want.T), (a, j)
                 np.testing.assert_allclose(systems[j] @ model.duals[a, j].T, targets[:, j], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("K", [2, 3, 6])
+    def test_constant_time_input_moves_no_bit(self, K):
+        """Calimera regresses on the probability vectors alone. A t/T input
+        is one value for every train and test row of a timestamp's model, so
+        it adds exactly 0.0 to each squared distance: a reference fit with
+        that column appended has the same duals and predicted deltas, bit for
+        bit. (At K = 7 mod 8 the extra term regroups numpy's pairwise sum.)"""
+        L, alphas = 5, (0.0, 0.4, 1.0)
+        train = random_train_set(seed=30 + K, n=25, L=L, K=K)
+        costs = [standard_cost_model(K, alpha) for alpha in alphas]
+        model = fit_calimera(train, costs)
+        P = random_traces(np.random.default_rng(K), 9, L, K, coarse=False)
+        got = model.predicted_deltas(trigger_stats(P), (False, True))
+        timeline, n = train.timeline, len(train.labels)
+
+        def with_time(P_j, j):
+            return np.concatenate([P_j, np.full((len(P_j), 1), timeline.timestamps[j] / timeline.series_length)], axis=1)
+
+        mis = np.asarray(costs[0].mis_matrix)[train.stats.pred, train.labels[:, None]]
+        for j in range(L - 1):
+            X = with_time(train.traces[:, j], j)
+            sq = _sq_distances(X, X)
+            bandwidth = _median_pairwise_distance(sq)
+            assert model.bandwidths[j] == bandwidth
+            system = _rbf_kernel(sq, bandwidth) + CALIMERA_RIDGE * np.eye(n)
+            kernel = _rbf_kernel(_sq_distances(with_time(P[:, j], j), X), bandwidth)
+            for a, cost in enumerate(costs):
+                realized = weighted_costs(cost.alpha, mis, delay_costs(cost, timeline))
+                targets = np.stack([realized - backward_min_costs(realized, m) for m in (False, True)], axis=-1)
+                duals = np.ascontiguousarray(np.linalg.solve(system, targets[:, j]).T)  # (2, n)
+                assert np.array_equal(model.duals[a, j], duals), (a, j)
+                for h in (0, 1):
+                    assert np.array_equal(got[h, a, :, j], kernel @ duals[h]), (a, j, h)
 
     @pytest.mark.parametrize("blas_threads", [None, "1"], ids=["default-blas-threads", "one-blas-thread"])
     def test_sweep_equals_one_alpha_fits_at_realistic_size(self, blas_threads):
