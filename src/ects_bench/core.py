@@ -123,6 +123,10 @@ RECORD_FIELDS = (
 )
 RECORD_TYPES = (str, str, float, str, int, int, int, float, float, float, int, float, float)
 COLUMN_DTYPE = {str: object, int: np.int64, float: np.float64}
+# Bytes no number in a series or records file may hold, though int() and
+# float() would read them: '_' digit separators, whitespace and control
+# characters, and non-ASCII bytes (digits of other scripts).
+OUTSIDE_FORMAT = bytes(range(33)) + b"_" + bytes(range(128, 256))
 
 
 @dataclass(frozen=True, eq=False)

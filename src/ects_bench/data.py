@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SeriesSet
+from .core import OUTSIDE_FORMAT, SeriesSet
 from .errors import ConfigError, DataError, SplitError, writing_to
 
 
@@ -66,12 +66,6 @@ class SplitSpec:
         for f in (self.classifier_fraction, self.calibration_fraction_of_classifier_part):
             if not 0.0 < f < 1.0:
                 raise ConfigError(f"split fraction {f} must be in (0, 1)")
-
-
-# Bytes no field may hold, though int() and float() would read them: '_'
-# digit separators, whitespace and control characters, and non-ASCII bytes
-# (digits of other scripts).
-_OUTSIDE_FORMAT = bytes(range(33)) + b"_" + bytes(range(128, 256))
 
 
 def _parse_series_file(path: str) -> Tuple[List[int], np.ndarray]:
@@ -135,7 +129,7 @@ def _parse_series_bulk(lines: List[bytes]) -> Optional[Tuple[List[int], np.ndarr
     for line in map(bytes.strip, lines):
         if not line:
             continue
-        if line.count(b",") < 2 or len(line.translate(None, _OUTSIDE_FORMAT)) != len(line):
+        if line.count(b",") < 2 or len(line.translate(None, OUTSIDE_FORMAT)) != len(line):
             return None
         comma = line.find(b",")
         try:
@@ -163,7 +157,7 @@ def _parse_series_lines(path: str, lines: List[bytes]) -> Tuple[List[int], np.nd
         line = raw.strip()
         if not line:
             continue
-        if len(line.translate(None, _OUTSIDE_FORMAT)) != len(line):
+        if len(line.translate(None, OUTSIDE_FORMAT)) != len(line):
             raise DataError(f"{path}:{lineno}: non-ASCII byte, '_' or whitespace inside the line")
         fields = line.decode("ascii").split(",")
         if len(fields) < 3:

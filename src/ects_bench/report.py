@@ -24,8 +24,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import metrics, stats
-from .core import (COLUMN_DTYPE, RECORD_FIELDS, RECORD_TYPES, TIE_MARGIN, RecordTable, SampledTimeline,
-                   weighted_costs)
+from .core import (COLUMN_DTYPE, OUTSIDE_FORMAT, RECORD_FIELDS, RECORD_TYPES, TIE_MARGIN, RecordTable,
+                   SampledTimeline, weighted_costs)
 from .errors import DataError, writing_to
 
 
@@ -81,10 +81,17 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
     columns = {}
     for k, (name, kind) in enumerate(zip(RECORD_FIELDS, RECORD_TYPES)):
         column = tokens[k::width]
-        # Each distinct token is converted once (the dataset column's are the
-        # set checked above), and a str column shares one object per value.
+        # Each distinct token is checked and converted once (the dataset
+        # column's are the set checked above), and a str column shares one
+        # object per value. A number's only byte outside the format is the
+        # newline that ends a line's last field.
+        distinct = datasets if k == 0 else set(column)
+        if kind is not str:
+            text = "".join(distinct).encode()
+            if len(text.translate(None, OUTSIDE_FORMAT)) != len(text) - text.count(b"\n"):
+                raise ValueError(f"{name} holds whitespace, '_' or a non-ASCII character")
         try:
-            value = {token: kind(token) for token in (datasets if k == 0 else set(column))}
+            value = {token: kind(token) for token in distinct}
             columns[name] = np.fromiter(map(value.__getitem__, column), dtype=COLUMN_DTYPE[kind], count=len(lines))
         except (OverflowError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
@@ -129,7 +136,8 @@ def _parse_block(lines: List[str], timelines: Dict[str, SampledTimeline]) -> Rec
 def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> RecordTable:
     """The records write_reports wrote, each line kept as its row's text and
     parsed in blocks of PARSE_BLOCK_LINES. A row whose field count or field
-    types are wrong, whose float field is not finite, alpha not in [0, 1] or
+    types are wrong, whose number holds whitespace, '_' or a non-ASCII
+    character, whose float field is not finite, alpha not in [0, 1] or
     cost negative, whose derived field is not its formula, whose oracle cost
     is above its weighted cost, whose dataset has no timeline, or whose
     trigger or oracle time is not on that timeline is a DataError naming its

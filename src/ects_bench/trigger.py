@@ -26,16 +26,15 @@ depend on alpha (every grid candidate's first halts, economy's groups,
 transitions and expected misclassification paths, ecec's precisions, kernel
 systems) is a local of that one call, so a sweep builds it once.
 Each alpha then adds only the cost arithmetic; the oracle's tie rule
-(core.earliest_min) picks every alpha's parameters at once. A grid's
-candidates are a stacked leading axis, not models: each grid rule
-(_threshold_halts, _stopping_rule_halts) takes an array of parameters, a
-sweep applies it to its A parameters, and _fit_grid reads every
-candidate's first halt from it in blocks of at most _BLOCK_ELEMENTS halts.
-The stopping rule forms each (g1, g2) term once for all its g3, ecec its
-confidences once, and economy prices every alpha of one k in one table, from
-which it reads each alpha's (horizon, timestamp, group) halt table once; its
-halts look it up. Economy's halt tables and calimera's targets share one
-horizon rule, backward_min_costs: the best later halt, or the next if myopic.
+(core.earliest_min) picks every alpha's parameters at once. A grid rule is
+written once, in its model's _rule, over that sweep's A parameters: the
+grid fits (_fit_grid) ask a sweep whose alphas are a block of grid
+candidates for its halts, block by block, each block at most
+_BLOCK_ELEMENTS halts, and read every candidate's first halt from them.
+Economy prices every alpha of one k in one table, from which it reads each
+alpha's (horizon, timestamp, group) halt table once; its halts look it up.
+Economy's halt tables and calimera's targets share one horizon rule,
+backward_min_costs: the best later halt, or the next if myopic.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +56,7 @@ METHODS = (
     "economy_myopic", "calimera_myopic",
 )
 PROBA_GRID = tuple((i + 1) / 40.0 for i in range(40))  # 1/40 .. 1
-STOPPING_RULE_AXIS = tuple(np.linspace(-1.0, 1.0, 10))
-STOPPING_RULE_GRID = tuple(itertools.product(STOPPING_RULE_AXIS, repeat=3))  # 10^3 gammas
+STOPPING_RULE_GRID = tuple(itertools.product(np.linspace(-1.0, 1.0, 10), repeat=3))  # 10^3 gammas
 _BLOCK_ELEMENTS = 1 << 16  # halts per block of grid candidates, which bounds the temporaries
 CALIMERA_RIDGE = 1e-2  # calimera's kernel systems are gram + CALIMERA_RIDGE * I
 
@@ -100,6 +99,10 @@ class TriggerTrainSet:
         finite = np.isfinite(traces).all(axis=(1, 2))
         if not finite.all():
             raise DataError(f"trigger train series {int(np.argmin(finite))} has a non-finite probability")
+        K = traces.shape[2]
+        outside = (labels < 0) | (labels >= K)
+        if outside.any():
+            raise DataError(f"trigger train series {int(np.argmax(outside))} has a label outside [0, {K})")
         object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stats", trigger_stats(traces))
@@ -170,22 +173,12 @@ def fit_alap(train: TriggerTrainSet, costs: Sequence[CostModel]) -> AlapTrigger:
     return AlapTrigger(train.timeline, len(costs))
 
 
-def _threshold_halts(values: np.ndarray, thresholds) -> np.ndarray:
-    """(C, n, m) halts of a score at or above each of the C thresholds, from
-    the scores values (n, m)."""
-    return values >= np.asarray(thresholds, dtype=float)[:, None, None]
-
-
-def _stopping_rule_halts(stats: TraceStats, timeline: SampledTimeline, g12, g3) -> np.ndarray:
-    """(P, Q, n, m) halts of the stopping rule g1 * maxp + g2 * p2 + g3 * t/T
-    > 0 at each (g1, g2) of g12 (P, 2) and each g3 of g3 (Q,), or with g3
-    (P, 1) one g3 per pair, in that sum's order; the (g1, g2) term is formed
-    once for all its g3."""
-    m = stats.maxp.shape[1]
-    tt = np.array(timeline.timestamps[:m]) / timeline.series_length
-    g12 = np.asarray(g12, dtype=float)[:, :, None, None]
-    pair = g12[:, 0] * stats.maxp + g12[:, 1] * stats.p2  # (P, n, m)
-    return pair[:, None] + (np.asarray(g3, dtype=float)[:, None] * tt)[:, None, :] > 0.0
+def _stopping_rule_halts(stats: TraceStats, timeline: SampledTimeline, gammas: np.ndarray) -> np.ndarray:
+    """(C, n, m) halts of the stopping rule g1 * maxp + g2 * p2 + g3 * t/T
+    > 0 at each (g1, g2, g3) of gammas (C, 3), in that sum's order."""
+    tt = np.array(timeline.timestamps[: stats.maxp.shape[1]]) / timeline.series_length
+    g1, g2, g3 = (column[:, None, None] for column in gammas.T)
+    return g1 * stats.maxp + g2 * stats.p2 + g3 * tt > 0.0
 
 
 class ProbaThresholdTrigger(TriggerModel):
@@ -197,7 +190,7 @@ class ProbaThresholdTrigger(TriggerModel):
         self.thetas = thetas  # (A,)
 
     def _rule(self, stats):
-        return _threshold_halts(stats.maxp, self.thetas)
+        return stats.maxp >= self.thetas[:, None, None]
 
 
 class StoppingRuleTrigger(TriggerModel):
@@ -206,7 +199,7 @@ class StoppingRuleTrigger(TriggerModel):
         self.gammas = np.asarray(gammas, dtype=float)  # (A, 3): each alpha's (g1, g2, g3)
 
     def _rule(self, stats):
-        return _stopping_rule_halts(stats, self.timeline, self.gammas[:, :2], self.gammas[:, 2:])[:, 0]
+        return _stopping_rule_halts(stats, self.timeline, self.gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -227,44 +220,28 @@ def _mean_costs(train: TriggerTrainSet, costs: Sequence[CostModel], first: np.nd
 
 
 def _fit_grid(
-    train: TriggerTrainSet, costs: Sequence[CostModel], grid: np.ndarray,
-    rule: Callable[[np.ndarray], np.ndarray], make: Callable[[np.ndarray], TriggerModel], per_row: int = 1,
+    train: TriggerTrainSet, costs: Sequence[CostModel], grid: np.ndarray, make: Callable[[np.ndarray], TriggerModel],
 ) -> TriggerModel:
-    """make(i) for the grid candidates i (A,): per cost model, the one whose
-    policy has the least empirical mean weighted cost on the train set; ties
-    go to the earlier candidate. rule(grid[lo:hi]) gives the (hi - lo, ..., n, L)
-    halts of the per_row candidates of each of those grid rows, candidates
-    in C order; every candidate's first halts are read from it once per
-    sweep, without a model per candidate. A block of grid rows holds at most
-    _BLOCK_ELEMENTS halts, or one row."""
+    """make(points) of the grid points that, per cost model, have the least
+    empirical mean weighted cost on the train set; ties go to the earlier
+    point. make(block) is the sweep whose alphas are a block of grid points:
+    each point's first halts are read from the halts of consecutive blocks,
+    each of at most _BLOCK_ELEMENTS halts, or one point."""
     sweep_base(costs)
-    n, L = train.stats.maxp.shape
-    step = max(1, _BLOCK_ELEMENTS // (per_row * n * L))
-    first = []
-    for lo in range(0, len(grid), step):
-        halts = rule(grid[lo : lo + step])
-        halts[..., -1] = True
-        first.append(halts.argmax(axis=-1).reshape(-1, n))
-    return make(earliest_min(_mean_costs(train, costs, np.concatenate(first))))
+    step = max(1, _BLOCK_ELEMENTS // train.stats.maxp.size)
+    first = [make(grid[lo : lo + step]).halts(train.stats)[0].argmax(axis=-1) for lo in range(0, len(grid), step)]
+    return make(grid[earliest_min(_mean_costs(train, costs, np.concatenate(first)))])
 
 
 def fit_proba_threshold(train: TriggerTrainSet, costs: Sequence[CostModel]) -> ProbaThresholdTrigger:
     """Pick theta from the 40-point grid; ties go to the smaller theta."""
-    return _fit_grid(
-        train, costs, np.array(PROBA_GRID), lambda thetas: _threshold_halts(train.stats.maxp, thetas),
-        lambda i: ProbaThresholdTrigger(train.timeline, np.take(PROBA_GRID, i)),
-    )
+    return _fit_grid(train, costs, np.array(PROBA_GRID), partial(ProbaThresholdTrigger, train.timeline))
 
 
 def fit_stopping_rule(train: TriggerTrainSet, costs: Sequence[CostModel]) -> StoppingRuleTrigger:
     """Exhaustive 10x10x10 grid over gamma; ties go to the lexicographically
-    smallest vector. The grid's rows are its (g1, g2) pairs, each with every
-    g3 of the axis."""
-    return _fit_grid(
-        train, costs, np.array(STOPPING_RULE_GRID[:: len(STOPPING_RULE_AXIS)])[:, :2],
-        lambda pairs: _stopping_rule_halts(train.stats, train.timeline, pairs, STOPPING_RULE_AXIS),
-        lambda i: StoppingRuleTrigger(train.timeline, np.take(STOPPING_RULE_GRID, i, axis=0)), len(STOPPING_RULE_AXIS),
-    )
+    smallest vector."""
+    return _fit_grid(train, costs, np.array(STOPPING_RULE_GRID), partial(StoppingRuleTrigger, train.timeline))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +391,7 @@ class EcecTrigger(TriggerModel):
         self.gammas = gammas  # (A,)
 
     def _rule(self, stats):
-        return _threshold_halts(_ecec_confidences(self.precisions, stats.pred), self.gammas)
+        return _ecec_confidences(self.precisions, stats.pred) >= self.gammas[:, None, None]
 
 
 def _ecec_confidences(precisions: np.ndarray, pred: np.ndarray) -> np.ndarray:
@@ -440,14 +417,9 @@ def _ecec_precisions(pred: np.ndarray, labels: np.ndarray, num_classes: int) -> 
 
 def fit_ecec(train: TriggerTrainSet, costs: Sequence[CostModel]) -> EcecTrigger:
     """Tune the confidence threshold on the 40-point grid; ties go to the
-    smaller gamma. The confidences do not depend on gamma and are formed
-    once."""
+    smaller gamma."""
     prec = _ecec_precisions(train.stats.pred, train.labels, train.traces.shape[2])
-    conf = _ecec_confidences(prec, train.stats.pred)
-    return _fit_grid(
-        train, costs, np.array(PROBA_GRID), lambda gammas: _threshold_halts(conf, gammas),
-        lambda i: EcecTrigger(train.timeline, prec, np.take(PROBA_GRID, i)),
-    )
+    return _fit_grid(train, costs, np.array(PROBA_GRID), partial(EcecTrigger, train.timeline, prec))
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,8 @@ class TestAlphaSweep:
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         monkeypatch.setattr(trigger, "_rbf_kernel", counting("rbf_kernel", trigger._rbf_kernel))
         monkeypatch.setattr(trigger, "_groups", counting("groups", trigger._groups, lambda edges, maxp: maxp))
-        monkeypatch.setattr(trigger.TriggerModel, "halts", counting("halts", trigger.TriggerModel.halts))
+        monkeypatch.setattr(trigger.TriggerModel, "halts", counting(
+            "halts", trigger.TriggerModel.halts, lambda model, stats, *myopic: stats))
         monkeypatch.setattr(trigger, "make_myopic", counting("make_myopic", trigger.make_myopic))
         economy, fit_economy = {}, trigger.fit_economy
 
@@ -259,13 +260,20 @@ class TestAlphaSweep:
         assert len(calls["solve"]) == 1
         # Per non-final timestamp: one train gram and one test-kernel block.
         assert len(calls["rbf_kernel"]) == 2 * (len(timeline) - 1)
-        # One halts call per base method answers every alpha and both horizons;
-        # each *_myopic method takes its base method's sweep once.
-        assert len(calls["halts"]) == 7
+        # On the test stack, one halts call per base method answers every alpha
+        # and both horizons; each *_myopic method takes its base method's sweep once.
+        train_stats = economy["train"].stats
+        test_halts = [stats for stats in calls["halts"] if stats is not train_stats]
+        assert len(test_halts) == 7
+        assert all(stats is test_halts[0] and len(stats.pred) == len(sweep_dataset.test) for stats in test_halts)
         assert len(calls["make_myopic"]) == 2
+        # On the train stack, each grid fit asks one sweep per block of its candidates.
+        step = max(1, trigger._BLOCK_ELEMENTS // train_stats.maxp.size)
+        grids = (trigger.PROBA_GRID, trigger.STOPPING_RULE_GRID, trigger.PROBA_GRID)
+        assert len(calls["halts"]) - len(test_halts) == sum(-(-len(grid) // step) for grid in grids)
         # Economy groups the train partition once per k, and the test stack
         # once per distinct winning k, for all the alphas that chose it.
-        train_maxp = economy["train"].stats.maxp
+        train_maxp = train_stats.maxp
         test_groups = [maxp for maxp in calls["groups"] if maxp is not train_maxp]
         assert len(calls["groups"]) - len(test_groups) == 20
         assert len(test_groups) == len(set(economy["sweep"].ks))
@@ -1021,6 +1029,11 @@ class TestCli:
         "oracle_cost_negative": ("records.csv", lambda f: f[:11] + ["-0.5"] + f[12:]),
         "weighted_cost_off_formula": ("records.csv", lambda f: f[:7] + [repr(float(f[7]) + 0.25)] + f[8:]),
         "regret_off_formula": ("records.csv", lambda f: f[:12] + ["-7.0"]),
+        # Numbers int() and float() read but `run` never writes.
+        "trigger_time_spaces": ("records.csv", lambda f: f[:6] + [f"  {f[6]} "] + f[7:]),
+        "true_label_underscore": ("records.csv", lambda f: f[:4] + ["0_" + f[4]] + f[5:]),
+        "true_label_non_ascii_digit": ("records.csv", lambda f: f[:4] + [chr(0x660 + int(f[4]))] + f[5:]),
+        "regret_trailing_tab": ("records.csv", lambda f: f[:12] + [f[12] + "\t"]),
         "oracle_cost_above_weighted_cost": ("records.csv", lambda f: f[:11] + [
             repr(float(f[7]) + 0.25), repr(float(f[7]) - (float(f[7]) + 0.25))]),
         "repeated_row": ("records.csv", lambda f: f[:12] + [f[12] + "\n" + ",".join(f)]),
@@ -1054,7 +1067,7 @@ class TestCli:
                 json.dump(doc, fh)
             named = f"{path}: dataset 'tiny'"
         else:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
             fields = lines[2].split(",")
             edited = edit(fields)
@@ -1062,7 +1075,7 @@ class TestCli:
                 del lines[2]
             else:
                 lines[2] = ",".join(edited)
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
             named = f"{path}:3:"
             # Found once the rows are sorted: the error names the key, or the group and series.

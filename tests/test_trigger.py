@@ -24,7 +24,6 @@ from ects_bench.trigger import (
     METHODS,
     PROBA_GRID,
     ProbaThresholdTrigger,
-    STOPPING_RULE_AXIS,
     STOPPING_RULE_GRID,
     StoppingRuleTrigger,
     TriggerTrainSet,
@@ -481,14 +480,15 @@ GRID_FITS = {  # fit, grid, and the sweep of some grid points
 
 
 class TestStackedGrids:
-    """A grid fit reads every candidate's first halts from one rule over a
-    stacked candidate axis, in bounded blocks; each candidate's first halts,
-    the mean matrix and the winners equal those of one model per candidate."""
+    """A grid fit reads every candidate's first halts from the halts of
+    sweeps whose alphas are bounded blocks of candidates; each candidate's
+    first halts, the mean matrix and the winners equal those of one model
+    per candidate."""
 
     @pytest.mark.parametrize("name", sorted(GRID_FITS))
     @pytest.mark.parametrize("seed,n,L,K,block", [
-        (40, 37, 7, 3, 8000),  # 30 thresholds or 3 gamma pairs a block: neither grid a multiple
-        (41, 23, 9, 2, 1),  # one grid row a block
+        (40, 37, 7, 3, 8000),  # 30 candidates a block: neither grid a multiple
+        (41, 23, 9, 2, 1),  # one candidate a block
         (42, 61, 12, 4, None),  # the default block
     ])
     def test_candidates_equal_per_candidate_models(self, monkeypatch, name, seed, n, L, K, block):
@@ -507,15 +507,14 @@ class TestStackedGrids:
         np.testing.assert_equal(vars(model), vars(make(train, [grid[i] for i in earliest_min(means).tolist()])))
 
     def test_stopping_rule_pairs_then_time(self):
-        """The rule's (g1, g2) term is formed once per pair, as the one-gamma
-        sum g1 * maxp + g2 * p2 + g3 * t/T forms it."""
+        """The rule over (C, 3) gammas forms each candidate's halts as the
+        one-gamma sum g1 * maxp + g2 * p2 + g3 * t/T forms them, in that order."""
         train = random_train_set(seed=43, n=19, L=6, K=3)
-        g12 = np.array(STOPPING_RULE_GRID[::10])[:, :2]
-        halts = _stopping_rule_halts(train.stats, train.timeline, g12, STOPPING_RULE_AXIS)
+        halts = _stopping_rule_halts(train.stats, train.timeline, np.array(STOPPING_RULE_GRID))
         tt = np.array(train.timeline.timestamps) / train.timeline.series_length
-        for (g1, g2), row in zip(g12.tolist(), halts):
-            for g3, h in zip(STOPPING_RULE_AXIS, row):
-                assert np.array_equal(h, g1 * train.stats.maxp + g2 * train.stats.p2 + g3 * tt > 0.0)
+        assert halts.shape == (len(STOPPING_RULE_GRID),) + train.stats.maxp.shape
+        for (g1, g2, g3), h in zip(STOPPING_RULE_GRID, halts):
+            assert np.array_equal(h, g1 * train.stats.maxp + g2 * train.stats.p2 + g3 * tt > 0.0)
 
 
 def reference_build_economy(train, cost, k, smoothing):
@@ -621,6 +620,9 @@ def test_train_set_checks_its_shapes():
         bad[1:, 1, 0] = value
         with pytest.raises(DataError, match="^trigger train series 1 has a non-finite probability$"):
             TriggerTrainSet(bad, np.array([0, 1, 0]), timeline)
+    for label in (2, -1):
+        with pytest.raises(DataError, match=r"^trigger train series 2 has a label outside \[0, 2\)$"):
+            TriggerTrainSet(traces, np.array([0, 1, label]), timeline)
 
 
 SWEEP_FITS = [fit_asap, fit_alap, fit_proba_threshold, fit_stopping_rule, fit_economy, fit_ecec, fit_calimera]
