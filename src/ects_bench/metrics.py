@@ -4,9 +4,8 @@ extraction."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -91,43 +90,24 @@ def summarize(records: RecordTable, timeline: SampledTimeline) -> RunSummary:
     times lie on the timeline."""
     if not len(records):
         raise ValueError("empty record table")
-    return summarize_groups(records, [0], {records.dataset[0]: timeline})[0]
+    return summarize_groups(records, [0, len(records)], timeline)[0]
 
 
-def summarize_groups(
-    records: RecordTable, starts: Sequence[int], timelines: Dict[str, SampledTimeline]
-) -> List[RunSummary]:
-    """One summary per group of a table whose (dataset, method, alpha)
-    groups are the contiguous row ranges that begin at starts (ascending,
-    from 0); each group's trigger times lie on its dataset's timeline.
-
-    Each mean is taken over an (groups, size) stack of the groups of one
-    size, row by row, so every group keeps the pairwise sum np.mean gives
-    its own contiguous column. Trigger indices come from one searchsorted
-    per run of groups of one dataset."""
-    starts = np.asarray(starts, dtype=np.int64)
-    bounds = np.append(starts, len(records))
-    datasets = records.dataset[starts].tolist()
-    index = np.empty(len(records), dtype=np.int64)
-    series_length = np.empty(len(starts), dtype=np.int64)
-    g = 0
-    for name, run in itertools.groupby(datasets):
-        lo, g = g, g + sum(1 for _ in run)
-        rows = slice(bounds[lo], bounds[g])
-        index[rows] = np.searchsorted(timelines[name].timestamps, records.trigger_time[rows])
-        series_length[lo:g] = timelines[name].series_length
-    sizes = np.diff(bounds)
-    columns = (records.weighted_cost, records.predicted_label == records.true_label,
-               records.trigger_time, records.regret, index)
-    means = np.empty((len(columns), len(starts)))
-    for size in sorted(set(sizes.tolist())):
-        which = np.flatnonzero(sizes == size)
-        rows = starts[which, None] + np.arange(size)
-        for out, column in zip(means, columns):
-            out[which] = column[rows].mean(axis=1)
-    avg_cost, accuracy, trigger_time, mean_regret, mean_index = means
+def summarize_groups(records: RecordTable, bounds: Sequence[int], timeline: SampledTimeline) -> List[RunSummary]:
+    """One summary per group of one dataset, group g being the rows
+    bounds[g]:bounds[g + 1], all of one size, whose trigger times lie on the
+    timeline. Each field's mean is taken along the rows of its (groups, size)
+    block, so every group keeps the pairwise sum np.mean gives its own
+    contiguous slice; the trigger indices come from one searchsorted."""
+    starts = np.asarray(bounds[:-1])
+    rows = slice(bounds[0], bounds[-1])
+    columns = (records.weighted_cost[rows], records.predicted_label[rows] == records.true_label[rows],
+               records.trigger_time[rows], records.regret[rows],
+               np.searchsorted(timeline.timestamps, records.trigger_time[rows]))
+    avg_cost, accuracy, trigger_time, mean_regret, mean_index = (
+        column.reshape(len(starts), -1).mean(axis=1) for column in columns)
     return list(map(
-        RunSummary, datasets, records.method[starts].tolist(), records.alpha[starts].tolist(),
-        avg_cost.tolist(), accuracy.tolist(), (trigger_time / series_length).tolist(),
-        mean_regret.tolist(), mean_index.tolist(),
+        RunSummary, records.dataset[starts].tolist(), records.method[starts].tolist(),
+        records.alpha[starts].tolist(), avg_cost.tolist(), accuracy.tolist(),
+        (trigger_time / timeline.series_length).tolist(), mean_regret.tolist(), mean_index.tolist(),
     ))

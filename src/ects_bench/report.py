@@ -341,11 +341,10 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
     (dataset, method, alpha, series_id), the given table itself if it is
     already in that order, and one summary per (dataset, method, alpha)
     group, each over its contiguous slice. Two rows with one (dataset,
-    method, alpha value, series_id) key are a DataError naming the key, and
-    so is a group whose series ids are not its dataset's first group's
-    (_check_same_series) or that gives a series another true label or, at
-    one alpha, another oracle time or cost; a dataset may lack a whole
-    group."""
+    method, alpha value, series_id) key are a DataError naming the key.
+    Then each dataset's groups, one block, are checked (_check_same_series,
+    _check_shared_fields) and summarised (metrics.summarize_groups) in table
+    order; a dataset may lack a whole group."""
     dataset, method = _str_order(records.dataset), _str_order(records.method)
     series = _str_order(records.series_id)
     order = np.lexsort((series, records.alpha, method, dataset))
@@ -358,33 +357,33 @@ def bundle_from_records(records: RecordTable, timelines: Dict[str, SampledTimeli
         i = int(repeated[0])
         key = (table.dataset[i], table.method[i], float(table.alpha[i]), table.series_id[i])
         raise DataError(f"records repeat the (dataset, method, alpha, series_id) key {key!r}")
-    starts = np.flatnonzero(new_group)
-    _check_same_series(table, series, dataset[starts], np.append(starts, len(table)))
-    return ReportBundle(table, metrics.summarize_groups(table, starts, timelines), timelines)
+    bounds = np.append(np.flatnonzero(new_group), len(table))
+    firsts = np.flatnonzero(np.diff(dataset[bounds[:-1]], prepend=-1)).tolist()  # each dataset's first group
+    summaries = []
+    for lo, hi in zip(firsts, firsts[1:] + [len(bounds) - 1]):
+        block = bounds[lo : hi + 1]
+        _check_same_series(table, series, block)
+        _check_shared_fields(table, block)
+        summaries += metrics.summarize_groups(table, block, timelines[table.dataset[block[0]]])
+    return ReportBundle(table, summaries, timelines)
 
 
-def _check_same_series(table: RecordTable, series: np.ndarray, dataset: np.ndarray, bounds: np.ndarray) -> None:
-    """Every (method, alpha) group of a dataset holds the series ids of the
-    dataset's first group, else a DataError names a group and one id that it
-    lacks and another group holds. Group g is the rows bounds[g]:bounds[g + 1]
-    of the sorted table, dataset[g] is its dataset's rank and series holds
-    the rows' series ranks, sorted within each group: per dataset, one
-    (groups, size) comparison with the first group. A dataset that passes
-    has its groups' shared fields checked (_check_shared_fields)."""
-    firsts = np.flatnonzero(dataset != np.append(-1, dataset[:-1])).tolist()
-    for lo, hi in zip(firsts, firsts[1:] + [len(dataset)]):
-        sizes = np.diff(bounds[lo : hi + 1])
-        block = series[bounds[lo] : bounds[hi]]
-        if (sizes == sizes[0]).all() and (block.reshape(hi - lo, sizes[0]) == block[: sizes[0]]).all():
-            _check_shared_fields(table, bounds[lo : hi + 1])
-            continue
-        ids = [set(table.series_id[bounds[g] : bounds[g + 1]].tolist()) for g in range(lo, hi)]
-        g = next(g for g in range(1, len(ids)) if ids[g] != ids[0])
-        short, full = (0, g) if ids[g] - ids[0] else (g, 0)
-        rows = bounds[[lo + short, lo + full]].tolist()
-        key = [(table.dataset[i], table.method[i], float(table.alpha[i])) for i in rows]
-        raise DataError(f"records of (dataset, method, alpha) {key[0]!r} lack series_id "
-                        f"{min(ids[full] - ids[short])!r}, which {key[1]!r} holds")
+def _check_same_series(table: RecordTable, series: np.ndarray, bounds: np.ndarray) -> None:
+    """Every (method, alpha) group of one dataset holds the series ids of its
+    first group, else a DataError names a group and one id that it lacks and
+    another group holds. Group g is the rows bounds[g]:bounds[g + 1] of the
+    sorted table, and series holds the rows' series ranks, sorted within
+    each group: one (groups, size) comparison with the first group."""
+    sizes = np.diff(bounds)
+    block = series[bounds[0] : bounds[-1]]
+    if (sizes == sizes[0]).all() and (block.reshape(len(sizes), sizes[0]) == block[: sizes[0]]).all():
+        return
+    ids = [set(table.series_id[lo:hi].tolist()) for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+    g = next(g for g in range(1, len(ids)) if ids[g] != ids[0])
+    short, full = (0, g) if ids[g] - ids[0] else (g, 0)
+    key = [(table.dataset[i], table.method[i], float(table.alpha[i])) for i in bounds[[short, full]].tolist()]
+    raise DataError(f"records of (dataset, method, alpha) {key[0]!r} lack series_id "
+                    f"{min(ids[full] - ids[short])!r}, which {key[1]!r} holds")
 
 
 def _check_shared_fields(table: RecordTable, bounds: np.ndarray) -> None:

@@ -39,8 +39,6 @@ def bootstrap_mean_ci(
     values: Sequence[float], level: float = 0.9, resamples: int = 10000, seed: int = 0
 ) -> Tuple[float, float]:
     """Percentile interval of resampled means; deterministic given the seed."""
-    if len(values) == 0:
-        raise ValueError("empty value list")
     lo, hi = bootstrap_mean_cis(np.asarray([values], dtype=float), [seed], level, resamples)[0].tolist()
     return lo, hi
 
@@ -57,7 +55,8 @@ def bootstrap_mean_cis(
     """bootstrap_mean_ci of each row of an (m, n) array, row i drawn from
     its own generator seeded with seeds[i]; returns (m, 2) (low, high), the
     bits of drawing every row and quantiling its resample means
-    (core.quantiles). Each row takes one of three rules:
+    (core.quantiles). Rows of no values (n = 0) are a ValueError. Each row
+    takes one of three rules:
 
     1. A row whose values are bitwise equal draws nothing: every resample is
        the row itself, so its interval is the row's mean blended with itself
@@ -81,6 +80,8 @@ def bootstrap_mean_cis(
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     rows = np.ascontiguousarray(rows, dtype=float)  # C order: a row's mean sums as a resample's does
     n = rows.shape[1]
+    if n == 0:
+        raise ValueError("empty value list")
     qs = [(1.0 - level) / 2.0, (1.0 + level) / 2.0]
     lo, hi, t = quantile_positions(resamples, qs)
     bits = rows.view(np.int64)

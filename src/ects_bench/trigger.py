@@ -279,11 +279,13 @@ def _expected_mis(cc: np.ndarray, conf: np.ndarray, cost: CostModel, s: float) -
     """Expected unweighted misclassification cost per (timestamp, group) from
     the (L, k, K) class counts cc and (L, k, K true, K predicted) confusion
     counts conf, smoothed by s: the sum over true classes y, in order, of
-    p(y) times the dot of p(predicted | y) with the cost column of y."""
+    p(y) times the dot of p(predicted | y) with the cost column of y; a
+    class absent from a cell (at s = 0) adds 0."""
     K = cc.shape[2]
     mis_matrix = np.asarray(cost.mis_matrix)  # [predicted][true]
     p_y = (cc + s) / (cc.sum(axis=2, keepdims=True) + s * K)  # (L, k, K)
-    p_pred = (conf + s) / (conf.sum(axis=3, keepdims=True) + s * K)  # (L, k, K, K)
+    per_class = conf.sum(axis=3, keepdims=True) + s * K
+    p_pred = np.divide(conf + s, per_class, out=np.zeros(conf.shape), where=per_class > 0)  # (L, k, K, K)
     out = np.zeros(cc.shape[:2])
     for y in range(K):
         # One dot per (timestamp, group), as for a single row.

@@ -532,6 +532,24 @@ class TestRecordTable:
             assert _report(os.path.join(tmp, "shuffled"), os.path.join(tmp, "again")) == first
             assert _report(os.path.join(tmp, "sorted"), os.path.join(tmp, "fixed")) == first
 
+    @given(_records_lines())
+    @settings(max_examples=60, deadline=None)
+    def test_summaries_equal_one_group_summaries(self, lines):
+        # Datasets hold different series sets, so one table mixes group
+        # sizes across its datasets' blocks; a dataset may lack a group.
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_results(tmp, lines)
+            timelines = report.load_timelines_json(os.path.join(tmp, "timelines.json"))
+            records = report.load_records_csv(os.path.join(tmp, "records.csv"), timelines)
+        summaries = report.bundle_from_records(records, timelines).summaries
+        groups = collections.defaultdict(list)  # (dataset, method, alpha) -> rows, as read
+        for i, key in enumerate(zip(records.dataset.tolist(), records.method.tolist(), records.alpha.tolist())):
+            groups[key].append(i)
+        assert [(s.dataset, s.method, s.alpha) for s in summaries] == sorted(groups)
+        for s in summaries:
+            rows = sorted(groups[s.dataset, s.method, s.alpha], key=records.series_id.__getitem__)
+            assert s == metrics.summarize(records.take(rows), timelines[s.dataset])
+
     @pytest.mark.parametrize("lineno", [2, 4097, 4098, 5001])
     def test_type_error_names_its_line_in_any_block(self, tmp_path, lineno):
         lines = [_line(series=f"s{i}") for i in range(5000)]
@@ -595,6 +613,15 @@ class TestCli:
         report_dir = os.path.join(str(tmp_path), "rep")
         assert cli.main(["report", "--results", out_dir, "--out", report_dir]) == 0
         assert os.path.exists(os.path.join(report_dir, "summaries.csv"))
+
+    def test_header_only_records_report_header_only_tables(self, tmp_path, tiny_run):
+        _write_results(str(tmp_path / "results"), [])
+        out = str(tmp_path / "out")
+        assert cli.main(["report", "--results", str(tmp_path / "results"), "--out", out]) == 0
+        report.write_reports(tiny_run[1], str(tmp_path / "full"))
+        for name in ("summaries.csv", "ranks.csv", "pairwise.csv", "pareto.csv"):
+            with open(os.path.join(out, name)) as fh, open(tmp_path / "full" / name) as full:
+                assert fh.read() == full.readline(), name
 
     def test_negative_zero_alpha_written_as_zero(self, tmp_path, tiny_manifest):
         files = {}

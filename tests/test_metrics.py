@@ -88,52 +88,45 @@ class TestGroupedSummaries:
     TIMELINES = {"a": SampledTimeline((1, 3, 5), 5), "b": SampledTimeline((2, 4, 6, 8), 8),
                  "c": SampledTimeline(tuple(range(1, 21)), 20)}
 
-    def _table(self, sizes, datasets, seed=0):
-        """Contiguous groups of the given sizes, one dataset each; costs
-        span several magnitudes, so each group's sum depends on its order."""
+    def _block(self, name, groups, size, seed):
+        """One dataset's block of contiguous groups of one size, and its
+        group bounds; costs span several magnitudes, so each group's sum
+        depends on its order."""
         rng = np.random.default_rng(seed)
-        n = sum(sizes)
-        group = np.repeat(np.arange(len(sizes)), sizes)
-        dataset = np.array(datasets, dtype=object)[group]
-        times = np.array([rng.choice(self.TIMELINES[d].timestamps) for d in dataset.tolist()])
+        n = groups * size
+        times = rng.choice(self.TIMELINES[name].timestamps, size=n)
         costs = rng.random((2, n)) * rng.choice([1e-3, 1.0, 1e5], size=(2, n))
         columns = dict(
-            dataset=dataset, method=np.array(["m"] * n, dtype=object), alpha=group / len(sizes),
-            series_id=np.array([f"s{i}" for i in range(n)], dtype=object),
+            dataset=np.array([name] * n, dtype=object), method=np.array(["m"] * n, dtype=object),
+            alpha=np.arange(n) // size / groups,
+            series_id=np.array([f"s{i % size}" for i in range(n)], dtype=object),
             true_label=rng.integers(0, 2, n), predicted_label=rng.integers(0, 2, n),
             trigger_time=times, weighted_cost=costs[0], misclassification_cost=np.zeros(n),
             delay_cost=np.zeros(n), oracle_time=times, oracle_cost=np.zeros(n), regret=costs[1],
         )
         assert set(columns) == set(RECORD_FIELDS)
-        return RecordTable(**columns, text=np.empty(n, dtype=object)), np.cumsum([0] + sizes[:-1])
+        return RecordTable(**columns, text=np.empty(n, dtype=object)), np.arange(0, n + 1, size)
 
     def test_grouped_equal_per_group_reference(self):
-        # Sizes 1-300 cross numpy's 128-element pairwise block; repeated
-        # sizes stack several groups in one (groups, size) mean; the
-        # datasets' groups are not contiguous runs.
-        rng = np.random.default_rng(1)
-        sizes = list(range(1, 301)) + [1, 7, 8, 9, 128, 129, 256, 257, 60, 60, 60]
-        sizes = rng.permutation(sizes).tolist()
-        datasets = rng.choice(sorted(self.TIMELINES), size=len(sizes)).tolist()
-        table, starts = self._table(sizes, datasets)
-        got = summarize_groups(table, starts, self.TIMELINES)
-        assert len(got) == len(sizes)
-        for s, lo, size, name in zip(got, starts.tolist(), sizes, datasets):
-            group = table.take(slice(lo, lo + size))
-            timeline = self.TIMELINES[name]
-            assert s == summarize(group, timeline)
-            # The one-group formulas, each np.mean over the group's own slice.
-            assert (s.dataset, s.method, s.alpha) == (name, "m", float(group.alpha[0]))
-            assert s.avg_cost == float(np.mean(group.weighted_cost))
-            assert s.accuracy == float(np.mean(group.predicted_label == group.true_label))
-            assert s.earliness == float(np.mean(group.trigger_time)) / timeline.series_length
-            assert s.mean_regret == float(np.mean(group.regret))
-            assert s.mean_trigger_index == float(
-                np.mean(np.searchsorted(timeline.timestamps, group.trigger_time)))
-
-    def test_no_groups(self):
-        table, _ = self._table([3], ["a"])
-        assert summarize_groups(table.take(slice(0, 0)), [], self.TIMELINES) == []
+        # Sizes that cross numpy's 128-element pairwise block; each call
+        # stacks one dataset's groups of one size in one (groups, size) mean.
+        for size in [1, 7, 8, 9, 128, 129, 256, 257, 60]:
+            for seed, name in enumerate(sorted(self.TIMELINES)):
+                timeline = self.TIMELINES[name]
+                table, bounds = self._block(name, seed + 2, size, seed)
+                got = summarize_groups(table, bounds, timeline)
+                assert len(got) == seed + 2
+                for s, lo in zip(got, bounds.tolist()):
+                    group = table.take(slice(lo, lo + size))
+                    assert s == summarize(group, timeline)
+                    # The one-group formulas, each np.mean over the group's own slice.
+                    assert (s.dataset, s.method, s.alpha) == (name, "m", float(group.alpha[0]))
+                    assert s.avg_cost == float(np.mean(group.weighted_cost))
+                    assert s.accuracy == float(np.mean(group.predicted_label == group.true_label))
+                    assert s.earliness == float(np.mean(group.trigger_time)) / timeline.series_length
+                    assert s.mean_regret == float(np.mean(group.regret))
+                    assert s.mean_trigger_index == float(
+                        np.mean(np.searchsorted(timeline.timestamps, group.trigger_time)))
 
 
 def weighted_price(cost, predicted, true, t, length):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ class TestBootstrap:
     def test_empty_array_is_an_empty_list(self):
         with pytest.raises(ValueError, match="empty value list"):
             bootstrap_mean_ci(np.array([]))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_zero_width_rows_are_empty_value_lists(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty value list"):
+                bootstrap_mean_cis(np.empty((m, 0)), list(range(m)))
 
     @pytest.mark.parametrize("resamples", [0, -1])
     def test_resamples_below_one(self, resamples):

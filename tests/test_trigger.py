@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,23 @@ class TestEconomy:
         d = np.array(train.timeline.timestamps) / train.timeline.series_length
         np.testing.assert_allclose(costs, 0.5 * d, atol=1e-12)
         assert_economy_halts_are_reference(model, train, [zero], train.stats)
+
+    def test_zero_smoothing_absent_class_adds_nothing(self):
+        # At smoothing 0 some (timestamp, group) cells lack a class, whose
+        # p(predicted | y) would be 0/0: each cell's immediate cost is its
+        # rows' mean misclassification cost.
+        train = random_train_set(seed=1, n=30, L=5, K=3)
+        cost = standard_cost_model(3, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_economy(train, [cost], k_grid=(4,), smoothing=0.0)
+            tables = _build_economy(train, cost, 4, 0.0)
+        assert np.isfinite(tables.mis_paths).all()
+        mis = np.asarray(cost.mis_matrix)[train.stats.pred, train.labels[:, None]]  # (n, L)
+        for j in range(len(train.timeline)):
+            for g in range(4):
+                rows = tables.groups[:, j] == g
+                assert tables.mis_paths[j, g, j] == pytest.approx(mis[rows, j].mean(), abs=1e-12)
 
     def test_all_infeasible_k_errors(self):
         train = random_train_set(seed=13, n=6, L=3, K=2)
