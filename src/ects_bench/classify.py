@@ -13,9 +13,10 @@ fit_platt runs the L·K Platt fits as one. Each
 array form keeps the bits of the per-series, per-timestamp arithmetic: a
 score or a slope is one product per row (``np.matmul`` over a stack of rows;
 a single GEMM or GEMV over all rows rounds differently), and every summary
-is a per-row reduction along the last axis. Prefix features are built in
-blocks of ``_ROW_BLOCK`` rows, which bounds the (n, t) temporaries; as every
-operation is per row, the blocks cannot change a bit.
+is a per-row reduction along the last axis. Each prefix feature is the
+numpy reduction that defines it, over each prefix of a block of
+``_ROW_BLOCK`` rows, which bounds the (n, t) temporaries; as every operation
+is per row, the blocks cannot change a bit.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def default_timeline(length: int) -> SampledTimeline:
     if length < 2:
         raise ValueError("length must be >= 2")
     ts = sorted({min(max(int(round(i * length / 20)), 1), length) for i in range(1, 21)})
-    if ts[-1] != length:
-        ts.append(length)
     return SampledTimeline(tuple(ts), length)
 
 
@@ -62,55 +61,36 @@ def prefix_features(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray
     """(L, n, 7) summary features of the prefix values[:, :t] of each row
     of the (n, T) values at each of the increasing timestamps t: mean,
     population std, least-squares slope, min, max, last value, mean
-    absolute first difference."""
+    absolute first difference. Each is the numpy reduction that defines it,
+    over each prefix of a block of _ROW_BLOCK rows; |diff| is formed once
+    per block, and the std is taken from the centred prefix the slope uses,
+    the one np.std forms."""
     if not 1 <= timestamps[0] <= timestamps[-1] <= values.shape[1]:
         raise ValueError(f"timestamps {list(timestamps)} outside [1, {values.shape[1]}]")
     out = np.empty((len(timestamps), len(values), NUM_FEATURES))
     for lo in range(0, len(values), _ROW_BLOCK):
-        out[:, lo : lo + _ROW_BLOCK] = _prefix_block(values[lo : lo + _ROW_BLOCK], timestamps)
+        rows = slice(lo, lo + _ROW_BLOCK)
+        block = values[rows]
+        absdiff = np.abs(np.diff(block[:, : timestamps[-1]], axis=1))
+        for j, t in enumerate(timestamps):
+            prefix = block[:, :t]
+            mean = prefix.mean(axis=1)
+            centred = prefix - mean[:, None]
+            feats = out[j, rows]
+            feats[:, 0] = mean
+            feats[:, 1] = np.sqrt(np.add.reduce(centred * centred, axis=1) / t)
+            feats[:, 3] = prefix.min(axis=1)
+            feats[:, 4] = prefix.max(axis=1)
+            feats[:, 5] = prefix[:, -1]
+            if t == 1:
+                feats[:, 2] = feats[:, 6] = 0.0
+                continue
+            x = np.arange(t, dtype=float)
+            xc = x - x.mean()
+            # One dot per row; one GEMV over the rows rounds differently.
+            feats[:, 2] = np.matmul(centred[:, None, :], xc[:, None])[:, 0, 0] / (xc @ xc)
+            feats[:, 6] = absdiff[:, : t - 1].mean(axis=1)
     return out
-
-
-def _prefix_block(values: np.ndarray, timestamps: Sequence[int]) -> np.ndarray:
-    """(L, n, 7) prefix features of the rows of values at the increasing
-    timestamps, each computed as np.mean, np.std, np.min, ... of its own
-    prefix would: the running min and max come from one reduceat over the
-    spans between timestamps and an accumulate (_running), |diff| is formed
-    once, and the std is taken from the centred prefix the slope uses,
-    which is the one np.std forms."""
-    ts = list(timestamps)
-    head = values[:, : ts[-1]]
-    out = np.empty((len(ts), len(values), NUM_FEATURES))
-    out[:, :, 3] = _running(np.minimum, head, ts)
-    out[:, :, 4] = _running(np.maximum, head, ts)
-    absdiff = np.abs(np.diff(head, axis=1))
-    for j, t in enumerate(ts):
-        prefix = head[:, :t]
-        mean = prefix.mean(axis=1)
-        centred = prefix - mean[:, None]
-        out[j, :, 0] = mean
-        out[j, :, 1] = np.sqrt(np.add.reduce(centred * centred, axis=1) / t)
-        out[j, :, 5] = prefix[:, -1]
-        if t == 1:
-            out[j, :, 2] = out[j, :, 6] = 0.0
-            continue
-        x = np.arange(t, dtype=float)
-        xc = x - x.mean()
-        # One dot per row; one GEMV over the rows rounds differently.
-        out[j, :, 2] = np.matmul(centred[:, None, :], xc[:, None])[:, 0, 0] / (xc @ xc)
-        out[j, :, 6] = absdiff[:, : t - 1].mean(axis=1)
-    return out
-
-
-def _running(op, head: np.ndarray, ts: Sequence[int]) -> np.ndarray:
-    """(L, n) op-reduction (np.minimum or np.maximum) of each row's prefix
-    head[:, :t] at every timestamp. A min or max is exact, but which of 0.0
-    and -0.0 it returns depends on numpy's reduction order, so a timestamp
-    whose result holds a zero is reduced over its whole prefix instead."""
-    run = op.accumulate(op.reduceat(head, [0] + ts[:-1], axis=1), axis=1)
-    for j in np.flatnonzero((run == 0.0).any(axis=0)).tolist():
-        run[:, j] = op.reduce(head[:, : ts[j]], axis=1)
-    return run.T
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -334,18 +314,16 @@ SCREEN_FULL = (75, 80, 85, 90, 95, 100)
 
 
 def _macro_ovr_auc(proba: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
-    """Macro one-vs-rest AUC from probability scores, rank-based with ties."""
+    """Macro one-vs-rest AUC from probability scores, rank-based with ties.
+    Every class must have positives and negatives among the labels, as a
+    Dataset's train labels do: K >= 2, and every class is present."""
     ranks = per_dataset_ranks(proba.T)  # (K, n): each class's scores ranked over the series
     aucs = []
     for c in range(num_classes):
         pos = labels == c
         n_pos = int(pos.sum())
         n_neg = len(labels) - n_pos
-        if n_pos == 0 or n_neg == 0:
-            continue
         aucs.append((ranks[c, pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-    if not aucs:
-        raise DataError("no class with both positives and negatives")
     return float(np.mean(aucs))
 
 

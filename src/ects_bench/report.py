@@ -173,7 +173,6 @@ def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods:
     """Minimal line chart: mean rank (y, inverted) vs alpha (x), one polyline
     per method."""
     width, height, margin = 640, 400, 50
-    alphas = sorted({row[0] for row in rank_rows})
     max_rank = max(len(methods), 2)
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
                "#e377c2", "#7f7f7f", "#bcbd22"]
@@ -192,10 +191,11 @@ def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods:
         f'<text x="{width // 2}" y="{height - 10}" font-size="12">alpha</text>',
         f'<text x="10" y="{height // 2}" font-size="12" transform="rotate(-90 14 {height // 2})">mean rank</text>',
     ]
+    rank_rows = sorted(rank_rows)
     for m_idx, method in enumerate(methods):
         pts = [
             (x_of(a), y_of(rank))
-            for a, meth, rank, _, _ in sorted(rank_rows)
+            for a, meth, rank, _, _ in rank_rows
             if meth == method
         ]
         if not pts:

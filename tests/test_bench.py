@@ -362,6 +362,50 @@ def test_one_priced_block_equals_per_alpha_method_blocks(tmp_path, monkeypatch, 
     assert_same_table(records, RecordTable.concat(blocks))
 
 
+@pytest.fixture(scope="module", params=[(9, 12, 14, 5), (15, 20, 14, 6), (20, 14, 21, 7)],
+                ids=["T9", "T15", "T20"])
+def full_sweep(request):
+    """A small dataset (length, train and test per class, seed) and its
+    records under all 9 methods and the default alpha grid."""
+    length, per_train, per_test, seed = request.param
+    dataset = generate_synthetic(length, per_train, per_test, 0.3, seed=seed, name=f"inv{length}")
+    config = bench.BenchConfig(datasets=("unused",), methods=trigger.METHODS, output_dir="unused")
+    return dataset, config, bench.run_dataset(dataset, config)[0]
+
+
+def _rows(records, keep=slice(None)):
+    """The records.csv lines of the kept records, sorted."""
+    return sorted(records.text[keep].tolist())
+
+
+class TestRecordInvariants:
+    """A record depends only on its own dataset, method, alpha and series,
+    which is what makes per-dataset and per-chunk work safe."""
+
+    @pytest.mark.parametrize("methods", [
+        trigger.METHODS[::-1],
+        ("calimera_myopic", "asap"),
+        ("economy_myopic", "ecec", "stopping_rule"),
+        ("alap", "proba_threshold", "calimera", "economy"),
+    ])
+    def test_records_do_not_depend_on_the_method_list(self, full_sweep, methods):
+        dataset, config, records = full_sweep
+        got = bench.run_dataset(dataset, dataclasses.replace(config, methods=methods))[0]
+        assert _rows(got) == _rows(records, np.isin(records.method, methods))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_one_alpha_config_gives_the_sweeps_rows(self, full_sweep, alpha):
+        dataset, config, records = full_sweep
+        got = bench.run_dataset(dataset, dataclasses.replace(config, alpha_grid=(alpha,)))[0]
+        assert _rows(got) == _rows(records, records.alpha == alpha)
+
+    def test_records_do_not_depend_on_the_other_test_series(self, full_sweep):
+        dataset, config, records = full_sweep
+        kept = dataset.test.take(np.arange(0, len(dataset.test), 7))
+        got = bench.run_dataset(dataclasses.replace(dataset, test=kept), config)[0]
+        assert _rows(got) == _rows(records, np.isin(records.series_id, kept.ids))
+
+
 class TestReports:
     def test_written_files_and_row_counts(self, tmp_path, tiny_run):
         config, bundle = tiny_run

@@ -87,9 +87,9 @@ class TestPrefixFeatures:
 
 
 class TestFeatureStack:
-    """The block routine behind prefix_features (running min and max, one
-    |diff| per block, the std from the slope's centred prefix) keeps the
-    bits of one prefix_features call per timestamp."""
+    """prefix_features over many timestamps (one |diff| per 64-row block,
+    the std from the slope's centred prefix) keeps the bits of one
+    prefix_features call per timestamp."""
 
     @pytest.mark.parametrize("length", [2, 3, 9, 64, 65, 129, 300])
     def test_equals_stacked_prefix_features(self, length):
