@@ -193,8 +193,6 @@ def load_dataset(train_path: str, test_path: str, name: str = "") -> Dataset:
     for label in test_labels:
         if label not in remap:
             raise DataError(f"{test_path}: test label {label} unseen in train")
-    if train_values.shape[1] != test_values.shape[1]:
-        raise DataError(f"train length {train_values.shape[1]} != test length {test_values.shape[1]}")
 
     def part(prefix: str, labels: List[int], values: np.ndarray) -> SeriesSet:
         ids = tuple(f"{prefix}-{i}" for i in range(len(labels)))

@@ -4,10 +4,10 @@ the byte-deterministic report files (records, summaries, ranks, pairwise
 tests, Pareto fronts and an optional rank chart).
 
 `run` writes its priced records through this module; `report` reads them
-back and rebuilds every derived file. write_reports first derives each CSV
-as a (name, header, rows) table from the bundle's summaries, then writes the
-timelines, the records' own row text and the tables. This module imports no
-fitting or ingestion code, so `report` loads none.
+back and rebuilds every derived file. write_reports first builds every file
+as one (name, lines) entry, its lines produced as they are written, then
+writes the entries in one loop. This module imports no fitting or ingestion
+code, so `report` loads none.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,19 +45,13 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big") % (2**63)
 
 
-def _open_text(path: str):
-    """path opened for writing as UTF-8 with "\n" line ends on any platform,
-    so every report file is byte-deterministic."""
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    """One line per row, formatted a column at a time: repr for a column of
-    floats and str for any other (each column holds values of one type)."""
+def _csv_lines(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Iterator[str]:
+    """The header line, then one line per row, formatted a column at a time:
+    repr for a column of floats and str for any other (each column holds
+    values of one type)."""
+    yield ",".join(header) + "\n"
     columns = [map(repr if isinstance(column[0], float) else str, column) for column in zip(*rows)]
-    with _open_text(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    yield from (",".join(row) + "\n" for row in zip(*columns))
 
 
 PARSE_BLOCK_LINES = 4096
@@ -169,20 +163,13 @@ def load_records_csv(path: str, timelines: Dict[str, SampledTimeline]) -> Record
     return RecordTable.concat(blocks)
 
 
-def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods: Sequence[str]) -> str:
-    """Minimal line chart: mean rank (y, inverted) vs alpha (x), one polyline
-    per method."""
+def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods: Sequence[str]) -> List[str]:
+    """The lines of a minimal line chart: mean rank (y, inverted) vs alpha
+    (x), one polyline per method."""
     width, height, margin = 640, 400, 50
     max_rank = max(len(methods), 2)
     palette = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b",
                "#e377c2", "#7f7f7f", "#bcbd22"]
-
-    def x_of(a):
-        return margin + a * (width - 2 * margin)
-
-    def y_of(r):
-        return margin + (r - 1) / (max_rank - 1) * (height - 2 * margin)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -193,21 +180,18 @@ def _ranks_svg(rank_rows: List[Tuple[float, str, float, float, float]], methods:
     ]
     rank_rows = sorted(rank_rows)
     for m_idx, method in enumerate(methods):
-        pts = [
-            (x_of(a), y_of(rank))
-            for a, meth, rank, _, _ in rank_rows
-            if meth == method
-        ]
-        if not pts:
+        path = " ".join(f"{margin + a * (width - 2 * margin):.1f},"
+                        f"{margin + (rank - 1) / (max_rank - 1) * (height - 2 * margin):.1f}"
+                        for a, meth, rank, _, _ in rank_rows if meth == method)
+        if not path:
             continue
-        path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
         color = palette[m_idx % len(palette)]
         parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{width - margin + 4}" y="{margin + 14 * m_idx}" font-size="11" fill="{color}">{method}</text>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return [part + "\n" for part in parts]
 
 
 def check_output_dir(out_dir: str) -> None:
@@ -267,46 +251,34 @@ def write_reports(bundle: ReportBundle, out_dir: str, emit_svg: bool = False) ->
     """Write timelines.json, records.csv, the summaries/ranks/pairwise/pareto
     CSVs (plus skipped.csv if any dataset was skipped) and an optional rank
     chart, and return their paths in that order; byte-deterministic for a
-    given bundle. Every CSV but the records is a (name, header, rows) table.
-    An output directory that cannot be made or written is a ConfigError
-    naming it."""
+    given bundle. Each file is one (name, lines) entry: the records' lines
+    are their own row text, chained after the header, and each CSV's lines
+    are formatted as they are written. An output directory that cannot be
+    made or written is a ConfigError naming it."""
     methods, rank_rows, pair_rows = _rank_and_pair_rows(bundle.summaries)
-    tables = [
-        ("summaries.csv", SUMMARY_FIELDS, list(map(attrgetter(*SUMMARY_FIELDS), bundle.summaries))),
-        ("ranks.csv", ("alpha", "method", "mean_rank", "ci_low", "ci_high"), rank_rows),
-        ("pairwise.csv", ("alpha", "method_a", "method_b", "wins", "ties", "losses", "p_value", "p_holm"),
-         pair_rows),
-        ("pareto.csv", ("dataset", "method", "alpha", "earliness", "accuracy", "on_front"),
-         _pareto_rows(bundle.summaries)),
+    timelines = {name: {"timestamps": list(tl.timestamps), "series_length": tl.series_length}
+                 for name, tl in sorted(bundle.timelines.items())}
+    entries = [
+        ("timelines.json", [json.dumps(timelines, indent=2, sort_keys=True) + "\n"]),
+        ("records.csv", itertools.chain([",".join(RECORD_FIELDS) + "\n"], bundle.records.text)),
+        ("summaries.csv", _csv_lines(SUMMARY_FIELDS, list(map(attrgetter(*SUMMARY_FIELDS), bundle.summaries)))),
+        ("ranks.csv", _csv_lines(("alpha", "method", "mean_rank", "ci_low", "ci_high"), rank_rows)),
+        ("pairwise.csv", _csv_lines(("alpha", "method_a", "method_b", "wins", "ties", "losses", "p_value",
+                                     "p_holm"), pair_rows)),
+        ("pareto.csv", _csv_lines(("dataset", "method", "alpha", "earliness", "accuracy", "on_front"),
+                                  _pareto_rows(bundle.summaries))),
     ]
     if bundle.skipped:
-        tables.append(("skipped.csv", ("dataset", "reason"), sorted(bundle.skipped)))
-    names = ["timelines.json", "records.csv"] + [name for name, _, _ in tables]
+        entries.append(("skipped.csv", _csv_lines(("dataset", "reason"), sorted(bundle.skipped))))
     if emit_svg:
-        names.append("ranks.svg")
-    paths = [os.path.join(out_dir, name) for name in names]
+        entries.append(("ranks.svg", _ranks_svg(rank_rows, methods)))
     with writing_to("reports", out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        with _open_text(paths[0]) as fh:
-            json.dump(
-                {
-                    name: {"timestamps": list(tl.timestamps), "series_length": tl.series_length}
-                    for name, tl in sorted(bundle.timelines.items())
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        with _open_text(paths[1]) as fh:
-            fh.write(",".join(RECORD_FIELDS) + "\n")
-            fh.writelines(bundle.records.text)
-        for path, (_, header, rows) in zip(paths[2:], tables):
-            _write_csv(path, header, rows)
-        if emit_svg:
-            with _open_text(paths[-1]) as fh:
-                fh.write(_ranks_svg(rank_rows, methods))
-    return paths
+        for name, lines in entries:
+            # "\n" line ends on any platform, so every file is byte-deterministic.
+            with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
+    return [os.path.join(out_dir, name) for name, _ in entries]
 
 
 def load_timelines_json(path: str) -> Dict[str, SampledTimeline]:

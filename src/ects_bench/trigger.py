@@ -320,12 +320,11 @@ def _halt_tables(priced: np.ndarray) -> np.ndarray:
     """(..., 2, L, k) halt tables of priced (..., L, k, L) costs: True at
     [h, j, g] when halting at index j from group g costs no more than the
     best later halt (h = 0) or the next one (h = 1, myopic), both by
-    backward_min_costs; and always at the last index."""
+    backward_min_costs. At the last index both are +inf and the priced costs
+    are finite, so the tables halt there."""
     now = np.diagonal(priced, axis1=-3, axis2=-1)  # (..., k, L): priced[..., j, g, j]
-    table = np.stack([now <= np.diagonal(backward_min_costs(priced, myopic), axis1=-3, axis2=-1)
-                      for myopic in (False, True)], axis=-3).swapaxes(-1, -2)
-    table[..., -1, :] = True
-    return table
+    return np.stack([now <= np.diagonal(backward_min_costs(priced, myopic), axis1=-3, axis2=-1)
+                     for myopic in (False, True)], axis=-3).swapaxes(-1, -2)
 
 
 def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: float) -> Optional[_EconomyTables]:
@@ -343,10 +342,7 @@ def _build_economy(train: TriggerTrainSet, cost: CostModel, k: int, smoothing: f
         return None
     steps = (cell[:, :-1] * k + groups[:, 1:]).ravel()
     counts = np.bincount(steps, minlength=(L - 1) * k * k).reshape(L - 1, k, k) + smoothing
-    row_sums = counts.sum(axis=2, keepdims=True)
-    if np.any(row_sums == 0):
-        return None
-    transitions = counts / row_sums
+    transitions = counts / counts.sum(axis=2, keepdims=True)
     confusion_counts = np.bincount((class_cell * K + pred).ravel(), minlength=L * k * K * K).reshape(L, k, K, K)
     mis_paths = _expected_mis_paths(_expected_mis(class_counts, confusion_counts, cost, smoothing), transitions)
     return _EconomyTables(bin_edges, groups, transitions, mis_paths)

@@ -424,6 +424,14 @@ class TestReports:
             assert written == [os.path.join(out, name) for name in names + more]
             assert all(map(os.path.isfile, written))
 
+    def test_readme_names_every_report_file(self, tmp_path, tiny_run):
+        _, bundle = tiny_run
+        skipped = dataclasses.replace(bundle, skipped=[("ghost", "no series")])
+        names = map(os.path.basename, report.write_reports(skipped, str(tmp_path), emit_svg=True))
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+            readme = fh.read()
+        assert [name for name in names if f"`{name}`" not in readme] == []
+
     def test_svg_emitted_on_request(self, tmp_path, tiny_run):
         _, bundle = tiny_run
         out = os.path.join(str(tmp_path), "reports-svg")

@@ -67,6 +67,12 @@ class TestLoadDataset:
         assert ds.train.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.test.values.tolist() == [[-1000.0, 2.5]]
 
+    def test_test_length_differs_from_train(self, tmp_path):
+        train = _write(tmp_path, "tr.csv", "0,1.0,2.0\n1,3.0,4.0\n")
+        test = _write(tmp_path, "te.csv", "0,1.0,2.0,3.0\n")
+        with pytest.raises(DataError, match=r"^dataset 'tr': test series have length 3, expected 2$"):
+            load_dataset(train, test)
+
     def test_empty_file(self, tmp_path):
         train = _write(tmp_path, "train.csv", "")
         test = _write(tmp_path, "test.csv", "0,1.0,2.0\n")
