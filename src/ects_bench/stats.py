@@ -1,6 +1,8 @@
 """Statistical comparison layer: per-dataset ranks, bootstrap confidence
 intervals, the exact two-sided Wilcoxon signed-rank test with Holm
-correction, and pairwise win/tie/loss comparisons."""
+correction, and pairwise win/tie/loss comparisons. Each is array code over a
+stack of rows or columns, and one rank rule (per_dataset_ranks) ranks the
+costs, the test's absolute differences and classify's screen scores."""
 
 from __future__ import annotations
 
@@ -12,27 +14,22 @@ import numpy as np
 from .core import lerp_quantiles, quantile_positions, quantiles
 
 
-def _rank_ascending(values: Sequence[float]) -> List[float]:
-    """Ranks starting at 1, ties receive the average rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        for idx in order[i : j + 1]:
-            ranks[idx] = avg
-        i = j + 1
+def per_dataset_ranks(values: np.ndarray) -> np.ndarray:
+    """The ranks of each row of a 2-D array, such as a (datasets, methods)
+    cost array: the lowest value ranks 1, and tied values (-0.0 and 0.0 too)
+    share their average rank. No value may be NaN: rows hold finite values,
+    or the +inf that wilcoxon_signed_rank ranks zero differences as."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    places = np.arange(values.shape[1])
+    starts, ends = np.ones(values.shape, bool), np.ones(values.shape, bool)  # of each tie group
+    starts[:, 1:] = ends[:, :-1] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, places, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, places, len(places))[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty_like(values)
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=1)
     return ranks
-
-
-def per_dataset_ranks(costs: np.ndarray) -> np.ndarray:
-    """The ranks of each row of a (datasets, methods) cost array: the lowest
-    cost ranks 1, and tied costs share their average rank."""
-    ranks = [_rank_ascending(row) for row in np.asarray(costs, dtype=float).tolist()]
-    return np.array(ranks, dtype=float).reshape(np.shape(costs))
 
 
 def bootstrap_mean_ci(
@@ -109,36 +106,43 @@ def bootstrap_mean_cis(
     return out
 
 
-def _signed_ranks(diffs: Sequence[float]) -> Tuple[List[float], List[int]]:
-    nonzero = [d for d in diffs if d != 0.0]
-    ranks = _rank_ascending([abs(d) for d in nonzero])
-    signs = [1 if d > 0 else -1 for d in nonzero]
-    return ranks, signs
+def wilcoxon_signed_rank(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Wilcoxon signed-rank test of each column of an (n, P) array of
+    differences: returns the (P,) arrays (W, p), exact and two-sided for any n.
 
-
-def wilcoxon_signed_rank(diffs: Sequence[float]) -> Tuple[float, float]:
-    """Wilcoxon signed-rank: returns (W, p), exact and two-sided for any n.
-
-    W is the smaller of the positive/negative rank sums. Zero differences are
-    dropped and tied absolute differences share their average rank. p is
-    P(min(S+, S-) <= W) under random signs, from the null distribution of S+
-    counted over the doubled rank sums: tie-averaged ranks are whole or half
-    numbers, so each rank r leaves the table as it is or shifts it by 2r.
-    Entries are multiples of 2**-n, so p is exactly count / 2**n for n <= 53;
-    for those n the order the ranks are added in cannot change a bit, and
-    every call shares one table per sorted doubled-rank tuple (_null_table).
-    A larger n builds its table in the ranks' own order.
+    W is the smaller of the positive/negative rank sums. Zero differences rank
+    after all others (as +inf) and then count 0, and tied absolute differences
+    share their average rank; a column with no nonzero difference gives
+    (0.0, 1.0). p is P(min(S+, S-) <= W) under random signs, from the null
+    distribution of S+ counted over the doubled rank sums: tie-averaged ranks
+    are whole or half numbers, so each rank r leaves the table as it is or
+    shifts it by 2r. Entries are multiples of 2**-n, so p is exactly
+    count / 2**n for n <= 53; for those n the order the ranks are added in
+    cannot change a bit, and the columns that share a sorted doubled-rank
+    tuple read one table (_null_table) in one masked sum. A larger n builds
+    its table in the ranks' own order.
     """
-    ranks, signs = _signed_ranks(diffs)
-    if not ranks:
-        return 0.0, 1.0
-    w_pos = sum(r for r, s in zip(ranks, signs) if s > 0)
-    total = sum(ranks)
-    w = min(w_pos, total - w_pos)
-    doubled = [int(2 * r) for r in ranks]
-    dist = _null_table(tuple(sorted(doubled))) if len(doubled) <= 53 else _null_distribution(doubled)
-    s_pos = np.arange(len(dist)) / 2.0
-    return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
+    diffs = np.asarray(diffs, dtype=float)
+    nonzero = diffs != 0.0
+    ranks = np.where(nonzero, per_dataset_ranks(np.where(nonzero, np.abs(diffs), np.inf).T).T, 0.0)
+    total = ranks.sum(axis=0)  # sums of halves: exact in any order
+    w_pos = np.where(diffs > 0.0, ranks, 0.0).sum(axis=0)
+    w = np.minimum(w_pos, total - w_pos)
+    p = np.ones(len(w))
+    shared = {}  # sorted doubled ranks -> the columns that read their table
+    for col in np.flatnonzero(nonzero.any(axis=0)).tolist():
+        doubled = (2.0 * ranks[nonzero[:, col], col]).astype(int).tolist()  # in the ranks' own order
+        if len(doubled) <= 53:
+            shared.setdefault(tuple(sorted(doubled)), []).append(col)
+            continue
+        dist = _null_distribution(doubled)
+        s_pos = np.arange(len(dist)) / 2.0
+        p[col] = dist[np.minimum(s_pos, total[col] - s_pos) <= w[col] + 1e-12].sum()
+    for doubled, cols in shared.items():
+        s_pos = np.arange(sum(doubled) + 1)[:, None] / 2.0
+        tail = np.minimum(s_pos, total[cols[0]] - s_pos) <= w[cols] + 1e-12
+        p[cols] = np.where(tail, _null_table(doubled)[:, None], 0.0).sum(axis=0)
+    return w, p
 
 
 @functools.lru_cache(maxsize=1024)
@@ -162,14 +166,11 @@ def _null_distribution(doubled: Sequence[int]) -> np.ndarray:
 
 def holm_adjust(p_values: Sequence[float]) -> List[float]:
     """Holm step-down adjustment, returned in original order, clipped at 1."""
-    m = len(p_values)
-    order = sorted(range(m), key=lambda i: p_values[i])
-    adjusted = [0.0] * m
-    running = 0.0
-    for pos, i in enumerate(order):
-        running = max(running, (m - pos) * p_values[i])
-        adjusted[i] = min(1.0, running)
-    return adjusted
+    p = np.asarray(p_values, dtype=float)
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty_like(p)
+    adjusted[order] = np.minimum(1.0, np.maximum.accumulate((len(p) - np.arange(len(p))) * p[order]))
+    return adjusted.tolist()
 
 
 def pairwise_comparison(
@@ -187,7 +188,5 @@ def pairwise_comparisons(costs_a: np.ndarray, costs_b: np.ndarray) -> List[Tuple
     arrays of one shape."""
     wins = (costs_a < costs_b).sum(axis=0).tolist()
     ties = (costs_a == costs_b).sum(axis=0).tolist()
-    return [
-        (w, t, len(costs_a) - w - t, wilcoxon_signed_rank(diffs)[1])
-        for w, t, diffs in zip(wins, ties, (costs_a - costs_b).T.tolist())
-    ]
+    p = wilcoxon_signed_rank(costs_a - costs_b)[1].tolist()
+    return [(w, t, len(costs_a) - w - t, q) for w, t, q in zip(wins, ties, p)]

@@ -766,9 +766,9 @@ class TestCli:
     }
 
     @staticmethod
-    def _cli_subprocess(args, launcher=("-m", "ects_bench.cli")):
+    def _cli_subprocess(args, launcher=("-m", "ects_bench.cli"), **env_vars):
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env_vars)
         return subprocess.run(
             [sys.executable, *launcher, *args],
             capture_output=True, text=True, env=env, timeout=120,
@@ -1039,6 +1039,26 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: config datasets[1]: dataset name 'same' repeats an earlier one"], err
         assert not os.path.exists(out)
+
+    def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # At n = 306 training series fit_calimera's duals differ in their last
+        # bits between one and two BLAS threads; every file run writes must
+        # not. A difference here is a decision that flipped on a rounding-sized
+        # quantity: list it rather than change this config.
+        save_dataset(generate_synthetic(40, 170, 170, 0.3, seed=1), str(tmp_path / "ds"))
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = str(tmp_path / f"threads-{threads}")
+            config = _config_file(tmp_path, str(tmp_path / "ds" / "manifest.json"), methods=list(trigger.METHODS),
+                                  alpha_grid=list(bench.DEFAULT_ALPHA_GRID), output_dir=outs[threads])
+            proc = self._cli_subprocess(["run", "--config", config],
+                                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(os.listdir(outs["1"]))
+        assert names == sorted(os.listdir(outs["2"]))
+        for name in names:
+            with open(os.path.join(outs["1"], name), "rb") as one, open(os.path.join(outs["2"], name), "rb") as two:
+                assert one.read() == two.read(), name
 
     def test_data_error_skips_dataset_numeric_error_aborts_run(self, tmp_path, tiny_manifest):
         # A class with a single train member cannot be split: that dataset is

@@ -3,7 +3,9 @@ src/ects_bench is loaded by name somewhere in src/, so the library offers
 only what its commands run. The exceptions are the names perfbench's tracer
 wraps, the per-method fits fit_methods looks up by name, and two entry
 points that only tests and callers outside src/ reach. Within a function,
-every local name it binds is read, so no value is computed for nothing."""
+every local name it binds is read, so no value is computed for nothing. No
+module imports another's underscore names: what a module keeps private, only
+it calls."""
 
 import ast
 import glob
@@ -105,3 +107,33 @@ def unread_locals(src_dir):
 
 def test_every_bound_local_is_read():
     assert unread_locals(SRC) == []
+
+
+def private_imports(src_dir):
+    """The "module: from X import _name" of each underscore name that a
+    module of src_dir imports from another module of the package, relatively
+    or as ects_bench.X, at any depth."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(src_dir, "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = node.module or ""
+            if node.level or source == "ects_bench" or source.startswith("ects_bench."):
+                found += [f"{module}: from {'.' * node.level}{source} import {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_names(tmp_path):
+    assert private_imports(SRC) == []
+    # The check sees each form such an import takes.
+    (tmp_path / "a.py").write_text("from __future__ import annotations\n"
+                                   "from .stats import per_dataset_ranks, _null_table\n"
+                                   "from . import _b\nfrom os import _exit\n"
+                                   "def f():\n    from ects_bench.core import _x\n")
+    assert private_imports(str(tmp_path)) == [
+        "a: from .stats import _null_table", "a: from . import _b", "a: from ects_bench.core import _x"]

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ects_bench import stats as stats_module
 from ects_bench.core import quantiles
@@ -16,8 +18,43 @@ from ects_bench.stats import (
     pairwise_comparisons,
     per_dataset_ranks,
     wilcoxon_signed_rank,
-    _rank_ascending,
 )
+
+
+def _rank_ascending(values):
+    """Reference ranks of one list, starting at 1: ties (under ==) receive
+    the average rank."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        avg = 0.5 * (i + j) + 1.0
+        for idx in order[i : j + 1]:
+            ranks[idx] = avg
+        i = j + 1
+    return ranks
+
+
+def looped_holm_adjust(p_values):
+    """Reference Holm step-down adjustment: one running maximum over the
+    p-values in stable ascending order."""
+    m = len(p_values)
+    order = sorted(range(m), key=lambda i: p_values[i])
+    adjusted = [0.0] * m
+    running = 0.0
+    for pos, i in enumerate(order):
+        running = max(running, (m - pos) * p_values[i])
+        adjusted[i] = min(1.0, running)
+    return adjusted
+
+
+def one_column_wilcoxon(diffs):
+    """wilcoxon_signed_rank of one list of differences, as one column."""
+    w, p = wilcoxon_signed_rank(np.array(diffs, dtype=float)[:, None])
+    return w[0], p[0]
 
 
 def enumeration_wilcoxon(diffs):
@@ -74,6 +111,15 @@ class TestMeanRanks:
         costs = rng.random((5, 3))
         transformed = np.exp(3.0 * costs) + 1.0
         assert np.array_equal(per_dataset_ranks(costs), per_dataset_ranks(transformed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda width: st.lists(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]), min_size=width, max_size=width),
+    min_size=1, max_size=5)))
+def test_ranks_equal_reference(rows):
+    want = np.array([_rank_ascending(row) for row in rows])
+    assert per_dataset_ranks(np.array(rows)).tobytes() == want.tobytes()
 
 
 class TestBootstrap:
@@ -228,21 +274,21 @@ class TestOneValueRows:
 
 class TestWilcoxon:
     def test_five_positive(self):
-        w, p = wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0, 5.0])
+        w, p = one_column_wilcoxon([1.0, 2.0, 3.0, 4.0, 5.0])
         assert w == 0.0
         assert p == pytest.approx(2.0 / 32.0)
 
     def test_symmetric_max_statistic(self):
-        _, p = wilcoxon_signed_rank([1.0, -1.0, 2.0, -2.0])
+        _, p = one_column_wilcoxon([1.0, -1.0, 2.0, -2.0])
         assert p == pytest.approx(1.0)
 
     def test_all_zero_degenerate(self):
-        w, p = wilcoxon_signed_rank([0.0, 0.0, 0.0])
+        w, p = one_column_wilcoxon([0.0, 0.0, 0.0])
         assert (w, p) == (0.0, 1.0)
 
     def test_zero_differences_dropped(self):
-        w1, p1 = wilcoxon_signed_rank([1.0, 2.0, 3.0, 0.0, 0.0])
-        w2, p2 = wilcoxon_signed_rank([1.0, 2.0, 3.0])
+        w1, p1 = one_column_wilcoxon([1.0, 2.0, 3.0, 0.0, 0.0])
+        w2, p2 = one_column_wilcoxon([1.0, 2.0, 3.0])
         assert (w1, p1) == (w2, p2)
 
     def test_matches_enumeration_oracle(self):
@@ -251,7 +297,7 @@ class TestWilcoxon:
         sizes = itertools.chain((int(rng.integers(1, 11)) for _ in range(200)), (13, 14, 15))
         for n in sizes:
             diffs = np.round(rng.normal(size=n), 1).tolist()
-            got = wilcoxon_signed_rank(diffs)
+            got = one_column_wilcoxon(diffs)
             want = enumeration_wilcoxon(diffs)
             assert got[0] == pytest.approx(want[0])
             assert got[1] == pytest.approx(want[1])
@@ -262,19 +308,55 @@ class TestWilcoxon:
             n = int(rng.integers(1, 41))
             diffs = rng.normal(size=n).tolist()
             nonzero = sum(1 for d in diffs if d != 0.0)
-            _, p = wilcoxon_signed_rank(diffs)
+            _, p = one_column_wilcoxon(diffs)
             assert (p * 2**nonzero) == pytest.approx(round(p * 2**nonzero), abs=1e-9)
 
     def test_large_n_normal_approximation_reasonable(self):
         # strongly one-sided differences should be clearly significant
         diffs = list(range(1, 21))
-        _, p = wilcoxon_signed_rank([float(d) for d in diffs])
+        _, p = one_column_wilcoxon([float(d) for d in diffs])
         assert p < 0.001
         # symmetric differences should not be
         sym = [float(v) for v in range(1, 11)] + [-float(v) for v in range(1, 11)]
-        _, p_sym = wilcoxon_signed_rank(sym)
+        _, p_sym = one_column_wilcoxon(sym)
         assert p_sym > 0.5
 
+
+    @staticmethod
+    def ordered_null_wilcoxon(column, build_order=list):
+        """(W, p) of one list of differences whose null table is built from
+        its doubled ranks in build_order (as given: the ranks' own order)."""
+        nonzero = [d for d in column if d != 0.0]
+        if not nonzero:
+            return 0.0, 1.0
+        ranks = _rank_ascending([abs(d) for d in nonzero])
+        total = sum(ranks)
+        w_pos = sum(r for r, d in zip(ranks, nonzero) if d > 0)
+        w = min(w_pos, total - w_pos)
+        dist = stats_module._null_distribution(build_order([int(2 * r) for r in ranks]))
+        s_pos = np.arange(len(dist)) / 2.0
+        return w, float(dist[np.minimum(s_pos, total - s_pos) <= w + 1e-12].sum())
+
+    def test_large_n_equals_ranks_own_order_reference(self):
+        # n > 53 nonzero differences: p sums a table built in the ranks' own
+        # order. A (60, 3) block with ties, zeros and an all-zero column.
+        rng = np.random.default_rng(13)
+        mixed = np.round(rng.normal(size=60), 1)
+        mixed[[3, 17, 40]] = 0.0
+        one_sided = np.round(rng.random(60) * 5.0, 0) + 1.0
+        one_sided[[5, 9]] = [0.0, -1.0]
+        diffs = np.column_stack([mixed, one_sided, np.zeros(60)])
+        w, p = wilcoxon_signed_rank(diffs)
+        assert sum(d != 0.0 for d in mixed) > 53 and sum(d != 0.0 for d in one_sided) > 53
+        for column, w_got, p_got in zip(diffs.T.tolist(), w.tolist(), p.tolist()):
+            assert (w_got, p_got) == self.ordered_null_wilcoxon(column)
+        assert p[1] < 1e-6
+        # At n = 70 the build order moves p's last bit: sorted ranks give
+        # another p than the ranks' own order, which the test returns.
+        column = np.round(np.random.default_rng(3).normal(size=70), 2).tolist()
+        want = self.ordered_null_wilcoxon(column)
+        assert want[1] != self.ordered_null_wilcoxon(column, sorted)[1]
+        assert one_column_wilcoxon(column) == want
 
     def test_cached_null_equals_enumeration(self):
         # Columns with ties and zero differences; later columns repeat the
@@ -292,7 +374,7 @@ class TestWilcoxon:
         for column, (wins, ties, losses, p) in zip(columns.T.tolist(), got):
             assert (wins, ties, losses) == (sum(d < 0 for d in column), column.count(0.0),
                                             sum(d > 0 for d in column))
-            assert p == wilcoxon_signed_rank(column)[1]
+            assert p == one_column_wilcoxon(column)[1]
             assert p == enumeration_wilcoxon(column)[1]
 
     def test_shared_null_tables_cold_and_warm(self):
@@ -332,6 +414,14 @@ class TestHolm:
             order = sorted(range(len(p)), key=lambda i: p[i])
             along = [adj[i] for i in order]
             assert all(b >= a for a, b in zip(along, along[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30)))
+def test_holm_equals_loop(p_values):
+    want = np.array(looped_holm_adjust(p_values))
+    assert np.array(holm_adjust(p_values)).tobytes() == want.tobytes()
 
 
 class TestPairwise:
