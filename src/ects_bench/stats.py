@@ -118,9 +118,9 @@ def wilcoxon_signed_rank(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     are whole or half numbers, so each rank r leaves the table as it is or
     shifts it by 2r. Entries are multiples of 2**-n, so p is exactly
     count / 2**n for n <= 53; for those n the order the ranks are added in
-    cannot change a bit, and the columns that share a sorted doubled-rank
-    tuple read one table (_null_table) in one masked sum. A larger n builds
-    its table in the ranks' own order.
+    cannot change a bit, and every column shares one table per sorted
+    doubled-rank tuple (_null_table). A larger n builds its table in the
+    ranks' own order.
     """
     diffs = np.asarray(diffs, dtype=float)
     nonzero = diffs != 0.0
@@ -129,19 +129,11 @@ def wilcoxon_signed_rank(diffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w_pos = np.where(diffs > 0.0, ranks, 0.0).sum(axis=0)
     w = np.minimum(w_pos, total - w_pos)
     p = np.ones(len(w))
-    shared = {}  # sorted doubled ranks -> the columns that read their table
     for col in np.flatnonzero(nonzero.any(axis=0)).tolist():
         doubled = (2.0 * ranks[nonzero[:, col], col]).astype(int).tolist()  # in the ranks' own order
-        if len(doubled) <= 53:
-            shared.setdefault(tuple(sorted(doubled)), []).append(col)
-            continue
-        dist = _null_distribution(doubled)
+        dist = _null_table(tuple(sorted(doubled))) if len(doubled) <= 53 else _null_distribution(doubled)
         s_pos = np.arange(len(dist)) / 2.0
         p[col] = dist[np.minimum(s_pos, total[col] - s_pos) <= w[col] + 1e-12].sum()
-    for doubled, cols in shared.items():
-        s_pos = np.arange(sum(doubled) + 1)[:, None] / 2.0
-        tail = np.minimum(s_pos, total[cols[0]] - s_pos) <= w[cols] + 1e-12
-        p[cols] = np.where(tail, _null_table(doubled)[:, None], 0.0).sum(axis=0)
     return w, p
 
 

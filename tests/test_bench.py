@@ -1040,6 +1040,7 @@ class TestCli:
         assert err == ["config error: config datasets[1]: dataset name 'same' repeats an earlier one"], err
         assert not os.path.exists(out)
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs; one CPU runs both settings alike")
     def test_run_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # At n = 306 training series fit_calimera's duals differ in their last
         # bits between one and two BLAS threads; every file run writes must
